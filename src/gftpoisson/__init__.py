@@ -16,9 +16,9 @@ from .errors import (DomainError, InvalidTolerance, MissingRParams,
                      TruncationNotReached)
 from .serialize import dumps_canonical
 from .series import (CoefficientSeq, PoissonParams, SignConvention, SumKind,
-                     TruncationPolicy, WeightGrowth, apply_operator_I,
-                     choose_truncation, coeffs_F, coeffs_G, partial_shifted_sum,
-                     poisson_coeff, shifted_exp_sum)
+                     TruncationPolicy, apply_operator_I, choose_truncation,
+                     coeffs_F, coeffs_G, partial_shifted_sum, poisson_coeff,
+                     shifted_exp_sum)
 from .suite import run_suite
 from .theorems import (PredicateId, crosscheck, evaluate,
                        evaluate_with_crosscheck, t1_lhs, t2_lhs, t4_lhs, t5_lhs,
@@ -33,7 +33,7 @@ __all__ = [
     "MembershipReport", "MissingRParams", "Outcome", "PoissonParams",
     "PredicateId", "RParams", "SignConvention", "SumKind", "SumWhich",
     "ThresholdResult", "TruncationNotReached", "TruncationPolicy", "Verdict",
-    "WeightGrowth", "apply_operator_I", "c_condition_value",
+    "apply_operator_I", "c_condition_value",
     "choose_truncation", "classify", "coeffs_F", "coeffs_G", "crosscheck",
     "dixit_pal_bound", "dumps_canonical", "eval_deriv", "eval_series",
     "evaluate", "evaluate_with_crosscheck", "grid_check", "lemma_sum",

@@ -12,17 +12,17 @@ import argparse
 import os
 import sys
 
-from .criteria import ClassParams, RParams, Verdict
-from .disk import (ConditionId, GridSpec, grid_check)
+from .criteria import ClassParams, RParams, Verdict, worst_case_R_coeffs
+from .disk import GridSpec, grid_check
 from .errors import (DomainError, InvalidTolerance, MissingRParams,
                      TruncationNotReached)
 from .serialize import dict_to_human, dumps_canonical, fmt_float, rows_to_csv
-from .series import (PoissonParams, SumKind, TruncationPolicy, WeightGrowth,
-                     apply_operator_I, choose_truncation, coeffs_F, coeffs_G,
-                     partial_shifted_sum, shifted_exp_sum)
+from .series import (PoissonParams, SumKind, TruncationPolicy, apply_operator_I,
+                     choose_truncation, coeffs_F, coeffs_G, partial_shifted_sum,
+                     shifted_exp_sum)
 from .suite import IDENTITY_ABS_TOL, IDENTITY_REL_TOL, run_suite
-from .theorems import (NEEDS_R, PredicateId, evaluate, evaluate_with_crosscheck)
-from .criteria import worst_case_R_coeffs
+from .theorems import (SPECS, PredicateId, evaluate, evaluate_with_crosscheck,
+                       resolve)
 from .thresholds import solve_m_star
 
 EXIT_HOLDS = 0
@@ -109,7 +109,7 @@ def _parse_predicate(text: str) -> PredicateId:
 
 def _r_params(args, pid: PredicateId) -> RParams | None:
     has_a, has_b = args.A is not None, args.B is not None
-    if pid in NEEDS_R and not (has_a and has_b):
+    if SPECS[pid].needs_r and not (has_a and has_b):
         raise UsageError(f"predicate {pid.value} requires --A and --B")
     if has_a != has_b:
         raise UsageError("--A and --B must be given together")
@@ -118,18 +118,21 @@ def _r_params(args, pid: PredicateId) -> RParams | None:
     return RParams(A=args.A, B=args.B, tau=complex(args.tau_re, args.tau_im))
 
 
-def _emit(args, json_dict: dict, csv_header: list, csv_rows: list) -> None:
-    if args.format == "json":
-        text = dumps_canonical(json_dict) + "\n"
-    elif args.format == "csv":
-        text = rows_to_csv(csv_header, csv_rows)
-    else:
-        text = dict_to_human(json_dict)
+def _write(args, text: str) -> None:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(args, json_dict: dict, csv_header: list, csv_rows: list) -> None:
+    if args.format == "json":
+        _write(args, dumps_canonical(json_dict) + "\n")
+    elif args.format == "csv":
+        _write(args, rows_to_csv(csv_header, csv_rows))
+    else:
+        _write(args, dict_to_human(json_dict))
 
 
 _REPORT_HEADER = ["predicate", "verdict", "lhs", "rhs", "margin", "residual", "N"]
@@ -167,39 +170,19 @@ def _cmd_threshold(args) -> int:
     return EXIT_HOLDS
 
 
-# which series and disk condition each predicate talks about
-_GRID_BINDING = {
-    PredicateId.T1_F_in_S: ("F", ConditionId.S_COND),
-    PredicateId.C1_F_in_Sk: ("F", ConditionId.S_COND),
-    PredicateId.T2_F_in_C: ("F", ConditionId.C_COND),
-    PredicateId.C2_F_in_Ck: ("F", ConditionId.C_COND),
-    PredicateId.T3_G_in_C: ("G", ConditionId.C_COND),
-    PredicateId.C5_G_in_Ck: ("G", ConditionId.C_COND),
-    PredicateId.T4_G_in_S: ("G", ConditionId.S_COND),
-    PredicateId.C6_G_in_Sk: ("G", ConditionId.S_COND),
-    PredicateId.T5_I_in_S: ("I", ConditionId.S_COND),
-    PredicateId.C3_I_in_Sk: ("I", ConditionId.S_COND),
-    PredicateId.T6_I_in_C: ("I", ConditionId.C_COND),
-    PredicateId.C4_I_in_Ck: ("I", ConditionId.C_COND),
-}
-
-_COROLLARY_IDS = frozenset(pid for pid in PredicateId if pid.value.startswith("C"))
-
-
 def _cmd_grid(args) -> int:
     pid = _parse_predicate(args.predicate)
     p = PoissonParams(args.m)
-    lam = 0.0 if pid in _COROLLARY_IDS else args.lam
-    c = ClassParams(args.k, lam)
+    c = ClassParams(args.k, args.lam)
     r = _r_params(args, pid)
+    spec, c = resolve(pid, c, r)
     policy = TruncationPolicy(eps=args.eps)
-    series_tag, condition = _GRID_BINDING[pid]
-    if series_tag == "F":
+    if spec.series == "F":
         f = coeffs_F(p, policy)
-    elif series_tag == "G":
+    elif spec.series == "G":
         f = coeffs_G(p, policy)
     else:
-        n_top = choose_truncation(p, policy, WeightGrowth.QUADRATIC)
+        n_top = choose_truncation(p, policy)
         f = apply_operator_I(worst_case_R_coeffs(r, n_top), p)
     spec_kwargs = {}
     if args.radii is not None:
@@ -210,7 +193,7 @@ def _cmd_grid(args) -> int:
     if args.points is not None:
         spec_kwargs["points_per_circle"] = args.points
     grid = GridSpec(**spec_kwargs)
-    report = grid_check(f, condition, c, grid)
+    report = grid_check(f, spec.condition, c, grid)
     d = report.to_json_dict()
     header = ["condition", "max", "argmax_re", "argmax_im", "violations", "skipped"]
     row = [d["condition"], d["max"], d["argmax"][0], d["argmax"][1],
@@ -222,7 +205,7 @@ def _cmd_grid(args) -> int:
 def _cmd_identities(args) -> int:
     p = PoissonParams(args.m)
     policy = TruncationPolicy(eps=args.eps)
-    n_top = choose_truncation(p, policy, WeightGrowth.QUADRATIC)
+    n_top = choose_truncation(p, policy)
     rows = []
     entries = []
     all_pass = True
@@ -242,12 +225,7 @@ def _cmd_identities(args) -> int:
             lines.append(f"{e['kind']:<14} closed {fmt_float(e['closed'])} "
                          f"err {fmt_float(e['abs_err'])} "
                          f"{'pass' if e['pass'] else 'FAIL'}")
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(args, "\n".join(lines) + "\n")
     else:
         _emit(args, d, ["kind", "closed", "partial", "abs_err", "pass"], rows)
     return EXIT_HOLDS if all_pass else EXIT_FAILS
@@ -266,12 +244,7 @@ def _cmd_suite(args) -> int:
                  f"failed {summary['failed']}"]
         lines.extend(f"{chk['name']:<18} {chk['status']:<5} {chk['detail']}"
                      for chk in summary["checks"])
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(args, "\n".join(lines) + "\n")
     else:
         _emit(args, summary, ["name", "status", "detail"], rows)
     return EXIT_HOLDS if summary["failed"] == 0 else EXIT_FAILS

@@ -9,6 +9,7 @@ For the class R^tau(A,B) the n-th coefficient of any member is bounded by
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -32,6 +33,11 @@ class SumWhich(enum.Enum):
     C = "C"
 
 
+def _is_real(x) -> bool:
+    # bool is an int subclass, but True is no spelling of k = 1
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class ClassParams:
     """The pair (k, lambda) with 0 < k <= 1 and 0 <= lambda < 1."""
@@ -40,9 +46,9 @@ class ClassParams:
     lam: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.k, (int, float)) and 0 < self.k <= 1):
+        if not (_is_real(self.k) and 0 < self.k <= 1):
             raise DomainError(f"k must be in (0,1], got {self.k!r}")
-        if not (isinstance(self.lam, (int, float)) and 0 <= self.lam < 1):
+        if not (_is_real(self.lam) and 0 <= self.lam < 1):
             raise DomainError(f"lambda must be in [0,1), got {self.lam!r}")
         object.__setattr__(self, "k", float(self.k))
         object.__setattr__(self, "lam", float(self.lam))
@@ -57,11 +63,13 @@ class RParams:
     tau: complex = 1.0 + 0.0j
 
     def __post_init__(self) -> None:
-        if not (-1 <= self.B < self.A <= 1):
+        if not (_is_real(self.A) and _is_real(self.B) and -1 <= self.B < self.A <= 1):
             raise DomainError(f"need -1 <= B < A <= 1, got A={self.A!r}, B={self.B!r}")
         tau = complex(self.tau)
         if tau == 0:
             raise DomainError("tau must be nonzero")
+        if isinstance(self.tau, bool) or not cmath.isfinite(tau):
+            raise DomainError(f"tau must be a finite complex number, got {self.tau!r}")
         object.__setattr__(self, "A", float(self.A))
         object.__setattr__(self, "B", float(self.B))
         object.__setattr__(self, "tau", tau)

@@ -21,12 +21,6 @@ class SignConvention(enum.Enum):
     GENERAL_TAIL = "general"     # f(z) = z + sum a_n z^n, a_n complex
 
 
-class WeightGrowth(enum.Enum):
-    CONSTANT = 0
-    LINEAR = 1
-    QUADRATIC = 2
-
-
 class SumKind(enum.Enum):
     SHIFT1 = "Shift1"                      # sum_{n>=2} m^{n-1}/(n-1)! = e^m - 1
     SHIFT2 = "Shift2"                      # sum_{n>=2} m^{n-1}/(n-2)! = m e^m
@@ -42,7 +36,8 @@ class PoissonParams:
     m: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.m, (int, float)) and math.isfinite(self.m) and self.m > 0):
+        if not (isinstance(self.m, (int, float)) and not isinstance(self.m, bool)
+                and math.isfinite(self.m) and self.m > 0):
             raise DomainError(f"m must be a finite positive real, got {self.m!r}")
         object.__setattr__(self, "m", float(self.m))
 
@@ -137,15 +132,14 @@ def poisson_coeff(p: PoissonParams, n: int) -> float:
     return c
 
 
-def choose_truncation(p: PoissonParams, policy: TruncationPolicy,
-                      weight_growth: WeightGrowth = WeightGrowth.QUADRATIC) -> int:
+def choose_truncation(p: PoissonParams, policy: TruncationPolicy) -> int:
     """Smallest order N with a certified weighted tail below eps.
 
-    N is at least max(n_min, 2 ceil(m) + 10); past that floor the weighted
-    term ratio n^g c_n stays below 0.59 for g <= 2, so the true tail is under
-    2 * N^g * c_N once that quantity is below eps (safeguard factor 2).
+    The weights of both membership criteria grow at most like n^2.  N is at
+    least max(n_min, 2 ceil(m) + 10); past that floor the weighted term ratio
+    of n^2 c_n stays below 0.59, so the true tail is under 2 * N^2 * c_N once
+    that quantity is below eps (safeguard factor 2).
     """
-    g = weight_growth.value
     floor = max(policy.n_min, 2 * math.ceil(p.m) + 10)
     if floor > policy.n_max:
         raise TruncationNotReached(
@@ -155,7 +149,7 @@ def choose_truncation(p: PoissonParams, policy: TruncationPolicy,
         c *= p.m / (n - 1)
     n = floor
     while True:
-        if 2.0 * (n ** g) * c < policy.eps:
+        if 2.0 * (n ** 2) * c < policy.eps:
             return n
         if n >= policy.n_max:
             raise TruncationNotReached(
@@ -166,7 +160,7 @@ def choose_truncation(p: PoissonParams, policy: TruncationPolicy,
 
 def coeffs_F(p: PoissonParams, policy: TruncationPolicy = TruncationPolicy()) -> CoefficientSeq:
     """Negative-tail coefficients b_n = e^{-m} m^{n-1}/(n-1)! of F(m,z)."""
-    n_top = choose_truncation(p, policy, WeightGrowth.QUADRATIC)
+    n_top = choose_truncation(p, policy)
     out = []
     c = p.m * math.exp(-p.m)
     for n in range(2, n_top + 1):
@@ -178,7 +172,7 @@ def coeffs_F(p: PoissonParams, policy: TruncationPolicy = TruncationPolicy()) ->
 
 def coeffs_G(p: PoissonParams, policy: TruncationPolicy = TruncationPolicy()) -> CoefficientSeq:
     """Negative-tail coefficients b_n = e^{-m} m^{n-1}/n! of the integral companion G."""
-    n_top = choose_truncation(p, policy, WeightGrowth.QUADRATIC)
+    n_top = choose_truncation(p, policy)
     out = []
     c = p.m * math.exp(-p.m)
     for n in range(2, n_top + 1):

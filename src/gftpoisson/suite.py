@@ -13,10 +13,11 @@ import random
 from .criteria import ClassParams, RParams, Verdict
 from .disk import ConditionId, GridSpec, eval_deriv, eval_series, grid_check
 from .serialize import fmt_float
-from .series import (PoissonParams, SumKind, TruncationPolicy, WeightGrowth,
+from .series import (PoissonParams, SumKind, TruncationPolicy,
                      choose_truncation, coeffs_F, coeffs_G, partial_shifted_sum,
                      shifted_exp_sum)
-from .theorems import PredicateId, crosscheck, evaluate, t1_lhs, t4_lhs, t5_lhs
+from .theorems import (SPECS, PredicateId, crosscheck, evaluate, t1_lhs, t4_lhs,
+                       t5_lhs)
 from .thresholds import solve_m_star
 
 # pinned tolerances; the acceptance tests assert the same numbers
@@ -98,7 +99,7 @@ def check_identities(rng: random.Random, draws: int = 200):
     worst = 0.0
     for _ in range(draws):
         p = PoissonParams(rng.uniform(1e-6, 10.0))
-        n_top = choose_truncation(p, policy, WeightGrowth.QUADRATIC)
+        n_top = choose_truncation(p, policy)
         for kind in SumKind:
             closed = shifted_exp_sum(p, kind)
             partial = partial_shifted_sum(p, kind, n_top)
@@ -124,14 +125,6 @@ def check_crosschecks(rng: random.Random, draws: int = 200):
     return "crosschecks", worst < RESIDUAL_TOL, f"worst residual {fmt_float(worst)}"
 
 
-_COROLLARY_PARENT = ((PredicateId.C1_F_in_Sk, PredicateId.T1_F_in_S),
-                     (PredicateId.C2_F_in_Ck, PredicateId.T2_F_in_C),
-                     (PredicateId.C3_I_in_Sk, PredicateId.T5_I_in_S),
-                     (PredicateId.C4_I_in_Ck, PredicateId.T6_I_in_C),
-                     (PredicateId.C5_G_in_Ck, PredicateId.T3_G_in_C),
-                     (PredicateId.C6_G_in_Sk, PredicateId.T4_G_in_S))
-
-
 def check_equivalences(rng: random.Random, draws: int = 1000):
     mismatches = 0
     for _ in range(draws):
@@ -142,8 +135,9 @@ def check_equivalences(rng: random.Random, draws: int = 1000):
                 evaluate(PredicateId.T1_F_in_S, p, c).verdict:
             mismatches += 1
         c0 = ClassParams(c.k, 0.0)
-        for cid, parent in _COROLLARY_PARENT:
-            if evaluate(cid, p, c, r).verdict is not evaluate(parent, p, c0, r).verdict:
+        for pid, row in SPECS.items():
+            if pid is row.corollary and evaluate(pid, p, c, r).verdict is not \
+                    evaluate(row.theorem, p, c0, r).verdict:
                 mismatches += 1
     return "equivalences", mismatches == 0, f"{mismatches} verdict mismatches"
 

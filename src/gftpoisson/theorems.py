@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import enum
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 from .criteria import (ClassParams, MembershipReport, RParams, SumWhich,
                        classify, lemma_sum, worst_case_R_coeffs)
+from .disk import ConditionId
 from .errors import MissingRParams
-from .series import (PoissonParams, TruncationPolicy, WeightGrowth,
+from .series import (CoefficientSeq, PoissonParams, TruncationPolicy,
                      apply_operator_I, choose_truncation, coeffs_F, coeffs_G)
 
 # math.exp overflows just past 709; beyond this every predicate fails anyway
@@ -36,14 +39,6 @@ class PredicateId(enum.Enum):
     C4_I_in_Ck = "C4_I_in_Ck"
     C5_G_in_Ck = "C5_G_in_Ck"
     C6_G_in_Sk = "C6_G_in_Sk"
-
-
-NEEDS_R = frozenset({PredicateId.T5_I_in_S, PredicateId.T6_I_in_C,
-                     PredicateId.C3_I_in_Sk, PredicateId.C4_I_in_Ck})
-
-COROLLARIES = frozenset({PredicateId.C1_F_in_Sk, PredicateId.C2_F_in_Ck,
-                         PredicateId.C3_I_in_Sk, PredicateId.C4_I_in_Ck,
-                         PredicateId.C5_G_in_Ck, PredicateId.C6_G_in_Sk})
 
 
 def _p_factor(c: ClassParams) -> float:
@@ -90,37 +85,104 @@ def t6_lhs(p: PoissonParams, c: ClassParams, r: RParams) -> float:
     return r.scale * (_p_factor(c) * p.m + 2 * c.k * (-math.expm1(-p.m)))
 
 
-# ---- predicate evaluation ----
+# ---- the six theorems ----
 
-def _resolve(pid: PredicateId, c: ClassParams) -> ClassParams:
-    """Corollary ids evaluate their parent at lambda = 0."""
-    if pid in COROLLARIES:
-        return ClassParams(c.k, 0.0)
-    return c
+@dataclass(frozen=True)
+class PredicateSpec:
+    """One theorem, and its corollary at lambda = 0.
+
+    lhs(p, c, r) is the closed form compared against 2k.  sum_scale(p, c, r)
+    is the same quantity on the scale of the weighted coefficient sum, mapped
+    there by exact algebra rather than through a factor of e^m; the
+    cross-check recomputes it as the `weights` sum of sum_coeffs(p, policy, r).
+    series ("F", "G" or "I") and condition name the function and the disk
+    inequality the theorem is about.  needs_r marks the theorems that take
+    (A, B, tau); bounded marks a left-hand side that tends to a finite limit
+    as m grows.
+    """
+
+    theorem: PredicateId
+    corollary: PredicateId
+    series: str
+    condition: ConditionId
+    weights: SumWhich
+    needs_r: bool
+    bounded: bool
+    lhs: Callable[..., float]
+    sum_scale: Callable[..., float]
+    sum_coeffs: Callable[..., CoefficientSeq]
 
 
-def _closed_lhs(pid: PredicateId, p: PoissonParams, c: ClassParams,
-                r: RParams | None) -> float:
-    if pid in NEEDS_R and r is None:
+def _f_sum_scale_S(p: PoissonParams, c: ClassParams, r: RParams | None) -> float:
+    return _p_factor(c) * p.m + 2 * c.k * (-math.expm1(-p.m))
+
+
+def _f_sum_scale_C(p: PoissonParams, c: ClassParams, r: RParams | None) -> float:
+    m = p.m
+    return _p_factor(c) * m * m + 2 * _q_factor(c) * m + 2 * c.k * (-math.expm1(-m))
+
+
+def _image_magnitudes(p: PoissonParams, policy: TruncationPolicy,
+                      r: RParams) -> CoefficientSeq:
+    """Coefficient magnitudes of I applied to the extremal R^tau(A,B) member."""
+    worst = worst_case_R_coeffs(r, choose_truncation(p, policy))
+    return apply_operator_I(worst, p).magnitudes()
+
+
+_ROWS = (
+    PredicateSpec(PredicateId.T1_F_in_S, PredicateId.C1_F_in_Sk, "F",
+                  ConditionId.S_COND, SumWhich.S, needs_r=False, bounded=False,
+                  lhs=lambda p, c, r: t1_lhs(p, c), sum_scale=_f_sum_scale_S,
+                  sum_coeffs=lambda p, policy, r: coeffs_F(p, policy)),
+    PredicateSpec(PredicateId.T2_F_in_C, PredicateId.C2_F_in_Ck, "F",
+                  ConditionId.C_COND, SumWhich.C, needs_r=False, bounded=False,
+                  lhs=lambda p, c, r: t2_lhs(p, c), sum_scale=_f_sum_scale_C,
+                  sum_coeffs=lambda p, policy, r: coeffs_F(p, policy)),
+    # G in C has the same weighted sum as F in S (n b_n^G = b_n^F)
+    PredicateSpec(PredicateId.T3_G_in_C, PredicateId.C5_G_in_Ck, "G",
+                  ConditionId.C_COND, SumWhich.S, needs_r=False, bounded=False,
+                  lhs=lambda p, c, r: t1_lhs(p, c), sum_scale=_f_sum_scale_S,
+                  sum_coeffs=lambda p, policy, r: coeffs_F(p, policy)),
+    PredicateSpec(PredicateId.T4_G_in_S, PredicateId.C6_G_in_Sk, "G",
+                  ConditionId.S_COND, SumWhich.S, needs_r=False, bounded=True,
+                  lhs=lambda p, c, r: t4_lhs(p, c),
+                  sum_scale=lambda p, c, r: t4_lhs(p, c),
+                  sum_coeffs=lambda p, policy, r: coeffs_G(p, policy)),
+    PredicateSpec(PredicateId.T5_I_in_S, PredicateId.C3_I_in_Sk, "I",
+                  ConditionId.S_COND, SumWhich.S, needs_r=True, bounded=True,
+                  lhs=t5_lhs, sum_scale=t5_lhs, sum_coeffs=_image_magnitudes),
+    # |I_n| = scale * e^{-m} m^{n-1}/n!, so the sum runs over scale * G
+    PredicateSpec(PredicateId.T6_I_in_C, PredicateId.C4_I_in_Ck, "I",
+                  ConditionId.C_COND, SumWhich.C, needs_r=True, bounded=False,
+                  lhs=t6_lhs, sum_scale=t6_lhs,
+                  sum_coeffs=lambda p, policy, r: coeffs_G(p, policy).scaled(r.scale)),
+)
+
+SPECS = {pid: row for row in _ROWS for pid in (row.theorem, row.corollary)}
+
+
+def resolve(pid: PredicateId, c: ClassParams,
+            r: RParams | None = None) -> tuple[PredicateSpec, ClassParams]:
+    """The row stating pid and the class parameters it is evaluated at.
+
+    A corollary is its theorem at lambda = 0.
+    """
+    row = SPECS[pid]
+    if row.needs_r and r is None:
         raise MissingRParams(f"{pid.value} requires (A, B, tau)")
-    c = _resolve(pid, c)
-    if pid in (PredicateId.T1_F_in_S, PredicateId.C1_F_in_Sk,
-               PredicateId.T3_G_in_C, PredicateId.C5_G_in_Ck):
-        return t1_lhs(p, c)
-    if pid in (PredicateId.T2_F_in_C, PredicateId.C2_F_in_Ck):
-        return t2_lhs(p, c)
-    if pid in (PredicateId.T4_G_in_S, PredicateId.C6_G_in_Sk):
-        return t4_lhs(p, c)
-    if pid in (PredicateId.T5_I_in_S, PredicateId.C3_I_in_Sk):
-        return t5_lhs(p, c, r)
-    return t6_lhs(p, c, r)
+    if pid is row.corollary:
+        c = ClassParams(c.k, 0.0)
+    return row, c
 
+
+# ---- predicate evaluation ----
 
 def evaluate(pid: PredicateId, p: PoissonParams, c: ClassParams,
              r: RParams | None = None) -> MembershipReport:
     """Closed-form membership report for one predicate at one parameter point."""
-    lhs = _closed_lhs(pid, p, c, r)
-    rhs = 2 * _resolve(pid, c).k
+    row, c = resolve(pid, c, r)
+    lhs = row.lhs(p, c, r)
+    rhs = 2 * c.k
     margin = rhs - lhs
     return MembershipReport(predicate=pid.value, verdict=classify(margin),
                             lhs=lhs, rhs=rhs, margin=margin)
@@ -128,52 +190,13 @@ def evaluate(pid: PredicateId, p: PoissonParams, c: ClassParams,
 
 # ---- independent cross-check ----
 
-def _closed_sum_scale(pid: PredicateId, p: PoissonParams, c: ClassParams,
-                      r: RParams | None) -> float:
-    """The closed form mapped onto the weighted-sum scale by exact algebra."""
-    m = p.m
-    if pid in (PredicateId.T1_F_in_S, PredicateId.C1_F_in_Sk,
-               PredicateId.T3_G_in_C, PredicateId.C5_G_in_Ck):
-        return _p_factor(c) * m + 2 * c.k * (-math.expm1(-m))
-    if pid in (PredicateId.T2_F_in_C, PredicateId.C2_F_in_Ck):
-        return _p_factor(c) * m * m + 2 * _q_factor(c) * m + 2 * c.k * (-math.expm1(-m))
-    if pid in (PredicateId.T4_G_in_S, PredicateId.C6_G_in_Sk):
-        return t4_lhs(p, c)
-    if pid in (PredicateId.T5_I_in_S, PredicateId.C3_I_in_Sk):
-        return t5_lhs(p, c, r)
-    return t6_lhs(p, c, r)
-
-
-def _series_sum(pid: PredicateId, p: PoissonParams, c: ClassParams,
-                r: RParams | None, policy: TruncationPolicy) -> tuple[float, int]:
-    if pid in (PredicateId.T1_F_in_S, PredicateId.C1_F_in_Sk,
-               PredicateId.T3_G_in_C, PredicateId.C5_G_in_Ck):
-        f = coeffs_F(p, policy)
-        return lemma_sum(f, c, SumWhich.S)[0], f.truncation_order
-    if pid in (PredicateId.T2_F_in_C, PredicateId.C2_F_in_Ck):
-        f = coeffs_F(p, policy)
-        return lemma_sum(f, c, SumWhich.C)[0], f.truncation_order
-    if pid in (PredicateId.T4_G_in_S, PredicateId.C6_G_in_Sk):
-        g = coeffs_G(p, policy)
-        return lemma_sum(g, c, SumWhich.S)[0], g.truncation_order
-    if pid in (PredicateId.T5_I_in_S, PredicateId.C3_I_in_Sk):
-        n_top = choose_truncation(p, policy, WeightGrowth.QUADRATIC)
-        worst = worst_case_R_coeffs(r, n_top)
-        img = apply_operator_I(worst, p).magnitudes()
-        return lemma_sum(img, c, SumWhich.S)[0], img.truncation_order
-    g = coeffs_G(p, policy).scaled(r.scale)
-    return lemma_sum(g, c, SumWhich.C)[0], g.truncation_order
-
-
 def _crosscheck_detail(pid: PredicateId, p: PoissonParams, c: ClassParams,
                        r: RParams | None,
                        policy: TruncationPolicy) -> tuple[float, int]:
-    if pid in NEEDS_R and r is None:
-        raise MissingRParams(f"{pid.value} requires (A, B, tau)")
-    c = _resolve(pid, c)
-    closed = _closed_sum_scale(pid, p, c, r)
-    series, n_top = _series_sum(pid, p, c, r, policy)
-    return abs(closed - series), n_top
+    row, c = resolve(pid, c, r)
+    closed = row.sum_scale(p, c, r)
+    seq = row.sum_coeffs(p, policy, r)
+    return abs(closed - lemma_sum(seq, c, row.weights)[0]), seq.truncation_order
 
 
 def crosscheck(pid: PredicateId, p: PoissonParams, c: ClassParams,

@@ -15,16 +15,11 @@ import math
 from dataclasses import dataclass
 
 from .criteria import ClassParams, RParams
-from .errors import InvalidTolerance, MissingRParams
+from .errors import InvalidTolerance
 from .series import PoissonParams
-from .theorems import NEEDS_R, PredicateId, evaluate
+from .theorems import PredicateId, evaluate, resolve
 
 _TINY_M = 1e-300
-
-MONOTONE_PIDS = frozenset({PredicateId.T1_F_in_S, PredicateId.T2_F_in_C,
-                           PredicateId.T3_G_in_C, PredicateId.T6_I_in_C,
-                           PredicateId.C1_F_in_Sk, PredicateId.C2_F_in_Ck,
-                           PredicateId.C4_I_in_Ck, PredicateId.C5_G_in_Ck})
 
 
 class Outcome(enum.Enum):
@@ -52,8 +47,7 @@ def solve_m_star(pid: PredicateId, c: ClassParams, r: RParams | None = None,
     """Locate the membership boundary in m for fixed class parameters."""
     if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0):
         raise InvalidTolerance(f"tol must be finite and positive, got {tol!r}")
-    if pid in NEEDS_R and r is None:
-        raise MissingRParams(f"{pid.value} requires (A, B, tau)")
+    row, _ = resolve(pid, c, r)
 
     evals = 0
 
@@ -72,7 +66,7 @@ def solve_m_star(pid: PredicateId, c: ClassParams, r: RParams | None = None,
         lo_margin = margin(lo)
 
     hi = None
-    if pid in MONOTONE_PIDS:
+    if not row.bounded:
         step = lo * 2
         while margin(step) > 0:
             lo = step

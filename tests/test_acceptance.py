@@ -11,10 +11,9 @@ import time
 
 from gftpoisson import (ClassParams, ConditionId, GridSpec, PoissonParams,
                         PredicateId, SumKind, TruncationPolicy, Verdict,
-                        WeightGrowth, choose_truncation, coeffs_F, coeffs_G,
-                        crosscheck, dumps_canonical, evaluate, grid_check,
-                        run_suite, shifted_exp_sum, solve_m_star, t4_lhs,
-                        t5_lhs)
+                        choose_truncation, coeffs_F, coeffs_G, crosscheck,
+                        dumps_canonical, evaluate, grid_check, run_suite,
+                        shifted_exp_sum, solve_m_star, t4_lhs, t5_lhs)
 from gftpoisson.suite import (EXTENDED_RADII, WITNESS_EPS, draw_class_params,
                               draw_r_params, draw_t1_failing_radial,
                               draw_t1_holding, draw_t4_holding)
@@ -43,7 +42,7 @@ def test_criterion_1_shifted_sum_identities():
     for _ in range(200):
         m = rng.uniform(1e-9, 10.0)
         p = PoissonParams(m)
-        n_top = choose_truncation(p, policy, WeightGrowth.QUADRATIC)
+        n_top = choose_truncation(p, policy)
         for kind, (first, term) in _TERMS.items():
             closed = shifted_exp_sum(p, kind)
             partial = math.fsum(term(m, n) for n in range(first, n_top + 1))

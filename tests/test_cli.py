@@ -120,6 +120,27 @@ def test_A_without_B_exit_three(capsys):
     assert "together" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--tau-re", "nan"), ("--tau-im", "inf")])
+def test_non_finite_tau_exit_three(capsys, flag, value):
+    code, out, err = run_cli(capsys, "check", "--predicate", "T5_I_in_S",
+                             "--m", "0.3", "--k", "0.5", "--A", "1", "--B", "0",
+                             flag, value)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "tau must be a finite complex number" in err
+
+
+def test_grid_corollary_validates_lambda_like_check(capsys):
+    argv = ("--predicate", "C1_F_in_Sk", "--m", "0.3", "--k", "0.5",
+            "--lambda", "2")
+    code, out, err = run_cli(capsys, "grid", *argv)
+    _, _, check_err = run_cli(capsys, "check", *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "lambda must be in [0,1)" in err
+    assert err == check_err
+
+
 def test_bad_radii_exit_three(capsys):
     code, _, err = run_cli(capsys, "grid", "--predicate", "T1_F_in_S",
                            "--m", "0.3", "--k", "1.0", "--radii", "0.5,zebra")

@@ -15,14 +15,14 @@ lams = st.floats(min_value=0.0, max_value=0.999)
 
 # ---- parameter validation ----
 
-@pytest.mark.parametrize("bad_k", [0.0, -0.5, 1.5, math.nan])
+@pytest.mark.parametrize("bad_k", [0.0, -0.5, 1.5, math.nan, True])
 def test_class_params_rejects_bad_k(bad_k):
     with pytest.raises(DomainError) as exc:
         ClassParams(k=bad_k, lam=0.0)
     assert "k must be in (0,1]" in str(exc.value)
 
 
-@pytest.mark.parametrize("bad_lam", [-0.1, 1.0, 1.5, math.nan])
+@pytest.mark.parametrize("bad_lam", [-0.1, 1.0, 1.5, math.nan, False])
 def test_class_params_rejects_bad_lambda(bad_lam):
     with pytest.raises(DomainError) as exc:
         ClassParams(k=0.5, lam=bad_lam)
@@ -38,6 +38,15 @@ def test_r_params_ordering_and_tau():
         RParams(A=1.5, B=0.0, tau=1.0)
     with pytest.raises(DomainError):
         RParams(A=1.0, B=0.0, tau=0.0)
+
+
+@pytest.mark.parametrize("a, b, tau", [
+    (True, 0.0, 1.0), (1.0, False, 1.0), (1.0, 0.0, True),
+    (1.0, 0.0, complex(math.nan, 0.0)), (1.0, 0.0, complex(1.0, math.inf)),
+    (1.0, 0.0, complex(-math.inf, 0.0))])
+def test_r_params_rejects_bools_and_non_finite_tau(a, b, tau):
+    with pytest.raises(DomainError):
+        RParams(A=a, B=b, tau=tau)
 
 
 def test_r_params_scale():

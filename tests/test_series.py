@@ -6,10 +6,9 @@ from hypothesis import strategies as st
 
 from gftpoisson import (CoefficientSeq, DomainError, PoissonParams,
                         SignConvention, SumKind, TruncationNotReached,
-                        TruncationPolicy, WeightGrowth, apply_operator_I,
-                        choose_truncation, coeffs_F, coeffs_G,
-                        partial_shifted_sum, poisson_coeff, shifted_exp_sum,
-                        worst_case_R_coeffs)
+                        TruncationPolicy, apply_operator_I, choose_truncation,
+                        coeffs_F, coeffs_G, partial_shifted_sum, poisson_coeff,
+                        shifted_exp_sum, worst_case_R_coeffs)
 from gftpoisson.criteria import RParams
 
 POLICY = TruncationPolicy(eps=1e-12)
@@ -17,7 +16,7 @@ POLICY = TruncationPolicy(eps=1e-12)
 
 # ---- parameter validation ----
 
-@pytest.mark.parametrize("bad_m", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("bad_m", [0.0, -1.0, math.nan, math.inf, True])
 def test_poisson_params_rejects_bad_m(bad_m):
     with pytest.raises(DomainError):
         PoissonParams(bad_m)
@@ -189,7 +188,7 @@ def test_shift2_tiny_m():
 @settings(max_examples=40, deadline=None)
 def test_partial_sums_match_closed_forms(kind, m):
     p = PoissonParams(m)
-    n_top = choose_truncation(p, POLICY, WeightGrowth.QUADRATIC)
+    n_top = choose_truncation(p, POLICY)
     closed = shifted_exp_sum(p, kind)
     partial = partial_shifted_sum(p, kind, n_top)
     assert abs(closed - partial) <= max(1e-10, 1e-12 * abs(closed))
@@ -199,21 +198,22 @@ def test_partial_sums_match_closed_forms(kind, m):
 
 def test_truncation_m1_constant_growth():
     p = PoissonParams(1.0)
-    n = choose_truncation(p, TruncationPolicy(eps=1e-12), WeightGrowth.CONSTANT)
+    n = choose_truncation(p, TruncationPolicy(eps=1e-12))
     assert n <= 25
+    # the rule certifies the n^2-weighted tail, and with it the unweighted one
+    assert 2 * n ** 2 * math.exp(-1) / math.factorial(n - 1) < 1e-12
     assert 2 * math.exp(-1) / math.factorial(n - 1) < 1e-12
 
 
 def test_truncation_floor_rule_m10():
-    n = choose_truncation(PoissonParams(10.0), TruncationPolicy(eps=1e-10),
-                          WeightGrowth.CONSTANT)
+    n = choose_truncation(PoissonParams(10.0), TruncationPolicy(eps=1e-10))
     assert n >= 30
 
 
 def test_truncation_tail_guarantee_shift1_m3():
     p = PoissonParams(3.0)
     policy = TruncationPolicy(eps=1e-12)
-    n_top = choose_truncation(p, policy, WeightGrowth.CONSTANT)
+    n_top = choose_truncation(p, policy)
     # the sum certified by the rule carries the e^{-m} weight
     partial = math.exp(-3.0) * partial_shifted_sum(p, SumKind.SHIFT1, n_top)
     closed = math.exp(-3.0) * (math.exp(3.0) - 1)
@@ -227,13 +227,6 @@ def test_truncation_not_reached_when_capped():
     # cap hit inside the search loop
     with pytest.raises(TruncationNotReached):
         choose_truncation(PoissonParams(9.0), TruncationPolicy(eps=1e-300, n_max=40))
-
-
-def test_growth_ordering():
-    p = PoissonParams(4.0)
-    ns = [choose_truncation(p, POLICY, g) for g in
-          (WeightGrowth.CONSTANT, WeightGrowth.LINEAR, WeightGrowth.QUADRATIC)]
-    assert ns[0] <= ns[1] <= ns[2]
 
 
 # ---- serialization shape ----
