@@ -154,8 +154,9 @@ def grid_check(f: CoefficientSeq, condition: ConditionId, params,
         if not isinstance(params, ClassParams):
             raise DomainError("S/C conditions require ClassParams")
         threshold = params.k
-        cond = s_condition_value if condition is ConditionId.S_COND else c_condition_value
-        value_at = lambda z: cond(f, z, params, grid.denominator_floor)
+        # the C-condition is the S-condition of z f', built once per grid
+        g = f if condition is ConditionId.S_COND else _zfprime(f)
+        value_at = lambda z: s_condition_value(g, z, params, grid.denominator_floor)
 
     max_value = -math.inf
     argmax = 0j

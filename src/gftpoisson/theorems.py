@@ -97,8 +97,9 @@ class PredicateSpec:
     cross-check recomputes it as the `weights` sum of sum_coeffs(p, policy, r).
     series ("F", "G" or "I") and condition name the function and the disk
     inequality the theorem is about.  needs_r marks the theorems that take
-    (A, B, tau); bounded marks a left-hand side that tends to a finite limit
-    as m grows.
+    (A, B, tau).  limit(c, r) is the value a bounded left-hand side tends to
+    as m grows, computed in the floats lhs reaches there, and None for an
+    unbounded one.
     """
 
     theorem: PredicateId
@@ -107,7 +108,7 @@ class PredicateSpec:
     condition: ConditionId
     weights: SumWhich
     needs_r: bool
-    bounded: bool
+    limit: Callable[..., float | None]
     lhs: Callable[..., float]
     sum_scale: Callable[..., float]
     sum_coeffs: Callable[..., CoefficientSeq]
@@ -122,6 +123,10 @@ def _f_sum_scale_C(p: PoissonParams, c: ClassParams, r: RParams | None) -> float
     return _p_factor(c) * m * m + 2 * _q_factor(c) * m + 2 * c.k * (-math.expm1(-m))
 
 
+def _unbounded(c: ClassParams, r: RParams | None) -> None:
+    return None
+
+
 def _image_magnitudes(p: PoissonParams, policy: TruncationPolicy,
                       r: RParams) -> CoefficientSeq:
     """Coefficient magnitudes of I applied to the extremal R^tau(A,B) member."""
@@ -131,29 +136,30 @@ def _image_magnitudes(p: PoissonParams, policy: TruncationPolicy,
 
 _ROWS = (
     PredicateSpec(PredicateId.T1_F_in_S, PredicateId.C1_F_in_Sk, "F",
-                  ConditionId.S_COND, SumWhich.S, needs_r=False, bounded=False,
+                  ConditionId.S_COND, SumWhich.S, needs_r=False, limit=_unbounded,
                   lhs=lambda p, c, r: t1_lhs(p, c), sum_scale=_f_sum_scale_S,
                   sum_coeffs=lambda p, policy, r: coeffs_F(p, policy)),
     PredicateSpec(PredicateId.T2_F_in_C, PredicateId.C2_F_in_Ck, "F",
-                  ConditionId.C_COND, SumWhich.C, needs_r=False, bounded=False,
+                  ConditionId.C_COND, SumWhich.C, needs_r=False, limit=_unbounded,
                   lhs=lambda p, c, r: t2_lhs(p, c), sum_scale=_f_sum_scale_C,
                   sum_coeffs=lambda p, policy, r: coeffs_F(p, policy)),
     # G in C has the same weighted sum as F in S (n b_n^G = b_n^F)
     PredicateSpec(PredicateId.T3_G_in_C, PredicateId.C5_G_in_Ck, "G",
-                  ConditionId.C_COND, SumWhich.S, needs_r=False, bounded=False,
+                  ConditionId.C_COND, SumWhich.S, needs_r=False, limit=_unbounded,
                   lhs=lambda p, c, r: t1_lhs(p, c), sum_scale=_f_sum_scale_S,
                   sum_coeffs=lambda p, policy, r: coeffs_F(p, policy)),
     PredicateSpec(PredicateId.T4_G_in_S, PredicateId.C6_G_in_Sk, "G",
-                  ConditionId.S_COND, SumWhich.S, needs_r=False, bounded=True,
-                  lhs=lambda p, c, r: t4_lhs(p, c),
+                  ConditionId.S_COND, SumWhich.S, needs_r=False,
+                  limit=lambda c, r: _p_factor(c), lhs=lambda p, c, r: t4_lhs(p, c),
                   sum_scale=lambda p, c, r: t4_lhs(p, c),
                   sum_coeffs=lambda p, policy, r: coeffs_G(p, policy)),
     PredicateSpec(PredicateId.T5_I_in_S, PredicateId.C3_I_in_Sk, "I",
-                  ConditionId.S_COND, SumWhich.S, needs_r=True, bounded=True,
+                  ConditionId.S_COND, SumWhich.S, needs_r=True,
+                  limit=lambda c, r: r.scale * _p_factor(c),
                   lhs=t5_lhs, sum_scale=t5_lhs, sum_coeffs=_image_magnitudes),
     # |I_n| = scale * e^{-m} m^{n-1}/n!, so the sum runs over scale * G
     PredicateSpec(PredicateId.T6_I_in_C, PredicateId.C4_I_in_Ck, "I",
-                  ConditionId.C_COND, SumWhich.C, needs_r=True, bounded=False,
+                  ConditionId.C_COND, SumWhich.C, needs_r=True, limit=_unbounded,
                   lhs=t6_lhs, sum_scale=t6_lhs,
                   sum_coeffs=lambda p, policy, r: coeffs_G(p, policy).scaled(r.scale)),
 )

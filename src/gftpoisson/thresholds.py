@@ -1,11 +1,10 @@
 """Boundary Poisson parameter m* where a predicate flips from Holds to Fails.
 
-Predicates whose left-hand side grows without bound in m (the F-series and
-operator C-conditions) have a unique crossing found by doubling scan plus
-bisection.  The bounded ones (the integral-companion S-conditions, whose LHS
-tends to a finite limit) are scanned geometrically up to scan_limit; with no
-sign change the result is AlwaysHolds, otherwise the first crossing bracket
-is bisected.
+A bounded left-hand side (the integral-companion S-conditions) tends to a
+known limit as m grows and never exceeds it, in floats too; when that limit
+is at most 2k the predicate holds for every m and no margin is evaluated.
+Every other predicate has a crossing, found by doubling m from a
+positive-margin start and then bisecting the bracket.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ class ThresholdResult:
     m_star: float | None
     bracket_width: float | None
     evaluations: int
-    scan_limit: float | None = None
 
     def to_json_dict(self) -> dict:
         return {"predicate": self.predicate, "outcome": self.outcome.value,
@@ -43,11 +41,15 @@ class ThresholdResult:
 
 
 def solve_m_star(pid: PredicateId, c: ClassParams, r: RParams | None = None,
-                 tol: float = 1e-10, scan_limit: float = 50.0) -> ThresholdResult:
+                 tol: float = 1e-10) -> ThresholdResult:
     """Locate the membership boundary in m for fixed class parameters."""
     if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0):
         raise InvalidTolerance(f"tol must be finite and positive, got {tol!r}")
-    row, _ = resolve(pid, c, r)
+    row, c = resolve(pid, c, r)
+    limit = row.limit(c, r)
+    if limit is not None and 2 * c.k - limit >= 0:
+        return ThresholdResult(predicate=pid.value, outcome=Outcome.ALWAYS_HOLDS,
+                               m_star=None, bracket_width=None, evaluations=0)
 
     evals = 0
 
@@ -65,27 +67,12 @@ def solve_m_star(pid: PredicateId, c: ClassParams, r: RParams | None = None,
             raise InvalidTolerance("could not find a positive-margin start")
         lo_margin = margin(lo)
 
-    hi = None
-    if not row.bounded:
-        step = lo * 2
-        while margin(step) > 0:
-            lo = step
-            step *= 2
-        hi = step
-    else:
-        step = lo
-        while step < scan_limit:
-            step = min(step * 2, scan_limit)
-            # strict: a bounded LHS can approach 2k so closely that the float
-            # margin rounds to exactly zero without ever crossing
-            if margin(step) < 0:
-                hi = step
-                break
-            lo = step
-        if hi is None:
-            return ThresholdResult(predicate=pid.value, outcome=Outcome.ALWAYS_HOLDS,
-                                   m_star=None, bracket_width=None,
-                                   evaluations=evals, scan_limit=scan_limit)
+    # the margin ends below zero: an unbounded LHS overtakes 2k, and a bounded
+    # one reaches its limit, past 2k here, once its vanishing term rounds away
+    hi = lo * 2
+    while margin(hi) > 0:
+        lo = hi
+        hi *= 2
 
     while (hi - lo) >= tol:
         mid = 0.5 * (lo + hi)

@@ -68,6 +68,21 @@ GOLDEN = {
 }
 
 
+# the suite draws every parameter from GFT_SEED; seed 0 is pinned above with
+# the other subcommands, these pin its JSON at nine more seeds
+SUITE_SEEDS = {
+    1: "2466ed4e564d3875edc83748b12257a02170b80554f989baa882c4213d5b37b0",
+    2: "430338053546d8c01779bd598156d9d9882be32c6ccf7f15997ab6c06572248c",
+    3: "8d9df54fa665aee035442234decb85fbe051411b367ec3cbfc7c4851d2fb5d42",
+    4: "6f048e4b9caceb44af2047bb56b54649fba4ac407078684246d3ef171cf9c68a",
+    5: "69857fd63e28a2a64f49839ab061657018d036af2b1c3f3ce3954a58cb785a07",
+    6: "3cf782ce186b32f94e22835df101bba11b45b4e0cdf75b27af9fa685f7513cb9",
+    7: "3aa04b454b6d9919bf63f1484f3097c3e0466306a6c57f74d7661d833f511973",
+    8: "da7ad5ce88166783a127b980526fe960ce03952a9033b30b98fa7317c0f8f9c3",
+    9: "c45d9cf58ba796bb732335ea90548141e300b5a3d22c970442cae89106b38b72",
+}
+
+
 def _digest(cases, tmp_path, capsys) -> str:
     h = hashlib.sha256()
     for argv in cases:
@@ -89,3 +104,11 @@ def test_cli_output_is_pinned(command, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("GFT_SEED", "0")
     digest = _digest(CASES[command], tmp_path, capsys)
     assert digest == GOLDEN[command], f"{command} output digest is now {digest}"
+
+
+@pytest.mark.parametrize("seed", sorted(SUITE_SEEDS))
+def test_suite_output_is_pinned_at_more_seeds(seed, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("GFT_SEED", str(seed))
+    digest = _digest([("suite", "--format", "json")], tmp_path, capsys)
+    assert digest == SUITE_SEEDS[seed], f"seed {seed} suite digest is now {digest}"

@@ -1,10 +1,13 @@
+import cmath
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gftpoisson import (ClassParams, InvalidTolerance, MissingRParams,
                         Outcome, PoissonParams, PredicateId, RParams,
-                        evaluate, solve_m_star)
+                        Verdict, evaluate, solve_m_star)
 
 K1 = ClassParams(k=1.0, lam=0.0)
 R_WIDE = RParams(A=1.0, B=-1.0, tau=1.0)
@@ -40,7 +43,7 @@ def test_t4_k1_never_crosses():
     assert res.outcome is Outcome.ALWAYS_HOLDS
     assert res.m_star is None
     assert res.bracket_width is None
-    assert res.scan_limit == 50.0
+    assert res.evaluations == 0
     d = res.to_json_dict()
     assert set(d) == {"predicate", "outcome", "m_star", "bracket", "evals"}
     assert d["outcome"] == "always_holds"
@@ -61,6 +64,73 @@ def test_t5_bounded_outcomes():
     wide = solve_m_star(PredicateId.T5_I_in_S, ClassParams(k=0.4, lam=0.0),
                         r=R_WIDE)
     assert wide.outcome is Outcome.FINITE
+
+
+def test_t5_crossing_beyond_fifty_is_found():
+    # the LHS limit scale * P = 0.6677 * 1.5 exceeds 2k = 1, but the margin
+    # stays positive until m is about 215
+    c = ClassParams(k=0.5, lam=0.0)
+    r = RParams(A=1.0, B=0.0, tau=0.6677)
+    res = solve_m_star(PredicateId.T5_I_in_S, c, r=r)
+    assert res.outcome is Outcome.FINITE
+    assert res.m_star == pytest.approx(215.387, abs=1e-3)
+    assert evaluate(PredicateId.T5_I_in_S, PoissonParams(0.99 * res.m_star),
+                    c, r).verdict is Verdict.HOLDS
+    assert evaluate(PredicateId.T5_I_in_S, PoissonParams(1.01 * res.m_star),
+                    c, r).verdict is Verdict.FAILS
+
+
+def test_t5_one_ulp_past_the_limit_terminates():
+    # fl(scale * P) is the float just above 2k = 1, so the limit margin is -2^-52
+    # and the float LHS reaches it only where (1-k) g(m) drops below half an ulp
+    c = ClassParams(k=0.5, lam=0.0)
+    r = RParams(A=1.0, B=0.0, tau=0.6666666666666669)
+    assert 2 * c.k - r.scale * 1.5 == -2.0 ** -52
+    res = solve_m_star(PredicateId.T5_I_in_S, c, r=r)
+    assert res.outcome is Outcome.FINITE
+    assert res.evaluations < 200
+    # the bracket ends at float resolution near m = 9e14, where m* may round
+    # onto either end, so probe three half-widths out; the margin passes
+    # through exactly 0 there before it settles at -2^-52 near m = 2e15
+    probe = 3 * res.bracket_width
+    below = evaluate(PredicateId.T5_I_in_S, PoissonParams(res.m_star - probe), c, r)
+    above = evaluate(PredicateId.T5_I_in_S, PoissonParams(res.m_star + probe), c, r)
+    assert below.margin > 0
+    assert above.margin <= 0
+
+
+BOUNDED_PIDS = (PredicateId.T4_G_in_S, PredicateId.T5_I_in_S,
+                PredicateId.C3_I_in_Sk, PredicateId.C6_G_in_Sk)
+
+
+@st.composite
+def _bounded_points(draw):
+    pid = draw(st.sampled_from(BOUNDED_PIDS))
+    c = ClassParams(k=draw(st.floats(1e-3, 1.0)), lam=draw(st.floats(0.0, 0.99)))
+    b = draw(st.floats(-1.0, 0.9))
+    tau = cmath.rect(draw(st.floats(0.05, 2.0)), draw(st.floats(0.0, 2 * math.pi)))
+    r = RParams(A=draw(st.floats(b + 0.05, 1.0)), B=b, tau=tau)
+    return pid, c, r
+
+
+@given(_bounded_points())
+@settings(max_examples=150)
+def test_bounded_outcome_agrees_with_evaluate(point):
+    pid, c, r = point
+    res = solve_m_star(pid, c, r=r)
+
+    def margin(m):
+        return evaluate(pid, PoissonParams(m), c, r).margin
+
+    if res.outcome is Outcome.ALWAYS_HOLDS:
+        assert res.evaluations == 0
+        assert all(margin(m) >= 0 for m in (1, 50, 1e3, 1e6, 1e12))
+    elif res.m_star <= 1e4:
+        # near k = 1 the margin is so flat at m* that it can round to exactly
+        # 0 above the crossing; the solver counts 0 as not holding, as it must
+        probe = 3 * res.bracket_width
+        assert margin(res.m_star - probe) > 0
+        assert margin(res.m_star + probe) <= 0
 
 
 @pytest.mark.parametrize("pid,r", [
