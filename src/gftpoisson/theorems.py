@@ -56,6 +56,23 @@ def _g_tail_ratio(m: float) -> float:
     return (-math.expm1(-m) - m * math.exp(-m)) / m
 
 
+def _lambert_w0(x: float) -> float:
+    """Principal branch of Lambert's W for x >= 0, by Halley's iteration.
+
+    Corless et al., "On the Lambert W function", Adv. Comput. Math. 5 (1996).
+    From log1p(x) it converges in two to four steps for x in [0, e].
+    """
+    w = math.log1p(x)
+    for _ in range(8):
+        ew = math.exp(w)
+        f = w * ew - x
+        step = f / (ew * (w + 1) - (w + 2) * f / (2 * w + 2))
+        w -= step
+        if abs(step) <= 4e-16 * w:
+            break
+    return w
+
+
 # ---- closed-form left-hand sides ----
 
 def t1_lhs(p: PoissonParams, c: ClassParams) -> float:
@@ -99,7 +116,9 @@ class PredicateSpec:
     inequality the theorem is about.  needs_r marks the theorems that take
     (A, B, tau).  limit(c, r) is the value a bounded left-hand side tends to
     as m grows, computed in the floats lhs reaches there, and None for an
-    unbounded one.
+    unbounded one.  root(c, r) is the crossing in closed form where there is
+    one: lhs = P m e^m meets 2k at m* = W(2k/P), with W Lambert's function;
+    None elsewhere.  It is a float estimate the solver verifies, not a proof.
     """
 
     theorem: PredicateId
@@ -109,6 +128,7 @@ class PredicateSpec:
     weights: SumWhich
     needs_r: bool
     limit: Callable[..., float | None]
+    root: Callable[..., float | None]
     lhs: Callable[..., float]
     sum_scale: Callable[..., float]
     sum_coeffs: Callable[..., CoefficientSeq]
@@ -123,8 +143,12 @@ def _f_sum_scale_C(p: PoissonParams, c: ClassParams, r: RParams | None) -> float
     return _p_factor(c) * m * m + 2 * _q_factor(c) * m + 2 * c.k * (-math.expm1(-m))
 
 
-def _unbounded(c: ClassParams, r: RParams | None) -> None:
+def _none(c: ClassParams, r: RParams | None) -> None:
     return None
+
+
+def _lambert_root(c: ClassParams, r: RParams | None) -> float:
+    return _lambert_w0(2 * c.k / _p_factor(c))
 
 
 def _image_magnitudes(p: PoissonParams, policy: TruncationPolicy,
@@ -136,31 +160,35 @@ def _image_magnitudes(p: PoissonParams, policy: TruncationPolicy,
 
 _ROWS = (
     PredicateSpec(PredicateId.T1_F_in_S, PredicateId.C1_F_in_Sk, "F",
-                  ConditionId.S_COND, SumWhich.S, needs_r=False, limit=_unbounded,
-                  lhs=lambda p, c, r: t1_lhs(p, c), sum_scale=_f_sum_scale_S,
+                  ConditionId.S_COND, SumWhich.S, needs_r=False, limit=_none,
+                  root=_lambert_root, lhs=lambda p, c, r: t1_lhs(p, c),
+                  sum_scale=_f_sum_scale_S,
                   sum_coeffs=lambda p, policy, r: coeffs_F(p, policy)),
     PredicateSpec(PredicateId.T2_F_in_C, PredicateId.C2_F_in_Ck, "F",
-                  ConditionId.C_COND, SumWhich.C, needs_r=False, limit=_unbounded,
-                  lhs=lambda p, c, r: t2_lhs(p, c), sum_scale=_f_sum_scale_C,
+                  ConditionId.C_COND, SumWhich.C, needs_r=False, limit=_none,
+                  root=_none, lhs=lambda p, c, r: t2_lhs(p, c),
+                  sum_scale=_f_sum_scale_C,
                   sum_coeffs=lambda p, policy, r: coeffs_F(p, policy)),
     # G in C has the same weighted sum as F in S (n b_n^G = b_n^F)
     PredicateSpec(PredicateId.T3_G_in_C, PredicateId.C5_G_in_Ck, "G",
-                  ConditionId.C_COND, SumWhich.S, needs_r=False, limit=_unbounded,
-                  lhs=lambda p, c, r: t1_lhs(p, c), sum_scale=_f_sum_scale_S,
+                  ConditionId.C_COND, SumWhich.S, needs_r=False, limit=_none,
+                  root=_lambert_root, lhs=lambda p, c, r: t1_lhs(p, c),
+                  sum_scale=_f_sum_scale_S,
                   sum_coeffs=lambda p, policy, r: coeffs_F(p, policy)),
     PredicateSpec(PredicateId.T4_G_in_S, PredicateId.C6_G_in_Sk, "G",
                   ConditionId.S_COND, SumWhich.S, needs_r=False,
-                  limit=lambda c, r: _p_factor(c), lhs=lambda p, c, r: t4_lhs(p, c),
+                  limit=lambda c, r: _p_factor(c), root=_none,
+                  lhs=lambda p, c, r: t4_lhs(p, c),
                   sum_scale=lambda p, c, r: t4_lhs(p, c),
                   sum_coeffs=lambda p, policy, r: coeffs_G(p, policy)),
     PredicateSpec(PredicateId.T5_I_in_S, PredicateId.C3_I_in_Sk, "I",
                   ConditionId.S_COND, SumWhich.S, needs_r=True,
-                  limit=lambda c, r: r.scale * _p_factor(c),
+                  limit=lambda c, r: r.scale * _p_factor(c), root=_none,
                   lhs=t5_lhs, sum_scale=t5_lhs, sum_coeffs=_image_magnitudes),
     # |I_n| = scale * e^{-m} m^{n-1}/n!, so the sum runs over scale * G
     PredicateSpec(PredicateId.T6_I_in_C, PredicateId.C4_I_in_Ck, "I",
-                  ConditionId.C_COND, SumWhich.C, needs_r=True, limit=_unbounded,
-                  lhs=t6_lhs, sum_scale=t6_lhs,
+                  ConditionId.C_COND, SumWhich.C, needs_r=True, limit=_none,
+                  root=_none, lhs=t6_lhs, sum_scale=t6_lhs,
                   sum_coeffs=lambda p, policy, r: coeffs_G(p, policy).scaled(r.scale)),
 )
 

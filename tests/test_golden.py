@@ -61,25 +61,25 @@ CASES = {
 GOLDEN = {
     "check": "d5ea35eed64f736144528cf7b816e5136fd14929149812d9bc4d8eb0b70c8a4d",
     "crosscheck": "40eea0dd00865fc8caeee5db63cac7a2ce7af68e9e80600fab1c784f8a1ddf09",
-    "threshold": "e7befb7d628be21318fea70ea7c0c39a67dc1da8bb406c8e261af8adfba3ffbd",
+    "threshold": "907d5d8a7a5a1c483f178a5818d01080190d17bf5abda2146620600379275ce6",
     "grid": "2275183c3a8eb1dfac0f96c1f470b2c8fc68dc06b2999fe817cb94a976bf3008",
     "identities": "d79a1d5a56b3709bcfc63893532b7f54c45bbc52457dae535191c431c97eae3b",
-    "suite": "598733f64064b8d4dcc0915fc0db3215e7e1548ef0f2e81cf7ee73ccf750cef1",
+    "suite": "b92b07a37ab95d39b545b5bf4516d3d9d0c693f74530bc3d9c97a68b9e60ebfe",
 }
 
 
 # the suite draws every parameter from GFT_SEED; seed 0 is pinned above with
 # the other subcommands, these pin its JSON at nine more seeds
 SUITE_SEEDS = {
-    1: "2466ed4e564d3875edc83748b12257a02170b80554f989baa882c4213d5b37b0",
-    2: "430338053546d8c01779bd598156d9d9882be32c6ccf7f15997ab6c06572248c",
-    3: "8d9df54fa665aee035442234decb85fbe051411b367ec3cbfc7c4851d2fb5d42",
-    4: "6f048e4b9caceb44af2047bb56b54649fba4ac407078684246d3ef171cf9c68a",
-    5: "69857fd63e28a2a64f49839ab061657018d036af2b1c3f3ce3954a58cb785a07",
-    6: "3cf782ce186b32f94e22835df101bba11b45b4e0cdf75b27af9fa685f7513cb9",
-    7: "3aa04b454b6d9919bf63f1484f3097c3e0466306a6c57f74d7661d833f511973",
-    8: "da7ad5ce88166783a127b980526fe960ce03952a9033b30b98fa7317c0f8f9c3",
-    9: "c45d9cf58ba796bb732335ea90548141e300b5a3d22c970442cae89106b38b72",
+    1: "d3844da213f1ad7bb39b86c66abf786b64c4057345a5d785e497c2b63c44ffa7",
+    2: "7a27d2608c042e3e03ceda128275396222bd829927ef7ef898b00d8058c93f1e",
+    3: "c8ac04a24f6f01ee22afda98238ce29d91dd44733870cf918d0aea952cda8135",
+    4: "dc52bfe2410cc9013cb12a9d3974f44a263209d085b426a9c7a3d150a7f7d90e",
+    5: "60684470fc297bcf977bc4c821b71846a4e14f9f46cbe55eed4abb9b1ac7476c",
+    6: "71e3de15db3eb1792c5ee2b0545f8aeadb8d1cc360460c2d34db5b58d8f11357",
+    7: "89d0b73c0018ac6c825a7e6b05f3881bc41bb0a6456927d813d2d3a58e2bb25d",
+    8: "8a590018334f0f20c3d1f62c2e729fac458dccc79a685a45f1b2f7c450171dd3",
+    9: "6771f55f54750742ff99b73bef7eeefe5d944f0601f96fc58163512766f54904",
 }
 
 

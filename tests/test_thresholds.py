@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,9 +23,10 @@ T6_ROOT = 0.2662486081617502       # 2m + 2(1 - e^{-m}) = 1
 def test_t1_fixture_root():
     res = solve_m_star(PredicateId.T1_F_in_S, K1, tol=1e-10)
     assert res.outcome is Outcome.FINITE
-    assert abs(res.m_star - T1_ROOT) < 1e-9
+    assert abs(res.m_star - T1_ROOT) <= 1e-15
     assert res.bracket_width < 1e-10
-    assert res.evaluations > 10
+    # the W(2k/P) route: one probe on each side of Omega = W(1)
+    assert res.evaluations == 2
 
 
 def test_t2_fixture_root():
@@ -99,13 +101,24 @@ def test_t5_one_ulp_past_the_limit_terminates():
     assert above.margin <= 0
 
 
-BOUNDED_PIDS = (PredicateId.T4_G_in_S, PredicateId.T5_I_in_S,
-                PredicateId.C3_I_in_Sk, PredicateId.C6_G_in_Sk)
+def test_float_resolution_bracket_holds_the_sign_change():
+    # near m = 9e14 the bracket closes at one ulp and m* rounds onto one of its
+    # ends, so the reported bracket must reach the far end
+    c = ClassParams(k=0.5, lam=0.0)
+    r = RParams(A=1.0, B=0.0, tau=0.6666666666666669)
+    res = solve_m_star(PredicateId.T5_I_in_S, c, r=r)
+    assert res.outcome is Outcome.FINITE
+    below = evaluate(PredicateId.T5_I_in_S,
+                     PoissonParams(res.m_star - res.bracket_width), c, r)
+    above = evaluate(PredicateId.T5_I_in_S,
+                     PoissonParams(res.m_star + res.bracket_width), c, r)
+    assert below.margin > 0
+    assert above.margin <= 0
 
 
 @st.composite
-def _bounded_points(draw):
-    pid = draw(st.sampled_from(BOUNDED_PIDS))
+def _points(draw):
+    pid = draw(st.sampled_from(list(PredicateId)))
     c = ClassParams(k=draw(st.floats(1e-3, 1.0)), lam=draw(st.floats(0.0, 0.99)))
     b = draw(st.floats(-1.0, 0.9))
     tau = cmath.rect(draw(st.floats(0.05, 2.0)), draw(st.floats(0.0, 2 * math.pi)))
@@ -113,7 +126,7 @@ def _bounded_points(draw):
     return pid, c, r
 
 
-@given(_bounded_points())
+@given(_points())
 @settings(max_examples=150)
 def test_bounded_outcome_agrees_with_evaluate(point):
     pid, c, r = point
@@ -131,6 +144,62 @@ def test_bounded_outcome_agrees_with_evaluate(point):
         probe = 3 * res.bracket_width
         assert margin(res.m_star - probe) > 0
         assert margin(res.m_star + probe) <= 0
+
+
+LAMBERT_PIDS = (PredicateId.T1_F_in_S, PredicateId.C1_F_in_Sk,
+                PredicateId.T3_G_in_C, PredicateId.C5_G_in_Ck)
+
+
+@given(st.sampled_from(LAMBERT_PIDS), st.floats(1e-6, 1.0), st.floats(0.0, 0.999))
+@settings(max_examples=200)
+def test_p_m_exp_m_roots_are_lambert_w(pid, k, lam):
+    # P m e^m = 2k at m* = W(2k/P), P = (1-lambda) + k(1+lambda)
+    res = solve_m_star(pid, ClassParams(k=k, lam=lam))
+    if pid.value.startswith("C"):
+        lam = 0.0
+    with mpmath.workdps(50):
+        k_, lam_ = mpmath.mpf(k), mpmath.mpf(lam)
+        w = mpmath.lambertw(2 * k_ / ((1 - lam_) + k_ * (1 + lam_))).real
+        assert abs(res.m_star - w) <= 1e-15 * res.m_star
+
+
+def test_w_route_declines_a_bracket_as_wide_as_tol():
+    # Omega's last bit is odd, so Omega -+ tol/4 at tol = 2 ulp rounds to the
+    # neighbouring floats, a bracket exactly tol wide; the contract wants < tol
+    tol = 2 * math.ulp(T1_ROOT)
+    res = solve_m_star(PredicateId.T1_F_in_S, K1, tol=tol)
+    assert res.evaluations > 2
+    assert abs(res.m_star - T1_ROOT) <= tol
+
+
+def test_wide_tolerance_below_a_tiny_root():
+    # W(2k/P) = 2e-6 lies closer to 0 than tol/4, so the W route cannot probe
+    # below it and the doubling bracket takes over
+    c = ClassParams(k=1e-6, lam=0.0)
+    res = solve_m_star(PredicateId.T1_F_in_S, c, tol=1.0)
+    assert res.outcome is Outcome.FINITE
+    assert 0 < res.m_star - res.bracket_width
+    assert evaluate(PredicateId.T1_F_in_S,
+                    PoissonParams(res.m_star + res.bracket_width), c).margin <= 0
+
+
+def test_probes_keep_a_quarter_tol_from_the_bracket_ends():
+    # a regula falsi probe here lands within 1e-16 of the crossing; closing the
+    # bracket that far below tol leaves both ends in the margin's rounding noise
+    pid, c = PredicateId.T4_G_in_S, ClassParams(k=0.0001763002574256282,
+                                                 lam=0.9815816892199952)
+    res = solve_m_star(pid, c, tol=1e-10)
+    assert res.bracket_width >= 1e-10 / 8
+    probe = 3 * res.bracket_width
+    assert evaluate(pid, PoissonParams(res.m_star - probe), c).margin > 0
+    assert evaluate(pid, PoissonParams(res.m_star + probe), c).margin <= 0
+
+
+def test_tolerance_below_float_resolution_ends_at_one_ulp():
+    res = solve_m_star(PredicateId.T2_F_in_C, K1, tol=5e-324)
+    assert res.outcome is Outcome.FINITE
+    assert abs(res.m_star - T2_ROOT) < 1e-15
+    assert res.bracket_width <= math.ulp(res.m_star)
 
 
 @pytest.mark.parametrize("pid,r", [
