@@ -6,6 +6,16 @@ The S-condition value at z is |w-1|/|w+1| with w = z f'(z) / ((1-lam) f(z)
 open disk.  The C-condition applies the same quotient to z f'(z), and the
 R-condition is |f'-1| / |(A-B) tau - B (f'-1)| against threshold 1.  Grid
 sampling reports the maximum, its location, and the count of violations.
+
+A grid builds its series' table once: the pairs (b_n, n b_n) from n = N down
+to 2, where n b_n is the same int-by-coefficient product that the z f' map
+forms.  Each point then runs one Horner loop that carries f and f'
+together (Knuth, TAOCP vol. 2, sec. 4.6.4), each accumulator in the operation
+order of eval_series and eval_deriv, so every value matches theirs bit for
+bit; the R-condition uses only the n b_n half.  The public condition values
+go through the same helpers.  Each grid point is tested once for |z| < 1,
+since a radius one ulp below 1 is accepted by GridSpec and cmath.rect may
+round it out.
 """
 
 from __future__ import annotations
@@ -40,6 +50,9 @@ class GridSpec:
         radii = tuple(float(r) for r in self.radii)
         if not radii or any(not (0 < r < 1) for r in radii):
             raise DomainError(f"radii must lie in (0,1), got {self.radii!r}")
+        # range() in grid_check needs an int, and a bool is no count
+        if not isinstance(self.points_per_circle, int) or isinstance(self.points_per_circle, bool):
+            raise DomainError(f"points_per_circle must be an int, got {self.points_per_circle!r}")
         if self.points_per_circle < 8:
             raise DomainError(f"need at least 8 points per circle, got {self.points_per_circle}")
         if not (self.denominator_floor > 0):
@@ -70,6 +83,35 @@ def _require_in_disk(z: complex) -> complex:
     return z
 
 
+def _pair_table(f: CoefficientSeq) -> tuple[bool, tuple]:
+    """(negative tail?, pairs (coeff_n, n * coeff_n) for n = N down to 2)."""
+    top = f.truncation_order
+    return (f.convention is SignConvention.NEGATIVE_TAIL,
+            tuple((coeff, (top - i) * coeff)
+                  for i, coeff in enumerate(reversed(f.coefficients))))
+
+
+def _horner_pair(table: tuple[bool, tuple], z: complex) -> tuple[complex, complex]:
+    """(f(z), f'(z)) in one pass, each in eval_series's and eval_deriv's order."""
+    negative, pairs = table
+    acc = dacc = 0j
+    for coeff, dcoeff in pairs:
+        acc = acc * z + coeff
+        dacc = dacc * z + dcoeff
+    if negative:
+        return z - acc * z * z, 1 - dacc * z
+    return z + acc * z * z, 1 + dacc * z
+
+
+def _horner_deriv(table: tuple[bool, tuple], z: complex) -> complex:
+    """f'(z) from the n * coeff_n half of the table."""
+    negative, pairs = table
+    acc = 0j
+    for _, dcoeff in pairs:
+        acc = acc * z + dcoeff
+    return 1 - acc * z if negative else 1 + acc * z
+
+
 def eval_series(f: CoefficientSeq, z: complex) -> complex:
     """f(z) by Horner evaluation of the truncated tail."""
     z = _require_in_disk(z)
@@ -82,13 +124,7 @@ def eval_series(f: CoefficientSeq, z: complex) -> complex:
 
 def eval_deriv(f: CoefficientSeq, z: complex) -> complex:
     """f'(z) by Horner evaluation."""
-    z = _require_in_disk(z)
-    acc = 0j
-    top = f.truncation_order
-    for i, coeff in enumerate(reversed(f.coefficients)):
-        acc = acc * z + (top - i) * coeff
-    tail = acc * z
-    return 1 - tail if f.convention is SignConvention.NEGATIVE_TAIL else 1 + tail
+    return _horner_deriv(_pair_table(f), _require_in_disk(z))
 
 
 def _zfprime(f: CoefficientSeq) -> CoefficientSeq:
@@ -101,14 +137,13 @@ def _zfprime(f: CoefficientSeq) -> CoefficientSeq:
 
 # ---- condition values ----
 
-def s_condition_value(f: CoefficientSeq, z: complex, c: ClassParams,
-                      denominator_floor: float = DEFAULT_FLOOR) -> tuple[float, bool]:
-    """(|w-1|/|w+1|, valid) at z; valid=False marks a near-singular denominator."""
-    z = _require_in_disk(z)
+def _s_value(table: tuple[bool, tuple], z: complex, lam: float,
+             denominator_floor: float) -> tuple[float, bool]:
     if z == 0:
         return 0.0, True   # w -> 1 by normalization
-    num = z * eval_deriv(f, z)
-    den = (1 - c.lam) * eval_series(f, z) + c.lam * num
+    fz, dfz = _horner_pair(table, z)
+    num = z * dfz
+    den = (1 - lam) * fz + lam * num
     if abs(den) < denominator_floor:
         return 0.0, False
     w = num / den
@@ -116,6 +151,21 @@ def s_condition_value(f: CoefficientSeq, z: complex, c: ClassParams,
     if abs(wp1) < denominator_floor:
         return 0.0, False
     return abs(w - 1) / abs(wp1), True
+
+
+def _r_value(table: tuple[bool, tuple], z: complex, r: RParams,
+             denominator_floor: float) -> tuple[float, bool]:
+    d = _horner_deriv(table, z) - 1
+    den = (r.A - r.B) * r.tau - r.B * d
+    if abs(den) < denominator_floor:
+        return 0.0, False
+    return abs(d) / abs(den), True
+
+
+def s_condition_value(f: CoefficientSeq, z: complex, c: ClassParams,
+                      denominator_floor: float = DEFAULT_FLOOR) -> tuple[float, bool]:
+    """(|w-1|/|w+1|, valid) at z; valid=False marks a near-singular denominator."""
+    return _s_value(_pair_table(f), _require_in_disk(z), c.lam, denominator_floor)
 
 
 def c_condition_value(f: CoefficientSeq, z: complex, c: ClassParams,
@@ -127,12 +177,7 @@ def c_condition_value(f: CoefficientSeq, z: complex, c: ClassParams,
 def r_condition_value(f: CoefficientSeq, z: complex, r: RParams,
                       denominator_floor: float = DEFAULT_FLOOR) -> tuple[float, bool]:
     """|f'-1| / |(A-B) tau - B (f'-1)| at z, against threshold 1."""
-    z = _require_in_disk(z)
-    d = eval_deriv(f, z) - 1
-    den = (r.A - r.B) * r.tau - r.B * d
-    if abs(den) < denominator_floor:
-        return 0.0, False
-    return abs(d) / abs(den), True
+    return _r_value(_pair_table(f), _require_in_disk(z), r, denominator_floor)
 
 
 # ---- grid sampling ----
@@ -149,14 +194,15 @@ def grid_check(f: CoefficientSeq, condition: ConditionId, params,
         if not isinstance(params, RParams):
             raise DomainError("R condition requires RParams")
         threshold = 1.0
-        value_at = lambda z: r_condition_value(f, z, params, grid.denominator_floor)
+        table = _pair_table(f)
+        value_at = lambda z: _r_value(table, z, params, grid.denominator_floor)
     else:
         if not isinstance(params, ClassParams):
             raise DomainError("S/C conditions require ClassParams")
         threshold = params.k
         # the C-condition is the S-condition of z f', built once per grid
-        g = f if condition is ConditionId.S_COND else _zfprime(f)
-        value_at = lambda z: s_condition_value(g, z, params, grid.denominator_floor)
+        table = _pair_table(f if condition is ConditionId.S_COND else _zfprime(f))
+        value_at = lambda z: _s_value(table, z, params.lam, grid.denominator_floor)
 
     max_value = -math.inf
     argmax = 0j
@@ -166,6 +212,8 @@ def grid_check(f: CoefficientSeq, condition: ConditionId, params,
     for radius in grid.radii:
         for j in range(grid.points_per_circle):
             z = cmath.rect(radius, j * step)
+            if abs(z) >= 1:
+                _require_in_disk(z)   # raises; GridSpec radii below 1 may still round out
             value, valid = value_at(z)
             if not valid:
                 skipped += 1

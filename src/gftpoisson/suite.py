@@ -11,7 +11,7 @@ import math
 import random
 
 from .criteria import ClassParams, RParams, Verdict
-from .disk import ConditionId, GridSpec, eval_deriv, eval_series, grid_check
+from .disk import ConditionId, GridSpec, _horner_pair, _pair_table, grid_check
 from .serialize import fmt_float
 from .series import (PoissonParams, SumKind, TruncationPolicy,
                      choose_truncation, coeffs_F, coeffs_G, partial_shifted_sum,
@@ -50,9 +50,11 @@ def _no_interior_pole(f, lam: float) -> bool:
     # (1-lam) f(r)/r + lam f'(r) stays positive on the real segment (0, 0.999].
     # For a negative-tail f (every b_n >= 0) it is 1 - sum b_n (1-lam+lam n) r^(n-1),
     # strictly decreasing in r, so its sign at the end decides; taking the end
-    # one ulp past 0.999 can only reject a draw, never accept one wrongly
+    # one ulp past 0.999 can only reject a draw, never accept one wrongly.
+    # f(r) and f'(r) come from one Horner pass, with eval_series's and eval_deriv's floats
     r = math.nextafter(0.999, 1.0)
-    return (1 - lam) * eval_series(f, r).real / r + lam * eval_deriv(f, r).real > 0
+    fr, dfr = _horner_pair(_pair_table(f), complex(r))
+    return (1 - lam) * fr.real / r + lam * dfr.real > 0
 
 
 def draw_t1_holding(rng: random.Random, rel_margin: float = 0.01):

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import pytest
@@ -234,3 +235,119 @@ def test_grid_check_counts_violations():
     report = grid_check(f, ConditionId.S_COND, c, GridSpec(radii=(0.9,)))
     assert report.violations > 0
     assert report.max_value > c.k
+
+
+@pytest.mark.parametrize("points", [8.5, 10.0, True, "16"])
+def test_grid_spec_rejects_non_integer_points(points):
+    # range() in grid_check needs an int; a bool is no spelling of a count
+    with pytest.raises(DomainError):
+        GridSpec(points_per_circle=points)
+
+
+# ---- grid reports against the public pointwise values ----
+
+def _recomputed(f, condition, params, grid):
+    """(max, argmax, violations, skipped) from the public condition values at
+    the grid's points: the first point of the largest value wins ties."""
+    value_at = {ConditionId.S_COND: s_condition_value,
+                ConditionId.C_COND: c_condition_value,
+                ConditionId.R_COND: r_condition_value}[condition]
+    threshold = 1.0 if condition is ConditionId.R_COND else params.k
+    best, argmax, violations, skipped = -math.inf, 0j, 0, 0
+    step = 2 * math.pi / grid.points_per_circle
+    for radius in grid.radii:
+        for j in range(grid.points_per_circle):
+            z = cmath.rect(radius, j * step)
+            value, valid = value_at(f, z, params, grid.denominator_floor)
+            if not valid:
+                skipped += 1
+                continue
+            if value > best:
+                best, argmax = value, z
+            if value >= threshold:
+                violations += 1
+    return (best if best > -math.inf else 0.0), argmax, violations, skipped
+
+
+def _report_tuple(report):
+    return report.max_value, report.argmax_z, report.violations, report.skipped
+
+
+def _series(kind, m, scale, r):
+    p = PoissonParams(m)
+    if kind == "F":
+        return coeffs_F(p, POLICY)
+    if kind == "G":
+        return coeffs_G(p, POLICY)
+    if kind == "I":
+        return apply_operator_I(worst_case_R_coeffs(r, 12), p)
+    return coeffs_F(p, POLICY).scaled(scale)
+
+
+r_params = st.builds(
+    lambda b, gap, rho, theta: RParams(A=min(1.0, b + gap), B=b,
+                                       tau=cmath.rect(rho, theta)),
+    st.floats(-1.0, 0.9), st.floats(0.05, 1.0), st.floats(0.05, 2.0),
+    st.floats(0.0, 2 * math.pi))
+
+
+@given(kind=st.sampled_from(["F", "G", "I", "scaled"]),
+       condition=st.sampled_from(list(ConditionId)),
+       m=st.floats(1e-3, 10.0), scale=st.floats(0.0, 4.0),
+       k=st.floats(1e-3, 1.0), lam=st.floats(0.0, 0.999), r=r_params,
+       radii=st.lists(st.floats(0.01, 0.999), min_size=1, max_size=3),
+       points=st.sampled_from([8, 13, 33]),
+       floor_exp=st.floats(-14.0, 0.5))
+@settings(max_examples=150, deadline=None)
+def test_grid_check_equals_public_condition_values(kind, condition, m, scale, k,
+                                                   lam, r, radii, points, floor_exp):
+    f = _series(kind, m, scale, r)
+    params = r if condition is ConditionId.R_COND else ClassParams(k=k, lam=lam)
+    grid = GridSpec(radii=tuple(radii), points_per_circle=points,
+                    denominator_floor=10.0 ** floor_exp)
+    report = grid_check(f, condition, params, grid)
+    assert _report_tuple(report) == _recomputed(f, condition, params, grid)
+
+
+@pytest.mark.parametrize("condition", list(ConditionId))
+def test_grid_check_with_some_points_skipped_equals_public_values(condition):
+    r = RParams(A=1.0, B=-1.0, tau=0.3 + 0.4j)
+    f = apply_operator_I(worst_case_R_coeffs(r, 12), PoissonParams(4.0))
+    params = r if condition is ConditionId.R_COND else ClassParams(k=0.4, lam=0.6)
+    grid = GridSpec(radii=(0.5, 0.9), points_per_circle=64, denominator_floor=0.8)
+    report = grid_check(f, condition, params, grid)
+    assert 0 < report.skipped < 128
+    assert _report_tuple(report) == _recomputed(f, condition, params, grid)
+
+
+@pytest.mark.parametrize("condition", list(ConditionId))
+def test_grid_check_one_ulp_inside_the_unit_circle(condition):
+    f = coeffs_F(PoissonParams(0.5), POLICY)
+    params = (RParams(A=1.0, B=-0.5, tau=1.0) if condition is ConditionId.R_COND
+              else ClassParams(k=0.7, lam=0.2))
+    grid = GridSpec(radii=(math.nextafter(1.0, 0.0),), points_per_circle=64)
+    report = grid_check(f, condition, params, grid)
+    assert _report_tuple(report) == _recomputed(f, condition, params, grid)
+
+
+@given(kind=st.sampled_from(["F", "G", "I", "scaled"]), m=st.floats(1e-3, 10.0),
+       scale=st.floats(0.0, 4.0), lam=st.floats(0.0, 0.999), r=r_params,
+       z=disk_points, floor_exp=st.floats(-14.0, 0.5))
+@settings(max_examples=200, deadline=None)
+def test_s_condition_is_the_quotient_of_eval_series_and_eval_deriv(
+        kind, m, scale, lam, r, z, floor_exp):
+    f = _series(kind, m, scale, r)
+    floor = 10.0 ** floor_exp
+    z = complex(z)
+    if z == 0:
+        expected = (0.0, True)
+    else:
+        num = z * eval_deriv(f, z)
+        den = (1 - lam) * eval_series(f, z) + lam * num
+        if abs(den) < floor:
+            expected = (0.0, False)
+        else:
+            w = num / den
+            expected = ((0.0, False) if abs(w + 1) < floor
+                        else (abs(w - 1) / abs(w + 1), True))
+    assert s_condition_value(f, z, ClassParams(k=0.5, lam=lam), floor) == expected
