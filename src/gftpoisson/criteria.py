@@ -128,9 +128,14 @@ def lemma_sum(f: CoefficientSeq, c: ClassParams,
     """
     if f.convention is not SignConvention.NEGATIVE_TAIL:
         raise DomainError("the coefficient criteria apply to negative-tail series only")
+    # weight_S(n) = n P - Q and weight_C(n) = n weight_S(n), in their operation order
+    P = (1 - c.lam) + c.k * (1 + c.lam)
+    Q = (1 - c.lam) * (1 - c.k)
+    if which is SumWhich.S:
+        lhs = math.fsum((n * P - Q) * b for n, b in enumerate(f.coefficients, 2))
+    else:
+        lhs = math.fsum((n * (n * P - Q)) * b for n, b in enumerate(f.coefficients, 2))
     w = _WEIGHTS[which]
-    lhs = math.fsum(w(n, c) * f.coefficients[n - 2]
-                    for n in range(2, f.truncation_order + 1))
     rhs = 2 * c.k
     band = BOUNDARY_TOL + w(f.truncation_order + 1, c) * f.tail_bound
     report = MembershipReport(predicate=f"lemma_{which.value}",

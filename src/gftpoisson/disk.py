@@ -25,7 +25,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .criteria import ClassParams, RParams
+from .criteria import ClassParams, RParams, _is_real
 from .errors import DomainError
 from .series import CoefficientSeq, SignConvention
 
@@ -55,8 +55,10 @@ class GridSpec:
             raise DomainError(f"points_per_circle must be an int, got {self.points_per_circle!r}")
         if self.points_per_circle < 8:
             raise DomainError(f"need at least 8 points per circle, got {self.points_per_circle}")
-        if not (self.denominator_floor > 0):
-            raise DomainError("denominator_floor must be positive")
+        # an infinite floor skips every point, and a grid that sampled nothing reads as a pass
+        if not (_is_real(self.denominator_floor) and 0 < self.denominator_floor < math.inf):
+            raise DomainError("denominator_floor must be a finite positive number, "
+                              f"got {self.denominator_floor!r}")
         object.__setattr__(self, "radii", radii)
 
 

@@ -2,6 +2,8 @@
 
 Every check draws its own parameters from one shared RNG, so a fixed seed
 makes the whole run (and its serialized summary) reproducible byte for byte.
+The inclusion and equivalence checks classify theorems._margin, the float
+evaluate() reports as its margin, without building a report per verdict.
 """
 
 from __future__ import annotations
@@ -10,14 +12,15 @@ import cmath
 import math
 import random
 
-from .criteria import ClassParams, RParams, Verdict
+from .criteria import ClassParams, RParams, Verdict, classify
 from .disk import ConditionId, GridSpec, _horner_pair, _pair_table, grid_check
 from .serialize import fmt_float
 from .series import (PoissonParams, SumKind, TruncationPolicy,
                      choose_truncation, coeffs_F, coeffs_G, partial_shifted_sum,
                      shifted_exp_sum)
-from .theorems import (SPECS, PredicateId, crosscheck, evaluate, t1_lhs, t4_lhs,
-                       t5_lhs)
+# evaluate is not called here, but bench/test_tracer.py wraps it under this name
+from .theorems import (SPECS, PredicateId, _margin, crosscheck,  # noqa: F401
+                       evaluate, resolve, t1_lhs, t4_lhs, t5_lhs)
 from .thresholds import solve_m_star
 
 # pinned tolerances; the acceptance tests assert the same numbers
@@ -126,19 +129,26 @@ def check_crosschecks(rng: random.Random, draws: int = 200):
     return "crosschecks", worst < RESIDUAL_TOL, f"worst residual {fmt_float(worst)}"
 
 
+def _verdict(pid: PredicateId, p: PoissonParams, c: ClassParams,
+             r: RParams | None = None) -> Verdict:
+    # evaluate()'s verdict: a corollary still resolves to its theorem at lambda = 0
+    row, c = resolve(pid, c, r)
+    return classify(_margin(row, p, c, r))
+
+
 def check_equivalences(rng: random.Random, draws: int = 1000):
     mismatches = 0
     for _ in range(draws):
         p = PoissonParams(10 ** rng.uniform(-3, 1))
         c = draw_class_params(rng)
         r = draw_r_params(rng)
-        if evaluate(PredicateId.T3_G_in_C, p, c).verdict is not \
-                evaluate(PredicateId.T1_F_in_S, p, c).verdict:
+        if _verdict(PredicateId.T3_G_in_C, p, c) is not \
+                _verdict(PredicateId.T1_F_in_S, p, c):
             mismatches += 1
         c0 = ClassParams(c.k, 0.0)
         for pid, row in SPECS.items():
-            if pid is row.corollary and evaluate(pid, p, c, r).verdict is not \
-                    evaluate(row.theorem, p, c0, r).verdict:
+            if pid is row.corollary and _verdict(pid, p, c, r) is not \
+                    _verdict(row.theorem, p, c0, r):
                 mismatches += 1
     return "equivalences", mismatches == 0, f"{mismatches} verdict mismatches"
 
@@ -146,15 +156,19 @@ def check_equivalences(rng: random.Random, draws: int = 1000):
 def check_inclusions(rng: random.Random, draws: int = 10_000):
     violations = 0
     ok_verdicts = (Verdict.HOLDS, Verdict.MARGINAL)
+    # theorem rows resolve to the class parameters they are given
+    t1, t2, t5, t6 = (SPECS[pid] for pid in (
+        PredicateId.T1_F_in_S, PredicateId.T2_F_in_C,
+        PredicateId.T5_I_in_S, PredicateId.T6_I_in_C))
     for _ in range(draws):
         p = PoissonParams(10 ** rng.uniform(-3, 1))
         c = draw_class_params(rng)
         r = draw_r_params(rng)
-        if evaluate(PredicateId.T2_F_in_C, p, c).verdict is Verdict.HOLDS:
-            if evaluate(PredicateId.T1_F_in_S, p, c).verdict not in ok_verdicts:
+        if classify(_margin(t2, p, c, None)) is Verdict.HOLDS:
+            if classify(_margin(t1, p, c, None)) not in ok_verdicts:
                 violations += 1
-        if evaluate(PredicateId.T6_I_in_C, p, c, r).verdict is Verdict.HOLDS:
-            if evaluate(PredicateId.T5_I_in_S, p, c, r).verdict not in ok_verdicts:
+        if classify(_margin(t6, p, c, r)) is Verdict.HOLDS:
+            if classify(_margin(t5, p, c, r)) not in ok_verdicts:
                 violations += 1
     return "inclusions", violations == 0, f"{violations} violations"
 

@@ -211,13 +211,23 @@ def resolve(pid: PredicateId, c: ClassParams,
 
 # ---- predicate evaluation ----
 
+def _margin(row: PredicateSpec, p: PoissonParams, c: ClassParams,
+            r: RParams | None) -> float:
+    """2k minus the row's closed form, at class parameters resolve() returned.
+
+    The float evaluate() reports as its margin; the solver and the suite's
+    verdict loops read it without building a report.
+    """
+    return 2 * c.k - row.lhs(p, c, r)
+
+
 def evaluate(pid: PredicateId, p: PoissonParams, c: ClassParams,
              r: RParams | None = None) -> MembershipReport:
     """Closed-form membership report for one predicate at one parameter point."""
     row, c = resolve(pid, c, r)
     lhs = row.lhs(p, c, r)
     rhs = 2 * c.k
-    margin = rhs - lhs
+    margin = rhs - lhs   # _margin's expression, so the two agree bit for bit
     return MembershipReport(predicate=pid.value, verdict=classify(margin),
                             lhs=lhs, rhs=rhs, margin=margin)
 

@@ -4,9 +4,10 @@ A bounded left-hand side (the integral-companion S-conditions) tends to a
 known limit as m grows and never exceeds it, in floats too; when that limit
 is at most 2k the predicate holds for every m and no margin is evaluated.
 
-Every other predicate has a crossing.  Each margin is the float evaluate()
-reports, 2k minus the row's closed form, so the solver and evaluate agree at
-every m.  Where the row gives the crossing in closed form (P m e^m = 2k at
+Every other predicate has a crossing.  Each margin comes from
+theorems._margin, 2k minus the row's closed form: the float evaluate()
+reports, so the solver and evaluate agree at every m.  Where the row gives
+the crossing in closed form (P m e^m = 2k at
 m* = W(2k/P), Corless et al., "On the Lambert W function", 1996), two margins
 at m* -+ tol/4 confirm it.  Otherwise, or if they do not confirm it, m is
 doubled from a positive-margin start until the margin is <= 0, and the
@@ -29,7 +30,7 @@ from .criteria import ClassParams, RParams
 from .errors import InvalidTolerance
 from .series import PoissonParams
 # evaluate is not called here, but bench/test_tracer.py wraps it under this name
-from .theorems import PredicateId, evaluate, resolve  # noqa: F401
+from .theorems import PredicateId, _margin, evaluate, resolve  # noqa: F401
 
 _TINY_M = 1e-300
 
@@ -76,10 +77,9 @@ def solve_m_star(pid: PredicateId, c: ClassParams, r: RParams | None = None,
     min_step = tol / 4   # no probe comes closer than this to a known end
 
     def margin(m: float) -> float:
-        # the float expression evaluate() reports as its margin
         nonlocal evals
         evals += 1
-        return 2 * c.k - row.lhs(PoissonParams(m), c, r)
+        return _margin(row, PoissonParams(m), c, r)
 
     root = row.root(c, r)
     if root is not None:

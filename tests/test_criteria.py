@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gftpoisson import (ClassParams, CoefficientSeq, DomainError, RParams,
-                        SignConvention, SumWhich, Verdict, classify,
+from gftpoisson import (ClassParams, CoefficientSeq, DomainError,
+                        PoissonParams, RParams, SignConvention, SumWhich,
+                        TruncationPolicy, Verdict, apply_operator_I,
+                        choose_truncation, classify, coeffs_F, coeffs_G,
                         dixit_pal_bound, lemma_sum, weight_C, weight_S,
                         worst_case_R_coeffs)
 
@@ -124,6 +126,31 @@ def test_lemma_sum_poisson_m02_frozen_value():
     lhs, report = lemma_sum(f, c, SumWhich.S)
     assert lhs == pytest.approx(0.7625384938440364, abs=1e-12)
     assert report.verdict is Verdict.HOLDS
+
+
+def _weight_fn_sum(f, c, which):
+    # the sum as one weight_S / weight_C call per term
+    w = weight_S if which is SumWhich.S else weight_C
+    return math.fsum(w(n, c) * f.coefficients[n - 2]
+                     for n in range(2, f.truncation_order + 1))
+
+
+@pytest.mark.parametrize("which", list(SumWhich))
+@pytest.mark.parametrize("series", "FGI")
+@given(m=st.floats(min_value=1e-3, max_value=300.0), k=ks, lam=lams)
+@settings(max_examples=30, deadline=None)
+def test_lemma_sum_matches_the_weight_functions_bit_for_bit(series, which, m, k, lam):
+    p, policy = PoissonParams(m), TruncationPolicy()
+    if series == "F":
+        f = coeffs_F(p, policy)
+    elif series == "G":
+        f = coeffs_G(p, policy)
+    else:
+        r = RParams(A=1.0, B=-0.5, tau=0.3 + 0.4j)
+        worst = worst_case_R_coeffs(r, choose_truncation(p, policy))
+        f = apply_operator_I(worst, p).magnitudes()
+    c = ClassParams(k=k, lam=lam)
+    assert lemma_sum(f, c, which)[0] == _weight_fn_sum(f, c, which)
 
 
 def test_lemma_sum_rejects_general_tail():

@@ -159,6 +159,13 @@ def test_grid_spec_validation():
         GridSpec(denominator_floor=-1.0)
 
 
+@pytest.mark.parametrize("floor", [math.inf, math.nan, True, "1e-12"])
+def test_grid_spec_rejects_non_finite_or_bool_floor(floor):
+    # an infinite floor skips every point and reads like a pass; True is no 1.0
+    with pytest.raises(DomainError):
+        GridSpec(denominator_floor=floor)
+
+
 def test_grid_check_identity_function_s_condition():
     # off-axis z/z division leaves one rounding of noise, nothing more
     report = grid_check(IDENTITY, ConditionId.S_COND,

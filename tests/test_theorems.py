@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gftpoisson import (ClassParams, MissingRParams, PoissonParams,
-                        PredicateId, RParams, Verdict, crosscheck, evaluate,
-                        evaluate_with_crosscheck, t1_lhs, t2_lhs, t4_lhs,
-                        t5_lhs, t6_lhs)
+                        PredicateId, RParams, Verdict, classify, crosscheck,
+                        evaluate, evaluate_with_crosscheck, t1_lhs, t2_lhs,
+                        t4_lhs, t5_lhs, t6_lhs)
+from gftpoisson.theorems import _margin, resolve
 
 ks = st.floats(min_value=1e-6, max_value=1.0)
 lams = st.floats(min_value=0.0, max_value=0.999)
@@ -137,6 +138,19 @@ def test_overflow_guard_reports_failure_not_exception():
 
 
 # ---- predicate wiring ----
+
+@pytest.mark.parametrize("pid", list(PredicateId))
+@given(m=st.floats(min_value=1e-6, max_value=750.0), k=ks, lam=lams)
+@settings(max_examples=30)
+def test_margin_is_evaluates_margin_bit_for_bit(pid, m, k, lam):
+    p, c = PoissonParams(m), ClassParams(k=k, lam=lam)
+    r = RParams(A=0.9, B=-0.4, tau=0.6 - 0.8j)
+    report = evaluate(pid, p, c, r)
+    row, c_row = resolve(pid, c, r)   # a corollary's row at lambda = 0
+    margin = _margin(row, p, c_row, r)
+    assert margin == report.margin
+    assert classify(margin) is report.verdict
+
 
 def test_missing_r_params_raises():
     with pytest.raises(MissingRParams):
