@@ -17,8 +17,7 @@ from .errors import (DomainError, InvalidTolerance, MissingRParams,
 from .serialize import dumps_canonical
 from .series import (CoefficientSeq, PoissonParams, SignConvention, SumKind,
                      TruncationPolicy, apply_operator_I, choose_truncation,
-                     coeffs_F, coeffs_G, partial_shifted_sum, poisson_coeff,
-                     shifted_exp_sum)
+                     coeffs_F, coeffs_G, partial_shifted_sum, shifted_exp_sum)
 from .suite import run_suite
 from .theorems import (PredicateId, crosscheck, evaluate,
                        evaluate_with_crosscheck, t1_lhs, t2_lhs, t4_lhs, t5_lhs,
@@ -37,7 +36,7 @@ __all__ = [
     "choose_truncation", "classify", "coeffs_F", "coeffs_G", "crosscheck",
     "dixit_pal_bound", "dumps_canonical", "eval_deriv", "eval_series",
     "evaluate", "evaluate_with_crosscheck", "grid_check", "lemma_sum",
-    "partial_shifted_sum", "poisson_coeff", "r_condition_value", "run_suite",
+    "partial_shifted_sum", "r_condition_value", "run_suite",
     "s_condition_value", "shifted_exp_sum", "solve_m_star", "t1_lhs", "t2_lhs",
     "t4_lhs", "t5_lhs", "t6_lhs", "weight_C", "weight_S",
     "worst_case_R_coeffs",

@@ -17,10 +17,9 @@ from .disk import GridSpec, grid_check
 from .errors import (DomainError, InvalidTolerance, MissingRParams,
                      TruncationNotReached)
 from .serialize import dict_to_human, dumps_canonical, fmt_float, rows_to_csv
-from .series import (PoissonParams, SumKind, TruncationPolicy, apply_operator_I,
-                     choose_truncation, coeffs_F, coeffs_G, partial_shifted_sum,
-                     shifted_exp_sum)
-from .suite import IDENTITY_ABS_TOL, IDENTITY_REL_TOL, run_suite
+from .series import (PoissonParams, TruncationPolicy, apply_operator_I,
+                     choose_truncation, coeffs_F, coeffs_G)
+from .suite import _identity_rows, run_suite
 from .theorems import (SPECS, PredicateId, evaluate, evaluate_with_crosscheck,
                        resolve)
 from .thresholds import solve_m_star
@@ -206,18 +205,9 @@ def _cmd_identities(args) -> int:
     p = PoissonParams(args.m)
     policy = TruncationPolicy(eps=args.eps)
     n_top = choose_truncation(p, policy)
-    rows = []
-    entries = []
-    all_pass = True
-    for kind in SumKind:
-        closed = shifted_exp_sum(p, kind)
-        partial = partial_shifted_sum(p, kind, n_top)
-        err = abs(closed - partial)
-        ok = err <= max(IDENTITY_ABS_TOL, IDENTITY_REL_TOL * abs(closed))
-        all_pass &= ok
-        rows.append([kind.value, closed, partial, err, ok])
-        entries.append({"kind": kind.value, "closed": closed, "partial": partial,
-                        "abs_err": err, "pass": ok})
+    entries = [{"kind": kind.value, "closed": closed, "partial": partial,
+                "abs_err": err, "pass": err <= allowed}
+               for kind, closed, partial, err, allowed in _identity_rows(p, n_top)]
     d = {"m": p.m, "N": n_top, "identities": entries}
     if args.format == "human":
         lines = [f"m {fmt_float(p.m)}  N {n_top}"]
@@ -227,8 +217,9 @@ def _cmd_identities(args) -> int:
                          f"{'pass' if e['pass'] else 'FAIL'}")
         _write(args, "\n".join(lines) + "\n")
     else:
-        _emit(args, d, ["kind", "closed", "partial", "abs_err", "pass"], rows)
-    return EXIT_HOLDS if all_pass else EXIT_FAILS
+        _emit(args, d, ["kind", "closed", "partial", "abs_err", "pass"],
+              [list(e.values()) for e in entries])
+    return EXIT_HOLDS if all(e["pass"] for e in entries) else EXIT_FAILS
 
 
 def _cmd_suite(args) -> int:

@@ -47,9 +47,9 @@ class GridSpec:
     denominator_floor: float = DEFAULT_FLOOR
 
     def __post_init__(self) -> None:
-        radii = tuple(float(r) for r in self.radii)
-        if not radii or any(not (0 < r < 1) for r in radii):
-            raise DomainError(f"radii must lie in (0,1), got {self.radii!r}")
+        radii = tuple(self.radii)
+        if not radii or any(not (_is_real(r) and 0 < r < 1) for r in radii):
+            raise DomainError(f"radii must be real numbers in (0,1), got {self.radii!r}")
         # range() in grid_check needs an int, and a bool is no count
         if not isinstance(self.points_per_circle, int) or isinstance(self.points_per_circle, bool):
             raise DomainError(f"points_per_circle must be an int, got {self.points_per_circle!r}")
@@ -59,7 +59,7 @@ class GridSpec:
         if not (_is_real(self.denominator_floor) and 0 < self.denominator_floor < math.inf):
             raise DomainError("denominator_floor must be a finite positive number, "
                               f"got {self.denominator_floor!r}")
-        object.__setattr__(self, "radii", radii)
+        object.__setattr__(self, "radii", tuple(float(r) for r in radii))
 
 
 @dataclass(frozen=True)

@@ -3,15 +3,20 @@
 Builds the negative-tail series F(m,z) = z - sum_{n>=2} e^{-m} m^{n-1}/(n-1)! z^n,
 its integral companion G(m,z) = z - sum e^{-m} m^{n-1}/n! z^n, and the termwise
 (Hadamard) operator that multiplies a normalized series by the Poisson weights.
-Also provides the closed-form shifted exponential sums that the weighted
-coefficient sums collapse to, plus a truncation rule with a provable tail bound.
+One pass of the weight recurrence chooses the order N with a provable tail bound
+and yields the weights F and G are built from.  m e^{-m} is subnormal from
+m = 715 on, so every builder refuses such an m with TruncationNotReached.  One
+table gives each shifted exponential sum that the weighted coefficient sums
+collapse to: its first index, closed form, first term and term ratio.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .errors import DomainError, TruncationNotReached
 
@@ -44,17 +49,16 @@ class PoissonParams:
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Target absolute tail error eps with floor and cap on the order N."""
+    """Target absolute tail error eps and a cap n_max on the order N."""
 
     eps: float = 1e-12
-    n_min: int = 2
     n_max: int = 10_000
 
     def __post_init__(self) -> None:
         if not (self.eps > 0 and math.isfinite(self.eps)):
             raise DomainError(f"eps must be finite and positive, got {self.eps!r}")
-        if not (2 <= self.n_min <= self.n_max):
-            raise DomainError(f"need 2 <= n_min <= n_max, got ({self.n_min}, {self.n_max})")
+        if not self.n_max >= 2:
+            raise DomainError(f"need n_max >= 2, got {self.n_max!r}")
 
 
 @dataclass(frozen=True)
@@ -122,63 +126,61 @@ class CoefficientSeq:
 
 # ---- Poisson coefficients ----
 
-def poisson_coeff(p: PoissonParams, n: int) -> float:
-    """e^{-m} m^{n-1}/(n-1)! via the stable multiplicative recurrence."""
-    if n < 2:
-        raise DomainError(f"coefficient index starts at n=2, got {n}")
-    c = p.m * math.exp(-p.m)
-    for i in range(3, n + 1):
-        c *= p.m / (i - 1)
+def _first_weight(m: float) -> float:
+    """c_2 = m e^{-m}, refused from m = 715 on, where it is subnormal and every
+    weight and tail bound built on it would round towards 0."""
+    c = m * math.exp(-m)
+    if c < sys.float_info.min:
+        raise TruncationNotReached(f"first Poisson weight m e^-m = {c!r} is subnormal at m={m!r}")
     return c
 
 
-def choose_truncation(p: PoissonParams, policy: TruncationPolicy) -> int:
-    """Smallest order N with a certified weighted tail below eps.
+def _weights(p: PoissonParams, policy: TruncationPolicy) -> list:
+    """[c_2, ..., c_N, c_{N+1}]: c_n = e^{-m} m^{n-1}/(n-1)! to the certified N, and one more.
 
     The weights of both membership criteria grow at most like n^2.  N is at
-    least max(n_min, 2 ceil(m) + 10); past that floor the weighted term ratio
-    of n^2 c_n stays below 0.59, so the true tail is under 2 * N^2 * c_N once
-    that quantity is below eps (safeguard factor 2).
+    least 2 ceil(m) + 10; past that floor the weighted term ratio of n^2 c_n
+    stays below 0.59, so the true tail is under 2 * N^2 * c_N once that
+    quantity is below eps (safeguard factor 2).
     """
-    floor = max(policy.n_min, 2 * math.ceil(p.m) + 10)
+    m = p.m
+    floor = 2 * math.ceil(m) + 10
     if floor > policy.n_max:
-        raise TruncationNotReached(
-            f"order floor {floor} exceeds cap n_max={policy.n_max}")
-    c = p.m * math.exp(-p.m)
-    for n in range(3, floor + 1):
-        c *= p.m / (n - 1)
+        raise TruncationNotReached(f"order floor {floor} exceeds cap n_max={policy.n_max}")
+    c = _first_weight(m)
+    out = [c]
+    for n in range(2, floor):
+        c *= m / n
+        out.append(c)
     n = floor
-    while True:
-        if 2.0 * (n ** 2) * c < policy.eps:
-            return n
+    while not 2.0 * (n ** 2) * c < policy.eps:
         if n >= policy.n_max:
             raise TruncationNotReached(
                 f"tail bound {policy.eps} not reached by n_max={policy.n_max}")
+        c *= m / n
         n += 1
-        c *= p.m / (n - 1)
+        out.append(c)
+    out.append(c * (m / n))
+    return out
+
+
+def choose_truncation(p: PoissonParams, policy: TruncationPolicy) -> int:
+    """Smallest order N with a certified weighted tail below eps."""
+    return len(_weights(p, policy))
 
 
 def coeffs_F(p: PoissonParams, policy: TruncationPolicy = TruncationPolicy()) -> CoefficientSeq:
     """Negative-tail coefficients b_n = e^{-m} m^{n-1}/(n-1)! of F(m,z)."""
-    n_top = choose_truncation(p, policy)
-    out = []
-    c = p.m * math.exp(-p.m)
-    for n in range(2, n_top + 1):
-        out.append(c)
-        c *= p.m / n
-    # c now holds the first omitted term; ratio < 1/2 past the floor
-    return CoefficientSeq(SignConvention.NEGATIVE_TAIL, tuple(out), 2.0 * c, p.m)
+    *out, omitted = _weights(p, policy)
+    # the term ratio past the floor is below 1/2
+    return CoefficientSeq(SignConvention.NEGATIVE_TAIL, tuple(out), 2.0 * omitted, p.m)
 
 
 def coeffs_G(p: PoissonParams, policy: TruncationPolicy = TruncationPolicy()) -> CoefficientSeq:
     """Negative-tail coefficients b_n = e^{-m} m^{n-1}/n! of the integral companion G."""
-    n_top = choose_truncation(p, policy)
-    out = []
-    c = p.m * math.exp(-p.m)
-    for n in range(2, n_top + 1):
-        out.append(c / n)
-        c *= p.m / n
-    return CoefficientSeq(SignConvention.NEGATIVE_TAIL, tuple(out), 2.0 * c / (n_top + 1), p.m)
+    *w, omitted = _weights(p, policy)
+    out = tuple(c / n for n, c in enumerate(w, 2))
+    return CoefficientSeq(SignConvention.NEGATIVE_TAIL, out, 2.0 * omitted / (len(w) + 2), p.m)
 
 
 def _pmf_max_beyond(p: PoissonParams, j0: int) -> float:
@@ -190,7 +192,7 @@ def _pmf_max_beyond(p: PoissonParams, j0: int) -> float:
 def apply_operator_I(f: CoefficientSeq, p: PoissonParams) -> CoefficientSeq:
     """Termwise product with the Poisson weights: coeff_n -> e^{-m} m^{n-1}/(n-1)! coeff_n."""
     out = []
-    c = p.m * math.exp(-p.m)
+    c = _first_weight(p.m)
     for n in range(2, f.truncation_order + 1):
         out.append(c * f.coefficients[n - 2])
         c *= p.m / n
@@ -202,45 +204,43 @@ def apply_operator_I(f: CoefficientSeq, p: PoissonParams) -> CoefficientSeq:
 
 # ---- shifted exponential sums ----
 
+class _ShiftedSum(NamedTuple):
+    first: int          # first index n of the sum
+    closed: Callable    # m -> closed form of the whole sum
+    term: Callable      # m -> the term at n = first
+    shift: int          # term ratio t_n / t_{n-1} = m / (n - shift)
+
+
+# the float expressions of the series SumKind names
+_SUMS = {
+    SumKind.SHIFT1: _ShiftedSum(2, math.expm1, lambda m: m, 1),
+    SumKind.SHIFT2: _ShiftedSum(2, lambda m: m * math.exp(m), lambda m: m, 2),
+    SumKind.SHIFT3: _ShiftedSum(3, lambda m: m * m * math.exp(m), lambda m: m * m, 3),
+    SumKind.OVER_N_FACT: _ShiftedSum(2, lambda m: (math.expm1(m) - m) / m, lambda m: m / 2.0, 0),
+    SumKind.POW_N_OVER_N_FACT: _ShiftedSum(2, lambda m: math.expm1(m) - m,
+                                           lambda m: m * m / 2.0, 0),
+}
+
+
+def _sum_row(kind) -> _ShiftedSum:
+    if not isinstance(kind, SumKind):
+        raise DomainError(f"unknown sum kind {kind!r}")
+    return _SUMS[kind]
+
+
 def shifted_exp_sum(p: PoissonParams, kind: SumKind) -> float:
     """Closed form of the given shifted exponential series."""
-    m = p.m
-    if kind is SumKind.SHIFT1:
-        return math.expm1(m)
-    if kind is SumKind.SHIFT2:
-        return m * math.exp(m)
-    if kind is SumKind.SHIFT3:
-        return m * m * math.exp(m)
-    if kind is SumKind.OVER_N_FACT:
-        return (math.expm1(m) - m) / m
-    if kind is SumKind.POW_N_OVER_N_FACT:
-        return math.expm1(m) - m
-    raise DomainError(f"unknown sum kind {kind!r}")
-
-
-_FIRST_INDEX = {SumKind.SHIFT1: 2, SumKind.SHIFT2: 2, SumKind.SHIFT3: 3,
-                SumKind.OVER_N_FACT: 2, SumKind.POW_N_OVER_N_FACT: 2}
+    return _sum_row(kind).closed(p.m)
 
 
 def partial_shifted_sum(p: PoissonParams, kind: SumKind, upto: int) -> float:
     """Direct term-by-term summation to index n=upto (independent of the closed form)."""
-    m = p.m
-    start = _FIRST_INDEX[kind]
-    if upto < start:
+    row, m = _sum_row(kind), p.m
+    if upto < row.first:
         return 0.0
-    if kind is SumKind.SHIFT1:
-        t, ratio = m, lambda n: m / (n - 1)
-    elif kind is SumKind.SHIFT2:
-        t, ratio = m, lambda n: m / (n - 2)
-    elif kind is SumKind.SHIFT3:
-        t, ratio = m * m, lambda n: m / (n - 3)
-    elif kind is SumKind.OVER_N_FACT:
-        t, ratio = m / 2.0, lambda n: m / n
-    else:
-        t, ratio = m * m / 2.0, lambda n: m / n
-    terms = []
-    for n in range(start, upto + 1):
-        if n > start:
-            t *= ratio(n)
+    t = row.term(m)
+    terms = [t]
+    for n in range(row.first + 1, upto + 1):
+        t *= m / (n - row.shift)
         terms.append(t)
     return math.fsum(terms)

@@ -98,18 +98,22 @@ def draw_t1_failing_radial(rng: random.Random, rel_excess: float = 0.10):
 
 # ---- checks ----
 
+def _identity_rows(p: PoissonParams, n_top: int):
+    """(kind, closed, partial, |difference|, allowed) per sum; passes if difference <= allowed."""
+    for kind in SumKind:
+        closed = shifted_exp_sum(p, kind)
+        partial = partial_shifted_sum(p, kind, n_top)
+        yield (kind, closed, partial, abs(closed - partial),
+               max(IDENTITY_ABS_TOL, IDENTITY_REL_TOL * abs(closed)))
+
+
 def check_identities(rng: random.Random, draws: int = 200):
     policy = TruncationPolicy(eps=1e-12)
     worst = 0.0
     for _ in range(draws):
         p = PoissonParams(rng.uniform(1e-6, 10.0))
-        n_top = choose_truncation(p, policy)
-        for kind in SumKind:
-            closed = shifted_exp_sum(p, kind)
-            partial = partial_shifted_sum(p, kind, n_top)
-            err = abs(closed - partial)
-            allowed = max(IDENTITY_ABS_TOL, IDENTITY_REL_TOL * abs(closed))
-            worst = max(worst, err / allowed)
+        rows = _identity_rows(p, choose_truncation(p, policy))
+        worst = max(worst, *(err / allowed for *_, err, allowed in rows))
     return "identities", worst <= 1.0, f"worst err/allowed {fmt_float(worst)}"
 
 

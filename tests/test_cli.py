@@ -177,6 +177,28 @@ def test_crosscheck_truncation_overflow_exit_four(capsys):
     assert "numeric failure" in err
 
 
+# m e^{-m} is subnormal from m = 715 on; the series routes must refuse such an m
+# rather than sample or sum coefficients that rounded to zero
+
+def test_grid_subnormal_first_weight_exit_four(capsys):
+    code, out, err = run_cli(capsys, "grid", "--predicate", "T1_F_in_S",
+                             "--m", "800", "--k", "0.9")
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert "numeric failure" in err
+    # the closed form still decides the same point
+    assert run_cli(capsys, "check", "--predicate", "T1_F_in_S",
+                   "--m", "800", "--k", "0.9")[0] == EXIT_FAILS
+
+
+def test_crosscheck_subnormal_first_weight_exit_four(capsys):
+    code, out, err = run_cli(capsys, "crosscheck", "--predicate", "T4_G_in_S",
+                             "--m", "740", "--k", "0.5", "--lambda", "0.2")
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert "numeric failure" in err
+
+
 # ---- threshold ----
 
 def test_threshold_fixture(capsys):

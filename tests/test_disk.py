@@ -166,6 +166,13 @@ def test_grid_spec_rejects_non_finite_or_bool_floor(floor):
         GridSpec(denominator_floor=floor)
 
 
+@pytest.mark.parametrize("radius", ["0.5", 0.5 + 0j, True, math.nan])
+def test_grid_spec_rejects_a_radius_that_is_no_real_number(radius):
+    # like the floor: a string or complex is no radius, whatever it spells
+    with pytest.raises(DomainError):
+        GridSpec(radii=(0.25, radius))
+
+
 def test_grid_check_identity_function_s_condition():
     # off-axis z/z division leaves one rounding of noise, nothing more
     report = grid_check(IDENTITY, ConditionId.S_COND,

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from gftpoisson import (CoefficientSeq, DomainError, PoissonParams,
                         SignConvention, SumKind, TruncationNotReached,
                         TruncationPolicy, apply_operator_I, choose_truncation,
-                        coeffs_F, coeffs_G, partial_shifted_sum, poisson_coeff,
+                        coeffs_F, coeffs_G, partial_shifted_sum,
                         shifted_exp_sum, worst_case_R_coeffs)
 from gftpoisson.criteria import RParams
 
@@ -36,25 +38,31 @@ def test_coefficient_seq_rejects_bad_tail_bound():
 
 def test_truncation_policy_rejects_bad_orders():
     with pytest.raises(DomainError):
-        TruncationPolicy(eps=1e-12, n_min=5, n_max=4)
+        TruncationPolicy(eps=1e-12, n_max=1)
     with pytest.raises(DomainError):
         TruncationPolicy(eps=0.0)
 
 
-# ---- poisson_coeff ----
+# ---- Poisson coefficients e^{-m} m^{n-1}/(n-1)!, read off coeffs_F ----
+
+# eps this small takes N past n = 20 for every m below
+DEEP = TruncationPolicy(eps=1e-300)
+
 
 def test_poisson_coeff_first_term_is_exp_neg_m():
-    assert poisson_coeff(PoissonParams(1.0), 2) == pytest.approx(math.exp(-1), rel=1e-15)
+    assert coeffs_F(PoissonParams(1.0), POLICY).coefficients[0] == pytest.approx(
+        math.exp(-1), rel=1e-15)
 
 
 @given(st.floats(min_value=1e-3, max_value=10.0))
 def test_poisson_coeff_n2_is_m_exp_neg_m(m):
-    assert poisson_coeff(PoissonParams(m), 2) == pytest.approx(m * math.exp(-m), rel=1e-15)
+    assert coeffs_F(PoissonParams(m), POLICY).coefficients[0] == pytest.approx(
+        m * math.exp(-m), rel=1e-15)
 
 
 def test_poisson_coeff_m2_n4():
     # (4/3) e^{-2}, oracle computed as exact rational 8/6 times e^{-2}
-    assert poisson_coeff(PoissonParams(2.0), 4) == pytest.approx(
+    assert coeffs_F(PoissonParams(2.0), POLICY).coefficients[4 - 2] == pytest.approx(
         0.18044704431548358, abs=1e-16)
 
 
@@ -62,12 +70,8 @@ def test_poisson_coeff_m2_n4():
 @pytest.mark.parametrize("n", range(2, 21))
 def test_poisson_coeff_recurrence_matches_direct_formula(m, n):
     direct = math.exp(-m) * m ** (n - 1) / math.factorial(n - 1)
-    assert poisson_coeff(PoissonParams(m), n) == pytest.approx(direct, rel=1e-14)
-
-
-def test_poisson_coeff_rejects_n_below_2():
-    with pytest.raises(DomainError):
-        poisson_coeff(PoissonParams(1.0), 1)
+    assert coeffs_F(PoissonParams(m), DEEP).coefficients[n - 2] == pytest.approx(
+        direct, rel=1e-14)
 
 
 # ---- coeffs_F / coeffs_G ----
@@ -194,6 +198,14 @@ def test_partial_sums_match_closed_forms(kind, m):
     assert abs(closed - partial) <= max(1e-10, 1e-12 * abs(closed))
 
 
+def test_unknown_sum_kind_is_a_domain_error():
+    p = PoissonParams(1.0)
+    with pytest.raises(DomainError):
+        shifted_exp_sum(p, "Shift1")
+    with pytest.raises(DomainError):
+        partial_shifted_sum(p, "Shift1", 5)
+
+
 # ---- truncation control ----
 
 def test_truncation_m1_constant_growth():
@@ -227,6 +239,61 @@ def test_truncation_not_reached_when_capped():
     # cap hit inside the search loop
     with pytest.raises(TruncationNotReached):
         choose_truncation(PoissonParams(9.0), TruncationPolicy(eps=1e-300, n_max=40))
+
+
+# m e^{-m} is subnormal from m = 715 on; the weights would start from a
+# number with too few bits, and the coefficients and tail bound round to zero
+@pytest.mark.parametrize("build", [coeffs_F, coeffs_G], ids=["F", "G"])
+def test_builders_refuse_a_subnormal_first_weight(build):
+    with pytest.raises(TruncationNotReached):
+        build(PoissonParams(800.0), POLICY)
+
+
+def test_operator_refuses_a_subnormal_first_weight():
+    f = CoefficientSeq(SignConvention.GENERAL_TAIL, (1.0 + 0j, 0.5j), 0.1)
+    with pytest.raises(TruncationNotReached):
+        apply_operator_I(f, PoissonParams(800.0))
+
+
+def test_builders_still_reach_m_714():
+    p = PoissonParams(714.0)
+    f = coeffs_F(p, POLICY)
+    assert f.coefficients[0] > 0 and f.tail_bound > 0
+    # the Poisson weights of F carry mass 1 - e^{-m}
+    assert math.fsum(f.coefficients) == pytest.approx(1.0, rel=1e-9)
+    assert coeffs_G(p, POLICY).coefficients[0] == f.coefficients[0] / 2
+    out = apply_operator_I(CoefficientSeq(SignConvention.GENERAL_TAIL, (1.0 + 0j,), 0.0), p)
+    assert out.coefficients[0] == f.coefficients[0]
+
+
+# ---- bit identity of the builders and the shifted sums ----
+
+def _series_digest():
+    rng = random.Random(7)
+    h = hashlib.sha256()
+    for _ in range(200):
+        m = rng.uniform(1e-6, 10.0) if rng.random() < 0.5 else rng.uniform(10.0, 700.0)
+        p = PoissonParams(m)
+        policy = TruncationPolicy(eps=10.0 ** rng.uniform(-15.0, -3.0))
+        r = RParams(A=rng.uniform(0.0, 1.0), B=rng.uniform(-1.0, -1e-3),
+                    tau=complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)))
+        n_top = choose_truncation(p, policy)
+        for f in (coeffs_F(p, policy), coeffs_G(p, policy),
+                  apply_operator_I(worst_case_R_coeffs(r, n_top), p)):
+            h.update(repr((n_top, f.coefficients, f.tail_bound)).encode())
+    for _ in range(1000):
+        p = PoissonParams(rng.uniform(1e-6, 50.0))
+        upto = rng.randrange(0, 120)
+        for kind in SumKind:
+            h.update(repr((shifted_exp_sum(p, kind),
+                           partial_shifted_sum(p, kind, upto))).encode())
+    return h.hexdigest()
+
+
+def test_builders_and_sums_are_bit_identical():
+    # repr() of a float round-trips, so any change in any last bit shows here
+    assert _series_digest() == (
+        "81bf0c6a6c76a5e290ca5cc70a84cf502c50e2c9663129ec570cbeb9637d6b44")
 
 
 # ---- serialization shape ----
