@@ -12,13 +12,14 @@ import argparse
 import os
 import sys
 
-from .criteria import ClassParams, RParams, Verdict, worst_case_R_coeffs
+from .criteria import ClassParams, RParams, Verdict
 from .disk import GridSpec, grid_check
 from .errors import (DomainError, InvalidTolerance, MissingRParams,
                      TruncationNotReached)
 from .serialize import dict_to_human, dumps_canonical, fmt_float, rows_to_csv
-from .series import (PoissonParams, TruncationPolicy, apply_operator_I,
-                     choose_truncation, coeffs_F, coeffs_G)
+# coeffs_F is not called here, but bench/test_tracer.py wraps it under this name
+from .series import (PoissonParams, TruncationPolicy, choose_truncation,  # noqa: F401
+                     coeffs_F)
 from .suite import _identity_rows, run_suite
 from .theorems import (SPECS, PredicateId, evaluate, evaluate_with_crosscheck,
                        resolve)
@@ -175,14 +176,7 @@ def _cmd_grid(args) -> int:
     c = ClassParams(args.k, args.lam)
     r = _r_params(args, pid)
     spec, c = resolve(pid, c, r)
-    policy = TruncationPolicy(eps=args.eps)
-    if spec.series == "F":
-        f = coeffs_F(p, policy)
-    elif spec.series == "G":
-        f = coeffs_G(p, policy)
-    else:
-        n_top = choose_truncation(p, policy)
-        f = apply_operator_I(worst_case_R_coeffs(r, n_top), p)
+    f = spec.series(p, TruncationPolicy(eps=args.eps), r)
     spec_kwargs = {}
     if args.radii is not None:
         try:

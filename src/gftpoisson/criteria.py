@@ -1,10 +1,13 @@
 """Coefficient-sum membership criteria for negative-tail series.
 
 A normalized series z - sum b_n z^n lies in S(k,lambda) exactly when
-sum w_S(n) b_n <= 2k with w_S(n) = n((1-lambda)+k(1+lambda)) - (1-lambda)(1-k),
-and in C(k,lambda) exactly when the same holds for w_C(n) = n w_S(n).
-For the class R^tau(A,B) the n-th coefficient of any member is bounded by
-(A-B)|tau|/n; the sequence saturating that bound drives the operator theorems.
+sum w_S(n) b_n <= 2k with w_S(n) = n P - Q, P = (1-lambda)+k(1+lambda) and
+Q = (1-lambda)(1-k), and in C(k,lambda) exactly when the same holds for
+w_C(n) = n w_S(n).  lemma_sum returns the truncated sum only: the weights
+grow with n, so a bound on sum_{n>N} b_n is no bound on the weighted tail,
+and no verdict is drawn from it.  For the class R^tau(A,B) the n-th
+coefficient of any member is bounded by (A-B)|tau|/n; the sequence
+saturating that bound drives the operator theorems.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .series import CoefficientSeq, SignConvention
+from .series import CoefficientSeq, SignConvention, _is_real
 
 # Verdicts within this absolute band around lhs = 2k are Marginal: the sharp
 # boundary cases sit exactly on the line and floats cannot adjudicate equality.
@@ -33,11 +36,6 @@ class SumWhich(enum.Enum):
     C = "C"
 
 
-def _is_real(x) -> bool:
-    # bool is an int subclass, but True is no spelling of k = 1
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 @dataclass(frozen=True)
 class ClassParams:
     """The pair (k, lambda) with 0 < k <= 1 and 0 <= lambda < 1."""
@@ -52,6 +50,16 @@ class ClassParams:
             raise DomainError(f"lambda must be in [0,1), got {self.lam!r}")
         object.__setattr__(self, "k", float(self.k))
         object.__setattr__(self, "lam", float(self.lam))
+
+    @property
+    def P(self) -> float:
+        """(1 - lambda) + k (1 + lambda), the slope of w_S(n) = n P - Q."""
+        return (1 - self.lam) + self.k * (1 + self.lam)
+
+    @property
+    def Q(self) -> float:
+        """(1 - lambda)(1 - k), the offset of w_S(n) = n P - Q."""
+        return (1 - self.lam) * (1 - self.k)
 
 
 @dataclass(frozen=True)
@@ -108,41 +116,26 @@ def classify(margin: float, band: float = BOUNDARY_TOL) -> Verdict:
 def weight_S(n: int, c: ClassParams) -> float:
     if n < 2:
         raise DomainError(f"weights start at n=2, got {n}")
-    return n * ((1 - c.lam) + c.k * (1 + c.lam)) - (1 - c.lam) * (1 - c.k)
+    return n * c.P - c.Q
 
 
 def weight_C(n: int, c: ClassParams) -> float:
     return n * weight_S(n, c)
 
 
-_WEIGHTS = {SumWhich.S: weight_S, SumWhich.C: weight_C}
+def lemma_sum(f: CoefficientSeq, c: ClassParams, which: SumWhich = SumWhich.S) -> float:
+    """The truncated weighted sum sum_{n=2}^{N} w(n) b_n, to compare with 2k.
 
-
-def lemma_sum(f: CoefficientSeq, c: ClassParams,
-              which: SumWhich = SumWhich.S) -> tuple[float, MembershipReport]:
-    """Weighted coefficient sum and its verdict against 2k.
-
-    The truncated sum underestimates the infinite one; the omitted tail is
-    estimated by weight(N+1) * tail_bound and widens the Marginal band so that
-    Holds stays conservative.
+    The sum omits sum_{n>N} w(n) b_n.  f.tail_bound bounds sum_{n>N} b_n, and
+    w(N+1) times it is no bound on the weighted tail when w grows.
     """
     if f.convention is not SignConvention.NEGATIVE_TAIL:
         raise DomainError("the coefficient criteria apply to negative-tail series only")
     # weight_S(n) = n P - Q and weight_C(n) = n weight_S(n), in their operation order
-    P = (1 - c.lam) + c.k * (1 + c.lam)
-    Q = (1 - c.lam) * (1 - c.k)
+    P, Q = c.P, c.Q
     if which is SumWhich.S:
-        lhs = math.fsum((n * P - Q) * b for n, b in enumerate(f.coefficients, 2))
-    else:
-        lhs = math.fsum((n * (n * P - Q)) * b for n, b in enumerate(f.coefficients, 2))
-    w = _WEIGHTS[which]
-    rhs = 2 * c.k
-    band = BOUNDARY_TOL + w(f.truncation_order + 1, c) * f.tail_bound
-    report = MembershipReport(predicate=f"lemma_{which.value}",
-                              verdict=classify(rhs - lhs, band),
-                              lhs=lhs, rhs=rhs, margin=rhs - lhs,
-                              truncation_order=f.truncation_order)
-    return lhs, report
+        return math.fsum((n * P - Q) * b for n, b in enumerate(f.coefficients, 2))
+    return math.fsum((n * (n * P - Q)) * b for n, b in enumerate(f.coefficients, 2))
 
 
 # ---- coefficient bound for R^tau(A,B) ----
@@ -155,7 +148,11 @@ def dixit_pal_bound(n: int, r: RParams) -> float:
 
 
 def worst_case_R_coeffs(r: RParams, N: int) -> CoefficientSeq:
-    """General-tail sequence saturating the coefficient bound up to order N."""
+    """General-tail sequence saturating the coefficient bound up to order N.
+
+    Its tail_bound of 0.0 is no bound: the omitted sum_{n>N} (A-B)|tau|/n
+    diverges.
+    """
     if N < 2:
         raise DomainError(f"need N >= 2, got {N}")
     return CoefficientSeq(SignConvention.GENERAL_TAIL,

@@ -7,9 +7,9 @@ open disk.  The C-condition applies the same quotient to z f'(z), and the
 R-condition is |f'-1| / |(A-B) tau - B (f'-1)| against threshold 1.  Grid
 sampling reports the maximum, its location, and the count of violations.
 
-A grid builds its series' table once: the pairs (b_n, n b_n) from n = N down
-to 2, where n b_n is the same int-by-coefficient product that the z f' map
-forms.  Each point then runs one Horner loop that carries f and f'
+A grid builds its series' table once, straight from the coefficients: the
+pairs (b_n, n b_n) from n = N down to 2, or (n b_n, n (n b_n)) for the z f'
+of the C-condition.  Each point then runs one Horner loop that carries f and f'
 together (Knuth, TAOCP vol. 2, sec. 4.6.4), each accumulator in the operation
 order of eval_series and eval_deriv, so every value matches theirs bit for
 bit; the R-condition uses only the n b_n half.  The public condition values
@@ -25,9 +25,9 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .criteria import ClassParams, RParams, _is_real
+from .criteria import ClassParams, RParams
 from .errors import DomainError
-from .series import CoefficientSeq, SignConvention
+from .series import CoefficientSeq, SignConvention, _is_real
 
 DEFAULT_RADII = (0.25, 0.5, 0.75, 0.9)
 DEFAULT_POINTS = 256
@@ -85,12 +85,14 @@ def _require_in_disk(z: complex) -> complex:
     return z
 
 
-def _pair_table(f: CoefficientSeq) -> tuple[bool, tuple]:
-    """(negative tail?, pairs (coeff_n, n * coeff_n) for n = N down to 2)."""
-    top = f.truncation_order
-    return (f.convention is SignConvention.NEGATIVE_TAIL,
-            tuple((coeff, (top - i) * coeff)
-                  for i, coeff in enumerate(reversed(f.coefficients))))
+def _pair_table(f: CoefficientSeq, zfprime: bool = False) -> tuple[bool, tuple]:
+    """(negative tail?, pairs (a_n, n * a_n) for n = N down to 2), where a_n is
+    coeff_n, or n * coeff_n for the series z f' of the C-condition."""
+    pairs = []
+    for n, coeff in zip(range(f.truncation_order, 1, -1), reversed(f.coefficients)):
+        a = n * coeff if zfprime else coeff
+        pairs.append((a, n * a))
+    return f.convention is SignConvention.NEGATIVE_TAIL, tuple(pairs)
 
 
 def _horner_pair(table: tuple[bool, tuple], z: complex) -> tuple[complex, complex]:
@@ -129,14 +131,6 @@ def eval_deriv(f: CoefficientSeq, z: complex) -> complex:
     return _horner_deriv(_pair_table(f), _require_in_disk(z))
 
 
-def _zfprime(f: CoefficientSeq) -> CoefficientSeq:
-    """Coefficient map of g = z f': coefficient n becomes n * coeff_n."""
-    coeffs = tuple(n * f.coefficients[n - 2] for n in range(2, f.truncation_order + 1))
-    # linear-growth estimate for the transformed tail
-    return CoefficientSeq(f.convention, coeffs,
-                          (f.truncation_order + 1) * f.tail_bound, f.m)
-
-
 # ---- condition values ----
 
 def _s_value(table: tuple[bool, tuple], z: complex, lam: float,
@@ -173,7 +167,8 @@ def s_condition_value(f: CoefficientSeq, z: complex, c: ClassParams,
 def c_condition_value(f: CoefficientSeq, z: complex, c: ClassParams,
                       denominator_floor: float = DEFAULT_FLOOR) -> tuple[float, bool]:
     """S-condition value of z f'(z)."""
-    return s_condition_value(_zfprime(f), z, c, denominator_floor)
+    return _s_value(_pair_table(f, zfprime=True), _require_in_disk(z), c.lam,
+                    denominator_floor)
 
 
 def r_condition_value(f: CoefficientSeq, z: complex, r: RParams,
@@ -203,7 +198,7 @@ def grid_check(f: CoefficientSeq, condition: ConditionId, params,
             raise DomainError("S/C conditions require ClassParams")
         threshold = params.k
         # the C-condition is the S-condition of z f', built once per grid
-        table = _pair_table(f if condition is ConditionId.S_COND else _zfprime(f))
+        table = _pair_table(f, zfprime=condition is ConditionId.C_COND)
         value_at = lambda z: _s_value(table, z, params.lam, grid.denominator_floor)
 
     max_value = -math.inf

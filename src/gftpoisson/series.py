@@ -21,6 +21,11 @@ from typing import Callable, NamedTuple
 from .errors import DomainError, TruncationNotReached
 
 
+def _is_real(x) -> bool:
+    # bool is an int subclass, but True is no spelling of 1
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 class SignConvention(enum.Enum):
     NEGATIVE_TAIL = "negative"   # f(z) = z - sum b_n z^n, b_n >= 0
     GENERAL_TAIL = "general"     # f(z) = z + sum a_n z^n, a_n complex
@@ -41,8 +46,7 @@ class PoissonParams:
     m: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.m, (int, float)) and not isinstance(self.m, bool)
-                and math.isfinite(self.m) and self.m > 0):
+        if not (_is_real(self.m) and math.isfinite(self.m) and self.m > 0):
             raise DomainError(f"m must be a finite positive real, got {self.m!r}")
         object.__setattr__(self, "m", float(self.m))
 
@@ -55,9 +59,9 @@ class TruncationPolicy:
     n_max: int = 10_000
 
     def __post_init__(self) -> None:
-        if not (self.eps > 0 and math.isfinite(self.eps)):
+        if not (_is_real(self.eps) and self.eps > 0 and math.isfinite(self.eps)):
             raise DomainError(f"eps must be finite and positive, got {self.eps!r}")
-        if not self.n_max >= 2:
+        if not (_is_real(self.n_max) and self.n_max >= 2):
             raise DomainError(f"need n_max >= 2, got {self.n_max!r}")
 
 

@@ -16,11 +16,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .criteria import (ClassParams, MembershipReport, RParams, SumWhich,
-                       classify, lemma_sum, worst_case_R_coeffs)
+                       classify, lemma_sum)
 from .disk import ConditionId
 from .errors import MissingRParams
-from .series import (CoefficientSeq, PoissonParams, TruncationPolicy,
-                     apply_operator_I, choose_truncation, coeffs_F, coeffs_G)
+from .series import (CoefficientSeq, PoissonParams, SignConvention,
+                     TruncationPolicy, _weights, coeffs_F, coeffs_G)
 
 # math.exp overflows just past 709; beyond this every predicate fails anyway
 _EXP_GUARD = 700.0
@@ -39,10 +39,6 @@ class PredicateId(enum.Enum):
     C4_I_in_Ck = "C4_I_in_Ck"
     C5_G_in_Ck = "C5_G_in_Ck"
     C6_G_in_Sk = "C6_G_in_Sk"
-
-
-def _p_factor(c: ClassParams) -> float:
-    return (1 - c.lam) + c.k * (1 + c.lam)
 
 
 def _q_factor(c: ClassParams) -> float:
@@ -78,18 +74,18 @@ def _lambert_w0(x: float) -> float:
 def t1_lhs(p: PoissonParams, c: ClassParams) -> float:
     if p.m > _EXP_GUARD:
         return math.inf
-    return _p_factor(c) * p.m * math.exp(p.m)
+    return c.P * p.m * math.exp(p.m)
 
 
 def t2_lhs(p: PoissonParams, c: ClassParams) -> float:
     if p.m > _EXP_GUARD:
         return math.inf
     me = p.m * math.exp(p.m)
-    return _p_factor(c) * p.m * me + 2 * _q_factor(c) * me
+    return c.P * p.m * me + 2 * _q_factor(c) * me
 
 
 def t4_lhs(p: PoissonParams, c: ClassParams) -> float:
-    return (_p_factor(c) * (-math.expm1(-p.m))
+    return (c.P * (-math.expm1(-p.m))
             + (1 - c.lam) * (c.k - 1) * _g_tail_ratio(p.m))
 
 
@@ -99,7 +95,7 @@ def t5_lhs(p: PoissonParams, c: ClassParams, r: RParams) -> float:
 
 
 def t6_lhs(p: PoissonParams, c: ClassParams, r: RParams) -> float:
-    return r.scale * (_p_factor(c) * p.m + 2 * c.k * (-math.expm1(-p.m)))
+    return r.scale * (c.P * p.m + 2 * c.k * (-math.expm1(-p.m)))
 
 
 # ---- the six theorems ----
@@ -112,18 +108,18 @@ class PredicateSpec:
     is the same quantity on the scale of the weighted coefficient sum, mapped
     there by exact algebra rather than through a factor of e^m; the
     cross-check recomputes it as the `weights` sum of sum_coeffs(p, policy, r).
-    series ("F", "G" or "I") and condition name the function and the disk
-    inequality the theorem is about.  needs_r marks the theorems that take
-    (A, B, tau).  limit(c, r) is the value a bounded left-hand side tends to
-    as m grows, computed in the floats lhs reaches there, and None for an
-    unbounded one.  root(c, r) is the crossing in closed form where there is
-    one: lhs = P m e^m meets 2k at m* = W(2k/P), with W Lambert's function;
-    None elsewhere.  It is a float estimate the solver verifies, not a proof.
+    series(p, policy, r) builds the function the theorem is about (F, G or the
+    image I of the extremal R^tau(A,B) member), and condition names its disk
+    inequality.  needs_r marks the theorems that take (A, B, tau).  limit(c, r)
+    is the value a bounded left-hand side tends to as m grows, computed in the
+    floats lhs reaches there, and None for an unbounded one.  root(c, r) is the
+    crossing in closed form where there is one: lhs = P m e^m meets 2k at
+    m* = W(2k/P), with W Lambert's function; None elsewhere.  It is a float estimate the solver verifies, not a proof.
     """
 
     theorem: PredicateId
     corollary: PredicateId
-    series: str
+    series: Callable[..., CoefficientSeq]
     condition: ConditionId
     weights: SumWhich
     needs_r: bool
@@ -135,12 +131,12 @@ class PredicateSpec:
 
 
 def _f_sum_scale_S(p: PoissonParams, c: ClassParams, r: RParams | None) -> float:
-    return _p_factor(c) * p.m + 2 * c.k * (-math.expm1(-p.m))
+    return c.P * p.m + 2 * c.k * (-math.expm1(-p.m))
 
 
 def _f_sum_scale_C(p: PoissonParams, c: ClassParams, r: RParams | None) -> float:
     m = p.m
-    return _p_factor(c) * m * m + 2 * _q_factor(c) * m + 2 * c.k * (-math.expm1(-m))
+    return c.P * m * m + 2 * _q_factor(c) * m + 2 * c.k * (-math.expm1(-m))
 
 
 def _none(c: ClassParams, r: RParams | None) -> None:
@@ -148,45 +144,54 @@ def _none(c: ClassParams, r: RParams | None) -> None:
 
 
 def _lambert_root(c: ClassParams, r: RParams | None) -> float:
-    return _lambert_w0(2 * c.k / _p_factor(c))
+    return _lambert_w0(2 * c.k / c.P)
 
 
-def _image_magnitudes(p: PoissonParams, policy: TruncationPolicy,
-                      r: RParams) -> CoefficientSeq:
-    """Coefficient magnitudes of I applied to the extremal R^tau(A,B) member."""
-    worst = worst_case_R_coeffs(r, choose_truncation(p, policy))
-    return apply_operator_I(worst, p).magnitudes()
+def _f(p: PoissonParams, policy: TruncationPolicy, r: RParams | None) -> CoefficientSeq:
+    return coeffs_F(p, policy)
+
+
+def _g(p: PoissonParams, policy: TruncationPolicy, r: RParams | None) -> CoefficientSeq:
+    return coeffs_G(p, policy)
+
+
+def _image(p: PoissonParams, policy: TruncationPolicy, r: RParams) -> CoefficientSeq:
+    """I applied to the extremal R^tau(A,B) member from one weight pass: the
+    products c_n (scale/n) of apply_operator_I on worst_case_R_coeffs, and
+    scale times coeffs_G's tail, since |I_n| is scale times G's coefficient."""
+    *w, omitted = _weights(p, policy)
+    scale = r.scale
+    return CoefficientSeq(SignConvention.GENERAL_TAIL,
+                          tuple(c * (scale / n) for n, c in enumerate(w, 2)),
+                          scale * (2.0 * omitted / (len(w) + 2)), p.m)
 
 
 _ROWS = (
-    PredicateSpec(PredicateId.T1_F_in_S, PredicateId.C1_F_in_Sk, "F",
+    PredicateSpec(PredicateId.T1_F_in_S, PredicateId.C1_F_in_Sk, _f,
                   ConditionId.S_COND, SumWhich.S, needs_r=False, limit=_none,
                   root=_lambert_root, lhs=lambda p, c, r: t1_lhs(p, c),
-                  sum_scale=_f_sum_scale_S,
-                  sum_coeffs=lambda p, policy, r: coeffs_F(p, policy)),
-    PredicateSpec(PredicateId.T2_F_in_C, PredicateId.C2_F_in_Ck, "F",
+                  sum_scale=_f_sum_scale_S, sum_coeffs=_f),
+    PredicateSpec(PredicateId.T2_F_in_C, PredicateId.C2_F_in_Ck, _f,
                   ConditionId.C_COND, SumWhich.C, needs_r=False, limit=_none,
                   root=_none, lhs=lambda p, c, r: t2_lhs(p, c),
-                  sum_scale=_f_sum_scale_C,
-                  sum_coeffs=lambda p, policy, r: coeffs_F(p, policy)),
+                  sum_scale=_f_sum_scale_C, sum_coeffs=_f),
     # G in C has the same weighted sum as F in S (n b_n^G = b_n^F)
-    PredicateSpec(PredicateId.T3_G_in_C, PredicateId.C5_G_in_Ck, "G",
+    PredicateSpec(PredicateId.T3_G_in_C, PredicateId.C5_G_in_Ck, _g,
                   ConditionId.C_COND, SumWhich.S, needs_r=False, limit=_none,
                   root=_lambert_root, lhs=lambda p, c, r: t1_lhs(p, c),
-                  sum_scale=_f_sum_scale_S,
-                  sum_coeffs=lambda p, policy, r: coeffs_F(p, policy)),
-    PredicateSpec(PredicateId.T4_G_in_S, PredicateId.C6_G_in_Sk, "G",
+                  sum_scale=_f_sum_scale_S, sum_coeffs=_f),
+    PredicateSpec(PredicateId.T4_G_in_S, PredicateId.C6_G_in_Sk, _g,
                   ConditionId.S_COND, SumWhich.S, needs_r=False,
-                  limit=lambda c, r: _p_factor(c), root=_none,
+                  limit=lambda c, r: c.P, root=_none,
                   lhs=lambda p, c, r: t4_lhs(p, c),
-                  sum_scale=lambda p, c, r: t4_lhs(p, c),
-                  sum_coeffs=lambda p, policy, r: coeffs_G(p, policy)),
-    PredicateSpec(PredicateId.T5_I_in_S, PredicateId.C3_I_in_Sk, "I",
+                  sum_scale=lambda p, c, r: t4_lhs(p, c), sum_coeffs=_g),
+    PredicateSpec(PredicateId.T5_I_in_S, PredicateId.C3_I_in_Sk, _image,
                   ConditionId.S_COND, SumWhich.S, needs_r=True,
-                  limit=lambda c, r: r.scale * _p_factor(c), root=_none,
-                  lhs=t5_lhs, sum_scale=t5_lhs, sum_coeffs=_image_magnitudes),
+                  limit=lambda c, r: r.scale * c.P, root=_none,
+                  lhs=t5_lhs, sum_scale=t5_lhs,
+                  sum_coeffs=lambda p, policy, r: _image(p, policy, r).magnitudes()),
     # |I_n| = scale * e^{-m} m^{n-1}/n!, so the sum runs over scale * G
-    PredicateSpec(PredicateId.T6_I_in_C, PredicateId.C4_I_in_Ck, "I",
+    PredicateSpec(PredicateId.T6_I_in_C, PredicateId.C4_I_in_Ck, _image,
                   ConditionId.C_COND, SumWhich.C, needs_r=True, limit=_none,
                   root=_none, lhs=t6_lhs, sum_scale=t6_lhs,
                   sum_coeffs=lambda p, policy, r: coeffs_G(p, policy).scaled(r.scale)),
@@ -240,7 +245,7 @@ def _crosscheck_detail(pid: PredicateId, p: PoissonParams, c: ClassParams,
     row, c = resolve(pid, c, r)
     closed = row.sum_scale(p, c, r)
     seq = row.sum_coeffs(p, policy, r)
-    return abs(closed - lemma_sum(seq, c, row.weights)[0]), seq.truncation_order
+    return abs(closed - lemma_sum(seq, c, row.weights)), seq.truncation_order
 
 
 def crosscheck(pid: PredicateId, p: PoissonParams, c: ClassParams,

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .criteria import ClassParams, RParams
 from .errors import InvalidTolerance
-from .series import PoissonParams
+from .series import PoissonParams, _is_real
 # evaluate is not called here, but bench/test_tracer.py wraps it under this name
 from .theorems import PredicateId, _margin, evaluate, resolve  # noqa: F401
 
@@ -65,7 +65,7 @@ def _finite(pid: PredicateId, m: float, lo: float, hi: float,
 def solve_m_star(pid: PredicateId, c: ClassParams, r: RParams | None = None,
                  tol: float = 1e-10) -> ThresholdResult:
     """Locate the membership boundary in m for fixed class parameters."""
-    if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0):
+    if not (_is_real(tol) and math.isfinite(tol) and tol > 0):
         raise InvalidTolerance(f"tol must be finite and positive, got {tol!r}")
     row, c = resolve(pid, c, r)
     limit = row.limit(c, r)

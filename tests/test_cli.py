@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from gftpoisson import series
 from gftpoisson.cli import (EXIT_FAILS, EXIT_HOLDS, EXIT_MARGINAL,
                             EXIT_NUMERIC, EXIT_USAGE, main)
 
@@ -343,3 +344,14 @@ def test_module_entry_point_subprocess():
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "Holds"
+
+
+# the I image is built from one pass of the Poisson weight recurrence
+@pytest.mark.parametrize("command", ["crosscheck", "grid"])
+def test_t5_series_route_runs_the_weight_recurrence_once(capsys, monkeypatch, command):
+    first, calls = series._first_weight, []
+    monkeypatch.setattr(series, "_first_weight", lambda m: calls.append(m) or first(m))
+    code = run_cli(capsys, command, "--predicate", "T5_I_in_S", "--m", "2",
+                   "--k", "0.5", "--A", "1", "--B", "-1")[0]
+    assert code in (EXIT_HOLDS, EXIT_FAILS)
+    assert calls == [2.0]

@@ -11,6 +11,7 @@ from gftpoisson import (ClassParams, CoefficientSeq, ConditionId, DomainError,
                         coeffs_F, coeffs_G, eval_deriv, eval_series,
                         grid_check, r_condition_value, s_condition_value,
                         worst_case_R_coeffs)
+from gftpoisson.theorems import SPECS, PredicateId
 
 POLICY = TruncationPolicy(eps=1e-12)
 IDENTITY = CoefficientSeq(SignConvention.NEGATIVE_TAIL, (0.0,), 0.0)
@@ -321,6 +322,21 @@ def test_grid_check_equals_public_condition_values(kind, condition, m, scale, k,
                     denominator_floor=10.0 ** floor_exp)
     report = grid_check(f, condition, params, grid)
     assert _report_tuple(report) == _recomputed(f, condition, params, grid)
+
+
+@pytest.mark.parametrize("pid", [PredicateId.T1_F_in_S, PredicateId.T4_G_in_S,
+                                 PredicateId.T5_I_in_S], ids=["F", "G", "I"])
+def test_c_grid_is_the_s_grid_of_z_fprime(pid):
+    r = RParams(A=1.0, B=-0.5, tau=0.3 + 0.4j)
+    f = SPECS[pid].series(PoissonParams(2.5), POLICY, r)
+    zf = CoefficientSeq(f.convention,
+                        tuple(n * a for n, a in enumerate(f.coefficients, 2)), 0.0)
+    c = ClassParams(k=0.6, lam=0.3)
+    grid = GridSpec(points_per_circle=64)
+    assert (_report_tuple(grid_check(f, ConditionId.C_COND, c, grid))
+            == _report_tuple(grid_check(zf, ConditionId.S_COND, c, grid)))
+    z = 0.5 + 0.6j
+    assert c_condition_value(f, z, c) == s_condition_value(zf, z, c)
 
 
 @pytest.mark.parametrize("condition", list(ConditionId))

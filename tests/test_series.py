@@ -43,6 +43,13 @@ def test_truncation_policy_rejects_bad_orders():
         TruncationPolicy(eps=0.0)
 
 
+@pytest.mark.parametrize("kwargs", [{"eps": True}, {"eps": "1e-12"}, {"n_max": "50"}],
+                         ids=["eps-bool", "eps-str", "n_max-str"])
+def test_truncation_policy_rejects_what_is_no_real_number(kwargs):
+    with pytest.raises(DomainError):
+        TruncationPolicy(**kwargs)
+
+
 # ---- Poisson coefficients e^{-m} m^{n-1}/(n-1)!, read off coeffs_F ----
 
 # eps this small takes N past n = 20 for every m below

@@ -1,15 +1,18 @@
+import cmath
 import math
 import random
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gftpoisson import (ClassParams, MissingRParams, PoissonParams,
-                        PredicateId, RParams, Verdict, classify, crosscheck,
-                        evaluate, evaluate_with_crosscheck, t1_lhs, t2_lhs,
-                        t4_lhs, t5_lhs, t6_lhs)
-from gftpoisson.theorems import _margin, resolve
+                        PredicateId, RParams, TruncationPolicy, Verdict,
+                        apply_operator_I, choose_truncation, classify,
+                        crosscheck, evaluate, evaluate_with_crosscheck, t1_lhs,
+                        t2_lhs, t4_lhs, t5_lhs, t6_lhs, worst_case_R_coeffs)
+from gftpoisson.theorems import SPECS, _margin, resolve
 
 ks = st.floats(min_value=1e-6, max_value=1.0)
 lams = st.floats(min_value=0.0, max_value=0.999)
@@ -253,3 +256,42 @@ def test_evaluate_with_crosscheck_report_fields():
     assert set(d) == {"predicate", "verdict", "lhs", "rhs", "margin",
                       "residual", "N"}
     assert d["predicate"] == "T1_F_in_S"
+
+
+# ---- the series column ----
+
+r_params = st.builds(
+    lambda b, gap, rho, theta: RParams(A=min(1.0, b + gap), B=b,
+                                       tau=cmath.rect(rho, theta)),
+    st.floats(-1.0, 0.9), st.floats(0.05, 1.0), st.floats(0.05, 2.0),
+    st.floats(0.0, 2 * math.pi))
+IMAGE = SPECS[PredicateId.T5_I_in_S].series
+
+
+@given(m=st.floats(1e-3, 700.0), eps_exp=st.floats(-15.0, -3.0), r=r_params)
+@settings(max_examples=100, deadline=None)
+def test_image_builder_equals_the_operator_on_the_extremal_member(m, eps_exp, r):
+    p, policy = PoissonParams(m), TruncationPolicy(eps=10.0 ** eps_exp)
+    image = IMAGE(p, policy, r)
+    via_operator = apply_operator_I(worst_case_R_coeffs(r, choose_truncation(p, policy)), p)
+    assert image.convention is via_operator.convention
+    assert image.m == via_operator.m
+    assert image.coefficients == via_operator.coefficients
+
+
+@given(m=st.floats(1e-3, 600.0), eps_exp=st.floats(-15.0, -3.0), r=r_params)
+@settings(max_examples=60, deadline=None)
+def test_image_tail_bound_covers_the_true_tail(m, eps_exp, r):
+    f = IMAGE(PoissonParams(m), TruncationPolicy(eps=10.0 ** eps_exp), r)
+    top = f.truncation_order
+    with mpmath.workdps(50):
+        mm = mpmath.mpf(m)
+        # |I_n| = scale e^{-m} m^{n-1}/n!, summed over n > N until the terms vanish
+        term = mpmath.exp(-mm + top * mpmath.log(mm) - mpmath.loggamma(top + 2))
+        tail, n = mpmath.mpf(0), top + 1
+        while term > tail * mpmath.mpf(10) ** -52:
+            tail += term
+            n += 1
+            term *= mm / n
+        true_tail = mpmath.mpf(r.scale) * tail
+    assert 0 < true_tail <= f.tail_bound

@@ -239,7 +239,7 @@ def test_corollary_threshold_matches_parent():
     assert res_c.m_star == pytest.approx(res_p.m_star, abs=1e-10)
 
 
-@pytest.mark.parametrize("bad", [0.0, -1e-10, math.inf, math.nan])
+@pytest.mark.parametrize("bad", [0.0, -1e-10, math.inf, math.nan, True])
 def test_rejects_bad_tolerance(bad):
     with pytest.raises(InvalidTolerance):
         solve_m_star(PredicateId.T1_F_in_S, K1, tol=bad)
