@@ -10,10 +10,10 @@ sampling reports the maximum, its location, and the count of violations.
 A grid builds its series' table once, straight from the coefficients: the
 pairs (b_n, n b_n) from n = N down to 2, or (n b_n, n (n b_n)) for the z f'
 of the C-condition.  Each point then runs one Horner loop that carries f and f'
-together (Knuth, TAOCP vol. 2, sec. 4.6.4), each accumulator in the operation
-order of eval_series and eval_deriv, so every value matches theirs bit for
-bit; the R-condition uses only the n b_n half.  The public condition values
-go through the same helpers.  Each grid point is tested once for |z| < 1,
+together (Knuth, TAOCP vol. 2, sec. 4.6.4), the f accumulator in the operation
+order of eval_series, so f matches it bit for bit; eval_deriv and the
+R-condition read the f' of the same loop.  The public condition values go
+through the same helpers.  Each grid point is tested once for |z| < 1,
 since a radius one ulp below 1 is accepted by GridSpec and cmath.rect may
 round it out.
 """
@@ -96,7 +96,7 @@ def _pair_table(f: CoefficientSeq, zfprime: bool = False) -> tuple[bool, tuple]:
 
 
 def _horner_pair(table: tuple[bool, tuple], z: complex) -> tuple[complex, complex]:
-    """(f(z), f'(z)) in one pass, each in eval_series's and eval_deriv's order."""
+    """(f(z), f'(z)) in one pass, f in eval_series's operation order."""
     negative, pairs = table
     acc = dacc = 0j
     for coeff, dcoeff in pairs:
@@ -105,15 +105,6 @@ def _horner_pair(table: tuple[bool, tuple], z: complex) -> tuple[complex, comple
     if negative:
         return z - acc * z * z, 1 - dacc * z
     return z + acc * z * z, 1 + dacc * z
-
-
-def _horner_deriv(table: tuple[bool, tuple], z: complex) -> complex:
-    """f'(z) from the n * coeff_n half of the table."""
-    negative, pairs = table
-    acc = 0j
-    for _, dcoeff in pairs:
-        acc = acc * z + dcoeff
-    return 1 - acc * z if negative else 1 + acc * z
 
 
 def eval_series(f: CoefficientSeq, z: complex) -> complex:
@@ -128,7 +119,7 @@ def eval_series(f: CoefficientSeq, z: complex) -> complex:
 
 def eval_deriv(f: CoefficientSeq, z: complex) -> complex:
     """f'(z) by Horner evaluation."""
-    return _horner_deriv(_pair_table(f), _require_in_disk(z))
+    return _horner_pair(_pair_table(f), _require_in_disk(z))[1]
 
 
 # ---- condition values ----
@@ -151,7 +142,7 @@ def _s_value(table: tuple[bool, tuple], z: complex, lam: float,
 
 def _r_value(table: tuple[bool, tuple], z: complex, r: RParams,
              denominator_floor: float) -> tuple[float, bool]:
-    d = _horner_deriv(table, z) - 1
+    d = _horner_pair(table, z)[1] - 1
     den = (r.A - r.B) * r.tau - r.B * d
     if abs(den) < denominator_floor:
         return 0.0, False

@@ -8,7 +8,7 @@ class DomainError(ValueError):
 
 
 class TruncationNotReached(RuntimeError):
-    """The tail-bound target could not be met within the order cap."""
+    """A series cannot be built: its first Poisson weight m e^-m is subnormal."""
 
 
 class MissingRParams(ValueError):

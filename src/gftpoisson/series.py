@@ -53,16 +53,13 @@ class PoissonParams:
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Target absolute tail error eps and a cap n_max on the order N."""
+    """Target absolute tail error eps; N < 2518 however small it is (see _weights)."""
 
     eps: float = 1e-12
-    n_max: int = 10_000
 
     def __post_init__(self) -> None:
         if not (_is_real(self.eps) and self.eps > 0 and math.isfinite(self.eps)):
             raise DomainError(f"eps must be finite and positive, got {self.eps!r}")
-        if not (_is_real(self.n_max) and self.n_max >= 2):
-            raise DomainError(f"need n_max >= 2, got {self.n_max!r}")
 
 
 @dataclass(frozen=True)
@@ -146,11 +143,14 @@ def _weights(p: PoissonParams, policy: TruncationPolicy) -> list:
     least 2 ceil(m) + 10; past that floor the weighted term ratio of n^2 c_n
     stays below 0.59, so the true tail is under 2 * N^2 * c_N once that
     quantity is below eps (safeguard factor 2).
+
+    N is bounded for every eps > 0: _first_weight accepts only m < 715, so the
+    floor is at most 1440, and past it each step multiplies c <= 1 by m/n < 1/2
+    (by a margin no rounding closes), so c underflows to 0, where the loop
+    stops, within 1077 steps.  So N < 2 ceil(m) + 10 + 1078 <= 2518.
     """
     m = p.m
     floor = 2 * math.ceil(m) + 10
-    if floor > policy.n_max:
-        raise TruncationNotReached(f"order floor {floor} exceeds cap n_max={policy.n_max}")
     c = _first_weight(m)
     out = [c]
     for n in range(2, floor):
@@ -158,9 +158,6 @@ def _weights(p: PoissonParams, policy: TruncationPolicy) -> list:
         out.append(c)
     n = floor
     while not 2.0 * (n ** 2) * c < policy.eps:
-        if n >= policy.n_max:
-            raise TruncationNotReached(
-                f"tail bound {policy.eps} not reached by n_max={policy.n_max}")
         c *= m / n
         n += 1
         out.append(c)

@@ -1,18 +1,18 @@
 """Closed-form membership predicates and their independent series cross-checks.
 
 Each predicate compares a closed-form left-hand side against 2k.  The
-cross-check recomputes the same quantity by truncated weighted summation of
-the underlying coefficients and reports the absolute difference.  To keep the
-comparison stable for large m, both routes are compared on the scale of the
-weighted coefficient sum itself (the closed form is mapped onto that scale by
-exact algebra), never through a factor of e^m.
+cross-check recomputes it as the weighted sum of the theorem's own series
+under its own condition's weights (Silverman's criterion) and reports the
+absolute difference.  To keep it stable for large m, both routes are compared
+on the scale of the weighted sum itself (the closed form is mapped onto that
+scale by exact algebra), never through a factor of e^m.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .criteria import (ClassParams, MembershipReport, RParams, SumWhich,
@@ -104,30 +104,29 @@ def t6_lhs(p: PoissonParams, c: ClassParams, r: RParams) -> float:
 class PredicateSpec:
     """One theorem, and its corollary at lambda = 0.
 
-    lhs(p, c, r) is the closed form compared against 2k.  sum_scale(p, c, r)
-    is the same quantity on the scale of the weighted coefficient sum, mapped
-    there by exact algebra rather than through a factor of e^m; the
-    cross-check recomputes it as the `weights` sum of sum_coeffs(p, policy, r).
-    series(p, policy, r) builds the function the theorem is about (F, G or the
-    image I of the extremal R^tau(A,B) member), and condition names its disk
-    inequality.  needs_r marks the theorems that take (A, B, tau).  limit(c, r)
+    lhs(p, c, r) is the closed form compared against 2k.  series(p, policy, r)
+    builds the function the theorem is about (F, G or the image I of the
+    extremal R^tau(A,B) member), and condition names its disk inequality, S or
+    C.  sum_scale(p, c, r) is lhs on the scale of the weighted coefficient sum,
+    mapped there by exact algebra rather than through a factor of e^m; the
+    cross-check recomputes it as the condition's weighted sum of series(p,
+    policy, r).  needs_r marks the theorems that take (A, B, tau).  limit(c, r)
     is the value a bounded left-hand side tends to as m grows, computed in the
     floats lhs reaches there, and None for an unbounded one.  root(c, r) is the
     crossing in closed form where there is one: lhs = P m e^m meets 2k at
-    m* = W(2k/P), with W Lambert's function; None elsewhere.  It is a float estimate the solver verifies, not a proof.
+    m* = W(2k/P), with W Lambert's function; None elsewhere.  It is a float
+    estimate the solver verifies, not a proof.
     """
 
     theorem: PredicateId
     corollary: PredicateId
     series: Callable[..., CoefficientSeq]
     condition: ConditionId
-    weights: SumWhich
     needs_r: bool
     limit: Callable[..., float | None]
     root: Callable[..., float | None]
     lhs: Callable[..., float]
     sum_scale: Callable[..., float]
-    sum_coeffs: Callable[..., CoefficientSeq]
 
 
 def _f_sum_scale_S(p: PoissonParams, c: ClassParams, r: RParams | None) -> float:
@@ -168,33 +167,29 @@ def _image(p: PoissonParams, policy: TruncationPolicy, r: RParams) -> Coefficien
 
 _ROWS = (
     PredicateSpec(PredicateId.T1_F_in_S, PredicateId.C1_F_in_Sk, _f,
-                  ConditionId.S_COND, SumWhich.S, needs_r=False, limit=_none,
+                  ConditionId.S_COND, needs_r=False, limit=_none,
                   root=_lambert_root, lhs=lambda p, c, r: t1_lhs(p, c),
-                  sum_scale=_f_sum_scale_S, sum_coeffs=_f),
+                  sum_scale=_f_sum_scale_S),
     PredicateSpec(PredicateId.T2_F_in_C, PredicateId.C2_F_in_Ck, _f,
-                  ConditionId.C_COND, SumWhich.C, needs_r=False, limit=_none,
+                  ConditionId.C_COND, needs_r=False, limit=_none,
                   root=_none, lhs=lambda p, c, r: t2_lhs(p, c),
-                  sum_scale=_f_sum_scale_C, sum_coeffs=_f),
-    # G in C has the same weighted sum as F in S (n b_n^G = b_n^F)
+                  sum_scale=_f_sum_scale_C),
     PredicateSpec(PredicateId.T3_G_in_C, PredicateId.C5_G_in_Ck, _g,
-                  ConditionId.C_COND, SumWhich.S, needs_r=False, limit=_none,
+                  ConditionId.C_COND, needs_r=False, limit=_none,
                   root=_lambert_root, lhs=lambda p, c, r: t1_lhs(p, c),
-                  sum_scale=_f_sum_scale_S, sum_coeffs=_f),
+                  sum_scale=_f_sum_scale_S),
     PredicateSpec(PredicateId.T4_G_in_S, PredicateId.C6_G_in_Sk, _g,
-                  ConditionId.S_COND, SumWhich.S, needs_r=False,
+                  ConditionId.S_COND, needs_r=False,
                   limit=lambda c, r: c.P, root=_none,
                   lhs=lambda p, c, r: t4_lhs(p, c),
-                  sum_scale=lambda p, c, r: t4_lhs(p, c), sum_coeffs=_g),
+                  sum_scale=lambda p, c, r: t4_lhs(p, c)),
     PredicateSpec(PredicateId.T5_I_in_S, PredicateId.C3_I_in_Sk, _image,
-                  ConditionId.S_COND, SumWhich.S, needs_r=True,
+                  ConditionId.S_COND, needs_r=True,
                   limit=lambda c, r: r.scale * c.P, root=_none,
-                  lhs=t5_lhs, sum_scale=t5_lhs,
-                  sum_coeffs=lambda p, policy, r: _image(p, policy, r).magnitudes()),
-    # |I_n| = scale * e^{-m} m^{n-1}/n!, so the sum runs over scale * G
+                  lhs=t5_lhs, sum_scale=t5_lhs),
     PredicateSpec(PredicateId.T6_I_in_C, PredicateId.C4_I_in_Ck, _image,
-                  ConditionId.C_COND, SumWhich.C, needs_r=True, limit=_none,
-                  root=_none, lhs=t6_lhs, sum_scale=t6_lhs,
-                  sum_coeffs=lambda p, policy, r: coeffs_G(p, policy).scaled(r.scale)),
+                  ConditionId.C_COND, needs_r=True, limit=_none,
+                  root=_none, lhs=t6_lhs, sum_scale=t6_lhs),
 )
 
 SPECS = {pid: row for row in _ROWS for pid in (row.theorem, row.corollary)}
@@ -239,13 +234,19 @@ def evaluate(pid: PredicateId, p: PoissonParams, c: ClassParams,
 
 # ---- independent cross-check ----
 
+# the coefficient weights of each disk condition's membership criterion
+_WEIGHTS = {ConditionId.S_COND: SumWhich.S, ConditionId.C_COND: SumWhich.C}
+
+
 def _crosscheck_detail(pid: PredicateId, p: PoissonParams, c: ClassParams,
                        r: RParams | None,
                        policy: TruncationPolicy) -> tuple[float, int]:
     row, c = resolve(pid, c, r)
     closed = row.sum_scale(p, c, r)
-    seq = row.sum_coeffs(p, policy, r)
-    return abs(closed - lemma_sum(seq, c, row.weights)), seq.truncation_order
+    seq = row.series(p, policy, r)
+    if seq.convention is SignConvention.GENERAL_TAIL:
+        seq = seq.magnitudes()
+    return abs(closed - lemma_sum(seq, c, _WEIGHTS[row.condition])), seq.truncation_order
 
 
 def crosscheck(pid: PredicateId, p: PoissonParams, c: ClassParams,
@@ -260,8 +261,6 @@ def evaluate_with_crosscheck(pid: PredicateId, p: PoissonParams, c: ClassParams,
                              policy: TruncationPolicy = TruncationPolicy()
                              ) -> MembershipReport:
     """Membership report with the cross-check residual and order filled in."""
-    base = evaluate(pid, p, c, r)
     residual, n_top = _crosscheck_detail(pid, p, c, r, policy)
-    return MembershipReport(predicate=base.predicate, verdict=base.verdict,
-                            lhs=base.lhs, rhs=base.rhs, margin=base.margin,
-                            crosscheck_residual=residual, truncation_order=n_top)
+    return replace(evaluate(pid, p, c, r), crosscheck_residual=residual,
+                   truncation_order=n_top)

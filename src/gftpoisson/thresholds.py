@@ -4,7 +4,15 @@ A bounded left-hand side (the integral-companion S-conditions) tends to a
 known limit as m grows and never exceeds it, in floats too; when that limit
 is at most 2k the predicate holds for every m and no margin is evaluated.
 
-Every other predicate has a crossing.  Each margin comes from
+Every other predicate has a crossing, and only one, since every left-hand
+side increases strictly in m (in exact arithmetic); so the first sign change
+the solver finds is m*.  For T1, T2, T3 and T6 the left-hand side is a sum of
+products of positive increasing terms.  For T4 write t4 = P(1 - e^-m) - Q g(m)
+with g(m) = (1 - e^-m - m e^-m)/m.  Then g'(m) = (e^-m (m^2 + m + 1) - 1)/m^2
+<= e^-m, because 1 + m <= e^m.  Where g' >= 0, t4' = P e^-m - Q g' >=
+(P - Q) e^-m = 2k e^-m > 0; where g' < 0, t4' > P e^-m > 0.  T5 is scale * t4.
+
+Each margin comes from
 theorems._margin, 2k minus the row's closed form: the float evaluate()
 reports, so the solver and evaluate agree at every m.  Where the row gives
 the crossing in closed form (P m e^m = 2k at
@@ -107,7 +115,7 @@ def solve_m_star(pid: PredicateId, c: ClassParams, r: RParams | None = None,
 
     # ITP with kappa1 = 0.2 / width, kappa2 = 2, n0 = 1
     width = hi - lo
-    n_max = max(math.ceil(math.log2(width) - math.log2(tol)), 0) + 1
+    j_max = max(math.ceil(math.log2(width) - math.log2(tol)), 0) + 1
     j = 0
     while hi - lo >= tol:
         half = 0.5 * (lo + hi)
@@ -115,7 +123,7 @@ def solve_m_star(pid: PredicateId, c: ClassParams, r: RParams | None = None,
         sigma = 1.0 if half >= falsi else -1.0
         delta = 0.2 / width * (hi - lo) ** 2
         target = falsi + sigma * delta if delta <= abs(half - falsi) else half
-        radius = math.ldexp(tol, n_max - j - 1) - (hi - lo) / 2
+        radius = math.ldexp(tol, j_max - j - 1) - (hi - lo) / 2
         m = target if abs(target - half) <= radius else half - sigma * radius
         m = min(max(m, lo + min_step, math.nextafter(lo, hi)),
                 hi - min_step, math.nextafter(hi, lo))

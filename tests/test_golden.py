@@ -60,7 +60,7 @@ CASES = {
 
 GOLDEN = {
     "check": "d5ea35eed64f736144528cf7b816e5136fd14929149812d9bc4d8eb0b70c8a4d",
-    "crosscheck": "40eea0dd00865fc8caeee5db63cac7a2ce7af68e9e80600fab1c784f8a1ddf09",
+    "crosscheck": "c8adf09d21b1e849ec1800db5cf7e807026e44f99ca861ffd7b0c82f9adc3b8b",
     "threshold": "907d5d8a7a5a1c483f178a5818d01080190d17bf5abda2146620600379275ce6",
     "grid": "2275183c3a8eb1dfac0f96c1f470b2c8fc68dc06b2999fe817cb94a976bf3008",
     "identities": "d79a1d5a56b3709bcfc63893532b7f54c45bbc52457dae535191c431c97eae3b",

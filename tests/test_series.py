@@ -38,13 +38,11 @@ def test_coefficient_seq_rejects_bad_tail_bound():
 
 def test_truncation_policy_rejects_bad_orders():
     with pytest.raises(DomainError):
-        TruncationPolicy(eps=1e-12, n_max=1)
-    with pytest.raises(DomainError):
         TruncationPolicy(eps=0.0)
 
 
-@pytest.mark.parametrize("kwargs", [{"eps": True}, {"eps": "1e-12"}, {"n_max": "50"}],
-                         ids=["eps-bool", "eps-str", "n_max-str"])
+@pytest.mark.parametrize("kwargs", [{"eps": True}, {"eps": "1e-12"}],
+                         ids=["eps-bool", "eps-str"])
 def test_truncation_policy_rejects_what_is_no_real_number(kwargs):
     with pytest.raises(DomainError):
         TruncationPolicy(**kwargs)
@@ -239,13 +237,22 @@ def test_truncation_tail_guarantee_shift1_m3():
     assert abs(partial - closed) < policy.eps
 
 
-def test_truncation_not_reached_when_capped():
-    # cap below the order floor
+def test_order_stays_within_the_bound_at_the_smallest_eps():
+    # _weights: N < 2 ceil(m) + 10 + 1078 for every m the weight pass accepts,
+    # however small eps is
+    m = 714.9
+    n_top = choose_truncation(PoissonParams(m), TruncationPolicy(eps=5e-324))
+    assert 2 * math.ceil(m) + 10 <= n_top < 2 * math.ceil(m) + 10 + 1078
+    assert n_top < 2518
+
+
+@pytest.mark.parametrize("build", [choose_truncation, coeffs_F, coeffs_G],
+                         ids=["N", "F", "G"])
+def test_a_huge_m_is_refused_before_any_weight_loop(build):
+    # the order floor 2 ceil(m) + 10 is 2e300 here, so the first weight must be
+    # checked before the loop runs
     with pytest.raises(TruncationNotReached):
-        choose_truncation(PoissonParams(9.0), TruncationPolicy(eps=1e-12, n_max=20))
-    # cap hit inside the search loop
-    with pytest.raises(TruncationNotReached):
-        choose_truncation(PoissonParams(9.0), TruncationPolicy(eps=1e-300, n_max=40))
+        build(PoissonParams(1e300), TruncationPolicy(eps=5e-324))
 
 
 # m e^{-m} is subnormal from m = 715 on; the weights would start from a

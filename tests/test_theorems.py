@@ -4,15 +4,16 @@ import random
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gftpoisson import (ClassParams, MissingRParams, PoissonParams,
-                        PredicateId, RParams, TruncationPolicy, Verdict,
-                        apply_operator_I, choose_truncation, classify,
-                        crosscheck, evaluate, evaluate_with_crosscheck, t1_lhs,
-                        t2_lhs, t4_lhs, t5_lhs, t6_lhs, worst_case_R_coeffs)
-from gftpoisson.theorems import SPECS, _margin, resolve
+                        PredicateId, RParams, SumWhich, TruncationPolicy,
+                        Verdict, apply_operator_I, choose_truncation, classify,
+                        coeffs_G, crosscheck, evaluate, evaluate_with_crosscheck,
+                        lemma_sum, t1_lhs, t2_lhs, t4_lhs, t5_lhs, t6_lhs,
+                        worst_case_R_coeffs)
+from gftpoisson.theorems import SPECS, _image, _margin, resolve
 
 ks = st.floats(min_value=1e-6, max_value=1.0)
 lams = st.floats(min_value=0.0, max_value=0.999)
@@ -295,3 +296,31 @@ def test_image_tail_bound_covers_the_true_tail(m, eps_exp, r):
             term *= mm / n
         true_tail = mpmath.mpf(r.scale) * tail
     assert 0 < true_tail <= f.tail_bound
+
+
+# ---- each C row cross-checks its own series ----
+
+# G in C(k, lambda) and I in C(k, lambda): Silverman's criterion on G's and on
+# |I|'s own coefficients under the C-weights, not on F's under the S-weights
+C_ROWS = (PredicateId.T3_G_in_C, PredicateId.C5_G_in_Ck,
+          PredicateId.T6_I_in_C, PredicateId.C4_I_in_Ck)
+
+
+def _own_c_residual(pid, p, c, r, policy):
+    row, c = resolve(pid, c, r)
+    own = _image(p, policy, r).magnitudes() if row.needs_r else coeffs_G(p, policy)
+    return abs(row.sum_scale(p, c, r) - lemma_sum(own, c, SumWhich.C))
+
+
+@given(pid=st.sampled_from(C_ROWS), m=st.floats(1e-3, 700.0), k=ks, lam=lams,
+       r=r_params, eps_exp=st.floats(-15.0, -3.0))
+@settings(max_examples=200, deadline=None)
+# two points where F under the S-weights (for T3) and scale * G under the
+# C-weights (for T6) give another residual than the row's own series
+@example(pid=PredicateId.T3_G_in_C, m=1.0, k=0.5, lam=0.25, r=R_DEFAULT, eps_exp=-12.0)
+@example(pid=PredicateId.T6_I_in_C, m=2.0, k=0.9, lam=0.7,
+         r=RParams(A=0.5, B=-1.0, tau=-1.5), eps_exp=-12.0)
+def test_c_rows_crosscheck_their_own_series_under_c_weights(pid, m, k, lam, r, eps_exp):
+    p, c = PoissonParams(m), ClassParams(k=k, lam=lam)
+    policy = TruncationPolicy(eps=10.0 ** eps_exp)
+    assert crosscheck(pid, p, c, r, policy) == _own_c_residual(pid, p, c, r, policy)
