@@ -6,11 +6,11 @@ series summation and with direct sampling of the defining inequalities, so
 every claim can be checked by two routes.
 """
 
-from .criteria import (BOUNDARY_TOL, ClassParams, MembershipReport, RParams,
-                       SumWhich, Verdict, classify, dixit_pal_bound, lemma_sum,
+from .criteria import (BOUNDARY_TOL, ClassParams, ConditionId, MembershipReport,
+                       RParams, Verdict, classify, dixit_pal_bound, lemma_sum,
                        weight_C, weight_S, worst_case_R_coeffs)
-from .disk import (ConditionId, GridReport, GridSpec, c_condition_value,
-                   eval_deriv, eval_series, grid_check, r_condition_value,
+from .disk import (GridReport, GridSpec, c_condition_value, eval_deriv,
+                   eval_series, grid_check, r_condition_value,
                    s_condition_value)
 from .errors import (DomainError, InvalidTolerance, MissingRParams,
                      TruncationNotReached)
@@ -30,7 +30,7 @@ __all__ = [
     "BOUNDARY_TOL", "ClassParams", "CoefficientSeq", "ConditionId",
     "DomainError", "GridReport", "GridSpec", "InvalidTolerance",
     "MembershipReport", "MissingRParams", "Outcome", "PoissonParams",
-    "PredicateId", "RParams", "SignConvention", "SumKind", "SumWhich",
+    "PredicateId", "RParams", "SignConvention", "SumKind",
     "ThresholdResult", "TruncationNotReached", "TruncationPolicy", "Verdict",
     "apply_operator_I", "c_condition_value",
     "choose_truncation", "classify", "coeffs_F", "coeffs_G", "crosscheck",

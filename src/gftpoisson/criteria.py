@@ -1,10 +1,11 @@
-"""Coefficient-sum membership criteria for negative-tail series.
+"""Coefficient-sum membership criteria, one per disk condition.
 
-A normalized series z - sum b_n z^n lies in S(k,lambda) exactly when
-sum w_S(n) b_n <= 2k with w_S(n) = n P - Q, P = (1-lambda)+k(1+lambda) and
-Q = (1-lambda)(1-k), and in C(k,lambda) exactly when the same holds for
-w_C(n) = n w_S(n).  lemma_sum returns the truncated sum only: the weights
-grow with n, so a bound on sum_{n>N} b_n is no bound on the weighted tail,
+z -/+ sum coeff_n z^n lies in S(k,lambda) when sum w_S(n) |coeff_n| <= 2k with
+w_S(n) = n P - Q, P = (1-lambda)+k(1+lambda) and Q = (1-lambda)(1-k), and in
+C(k,lambda) when the same holds for w_C(n) = n w_S(n): necessary and
+sufficient for a negative tail, sufficient for a general one (Silverman, Proc.
+AMS 51, 1975).  lemma_sum returns the truncated sum only: the weights grow
+with n, so a bound on sum_{n>N} |coeff_n| is no bound on the weighted tail,
 and no verdict is drawn from it.  For the class R^tau(A,B) the n-th
 coefficient of any member is bounded by (A-B)|tau|/n; the sequence
 saturating that bound drives the operator theorems.
@@ -31,9 +32,10 @@ class Verdict(enum.Enum):
     MARGINAL = "Marginal"
 
 
-class SumWhich(enum.Enum):
-    S = "S"
-    C = "C"
+class ConditionId(enum.Enum):
+    S_COND = "S_cond"
+    C_COND = "C_cond"
+    R_COND = "R_cond"
 
 
 @dataclass(frozen=True)
@@ -104,9 +106,9 @@ class MembershipReport:
                 "residual": self.crosscheck_residual, "N": self.truncation_order}
 
 
-def classify(margin: float, band: float = BOUNDARY_TOL) -> Verdict:
-    """Verdict from the margin 2k - lhs with a Marginal band around zero."""
-    if abs(margin) <= band:
+def classify(margin: float) -> Verdict:
+    """Verdict from the margin 2k - lhs with the Marginal band BOUNDARY_TOL around zero."""
+    if abs(margin) <= BOUNDARY_TOL:
         return Verdict.MARGINAL
     return Verdict.HOLDS if margin > 0 else Verdict.FAILS
 
@@ -123,19 +125,20 @@ def weight_C(n: int, c: ClassParams) -> float:
     return n * weight_S(n, c)
 
 
-def lemma_sum(f: CoefficientSeq, c: ClassParams, which: SumWhich = SumWhich.S) -> float:
-    """The truncated weighted sum sum_{n=2}^{N} w(n) b_n, to compare with 2k.
+def lemma_sum(f: CoefficientSeq, c: ClassParams, condition: ConditionId) -> float:
+    """sum_{n=2}^{N} w(n) |coeff_n| with w = w_S for S_COND and w_C for C_COND,
+    to compare with 2k; any other condition has no criterion here.
 
-    The sum omits sum_{n>N} w(n) b_n.  f.tail_bound bounds sum_{n>N} b_n, and
-    w(N+1) times it is no bound on the weighted tail when w grows.
+    f.tail_bound bounds sum_{n>N} |coeff_n|, and w(N+1) times it is no bound
+    on the omitted weighted tail when w grows.
     """
-    if f.convention is not SignConvention.NEGATIVE_TAIL:
-        raise DomainError("the coefficient criteria apply to negative-tail series only")
     # weight_S(n) = n P - Q and weight_C(n) = n weight_S(n), in their operation order
     P, Q = c.P, c.Q
-    if which is SumWhich.S:
-        return math.fsum((n * P - Q) * b for n, b in enumerate(f.coefficients, 2))
-    return math.fsum((n * (n * P - Q)) * b for n, b in enumerate(f.coefficients, 2))
+    if condition is ConditionId.S_COND:
+        return math.fsum((n * P - Q) * abs(a) for n, a in enumerate(f.coefficients, 2))
+    if condition is ConditionId.C_COND:
+        return math.fsum((n * (n * P - Q)) * abs(a) for n, a in enumerate(f.coefficients, 2))
+    raise DomainError(f"no coefficient criterion for the condition {condition!r}")
 
 
 # ---- coefficient bound for R^tau(A,B) ----
@@ -156,5 +159,4 @@ def worst_case_R_coeffs(r: RParams, N: int) -> CoefficientSeq:
     if N < 2:
         raise DomainError(f"need N >= 2, got {N}")
     return CoefficientSeq(SignConvention.GENERAL_TAIL,
-                          tuple(dixit_pal_bound(n, r) for n in range(2, N + 1)),
-                          0.0, None)
+                          tuple(dixit_pal_bound(n, r) for n in range(2, N + 1)), 0.0)

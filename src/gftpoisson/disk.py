@@ -21,23 +21,16 @@ round it out.
 from __future__ import annotations
 
 import cmath
-import enum
 import math
 from dataclasses import dataclass
 
-from .criteria import ClassParams, RParams
+from .criteria import ClassParams, ConditionId, RParams
 from .errors import DomainError
 from .series import CoefficientSeq, SignConvention, _is_real
 
 DEFAULT_RADII = (0.25, 0.5, 0.75, 0.9)
 DEFAULT_POINTS = 256
 DEFAULT_FLOOR = 1e-12
-
-
-class ConditionId(enum.Enum):
-    S_COND = "S_cond"
-    C_COND = "C_cond"
-    R_COND = "R_cond"
 
 
 @dataclass(frozen=True)

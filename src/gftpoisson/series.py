@@ -68,14 +68,12 @@ class CoefficientSeq:
 
     coefficients[i] is the coefficient of z^(i+2); tail_bound bounds
     sum_{n>N} |coeff_n| of the underlying infinite series.  The leading
-    coefficient of z is implicitly 1.  m records the Poisson parameter the
-    sequence was built from, if any.
+    coefficient of z is implicitly 1.
     """
 
     convention: SignConvention
     coefficients: tuple
     tail_bound: float
-    m: float | None = None
 
     def __post_init__(self) -> None:
         coeffs = tuple(self.coefficients)
@@ -92,7 +90,7 @@ class CoefficientSeq:
         else:
             coeffs = tuple(complex(a) for a in coeffs)
         object.__setattr__(self, "coefficients", coeffs)
-        if not (isinstance(self.tail_bound, (int, float)) and self.tail_bound >= 0
+        if not (_is_real(self.tail_bound) and self.tail_bound >= 0
                 and math.isfinite(self.tail_bound)):
             raise DomainError(f"tail_bound must be finite and >= 0, got {self.tail_bound!r}")
         object.__setattr__(self, "tail_bound", float(self.tail_bound))
@@ -101,36 +99,15 @@ class CoefficientSeq:
     def truncation_order(self) -> int:
         return len(self.coefficients) + 1
 
-    def scaled(self, factor: float) -> "CoefficientSeq":
-        """Multiply every tail coefficient (and the tail bound) by factor >= 0."""
-        if factor < 0:
-            raise DomainError("scale factor must be >= 0")
-        return CoefficientSeq(self.convention,
-                              tuple(c * factor for c in self.coefficients),
-                              self.tail_bound * factor, self.m)
-
-    def magnitudes(self) -> "CoefficientSeq":
-        """Negative-tail sequence of coefficient magnitudes |coeff_n|."""
-        return CoefficientSeq(SignConvention.NEGATIVE_TAIL,
-                              tuple(abs(c) for c in self.coefficients),
-                              self.tail_bound, self.m)
-
-    def to_json_dict(self) -> dict:
-        if self.convention is SignConvention.NEGATIVE_TAIL:
-            coeffs = list(self.coefficients)
-        else:
-            coeffs = [[c.real, c.imag] for c in self.coefficients]
-        return {"convention": self.convention.value, "m": self.m,
-                "N": self.truncation_order, "coefficients": coeffs,
-                "tail_bound": self.tail_bound}
-
 
 # ---- Poisson coefficients ----
 
 def _first_weight(m: float) -> float:
     """c_2 = m e^{-m}, refused from m = 715 on, where it is subnormal and every
     weight and tail bound built on it would round towards 0."""
-    c = m * math.exp(-m)
+    e = math.exp(-m)
+    # e^{-m} is subnormal from m = 708.4 on and has lost bits; its halves have not
+    c = m * e if e >= sys.float_info.min else (m * math.exp(-m / 2)) * math.exp(-m / 2)
     if c < sys.float_info.min:
         raise TruncationNotReached(f"first Poisson weight m e^-m = {c!r} is subnormal at m={m!r}")
     return c
@@ -174,14 +151,14 @@ def coeffs_F(p: PoissonParams, policy: TruncationPolicy = TruncationPolicy()) ->
     """Negative-tail coefficients b_n = e^{-m} m^{n-1}/(n-1)! of F(m,z)."""
     *out, omitted = _weights(p, policy)
     # the term ratio past the floor is below 1/2
-    return CoefficientSeq(SignConvention.NEGATIVE_TAIL, tuple(out), 2.0 * omitted, p.m)
+    return CoefficientSeq(SignConvention.NEGATIVE_TAIL, tuple(out), 2.0 * omitted)
 
 
 def coeffs_G(p: PoissonParams, policy: TruncationPolicy = TruncationPolicy()) -> CoefficientSeq:
     """Negative-tail coefficients b_n = e^{-m} m^{n-1}/n! of the integral companion G."""
     *w, omitted = _weights(p, policy)
     out = tuple(c / n for n, c in enumerate(w, 2))
-    return CoefficientSeq(SignConvention.NEGATIVE_TAIL, out, 2.0 * omitted / (len(w) + 2), p.m)
+    return CoefficientSeq(SignConvention.NEGATIVE_TAIL, out, 2.0 * omitted / (len(w) + 2))
 
 
 def _pmf_max_beyond(p: PoissonParams, j0: int) -> float:
@@ -200,7 +177,7 @@ def apply_operator_I(f: CoefficientSeq, p: PoissonParams) -> CoefficientSeq:
     # every weight is a probability mass, so the tail shrinks by at least the
     # largest mass beyond the truncation order
     tail = f.tail_bound * _pmf_max_beyond(p, f.truncation_order)
-    return CoefficientSeq(f.convention, tuple(out), tail, p.m)
+    return CoefficientSeq(f.convention, tuple(out), tail)
 
 
 # ---- shifted exponential sums ----

@@ -12,8 +12,8 @@ import cmath
 import math
 import random
 
-from .criteria import ClassParams, RParams, Verdict, classify
-from .disk import ConditionId, GridSpec, _horner_pair, _pair_table, grid_check
+from .criteria import ClassParams, ConditionId, RParams, Verdict, classify
+from .disk import GridSpec, _horner_pair, _pair_table, grid_check
 from .serialize import fmt_float
 from .series import (PoissonParams, SumKind, TruncationPolicy,
                      choose_truncation, coeffs_F, coeffs_G, partial_shifted_sum,
@@ -33,6 +33,8 @@ BRACKET_REL_TOL = 1e-14
 
 EXTENDED_RADII = (0.25, 0.5, 0.75, 0.9, 0.999)
 WITNESS_EPS = 1e-14
+HOLD_MARGIN = 0.01
+FAIL_EXCESS = 0.10
 
 
 # ---- parameter draws ----
@@ -60,28 +62,28 @@ def _no_interior_pole(f, lam: float) -> bool:
     return (1 - lam) * fr.real / r + lam * dfr.real > 0
 
 
-def draw_t1_holding(rng: random.Random, rel_margin: float = 0.01):
-    """(p, c) with the F-series S-membership holding by at least rel_margin of 2k."""
+def draw_t1_holding(rng: random.Random):
+    """(p, c) with the F-series S-membership holding by at least HOLD_MARGIN of 2k."""
     while True:
         m = 10 ** rng.uniform(-3, 0)
         c = ClassParams(k=rng.uniform(0.05, 1.0), lam=rng.uniform(0.0, 0.95))
         p = PoissonParams(m)
-        if t1_lhs(p, c) <= (1 - rel_margin) * 2 * c.k:
+        if t1_lhs(p, c) <= (1 - HOLD_MARGIN) * 2 * c.k:
             return p, c
 
 
-def draw_t4_holding(rng: random.Random, rel_margin: float = 0.01):
-    """(p, c) with the integral-companion S-membership holding by rel_margin of 2k."""
+def draw_t4_holding(rng: random.Random):
+    """(p, c) with the integral-companion S-membership holding by HOLD_MARGIN of 2k."""
     while True:
         m = 10 ** rng.uniform(-3, 0.5)
         c = ClassParams(k=rng.uniform(0.05, 1.0), lam=rng.uniform(0.0, 0.95))
         p = PoissonParams(m)
-        if t4_lhs(p, c) <= (1 - rel_margin) * 2 * c.k:
+        if t4_lhs(p, c) <= (1 - HOLD_MARGIN) * 2 * c.k:
             return p, c
 
 
-def draw_t1_failing_radial(rng: random.Random, rel_excess: float = 0.10):
-    """(p, c, f) failing the F-series criterion by >= rel_excess, restricted to
+def draw_t1_failing_radial(rng: random.Random):
+    """(p, c, f) failing the F-series criterion by >= FAIL_EXCESS of 2k, restricted to
     draws whose condition denominator has no zero on the real segment, where
     the radial witness at 0.999 is guaranteed."""
     policy = TruncationPolicy(eps=WITNESS_EPS)
@@ -89,7 +91,7 @@ def draw_t1_failing_radial(rng: random.Random, rel_excess: float = 0.10):
         m = rng.uniform(1e-3, 10.0)
         c = ClassParams(k=rng.uniform(0.01, 1.0), lam=rng.uniform(0.0, 0.999))
         p = PoissonParams(m)
-        if t1_lhs(p, c) < (1 + rel_excess) * 2 * c.k:
+        if t1_lhs(p, c) < (1 + FAIL_EXCESS) * 2 * c.k:
             continue
         f = coeffs_F(p, policy)
         if _no_interior_pole(f, c.lam):

@@ -1,11 +1,12 @@
 """Closed-form membership predicates and their independent series cross-checks.
 
 Each predicate compares a closed-form left-hand side against 2k.  The
-cross-check recomputes it as the weighted sum of the theorem's own series
-under its own condition's weights (Silverman's criterion) and reports the
-absolute difference.  To keep it stable for large m, both routes are compared
-on the scale of the weighted sum itself (the closed form is mapped onto that
-scale by exact algebra), never through a factor of e^m.
+cross-check recomputes it as the weighted sum of |coeff_n| of the theorem's
+own series under its own condition's weights (Silverman's criterion: necessary
+and sufficient for F and G, sufficient for the general-tail image I) and
+reports the absolute difference.  To keep it stable for large m, both routes
+are compared on the scale of the weighted sum itself (the closed form is
+mapped onto that scale by exact algebra), never through a factor of e^m.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .criteria import (ClassParams, MembershipReport, RParams, SumWhich,
+from .criteria import (ClassParams, ConditionId, MembershipReport, RParams,
                        classify, lemma_sum)
-from .disk import ConditionId
 from .errors import MissingRParams
 from .series import (CoefficientSeq, PoissonParams, SignConvention,
                      TruncationPolicy, _weights, coeffs_F, coeffs_G)
@@ -162,7 +162,7 @@ def _image(p: PoissonParams, policy: TruncationPolicy, r: RParams) -> Coefficien
     scale = r.scale
     return CoefficientSeq(SignConvention.GENERAL_TAIL,
                           tuple(c * (scale / n) for n, c in enumerate(w, 2)),
-                          scale * (2.0 * omitted / (len(w) + 2)), p.m)
+                          scale * (2.0 * omitted / (len(w) + 2)))
 
 
 _ROWS = (
@@ -234,19 +234,13 @@ def evaluate(pid: PredicateId, p: PoissonParams, c: ClassParams,
 
 # ---- independent cross-check ----
 
-# the coefficient weights of each disk condition's membership criterion
-_WEIGHTS = {ConditionId.S_COND: SumWhich.S, ConditionId.C_COND: SumWhich.C}
-
-
 def _crosscheck_detail(pid: PredicateId, p: PoissonParams, c: ClassParams,
                        r: RParams | None,
                        policy: TruncationPolicy) -> tuple[float, int]:
     row, c = resolve(pid, c, r)
     closed = row.sum_scale(p, c, r)
     seq = row.series(p, policy, r)
-    if seq.convention is SignConvention.GENERAL_TAIL:
-        seq = seq.magnitudes()
-    return abs(closed - lemma_sum(seq, c, _WEIGHTS[row.condition])), seq.truncation_order
+    return abs(closed - lemma_sum(seq, c, row.condition)), seq.truncation_order
 
 
 def crosscheck(pid: PredicateId, p: PoissonParams, c: ClassParams,

@@ -151,18 +151,18 @@ def test_criterion_7_sufficiency_sampling():
     start = time.perf_counter()
     problems = []
     for _ in range(20):
-        p, c = draw_t1_holding(rng, rel_margin=0.01)
+        p, c = draw_t1_holding(rng)
         rep = grid_check(coeffs_F(p, policy), ConditionId.S_COND, c)
         if rep.violations:
             problems.append(f"F-series violation at m={p.m:.4g}")
-        p, c = draw_t4_holding(rng, rel_margin=0.01)
+        p, c = draw_t4_holding(rng)
         rep = grid_check(coeffs_G(p, policy), ConditionId.S_COND, c)
         if rep.violations:
             problems.append(f"G-series violation at m={p.m:.4g}")
     witness_grid = GridSpec(radii=EXTENDED_RADII)
     assert witness_grid.radii[-1] == 0.999
     for _ in range(10):
-        p, c, f = draw_t1_failing_radial(rng, rel_excess=0.10)
+        p, c, f = draw_t1_failing_radial(rng)
         assert f.tail_bound <= WITNESS_EPS
         rep = grid_check(f, ConditionId.S_COND, c, witness_grid)
         if not rep.max_value > c.k:

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gftpoisson import (ClassParams, CoefficientSeq, DomainError,
-                        PoissonParams, RParams, SignConvention, SumWhich,
+from gftpoisson import (ClassParams, CoefficientSeq, ConditionId, DomainError,
+                        PoissonParams, RParams, SignConvention,
                         TruncationPolicy, Verdict, apply_operator_I,
                         choose_truncation, classify, coeffs_F, coeffs_G,
                         dixit_pal_bound, lemma_sum, weight_C, weight_S,
@@ -91,7 +91,6 @@ def test_classify_bands():
     assert classify(0.0) is Verdict.MARGINAL
     assert classify(5e-10) is Verdict.MARGINAL
     assert classify(-5e-10) is Verdict.MARGINAL
-    assert classify(0.5, band=1.0) is Verdict.MARGINAL
 
 
 # ---- lemma_sum ----
@@ -102,7 +101,7 @@ def _seq(coeffs):
 
 def test_lemma_sum_identity_function_holds():
     c = ClassParams(k=0.5, lam=0.25)
-    lhs = lemma_sum(_seq([0.0]), c, SumWhich.S)
+    lhs = lemma_sum(_seq([0.0]), c, ConditionId.S_COND)
     assert lhs == 0.0
     assert classify(2 * c.k - lhs) is Verdict.HOLDS
 
@@ -111,7 +110,7 @@ def test_lemma_sum_sharpness_witness_is_marginal():
     # one-term tail with b_2 = 2k / w_S(2) sits exactly on the bound
     c = ClassParams(k=0.7, lam=0.3)
     b2 = 2 * c.k / weight_S(2, c)
-    lhs = lemma_sum(_seq([b2]), c, SumWhich.S)
+    lhs = lemma_sum(_seq([b2]), c, ConditionId.S_COND)
     assert lhs == pytest.approx(2 * c.k, rel=1e-15)
     assert classify(2 * c.k - lhs) is Verdict.MARGINAL
 
@@ -121,23 +120,23 @@ def test_lemma_sum_poisson_m02_frozen_value():
     from gftpoisson import PoissonParams, TruncationPolicy, coeffs_F
     f = coeffs_F(PoissonParams(0.2), TruncationPolicy(eps=1e-13))
     c = ClassParams(k=1.0, lam=0.0)
-    lhs = lemma_sum(f, c, SumWhich.S)
+    lhs = lemma_sum(f, c, ConditionId.S_COND)
     assert lhs == pytest.approx(0.7625384938440364, abs=1e-12)
     assert classify(2 * c.k - lhs) is Verdict.HOLDS
 
 
-def _weight_fn_sum(f, c, which):
+def _weight_fn_sum(f, c, condition):
     # the sum as one weight_S / weight_C call per term
-    w = weight_S if which is SumWhich.S else weight_C
-    return math.fsum(w(n, c) * f.coefficients[n - 2]
+    w = weight_S if condition is ConditionId.S_COND else weight_C
+    return math.fsum(w(n, c) * abs(f.coefficients[n - 2])
                      for n in range(2, f.truncation_order + 1))
 
 
-@pytest.mark.parametrize("which", list(SumWhich))
+@pytest.mark.parametrize("condition", [ConditionId.S_COND, ConditionId.C_COND])
 @pytest.mark.parametrize("series", "FGI")
 @given(m=st.floats(min_value=1e-3, max_value=300.0), k=ks, lam=lams)
 @settings(max_examples=30, deadline=None)
-def test_lemma_sum_matches_the_weight_functions_bit_for_bit(series, which, m, k, lam):
+def test_lemma_sum_matches_the_weight_functions_bit_for_bit(series, condition, m, k, lam):
     p, policy = PoissonParams(m), TruncationPolicy()
     if series == "F":
         f = coeffs_F(p, policy)
@@ -146,23 +145,32 @@ def test_lemma_sum_matches_the_weight_functions_bit_for_bit(series, which, m, k,
     else:
         r = RParams(A=1.0, B=-0.5, tau=0.3 + 0.4j)
         worst = worst_case_R_coeffs(r, choose_truncation(p, policy))
-        f = apply_operator_I(worst, p).magnitudes()
+        f = apply_operator_I(worst, p)
     c = ClassParams(k=k, lam=lam)
-    assert lemma_sum(f, c, which) == _weight_fn_sum(f, c, which)
+    assert lemma_sum(f, c, condition) == _weight_fn_sum(f, c, condition)
 
 
-def test_lemma_sum_rejects_general_tail():
-    f = CoefficientSeq(SignConvention.GENERAL_TAIL, (0.1 + 0j,), 0.0)
+def test_lemma_sum_sums_the_magnitude_of_a_general_tail():
+    # the criterion on |a_n| is sufficient for a general tail: |0.3 + 0.4j| = 0.5
+    c = ClassParams(k=0.5, lam=0.2)
+    f = CoefficientSeq(SignConvention.GENERAL_TAIL, (0.3 + 0.4j,), 0.0)
+    assert lemma_sum(f, c, ConditionId.S_COND) == 0.5 * weight_S(2, c)
+    assert lemma_sum(f, c, ConditionId.C_COND) == 0.5 * weight_C(2, c)
+
+
+@pytest.mark.parametrize("condition", ["S", ConditionId.R_COND, None])
+def test_lemma_sum_rejects_a_condition_without_a_criterion(condition):
+    # a value naming no S or C criterion must not fall through to either weights
     with pytest.raises(DomainError):
-        lemma_sum(f, ClassParams(k=0.5, lam=0.0), SumWhich.S)
+        lemma_sum(_seq([0.5]), ClassParams(k=0.5, lam=0.2), condition)
 
 
 @given(k=ks, lam=lams, b=st.floats(min_value=1e-6, max_value=0.5))
 @settings(max_examples=100)
 def test_lemma_sum_monotone_in_coefficients(k, lam, b):
     c = ClassParams(k=k, lam=lam)
-    lo = lemma_sum(_seq([b]), c, SumWhich.S)
-    hi = lemma_sum(_seq([b, b / 2]), c, SumWhich.S)
+    lo = lemma_sum(_seq([b]), c, ConditionId.S_COND)
+    hi = lemma_sum(_seq([b, b / 2]), c, ConditionId.S_COND)
     assert hi > lo
 
 
@@ -172,8 +180,8 @@ def test_lemma_sum_monotone_in_coefficients(k, lam, b):
 def test_lemma_sum_C_holding_implies_S_holding(k, lam, bs):
     c = ClassParams(k=k, lam=lam)
     seq = _seq(bs)
-    if classify(2 * c.k - lemma_sum(seq, c, SumWhich.C)) is Verdict.HOLDS:
-        s_verdict = classify(2 * c.k - lemma_sum(seq, c, SumWhich.S))
+    if classify(2 * c.k - lemma_sum(seq, c, ConditionId.C_COND)) is Verdict.HOLDS:
+        s_verdict = classify(2 * c.k - lemma_sum(seq, c, ConditionId.S_COND))
         assert s_verdict in (Verdict.HOLDS, Verdict.MARGINAL)
 
 
@@ -199,6 +207,3 @@ def test_worst_case_R_coeffs():
     assert w.tail_bound == 0.0
     assert w.coefficients[0] == pytest.approx(1.0, rel=1e-15)
     assert abs(w.coefficients[1]) == pytest.approx(2 / 3, rel=1e-15)
-    mags = w.magnitudes()
-    assert mags.convention is SignConvention.NEGATIVE_TAIL
-    assert mags.coefficients[1] == pytest.approx(2 / 3, rel=1e-15)

@@ -296,7 +296,9 @@ def _series(kind, m, scale, r):
         return coeffs_G(p, POLICY)
     if kind == "I":
         return apply_operator_I(worst_case_R_coeffs(r, 12), p)
-    return coeffs_F(p, POLICY).scaled(scale)
+    f = coeffs_F(p, POLICY)
+    return CoefficientSeq(f.convention, tuple(b * scale for b in f.coefficients),
+                          f.tail_bound * scale)
 
 
 r_params = st.builds(
