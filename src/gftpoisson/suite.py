@@ -135,26 +135,26 @@ def check_crosschecks(rng: random.Random, draws: int = 200):
     return "crosschecks", worst < RESIDUAL_TOL, f"worst residual {fmt_float(worst)}"
 
 
-def _verdict(pid: PredicateId, p: PoissonParams, c: ClassParams,
+def _verdict(pid: PredicateId, m: float, c: ClassParams,
              r: RParams | None = None) -> Verdict:
     # evaluate()'s verdict: a corollary still resolves to its theorem at lambda = 0
     row, c = resolve(pid, c, r)
-    return classify(_margin(row, p, c, r))
+    return classify(_margin(row, m, c, r))
 
 
 def check_equivalences(rng: random.Random, draws: int = 1000):
     mismatches = 0
     for _ in range(draws):
-        p = PoissonParams(10 ** rng.uniform(-3, 1))
+        m = 10 ** rng.uniform(-3, 1)
         c = draw_class_params(rng)
         r = draw_r_params(rng)
-        if _verdict(PredicateId.T3_G_in_C, p, c) is not \
-                _verdict(PredicateId.T1_F_in_S, p, c):
+        if _verdict(PredicateId.T3_G_in_C, m, c) is not \
+                _verdict(PredicateId.T1_F_in_S, m, c):
             mismatches += 1
         c0 = ClassParams(c.k, 0.0)
         for pid, row in SPECS.items():
-            if pid is row.corollary and _verdict(pid, p, c, r) is not \
-                    _verdict(row.theorem, p, c0, r):
+            if pid is row.corollary and _verdict(pid, m, c, r) is not \
+                    _verdict(row.theorem, m, c0, r):
                 mismatches += 1
     return "equivalences", mismatches == 0, f"{mismatches} verdict mismatches"
 
@@ -167,14 +167,14 @@ def check_inclusions(rng: random.Random, draws: int = 10_000):
         PredicateId.T1_F_in_S, PredicateId.T2_F_in_C,
         PredicateId.T5_I_in_S, PredicateId.T6_I_in_C))
     for _ in range(draws):
-        p = PoissonParams(10 ** rng.uniform(-3, 1))
+        m = 10 ** rng.uniform(-3, 1)
         c = draw_class_params(rng)
         r = draw_r_params(rng)
-        if classify(_margin(t2, p, c, None)) is Verdict.HOLDS:
-            if classify(_margin(t1, p, c, None)) not in ok_verdicts:
+        if classify(_margin(t2, m, c, None)) is Verdict.HOLDS:
+            if classify(_margin(t1, m, c, None)) not in ok_verdicts:
                 violations += 1
-        if classify(_margin(t6, p, c, r)) is Verdict.HOLDS:
-            if classify(_margin(t5, p, c, r)) not in ok_verdicts:
+        if classify(_margin(t6, m, c, r)) is Verdict.HOLDS:
+            if classify(_margin(t5, m, c, r)) not in ok_verdicts:
                 violations += 1
     return "inclusions", violations == 0, f"{violations} violations"
 

@@ -69,33 +69,52 @@ def _lambert_w0(x: float) -> float:
     return w
 
 
-# ---- closed-form left-hand sides ----
+# ---- closed-form left-hand sides, over the float m ----
+
+def _t1(m: float, c: ClassParams, r: RParams | None) -> float:
+    if m > _EXP_GUARD:
+        return math.inf
+    return c.P * m * math.exp(m)
+
+
+def _t2(m: float, c: ClassParams, r: RParams | None) -> float:
+    if m > _EXP_GUARD:
+        return math.inf
+    me = m * math.exp(m)
+    return c.P * m * me + 2 * _q_factor(c) * me
+
+
+def _t4(m: float, c: ClassParams, r: RParams | None) -> float:
+    return c.P * (-math.expm1(-m)) + (1 - c.lam) * (c.k - 1) * _g_tail_ratio(m)
+
+
+def _t5(m: float, c: ClassParams, r: RParams) -> float:
+    # scale times _t4's float, so the scale identity is exact by construction
+    return r.scale * _t4(m, c, r)
+
+
+def _t6(m: float, c: ClassParams, r: RParams) -> float:
+    return r.scale * (c.P * m + 2 * c.k * (-math.expm1(-m)))
+
 
 def t1_lhs(p: PoissonParams, c: ClassParams) -> float:
-    if p.m > _EXP_GUARD:
-        return math.inf
-    return c.P * p.m * math.exp(p.m)
+    return _t1(p.m, c, None)
 
 
 def t2_lhs(p: PoissonParams, c: ClassParams) -> float:
-    if p.m > _EXP_GUARD:
-        return math.inf
-    me = p.m * math.exp(p.m)
-    return c.P * p.m * me + 2 * _q_factor(c) * me
+    return _t2(p.m, c, None)
 
 
 def t4_lhs(p: PoissonParams, c: ClassParams) -> float:
-    return (c.P * (-math.expm1(-p.m))
-            + (1 - c.lam) * (c.k - 1) * _g_tail_ratio(p.m))
+    return _t4(p.m, c, None)
 
 
 def t5_lhs(p: PoissonParams, c: ClassParams, r: RParams) -> float:
-    # same bracket as t4_lhs, so the scale identity is exact by construction
     return r.scale * t4_lhs(p, c)
 
 
 def t6_lhs(p: PoissonParams, c: ClassParams, r: RParams) -> float:
-    return r.scale * (c.P * p.m + 2 * c.k * (-math.expm1(-p.m)))
+    return _t6(p.m, c, r)
 
 
 # ---- the six theorems ----
@@ -104,18 +123,23 @@ def t6_lhs(p: PoissonParams, c: ClassParams, r: RParams) -> float:
 class PredicateSpec:
     """One theorem, and its corollary at lambda = 0.
 
-    lhs(p, c, r) is the closed form compared against 2k.  series(p, policy, r)
+    lhs(m, c, r) is the closed form compared against 2k, over the float m: the
+    public t1_lhs ... t6_lhs pass it p.m, and the solver calls it on the m it
+    builds without wrapping each in a PoissonParams.  series(p, policy, r)
     builds the function the theorem is about (F, G or the image I of the
     extremal R^tau(A,B) member), and condition names its disk inequality, S or
-    C.  sum_scale(p, c, r) is lhs on the scale of the weighted coefficient sum,
+    C.  sum_scale(m, c, r) is lhs on the scale of the weighted coefficient sum,
     mapped there by exact algebra rather than through a factor of e^m; the
     cross-check recomputes it as the condition's weighted sum of series(p,
     policy, r).  needs_r marks the theorems that take (A, B, tau).  limit(c, r)
     is the value a bounded left-hand side tends to as m grows, computed in the
     floats lhs reaches there, and None for an unbounded one.  root(c, r) is the
-    crossing in closed form where there is one: lhs = P m e^m meets 2k at
-    m* = W(2k/P), with W Lambert's function; None elsewhere.  It is a float
-    estimate the solver verifies, not a proof.
+    crossing in closed form where there is one (T1, T3 and T6, through
+    Lambert's W); bracket(c, r) is a (lo, hi) with lo <= m* <= hi where the
+    row has proven bounds but no closed form (T2, T4 and T5).  Both are floats
+    the solver confirms with two margins before it relies on them; None
+    elsewhere, and a bracket is None where its float error could exceed its
+    widening.  The thresholds module derives both.
     """
 
     theorem: PredicateId
@@ -125,16 +149,16 @@ class PredicateSpec:
     needs_r: bool
     limit: Callable[..., float | None]
     root: Callable[..., float | None]
+    bracket: Callable[..., tuple[float, float] | None]
     lhs: Callable[..., float]
     sum_scale: Callable[..., float]
 
 
-def _f_sum_scale_S(p: PoissonParams, c: ClassParams, r: RParams | None) -> float:
-    return c.P * p.m + 2 * c.k * (-math.expm1(-p.m))
+def _f_sum_scale_S(m: float, c: ClassParams, r: RParams | None) -> float:
+    return c.P * m + 2 * c.k * (-math.expm1(-m))
 
 
-def _f_sum_scale_C(p: PoissonParams, c: ClassParams, r: RParams | None) -> float:
-    m = p.m
+def _f_sum_scale_C(m: float, c: ClassParams, r: RParams | None) -> float:
     return c.P * m * m + 2 * _q_factor(c) * m + 2 * c.k * (-math.expm1(-m))
 
 
@@ -142,8 +166,50 @@ def _none(c: ClassParams, r: RParams | None) -> None:
     return None
 
 
+# ---- closed-form crossings and start brackets (derived in thresholds) ----
+
+# relative widening of each bracket end, far above the float error of the
+# formulas below: a few ulp for T2, a few ulp times P/d for T4/T5
+_BRACKET_SLACK = 2.0 ** -18
+# T4/T5 brackets need d = P - 2k/scale above this share of P
+_MIN_GAP = 2.0 ** -30
+
+
 def _lambert_root(c: ClassParams, r: RParams | None) -> float:
     return _lambert_w0(2 * c.k / c.P)
+
+
+def _t6_root(c: ClassParams, r: RParams) -> float:
+    a, two_k, p = 2 * c.k / r.scale, 2 * c.k, c.P
+    return (a - two_k) / p + _lambert_w0(two_k / p * math.exp((two_k - a) / p))
+
+
+def _widened(lo: float, hi: float) -> tuple[float, float]:
+    return lo * (1 - _BRACKET_SLACK), hi * (1 + _BRACKET_SLACK)
+
+
+def _t2_bracket(c: ClassParams, r: RParams | None) -> tuple[float, float]:
+    q = _q_factor(c)
+    u = _lambert_w0(c.k / q)
+    return _widened(_lambert_w0(2 * c.k / (c.P * u + 2 * q)), u)
+
+
+def _bounded_bracket(c: ClassParams, b: float) -> tuple[float, float] | None:
+    p, q, two_k = c.P, c.Q, 2 * c.k
+    d = p - b
+    if not d > _MIN_GAP * p:
+        return None
+    top = max(q / d, math.log(2 * two_k / d))
+    return _widened(max(-math.log1p(-b / p), q / d - 1),
+                    max(top, q / (d - two_k * math.exp(-top))))
+
+
+def _t4_bracket(c: ClassParams, r: RParams | None) -> tuple[float, float] | None:
+    return _bounded_bracket(c, 2 * c.k)
+
+
+def _t5_bracket(c: ClassParams, r: RParams) -> tuple[float, float] | None:
+    return _bounded_bracket(c, 2 * c.k / r.scale)
 
 
 def _f(p: PoissonParams, policy: TruncationPolicy, r: RParams | None) -> CoefficientSeq:
@@ -168,28 +234,27 @@ def _image(p: PoissonParams, policy: TruncationPolicy, r: RParams) -> Coefficien
 _ROWS = (
     PredicateSpec(PredicateId.T1_F_in_S, PredicateId.C1_F_in_Sk, _f,
                   ConditionId.S_COND, needs_r=False, limit=_none,
-                  root=_lambert_root, lhs=lambda p, c, r: t1_lhs(p, c),
+                  root=_lambert_root, bracket=_none, lhs=_t1,
                   sum_scale=_f_sum_scale_S),
     PredicateSpec(PredicateId.T2_F_in_C, PredicateId.C2_F_in_Ck, _f,
                   ConditionId.C_COND, needs_r=False, limit=_none,
-                  root=_none, lhs=lambda p, c, r: t2_lhs(p, c),
+                  root=_none, bracket=_t2_bracket, lhs=_t2,
                   sum_scale=_f_sum_scale_C),
     PredicateSpec(PredicateId.T3_G_in_C, PredicateId.C5_G_in_Ck, _g,
                   ConditionId.C_COND, needs_r=False, limit=_none,
-                  root=_lambert_root, lhs=lambda p, c, r: t1_lhs(p, c),
+                  root=_lambert_root, bracket=_none, lhs=_t1,
                   sum_scale=_f_sum_scale_S),
     PredicateSpec(PredicateId.T4_G_in_S, PredicateId.C6_G_in_Sk, _g,
                   ConditionId.S_COND, needs_r=False,
-                  limit=lambda c, r: c.P, root=_none,
-                  lhs=lambda p, c, r: t4_lhs(p, c),
-                  sum_scale=lambda p, c, r: t4_lhs(p, c)),
+                  limit=lambda c, r: c.P, root=_none, bracket=_t4_bracket,
+                  lhs=_t4, sum_scale=_t4),
     PredicateSpec(PredicateId.T5_I_in_S, PredicateId.C3_I_in_Sk, _image,
                   ConditionId.S_COND, needs_r=True,
                   limit=lambda c, r: r.scale * c.P, root=_none,
-                  lhs=t5_lhs, sum_scale=t5_lhs),
+                  bracket=_t5_bracket, lhs=_t5, sum_scale=_t5),
     PredicateSpec(PredicateId.T6_I_in_C, PredicateId.C4_I_in_Ck, _image,
                   ConditionId.C_COND, needs_r=True, limit=_none,
-                  root=_none, lhs=t6_lhs, sum_scale=t6_lhs),
+                  root=_t6_root, bracket=_none, lhs=_t6, sum_scale=_t6),
 )
 
 SPECS = {pid: row for row in _ROWS for pid in (row.theorem, row.corollary)}
@@ -211,21 +276,21 @@ def resolve(pid: PredicateId, c: ClassParams,
 
 # ---- predicate evaluation ----
 
-def _margin(row: PredicateSpec, p: PoissonParams, c: ClassParams,
+def _margin(row: PredicateSpec, m: float, c: ClassParams,
             r: RParams | None) -> float:
     """2k minus the row's closed form, at class parameters resolve() returned.
 
     The float evaluate() reports as its margin; the solver and the suite's
     verdict loops read it without building a report.
     """
-    return 2 * c.k - row.lhs(p, c, r)
+    return 2 * c.k - row.lhs(m, c, r)
 
 
 def evaluate(pid: PredicateId, p: PoissonParams, c: ClassParams,
              r: RParams | None = None) -> MembershipReport:
     """Closed-form membership report for one predicate at one parameter point."""
     row, c = resolve(pid, c, r)
-    lhs = row.lhs(p, c, r)
+    lhs = row.lhs(p.m, c, r)
     rhs = 2 * c.k
     margin = rhs - lhs   # _margin's expression, so the two agree bit for bit
     return MembershipReport(predicate=pid.value, verdict=classify(margin),
@@ -238,7 +303,7 @@ def _crosscheck_detail(pid: PredicateId, p: PoissonParams, c: ClassParams,
                        r: RParams | None,
                        policy: TruncationPolicy) -> tuple[float, int]:
     row, c = resolve(pid, c, r)
-    closed = row.sum_scale(p, c, r)
+    closed = row.sum_scale(p.m, c, r)
     seq = row.series(p, policy, r)
     return abs(closed - lemma_sum(seq, c, row.condition)), seq.truncation_order
 

@@ -12,20 +12,48 @@ with g(m) = (1 - e^-m - m e^-m)/m.  Then g'(m) = (e^-m (m^2 + m + 1) - 1)/m^2
 <= e^-m, because 1 + m <= e^m.  Where g' >= 0, t4' = P e^-m - Q g' >=
 (P - Q) e^-m = 2k e^-m > 0; where g' < 0, t4' > P e^-m > 0.  T5 is scale * t4.
 
-Each margin comes from
-theorems._margin, 2k minus the row's closed form: the float evaluate()
-reports, so the solver and evaluate agree at every m.  Where the row gives
-the crossing in closed form (P m e^m = 2k at
-m* = W(2k/P), Corless et al., "On the Lambert W function", 1996), two margins
-at m* -+ tol/4 confirm it.  Otherwise, or if they do not confirm it, m is
-doubled from a positive-margin start until the margin is <= 0, and the
-bracket is closed by ITP (Oliveira & Takahashi, "An Enhancement of the
-Bisection Method Average Performance Preserving Minmax Optimality", ACM TOMS
-47(1), 2020): a regula falsi step, truncated toward the midpoint and projected
-into a shrinking ball around it, so its worst case stays within n0 = 1 step
-of bisection's.  As in Brent's method, no probe lands closer than tol/4 to
-either end: a step that closed the bracket far below tol would leave both
-ends in the margin's rounding noise.
+Each margin comes from theorems._margin, 2k minus the row's closed form over
+the float m: the float evaluate() reports, so the solver and evaluate agree at
+every m.  The solver checks tol, the class and (A, B, tau) once; every m it
+builds afterwards is positive and finite by construction, and a cheap guard
+raises DomainError should one not be.
+
+Closed-form crossings (a row's root), with W Lambert's principal branch
+(Corless et al., "On the Lambert W function", Adv. Comput. Math. 5, 1996):
+- T1, T3: P m e^m = 2k at m* = W(2k/P).
+- T6: with a = 2k/scale, P m + 2k(1 - e^-m) = a.  Put x = m + (2k - a)/P;
+  then P x = 2k e^-x e^{(2k-a)/P}, so x e^x = (2k/P) e^{(2k-a)/P} and
+  m* = (a - 2k)/P + W((2k/P) e^{(2k-a)/P}).  P = 2k + Q >= 2k and a > 0, so
+  with t = 2k/P <= 1 the argument is below t e^t <= e.
+Two margins at m* -+ tol/4 confirm a root.
+
+Start brackets lo <= m* <= hi (a row's bracket), where P = (1-lambda) +
+k(1+lambda) and Q = (1-lambda)(1-k), so P - Q = 2k:
+- T2: m e^m (P m + 2Q') = 2k, Q' = 1 + 2k + k lambda - lambda > 0.  Dropping
+  P m >= 0 gives 2Q' m* e^m* <= 2k, so m* <= u = W(k/Q'), W being increasing.
+  Then P m* <= P u gives m* e^m* (P u + 2Q') >= 2k: m* >= W(2k/(P u + 2Q')).
+- T4, T5: with b = 2k/scale (scale = 1 for T4) the crossing is t4(m*) = b,
+  which exists only below the limit, b < P; let d = P - b.  Expanding g,
+  t4(m) = P - Q/m + e^-m (Q/m - 2k), so h(m) = P - t4(m) =
+  Q(1 - e^-m)/m + 2k e^-m decreases, with h(m*) = d.
+  Lower end: g >= 0 gives t4 <= P(1 - e^-m) < b below m = -log1p(-b/P).
+  And 1 - e^-m >= m/(1+m) gives h(m) > Q/(1+m) >= d for m <= Q/d - 1.  So
+  m* >= max(-log1p(-b/P), Q/d - 1); the second is near m* when m* is large.
+  Upper end: 1 - e^-m <= 1 gives h(m) <= Q/m + 2k e^-m.  Let
+  L = max(Q/d, log(4k/d)), so 2k e^-L <= d/2, and U = max(L, Q/(d - 2k e^-L)).
+  Then h(U) <= Q/U + 2k e^-L <= d, so m* <= U <= max(L, 2Q/d).
+  The float error of these formulas is a few ulp times P/d, so they are used
+  only where d > 2^-30 P, and each end is widened by 2^-18 of itself.
+Two margins, lo > 0 and hi <= 0, confirm a bracket.
+
+Without a confirmed root or bracket, m is doubled from a positive-margin start
+until the margin is <= 0.  The bracket is then closed by ITP (Oliveira &
+Takahashi, "An Enhancement of the Bisection Method Average Performance
+Preserving Minmax Optimality", ACM TOMS 47(1), 2020): a regula falsi step,
+truncated toward the midpoint and projected into a shrinking ball around it,
+so its worst case stays within n0 = 1 step of bisection's.  As in Brent's
+method, no probe lands closer than tol/4 to either end: a step that closed the
+bracket far below tol would leave both ends in the margin's rounding noise.
 """
 
 from __future__ import annotations
@@ -35,8 +63,8 @@ import math
 from dataclasses import dataclass
 
 from .criteria import ClassParams, RParams
-from .errors import InvalidTolerance
-from .series import PoissonParams, _is_real
+from .errors import DomainError, InvalidTolerance
+from .series import _is_real
 # evaluate is not called here, but bench/test_tracer.py wraps it under this name
 from .theorems import PredicateId, _margin, evaluate, resolve  # noqa: F401
 
@@ -70,31 +98,22 @@ def _finite(pid: PredicateId, m: float, lo: float, hi: float,
                            bracket_width=max(m - lo, hi - m), evaluations=evals)
 
 
-def solve_m_star(pid: PredicateId, c: ClassParams, r: RParams | None = None,
-                 tol: float = 1e-10) -> ThresholdResult:
-    """Locate the membership boundary in m for fixed class parameters."""
-    if not (_is_real(tol) and math.isfinite(tol) and tol > 0):
-        raise InvalidTolerance(f"tol must be finite and positive, got {tol!r}")
-    row, c = resolve(pid, c, r)
-    limit = row.limit(c, r)
-    if limit is not None and 2 * c.k - limit >= 0:
-        return ThresholdResult(predicate=pid.value, outcome=Outcome.ALWAYS_HOLDS,
-                               m_star=None, bracket_width=None, evaluations=0)
+def _confirmed(start: tuple[float, float] | None, margin) -> tuple | None:
+    """(lo, hi, lo_margin, hi_margin) of a row's start bracket, where its two
+    margins confirm the sign change; None otherwise."""
+    if start is None or not 0 < start[0] < start[1] < math.inf:
+        return None
+    lo, hi = start
+    lo_margin = margin(lo)
+    if lo_margin <= 0:
+        return None
+    hi_margin = margin(hi)
+    return (lo, hi, lo_margin, hi_margin) if hi_margin <= 0 else None
 
-    evals = 0
-    min_step = tol / 4   # no probe comes closer than this to a known end
 
-    def margin(m: float) -> float:
-        nonlocal evals
-        evals += 1
-        return _margin(row, PoissonParams(m), c, r)
-
-    root = row.root(c, r)
-    if root is not None:
-        lo, hi = root - min_step, root + min_step
-        if 0 < lo and hi - lo < tol and margin(lo) > 0 and margin(hi) <= 0:
-            return _finite(pid, root, lo, hi, evals)
-
+def _doubled(margin) -> tuple:
+    """(lo, hi, lo_margin, hi_margin) with lo_margin > 0 >= hi_margin, by
+    doubling m from 1e-3, after halving it to a positive margin if needed."""
     # every LHS vanishes as m -> 0+, so a positive-margin start always exists
     lo = 1e-3
     lo_margin = margin(lo)
@@ -112,6 +131,39 @@ def solve_m_star(pid: PredicateId, c: ClassParams, r: RParams | None = None,
         lo, lo_margin = hi, hi_margin
         hi *= 2
         hi_margin = margin(hi)
+    return lo, hi, lo_margin, hi_margin
+
+
+def solve_m_star(pid: PredicateId, c: ClassParams, r: RParams | None = None,
+                 tol: float = 1e-10) -> ThresholdResult:
+    """Locate the membership boundary in m for fixed class parameters."""
+    if not (_is_real(tol) and math.isfinite(tol) and tol > 0):
+        raise InvalidTolerance(f"tol must be finite and positive, got {tol!r}")
+    row, c = resolve(pid, c, r)
+    limit = row.limit(c, r)
+    if limit is not None and 2 * c.k - limit >= 0:
+        return ThresholdResult(predicate=pid.value, outcome=Outcome.ALWAYS_HOLDS,
+                               m_star=None, bracket_width=None, evaluations=0)
+
+    evals = 0
+    min_step = tol / 4   # no probe comes closer than this to a known end
+
+    def margin(m: float) -> float:
+        nonlocal evals
+        if not 0 < m < math.inf:
+            raise DomainError(f"solver probe m = {m!r} is not finite and positive")
+        evals += 1
+        return _margin(row, m, c, r)
+
+    root = row.root(c, r)
+    if root is not None:
+        lo, hi = root - min_step, root + min_step
+        # lo == hi where tol/4 is below half an ulp of the root: nothing to probe
+        if 0 < lo < hi and hi - lo < tol and margin(lo) > 0 and margin(hi) <= 0:
+            return _finite(pid, root, lo, hi, evals)
+
+    lo, hi, lo_margin, hi_margin = (_confirmed(row.bracket(c, r), margin)
+                                    or _doubled(margin))
 
     # ITP with kappa1 = 0.2 / width, kappa2 = 2, n0 = 1
     width = hi - lo

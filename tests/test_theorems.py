@@ -151,7 +151,7 @@ def test_margin_is_evaluates_margin_bit_for_bit(pid, m, k, lam):
     r = RParams(A=0.9, B=-0.4, tau=0.6 - 0.8j)
     report = evaluate(pid, p, c, r)
     row, c_row = resolve(pid, c, r)   # a corollary's row at lambda = 0
-    margin = _margin(row, p, c_row, r)
+    margin = _margin(row, m, c_row, r)
     assert margin == report.margin
     assert classify(margin) is report.verdict
 
@@ -308,7 +308,7 @@ C_ROWS = (PredicateId.T3_G_in_C, PredicateId.C5_G_in_Ck,
 def _own_c_residual(pid, p, c, r, policy):
     row, c = resolve(pid, c, r)
     own = _image(p, policy, r) if row.needs_r else coeffs_G(p, policy)
-    return abs(row.sum_scale(p, c, r) - lemma_sum(own, c, ConditionId.C_COND))
+    return abs(row.sum_scale(p.m, c, r) - lemma_sum(own, c, ConditionId.C_COND))
 
 
 @given(pid=st.sampled_from(C_ROWS), m=st.floats(1e-3, 700.0), k=ks, lam=lams,

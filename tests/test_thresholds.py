@@ -3,12 +3,14 @@ import math
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gftpoisson import (ClassParams, InvalidTolerance, MissingRParams,
-                        Outcome, PoissonParams, PredicateId, RParams,
-                        Verdict, evaluate, solve_m_star)
+import gftpoisson.thresholds
+from gftpoisson import (ClassParams, DomainError, InvalidTolerance,
+                        MissingRParams, Outcome, PoissonParams, PredicateId,
+                        RParams, Verdict, evaluate, solve_m_star)
+from gftpoisson.theorems import SPECS, _lambert_w0
 
 K1 = ClassParams(k=1.0, lam=0.0)
 R_WIDE = RParams(A=1.0, B=-1.0, tau=1.0)
@@ -32,12 +34,16 @@ def test_t1_fixture_root():
 def test_t2_fixture_root():
     res = solve_m_star(PredicateId.T2_F_in_C, K1, tol=1e-10)
     assert abs(res.m_star - T2_ROOT) < 1e-9
+    # two margins confirm [W(2k/(P u + 2Q')), u], then ITP; doubling made 17
+    assert res.evaluations <= 9
 
 
 def test_t6_fixture_root():
     res = solve_m_star(PredicateId.T6_I_in_C, K1, r=R_WIDE, tol=1e-10)
     assert res.outcome is Outcome.FINITE
     assert abs(res.m_star - T6_ROOT) < 1e-9
+    # the W route: one probe on each side of the closed-form crossing
+    assert res.evaluations == 2
 
 
 def test_t4_k1_never_crosses():
@@ -250,3 +256,160 @@ def test_requires_r_params_for_operator_predicates():
         solve_m_star(PredicateId.T5_I_in_S, K1)
     with pytest.raises(MissingRParams):
         solve_m_star(PredicateId.C4_I_in_Ck, K1)
+
+
+# ---- closed-form roots and start brackets against 50-digit references ----
+
+ks = st.floats(1e-6, 1.0)
+lams = st.floats(0.0, 0.999)
+
+
+@st.composite
+def _r_params(draw):
+    b = draw(st.floats(-1.0, 0.9))
+    a = draw(st.floats(b + 1e-3, 1.0))
+    tau = cmath.rect(draw(st.floats(1e-3, 1e3)), draw(st.floats(0.0, 2 * math.pi)))
+    return RParams(A=a, B=b, tau=tau)
+
+
+def _mp_class(c):
+    k, lam = mpmath.mpf(c.k), mpmath.mpf(c.lam)
+    return k, (1 - lam) + k * (1 + lam), (1 - lam) * (1 - k), 1 + 2 * k + k * lam - lam
+
+
+def _mp_t2_margin(c, m):
+    k, p, _, q_factor = _mp_class(c)
+    m = mpmath.mpf(m)
+    return 2 * k - m * mpmath.exp(m) * (p * m + 2 * q_factor)
+
+
+def _mp_t4_margin(c, scale, m):
+    # scale is the float r.scale the solver's closed form multiplies by
+    k, p, q, _ = _mp_class(c)
+    m = mpmath.mpf(m)
+    g = (-mpmath.expm1(-m) - m * mpmath.exp(-m)) / m
+    return 2 * k - mpmath.mpf(scale) * (p * -mpmath.expm1(-m) - q * g)
+
+
+def _assert_true_bracket(bracket, margin):
+    lo, hi = bracket
+    with mpmath.workdps(50):
+        assert margin(lo) > 0, ("lower end past the crossing", bracket)
+        assert margin(hi) < 0, ("upper end short of the crossing", bracket)
+
+
+@given(ks, lams)
+@settings(max_examples=1000, deadline=None)
+def test_t2_bracket_ends_are_bounds(k, lam):
+    c = ClassParams(k=k, lam=lam)
+    _assert_true_bracket(SPECS[PredicateId.T2_F_in_C].bracket(c, None),
+                         lambda m: _mp_t2_margin(c, m))
+
+
+def _assert_bounded_bracket(c, scale, bracket):
+    if scale * c.P <= 2 * c.k:
+        return   # the limit is at most 2k: no crossing to bracket
+    if bracket is None:
+        # declined only where P - 2k/scale is within 2^-30 of P
+        assert c.P - 2 * c.k / scale <= 2.0 ** -30 * c.P
+        return
+    _assert_true_bracket(bracket, lambda m: _mp_t4_margin(c, scale, m))
+
+
+@given(ks, lams)
+@settings(max_examples=1000, deadline=None)
+def test_t4_bracket_ends_are_bounds(k, lam):
+    c = ClassParams(k=k, lam=lam)
+    _assert_bounded_bracket(c, 1.0, SPECS[PredicateId.T4_G_in_S].bracket(c, None))
+
+
+@given(ks, lams, _r_params(), st.one_of(st.none(), st.floats(-10.0, 0.0)))
+@settings(max_examples=1000, deadline=None)
+def test_t5_bracket_ends_are_bounds(k, lam, r, excess_exp):
+    c = ClassParams(k=k, lam=lam)
+    if excess_exp is not None:
+        # put the limit scale * P just above 2k, where the crossing is far out
+        tau = 2 * k * (1 + 10 ** excess_exp) / (c.P * (r.A - r.B))
+        r = RParams(A=r.A, B=r.B, tau=tau)
+    _assert_bounded_bracket(c, r.scale, SPECS[PredicateId.T5_I_in_S].bracket(c, r))
+
+
+@given(ks, lams, _r_params())
+@settings(max_examples=1000, deadline=None)
+def test_t6_root_matches_the_mpmath_root(k, lam, r):
+    # s (P m + 2k (1 - e^-m)) = 2k at m* = (a - 2k)/P + W((2k/P) e^((2k-a)/P)), a = 2k/s
+    c = ClassParams(k=k, lam=lam)
+    root = SPECS[PredicateId.T6_I_in_C].root(c, r)
+    with mpmath.workdps(50):
+        k_, p, _, _ = _mp_class(c)
+        s = mpmath.mpf(r.scale)
+        exact = mpmath.findroot(
+            lambda m: s * (p * m - 2 * k_ * mpmath.expm1(-m)) - 2 * k_,
+            (mpmath.mpf(0), 2 * k_ / (s * p)), solver="anderson")
+        assert abs(root - exact) <= 1e-15 * max(exact, 1)
+
+
+@given(st.floats(0.0, math.e))
+@settings(max_examples=1000)
+@example(0.0)
+@example(5e-324)
+@example(math.e)
+def test_lambert_w0_matches_mpmath_on_zero_to_e(x):
+    # the T6 root feeds W arguments up to (2k/P) e^(2k/P) <= e
+    w = _lambert_w0(x)
+    with mpmath.workdps(50):
+        exact = mpmath.lambertw(mpmath.mpf(x)).real
+        assert abs(w - exact) <= 4e-16 * exact
+
+
+# ---- every m the solver evaluates is positive and finite ----
+
+def _recorded_probes(monkeypatch, pid, c, r, tol):
+    probes = []
+    margin = gftpoisson.thresholds._margin
+
+    def recording(row, m, c_row, r_row):
+        probes.append(m)
+        return margin(row, m, c_row, r_row)
+
+    monkeypatch.setattr(gftpoisson.thresholds, "_margin", recording)
+    res = solve_m_star(pid, c, r=r, tol=tol)
+    assert len(probes) == res.evaluations
+    return probes
+
+
+@pytest.mark.parametrize("pid", list(PredicateId))
+@pytest.mark.parametrize("k", [1e-6, 0.4])
+@pytest.mark.parametrize("tol", [5e-324, 1e-10, 0.5])
+def test_every_probe_is_positive_and_finite(monkeypatch, pid, k, tol):
+    probes = _recorded_probes(monkeypatch, pid, ClassParams(k=k, lam=0.3),
+                              R_WIDE, tol)
+    assert all(0 < m < math.inf for m in probes), probes
+
+
+@pytest.mark.parametrize("tol", [5e-324, 1e-10, 0.5])
+def test_probes_of_the_far_t5_crossing_are_positive_and_finite(monkeypatch, tol):
+    # the limit exceeds 2k by one ulp and the crossing sits near m = 9e14
+    c = ClassParams(k=0.5, lam=0.0)
+    r = RParams(A=1.0, B=0.0, tau=0.6666666666666669)
+    probes = _recorded_probes(monkeypatch, PredicateId.T5_I_in_S, c, r, tol)
+    assert probes and all(0 < m < math.inf for m in probes), probes
+
+
+def test_a_probe_past_the_largest_float_raises(monkeypatch):
+    # with a margin that never turns negative, doubling reaches m = inf, where
+    # the solver's guard raises, as PoissonParams(inf) does
+    monkeypatch.setattr(gftpoisson.thresholds, "_margin", lambda row, m, c, r: 1.0)
+    with pytest.raises(DomainError):
+        solve_m_star(PredicateId.T2_F_in_C, K1)
+
+
+@pytest.mark.parametrize("pid,budget", [(PredicateId.T2_F_in_C, 9),
+                                        (PredicateId.T4_G_in_S, 11),
+                                        (PredicateId.T5_I_in_S, 9)])
+def test_rows_without_a_root_start_from_their_bracket(monkeypatch, pid, budget):
+    # doubling from m = 1e-3 made 17, 23 and 19 evaluations at this point
+    c, r = ClassParams(k=0.9, lam=0.7), RParams(A=0.5, B=-1.0, tau=-1.5)
+    probes = _recorded_probes(monkeypatch, pid, c, r, 1e-10)
+    assert tuple(probes[:2]) == SPECS[pid].bracket(c, r)
+    assert len(probes) <= budget
