@@ -135,9 +135,9 @@ def lemma_sum(f: CoefficientSeq, c: ClassParams, condition: ConditionId) -> floa
     # weight_S(n) = n P - Q and weight_C(n) = n weight_S(n), in their operation order
     P, Q = c.P, c.Q
     if condition is ConditionId.S_COND:
-        return math.fsum((n * P - Q) * abs(a) for n, a in enumerate(f.coefficients, 2))
+        return math.fsum([(n * P - Q) * abs(a) for n, a in enumerate(f.coefficients, 2)])
     if condition is ConditionId.C_COND:
-        return math.fsum((n * (n * P - Q)) * abs(a) for n, a in enumerate(f.coefficients, 2))
+        return math.fsum([(n * (n * P - Q)) * abs(a) for n, a in enumerate(f.coefficients, 2)])
     raise DomainError(f"no coefficient criterion for the condition {condition!r}")
 
 

@@ -4,6 +4,12 @@ Floats are printed with 17 significant digits so that parse-and-reprint is
 byte-identical; dict key order is insertion order; indentation is fixed at
 two spaces.  Non-finite floats use the same spellings the json module accepts
 (Infinity, -Infinity, NaN).
+
+A dict value whose type is exactly float, str, int, bool or None is formatted
+from a table keyed by type, so a flat dict (a check, crosscheck or threshold
+report) is written in one pass; any other value, a subclass of those types
+included, goes through the isinstance chain of _write, which prints the same
+bytes.
 """
 
 from __future__ import annotations
@@ -32,18 +38,22 @@ def _write(obj, indent: int, out: list) -> None:
     elif isinstance(obj, float):
         out.append(fmt_float(obj))
     elif isinstance(obj, str):
-        out.append('"' + obj.translate(_ESCAPES) + '"')
+        out.append('"' + _escaped(obj) + '"')
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
-        out.append("{\n")
-        for i, (key, value) in enumerate(obj.items()):
-            if i:
-                out.append(",\n")
-            out.append(pad + '  "' + str(key).translate(_ESCAPES) + '": ')
-            _write(value, indent + 1, out)
-        out.append("\n" + pad + "}")
+        items = []
+        for key, value in obj.items():
+            head = pad + '  "' + _escaped(str(key)) + '": '
+            fmt = _FLAT.get(type(value))
+            if fmt is not None:
+                items.append(head + fmt(value))
+            else:
+                nested: list = []
+                _write(value, indent + 1, nested)
+                items.append(head + "".join(nested))
+        out.append("{\n" + ",\n".join(items) + "\n" + pad + "}")
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
@@ -63,6 +73,26 @@ _ESCAPES = {ord('"'): '\\"', ord("\\"): "\\\\", ord("\n"): "\\n",
             ord("\r"): "\\r", ord("\t"): "\\t"}
 for _cp in range(0x20):
     _ESCAPES.setdefault(_cp, "\\u%04x" % _cp)
+
+
+def _escaped(s: str) -> str:
+    # every code point below 0x20 is a control character, which isprintable()
+    # rejects, so a printable string without quote or backslash has nothing to
+    # escape and skips the per-character table lookups of translate()
+    if s.isprintable() and '"' not in s and "\\" not in s:
+        return s
+    return s.translate(_ESCAPES)
+
+
+# formatters of the exact scalar types, keyed by type() so that subclasses (an
+# IntEnum, a float subclass) take the isinstance chain of _write instead
+_FLAT = {
+    float: fmt_float,
+    str: lambda s: '"' + _escaped(s) + '"',
+    int: str,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
 
 
 def dumps_canonical(obj) -> str:

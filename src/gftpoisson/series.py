@@ -62,6 +62,12 @@ class TruncationPolicy:
             raise DomainError(f"eps must be finite and positive, got {self.eps!r}")
 
 
+def _check_tail(tail_bound) -> float:
+    if not (_is_real(tail_bound) and tail_bound >= 0 and math.isfinite(tail_bound)):
+        raise DomainError(f"tail_bound must be finite and >= 0, got {tail_bound!r}")
+    return float(tail_bound)
+
+
 @dataclass(frozen=True)
 class CoefficientSeq:
     """Truncated normalized series z -/+ sum_{n=2}^{N} coeff_n z^n.
@@ -69,6 +75,13 @@ class CoefficientSeq:
     coefficients[i] is the coefficient of z^(i+2); tail_bound bounds
     sum_{n>N} |coeff_n| of the underlying infinite series.  The leading
     coefficient of z is implicitly 1.
+
+    A sequence a caller builds is validated term by term: negative-tail
+    coefficients become floats >= 0, general-tail ones complex.  The builders
+    coeffs_F, coeffs_G and theorems' I image are trusted, through _trusted: their
+    coefficients have those types and signs by construction, so only their
+    tail_bound is checked, which rejects a non-finite or negative bound on
+    every path.
     """
 
     convention: SignConvention
@@ -90,14 +103,22 @@ class CoefficientSeq:
         else:
             coeffs = tuple(complex(a) for a in coeffs)
         object.__setattr__(self, "coefficients", coeffs)
-        if not (_is_real(self.tail_bound) and self.tail_bound >= 0
-                and math.isfinite(self.tail_bound)):
-            raise DomainError(f"tail_bound must be finite and >= 0, got {self.tail_bound!r}")
-        object.__setattr__(self, "tail_bound", float(self.tail_bound))
+        object.__setattr__(self, "tail_bound", _check_tail(self.tail_bound))
 
     @property
     def truncation_order(self) -> int:
         return len(self.coefficients) + 1
+
+
+def _trusted(convention: SignConvention, coefficients: tuple,
+             tail_bound: float) -> CoefficientSeq:
+    """A sequence a builder has just computed, its coefficients already of the
+    convention's type and sign: only the tail bound is checked."""
+    seq = object.__new__(CoefficientSeq)
+    object.__setattr__(seq, "convention", convention)
+    object.__setattr__(seq, "coefficients", coefficients)
+    object.__setattr__(seq, "tail_bound", _check_tail(tail_bound))
+    return seq
 
 
 # ---- Poisson coefficients ----
@@ -151,14 +172,14 @@ def coeffs_F(p: PoissonParams, policy: TruncationPolicy = TruncationPolicy()) ->
     """Negative-tail coefficients b_n = e^{-m} m^{n-1}/(n-1)! of F(m,z)."""
     *out, omitted = _weights(p, policy)
     # the term ratio past the floor is below 1/2
-    return CoefficientSeq(SignConvention.NEGATIVE_TAIL, tuple(out), 2.0 * omitted)
+    return _trusted(SignConvention.NEGATIVE_TAIL, tuple(out), 2.0 * omitted)
 
 
 def coeffs_G(p: PoissonParams, policy: TruncationPolicy = TruncationPolicy()) -> CoefficientSeq:
     """Negative-tail coefficients b_n = e^{-m} m^{n-1}/n! of the integral companion G."""
     *w, omitted = _weights(p, policy)
-    out = tuple(c / n for n, c in enumerate(w, 2))
-    return CoefficientSeq(SignConvention.NEGATIVE_TAIL, out, 2.0 * omitted / (len(w) + 2))
+    out = tuple([c / n for n, c in enumerate(w, 2)])
+    return _trusted(SignConvention.NEGATIVE_TAIL, out, 2.0 * omitted / (len(w) + 2))
 
 
 def _pmf_max_beyond(p: PoissonParams, j0: int) -> float:

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from .criteria import (ClassParams, ConditionId, MembershipReport, RParams,
                        classify, lemma_sum)
 from .errors import MissingRParams
 from .series import (CoefficientSeq, PoissonParams, SignConvention,
-                     TruncationPolicy, _weights, coeffs_F, coeffs_G)
+                     TruncationPolicy, _trusted, _weights, coeffs_F, coeffs_G)
 
 # math.exp overflows just past 709; beyond this every predicate fails anyway
 _EXP_GUARD = 700.0
@@ -222,13 +222,14 @@ def _g(p: PoissonParams, policy: TruncationPolicy, r: RParams | None) -> Coeffic
 
 def _image(p: PoissonParams, policy: TruncationPolicy, r: RParams) -> CoefficientSeq:
     """I applied to the extremal R^tau(A,B) member from one weight pass: the
-    products c_n (scale/n) of apply_operator_I on worst_case_R_coeffs, and
-    scale times coeffs_G's tail, since |I_n| is scale times G's coefficient."""
+    products c_n (scale/n) of apply_operator_I on worst_case_R_coeffs, as
+    complex, and scale times coeffs_G's tail, since |I_n| is scale times G's
+    coefficient.  The tail check refuses a scale that overflows to inf."""
     *w, omitted = _weights(p, policy)
     scale = r.scale
-    return CoefficientSeq(SignConvention.GENERAL_TAIL,
-                          tuple(c * (scale / n) for n, c in enumerate(w, 2)),
-                          scale * (2.0 * omitted / (len(w) + 2)))
+    return _trusted(SignConvention.GENERAL_TAIL,
+                    tuple([complex(c * (scale / n)) for n, c in enumerate(w, 2)]),
+                    scale * (2.0 * omitted / (len(w) + 2)))
 
 
 _ROWS = (
@@ -286,23 +287,30 @@ def _margin(row: PredicateSpec, m: float, c: ClassParams,
     return 2 * c.k - row.lhs(m, c, r)
 
 
+def _report(pid: PredicateId, row: PredicateSpec, m: float, c: ClassParams,
+            r: RParams | None, residual: float | None = None,
+            n_top: int | None = None) -> MembershipReport:
+    lhs = row.lhs(m, c, r)
+    rhs = 2 * c.k
+    margin = rhs - lhs   # _margin's expression, so the two agree bit for bit
+    return MembershipReport(predicate=pid.value, verdict=classify(margin),
+                            lhs=lhs, rhs=rhs, margin=margin,
+                            crosscheck_residual=residual, truncation_order=n_top)
+
+
 def evaluate(pid: PredicateId, p: PoissonParams, c: ClassParams,
              r: RParams | None = None) -> MembershipReport:
     """Closed-form membership report for one predicate at one parameter point."""
     row, c = resolve(pid, c, r)
-    lhs = row.lhs(p.m, c, r)
-    rhs = 2 * c.k
-    margin = rhs - lhs   # _margin's expression, so the two agree bit for bit
-    return MembershipReport(predicate=pid.value, verdict=classify(margin),
-                            lhs=lhs, rhs=rhs, margin=margin)
+    return _report(pid, row, p.m, c, r)
 
 
 # ---- independent cross-check ----
 
-def _crosscheck_detail(pid: PredicateId, p: PoissonParams, c: ClassParams,
+def _crosscheck_detail(row: PredicateSpec, p: PoissonParams, c: ClassParams,
                        r: RParams | None,
                        policy: TruncationPolicy) -> tuple[float, int]:
-    row, c = resolve(pid, c, r)
+    """The residual and truncation order, at class parameters resolve() returned."""
     closed = row.sum_scale(p.m, c, r)
     seq = row.series(p, policy, r)
     return abs(closed - lemma_sum(seq, c, row.condition)), seq.truncation_order
@@ -312,7 +320,8 @@ def crosscheck(pid: PredicateId, p: PoissonParams, c: ClassParams,
                r: RParams | None = None,
                policy: TruncationPolicy = TruncationPolicy()) -> float:
     """|closed form - truncated weighted sum| on the weighted-sum scale."""
-    return _crosscheck_detail(pid, p, c, r, policy)[0]
+    row, c = resolve(pid, c, r)
+    return _crosscheck_detail(row, p, c, r, policy)[0]
 
 
 def evaluate_with_crosscheck(pid: PredicateId, p: PoissonParams, c: ClassParams,
@@ -320,6 +329,5 @@ def evaluate_with_crosscheck(pid: PredicateId, p: PoissonParams, c: ClassParams,
                              policy: TruncationPolicy = TruncationPolicy()
                              ) -> MembershipReport:
     """Membership report with the cross-check residual and order filled in."""
-    residual, n_top = _crosscheck_detail(pid, p, c, r, policy)
-    return replace(evaluate(pid, p, c, r), crosscheck_residual=residual,
-                   truncation_order=n_top)
+    row, c = resolve(pid, c, r)
+    return _report(pid, row, p.m, c, r, *_crosscheck_detail(row, p, c, r, policy))

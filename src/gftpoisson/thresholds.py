@@ -47,13 +47,16 @@ k(1+lambda) and Q = (1-lambda)(1-k), so P - Q = 2k:
 Two margins, lo > 0 and hi <= 0, confirm a bracket.
 
 Without a confirmed root or bracket, m is doubled from a positive-margin start
-until the margin is <= 0.  The bracket is then closed by ITP (Oliveira &
-Takahashi, "An Enhancement of the Bisection Method Average Performance
-Preserving Minmax Optimality", ACM TOMS 47(1), 2020): a regula falsi step,
-truncated toward the midpoint and projected into a shrinking ball around it,
-so its worst case stays within n0 = 1 step of bisection's.  As in Brent's
-method, no probe lands closer than tol/4 to either end: a step that closed the
-bracket far below tol would leave both ends in the margin's rounding noise.
+until the margin is <= 0.  The start is 1e-3, halved as often as needed down to
+the smallest positive double; where even that m has a margin <= 0, the
+crossing lies below every positive float and DomainError is raised.  The
+bracket is then closed by ITP (Oliveira & Takahashi, "An Enhancement of the
+Bisection Method Average Performance Preserving Minmax Optimality", ACM TOMS
+47(1), 2020): a regula falsi step, truncated toward the midpoint and projected
+into a shrinking ball around it, so its worst case stays within n0 = 1 step of
+bisection's.  As in Brent's method, no probe lands closer than tol/4 to either
+end: a step that closed the bracket far below tol would leave both ends in the
+margin's rounding noise.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ from .series import _is_real
 # evaluate is not called here, but bench/test_tracer.py wraps it under this name
 from .theorems import PredicateId, _margin, evaluate, resolve  # noqa: F401
 
-_TINY_M = 1e-300
+_TINY_M = 5e-324   # the smallest positive double
 
 
 class Outcome(enum.Enum):
@@ -114,13 +117,15 @@ def _confirmed(start: tuple[float, float] | None, margin) -> tuple | None:
 def _doubled(margin) -> tuple:
     """(lo, hi, lo_margin, hi_margin) with lo_margin > 0 >= hi_margin, by
     doubling m from 1e-3, after halving it to a positive margin if needed."""
-    # every LHS vanishes as m -> 0+, so a positive-margin start always exists
+    # every LHS vanishes as m -> 0+, so a positive margin exists above 0, but
+    # for k near the smallest double it may lie below every positive float
     lo = 1e-3
     lo_margin = margin(lo)
     while lo_margin <= 0:
-        lo *= 0.5
-        if lo < _TINY_M:
-            raise InvalidTolerance("could not find a positive-margin start")
+        if lo == _TINY_M:
+            raise DomainError(f"the crossing lies below the smallest positive double: "
+                              f"the margin at m = {lo!r} is {lo_margin!r}")
+        lo = max(lo * 0.5, _TINY_M)
         lo_margin = margin(lo)
 
     # the margin ends below zero: an unbounded LHS overtakes 2k, and a bounded

@@ -131,6 +131,19 @@ def test_non_finite_tau_exit_three(capsys, flag, value):
     assert "tau must be a finite complex number" in err
 
 
+@pytest.mark.parametrize("command", ["crosscheck", "grid"])
+@pytest.mark.parametrize("pid", ["T5_I_in_S", "T6_I_in_C"])
+def test_a_scale_that_overflows_is_refused_by_the_image_tail(capsys, command, pid):
+    # |tau| overflows to inf, so the I image's tail is inf; the builder's
+    # trusted construction still checks it, as a caller's sequence is checked
+    code, out, err = run_cli(capsys, command, "--predicate", pid, "--m", "0.5",
+                             "--k", "0.5", "--A", "1", "--B", "-1",
+                             "--tau-re", "1e308", "--tau-im", "1e308")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "tail_bound must be finite" in err
+
+
 def test_grid_corollary_validates_lambda_like_check(capsys):
     argv = ("--predicate", "C1_F_in_Sk", "--m", "0.3", "--k", "0.5",
             "--lambda", "2")

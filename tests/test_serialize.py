@@ -1,3 +1,4 @@
+import enum
 import json
 import math
 
@@ -6,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gftpoisson import dumps_canonical
-from gftpoisson.serialize import dict_to_human, fmt_float, rows_to_csv
+from gftpoisson.serialize import _ESCAPES, dict_to_human, fmt_float, rows_to_csv
 
 
 def test_fmt_float_spellings():
@@ -81,3 +82,97 @@ def test_dict_to_human_alignment_and_lists():
     assert lines[0] == "verdict  Holds"
     assert lines[1] == "argmax   [0.25, 0]"
     assert lines[2] == "N        16"
+
+
+# ---- the flat-dict fast path against the general writer ----
+
+def _general(obj, indent=0, out=None):
+    """The isinstance-chain writer, kept here as the oracle of dumps_canonical."""
+    top = out is None
+    out = [] if top else out
+    pad = "  " * indent
+    if obj is None:
+        out.append("null")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
+        out.append(fmt_float(obj))
+    elif isinstance(obj, str):
+        out.append('"' + obj.translate(_ESCAPES) + '"')
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+        else:
+            out.append("{\n")
+            for i, (key, value) in enumerate(obj.items()):
+                if i:
+                    out.append(",\n")
+                out.append(pad + '  "' + str(key).translate(_ESCAPES) + '": ')
+                _general(value, indent + 1, out)
+            out.append("\n" + pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+        else:
+            out.append("[\n")
+            for i, value in enumerate(obj):
+                if i:
+                    out.append(",\n")
+                out.append(pad + "  ")
+                _general(value, indent + 1, out)
+            out.append("\n" + pad + "]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    return "".join(out) if top else None
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+class _Real(float):
+    def __repr__(self):
+        return "_Real"
+
+
+@pytest.mark.parametrize("obj", [
+    {"flag": True, "off": False, "n": 1, "zero": 0, "big": -(10 ** 30)},
+    {"level": _Level.LOW, "n": 2},
+    {"level": _Level.LOW},
+    {"x": _Real(0.1), "y": 0.1},
+    {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "neg0": -0.0,
+     "tiny": 5e-324, "third": 1 / 3},
+    {'q"uo\\te\n': 'v"a\\l\tue\r\x00\x1f\x7f', "\x01": "\u2028é"},
+    {'say "hi"': 'a "quoted" value', "back\\slash": "c:\\dir", "plain": ""},
+    ['only "quotes"', "only \\ backslash", "tab\tonly"],
+    {1: "int key", 2.5: "float key", None: "none key", True: "bool key"},
+    {_Level.LOW: 1.0},
+    {"empty": {}, "nested": {"a": 1.5, "b": None}, "list": [1, {"c": "d"}, []]},
+    {"only": {}},
+    {"only": []},
+    [{"a": 1}, {"b": [0.5, None]}, {}],
+    {"outer": {"inner": {"leaf": "x"}}},
+])
+def test_flat_dicts_print_what_the_general_writer_prints(obj):
+    assert dumps_canonical(obj) == _general(obj)
+
+
+def test_a_subclass_value_takes_the_isinstance_chain():
+    # type(x) is float fails for the subclass, which still prints as a float,
+    # not through its own repr
+    assert dumps_canonical({"x": _Real(0.5)}) == '{\n  "x": 0.5\n}'
+
+
+_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+            | st.text(alphabet=st.characters(max_codepoint=0x2100), max_size=8))
+_keys = st.text(max_size=6) | st.integers(-5, 5) | st.booleans()
+_values = st.recursive(
+    _scalars, lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_keys, inner, max_size=5), max_leaves=20)
+
+
+@given(_values)
+def test_canonical_writer_matches_the_general_writer(obj):
+    assert dumps_canonical(obj) == _general(obj)

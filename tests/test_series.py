@@ -13,6 +13,7 @@ from gftpoisson import (CoefficientSeq, DomainError, PoissonParams,
                         coeffs_F, coeffs_G, partial_shifted_sum,
                         shifted_exp_sum, worst_case_R_coeffs)
 from gftpoisson.criteria import RParams
+from gftpoisson.theorems import _image
 
 POLICY = TruncationPolicy(eps=1e-12)
 
@@ -28,6 +29,13 @@ def test_poisson_params_rejects_bad_m(bad_m):
 def test_coefficient_seq_rejects_negative_entries():
     with pytest.raises(DomainError):
         CoefficientSeq(SignConvention.NEGATIVE_TAIL, (0.5, -0.1), 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_coefficient_seq_rejects_non_finite_entries(bad):
+    # builders skip these checks; a sequence a caller builds never does
+    with pytest.raises(DomainError):
+        CoefficientSeq(SignConvention.NEGATIVE_TAIL, (0.5, bad), 0.0)
 
 
 def test_coefficient_seq_rejects_bad_tail_bound():
@@ -320,3 +328,23 @@ def test_builders_and_sums_are_bit_identical():
     # repr() of a float round-trips, so any change in any last bit shows here
     assert _series_digest() == (
         "81bf0c6a6c76a5e290ca5cc70a84cf502c50e2c9663129ec570cbeb9637d6b44")
+
+
+# ---- trusted construction ----
+
+@given(m=st.floats(1e-6, 714.0), eps=st.floats(1e-14, 1e-2),
+       b=st.floats(-1.0, 0.9), gap=st.floats(0.05, 1.0), tau=st.complex_numbers(
+           min_magnitude=0.05, max_magnitude=2.0, allow_nan=False, allow_infinity=False))
+@settings(max_examples=100, deadline=None)
+def test_builders_build_what_validation_would(m, eps, b, gap, tau):
+    # coeffs_F, coeffs_G and the I image skip the per-coefficient checks; the
+    # full __post_init__ must find nothing to change in what they build
+    p, policy = PoissonParams(m), TruncationPolicy(eps=eps)
+    r = RParams(A=min(1.0, b + gap), B=b, tau=tau)
+    for seq, kind in ((coeffs_F(p, policy), float), (coeffs_G(p, policy), float),
+                      (_image(p, policy, r), complex)):
+        validated = CoefficientSeq(seq.convention, seq.coefficients, seq.tail_bound)
+        assert validated == seq
+        assert all(type(a) is kind for a in seq.coefficients)
+        assert all(type(a) is kind for a in validated.coefficients)
+        assert type(seq.tail_bound) is float

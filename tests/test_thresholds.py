@@ -413,3 +413,33 @@ def test_rows_without_a_root_start_from_their_bracket(monkeypatch, pid, budget):
     probes = _recorded_probes(monkeypatch, pid, c, r, 1e-10)
     assert tuple(probes[:2]) == SPECS[pid].bracket(c, r)
     assert len(probes) <= budget
+
+
+# ---- class constants near the smallest positive double ----
+
+TINY_M = 5e-324
+R_UNIT = RParams(A=1.0, B=0.0, tau=1.0)
+
+
+@pytest.mark.parametrize("pid", list(PredicateId))
+@pytest.mark.parametrize("k", [5e-324, 1e-320, 1e-310, 2.2e-308])
+def test_a_tiny_class_constant_is_solved_or_refused_as_a_domain_error(pid, k):
+    # the crossing is of order k, below anything the W route can probe at
+    # tol = 1e-10, so the doubling start halves down to 5e-324 to find it;
+    # InvalidTolerance was raised here once the start fell below 1e-300
+    c = ClassParams(k=k, lam=0.3)
+
+    def margin(m):
+        return evaluate(pid, PoissonParams(m), c, R_UNIT).margin
+
+    try:
+        res = solve_m_star(pid, c, r=R_UNIT)
+    except DomainError as exc:
+        assert "smallest positive double" in str(exc)
+        assert margin(TINY_M) <= 0
+        return
+    assert res.outcome is Outcome.FINITE
+    # a bracket of width tol around a crossing near 1e-308 reaches below 0
+    # once m* - bracket rounds, so its low end is the smallest positive m
+    assert margin(max(res.m_star - res.bracket_width, TINY_M)) > 0
+    assert margin(res.m_star + res.bracket_width) <= 0
