@@ -16,6 +16,17 @@ R-condition read the f' of the same loop.  The public condition values go
 through the same helpers.  Each grid point is tested once for |z| < 1,
 since a radius one ulp below 1 is accepted by GridSpec and cmath.rect may
 round it out.
+
+Each circle of P points is conjugate-symmetric: point j is
+cmath.rect(radius, j * 2pi/P) for j <= P//2 and the conjugate of point P - j
+above that.  When every pair of an S- or C-condition table has imaginary part
+0 (the float F and G, and I images of real coefficients), a lower-half point
+reuses the value of its mirror, since IEEE +, -, *, / and abs commute with
+conjugation and conj(f(z)) = f(conj(z)) holds for a real series: the value
+is the same float at z and at conj(z).  Such a grid runs floor(P/2) + 1 Horner
+passes per circle, and its argmax, the first point of the largest value,
+lies in the upper half.  The R-condition, where (A-B) tau need not be real,
+and complex tables evaluate every point.
 """
 
 from __future__ import annotations
@@ -169,7 +180,9 @@ def grid_check(f: CoefficientSeq, condition: ConditionId, params,
 
     The maximum is taken over valid points with a deterministic tie-break
     (first radius, then first angle); a point counts as a violation when its
-    value reaches the class threshold (k for S/C, 1 for R).
+    value reaches the class threshold (k for S/C, 1 for R).  A lower-half
+    point of a real S/C table counts its mirror's value (see the module
+    docstring); every point is counted once either way.
     """
     if condition is ConditionId.R_COND:
         if not isinstance(params, RParams):
@@ -177,6 +190,8 @@ def grid_check(f: CoefficientSeq, condition: ConditionId, params,
         threshold = 1.0
         table = _pair_table(f)
         value_at = lambda z: _r_value(table, z, params, grid.denominator_floor)
+        # (A-B) tau need not be real, so the R-condition has no mirror symmetry
+        mirrored = False
     else:
         if not isinstance(params, ClassParams):
             raise DomainError("S/C conditions require ClassParams")
@@ -184,18 +199,31 @@ def grid_check(f: CoefficientSeq, condition: ConditionId, params,
         # the C-condition is the S-condition of z f', built once per grid
         table = _pair_table(f, zfprime=condition is ConditionId.C_COND)
         value_at = lambda z: _s_value(table, z, params.lam, grid.denominator_floor)
+        # a real table gives the same value at conj(z) as at z, bit for bit
+        mirrored = all(a.imag == 0 and da.imag == 0 for a, da in table[1])
 
     max_value = -math.inf
     argmax = 0j
     violations = 0
     skipped = 0
-    step = 2 * math.pi / grid.points_per_circle
+    points = grid.points_per_circle
+    half = points // 2
+    step = 2 * math.pi / points
     for radius in grid.radii:
-        for j in range(grid.points_per_circle):
-            z = cmath.rect(radius, j * step)
-            if abs(z) >= 1:
-                _require_in_disk(z)   # raises; GridSpec radii below 1 may still round out
-            value, valid = value_at(z)
+        circle = []   # (z, value, valid) of points 0 .. j-1
+        for j in range(points):
+            if j <= half:
+                z = cmath.rect(radius, j * step)
+                if abs(z) >= 1:
+                    _require_in_disk(z)   # raises; GridSpec radii below 1 may still round out
+                value, valid = value_at(z)
+            else:
+                # the conjugate of point points - j; |z| is that point's, already checked
+                z, value, valid = circle[points - j]
+                z = z.conjugate()
+                if not mirrored:
+                    value, valid = value_at(z)
+            circle.append((z, value, valid))
             if not valid:
                 skipped += 1
                 continue

@@ -47,9 +47,12 @@ k(1+lambda) and Q = (1-lambda)(1-k), so P - Q = 2k:
 Two margins, lo > 0 and hi <= 0, confirm a bracket.
 
 Without a confirmed root or bracket, m is doubled from a positive-margin start
-until the margin is <= 0.  The start is 1e-3, halved as often as needed down to
-the smallest positive double; where even that m has a margin <= 0, the
-crossing lies below every positive float and DomainError is raised.  The
+until the margin is <= 0.  The start is the row's root where it is a positive
+float that the W route declined (a root closer to 0 than tol/4, as for k far
+below tol, probes that span tol, or probes without the sign change), and 1e-3
+otherwise, halved as often as needed down to the smallest positive double;
+where even that m has a margin <= 0, the crossing lies below every positive
+float and DomainError is raised.  The
 bracket is then closed by ITP (Oliveira & Takahashi, "An Enhancement of the
 Bisection Method Average Performance Preserving Minmax Optimality", ACM TOMS
 47(1), 2020): a regula falsi step, truncated toward the midpoint and projected
@@ -57,6 +60,13 @@ into a shrinking ball around it, so its worst case stays within n0 = 1 step of
 bisection's.  As in Brent's method, no probe lands closer than tol/4 to either
 end: a step that closed the bracket far below tol would leave both ends in the
 margin's rounding noise.
+
+A tol near float resolution has one limit.  Near a subnormal crossing at
+tol = 5e-324, each product in the closed form rounds to a multiple of
+5e-324, so the float margin is not monotone in m there and m* -+ bracket may
+show no sign change: T5 at k = 5e-324, lambda = 0.3, (A, B, tau) = (1, -1, 1)
+has margin 0 at m = 5e-324, 1e-323 at 1e-323 and 0 at 1.5e-323.  The default
+tol = 1e-10 is not affected.
 """
 
 from __future__ import annotations
@@ -114,12 +124,12 @@ def _confirmed(start: tuple[float, float] | None, margin) -> tuple | None:
     return (lo, hi, lo_margin, hi_margin) if hi_margin <= 0 else None
 
 
-def _doubled(margin) -> tuple:
+def _doubled(margin, start: float) -> tuple:
     """(lo, hi, lo_margin, hi_margin) with lo_margin > 0 >= hi_margin, by
-    doubling m from 1e-3, after halving it to a positive margin if needed."""
+    doubling m from start, after halving it to a positive margin if needed."""
     # every LHS vanishes as m -> 0+, so a positive margin exists above 0, but
     # for k near the smallest double it may lie below every positive float
-    lo = 1e-3
+    lo = start
     lo_margin = margin(lo)
     while lo_margin <= 0:
         if lo == _TINY_M:
@@ -167,8 +177,9 @@ def solve_m_star(pid: PredicateId, c: ClassParams, r: RParams | None = None,
         if 0 < lo < hi and hi - lo < tol and margin(lo) > 0 and margin(hi) <= 0:
             return _finite(pid, root, lo, hi, evals)
 
+    start = root if root is not None and 0 < root < math.inf else 1e-3
     lo, hi, lo_margin, hi_margin = (_confirmed(row.bracket(c, r), margin)
-                                    or _doubled(margin))
+                                    or _doubled(margin, start))
 
     # ITP with kappa1 = 0.2 / width, kappa2 = 2, n0 = 1
     width = hi - lo

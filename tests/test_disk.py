@@ -1,5 +1,6 @@
 import cmath
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from gftpoisson import (ClassParams, CoefficientSeq, ConditionId, DomainError,
                         coeffs_F, coeffs_G, eval_deriv, eval_series,
                         grid_check, r_condition_value, s_condition_value,
                         worst_case_R_coeffs)
+import gftpoisson.disk
 from gftpoisson.theorems import SPECS, PredicateId
 
 POLICY = TruncationPolicy(eps=1e-12)
@@ -89,14 +91,31 @@ def test_s_condition_small_m_inside_bound():
     assert 0 < value < c.k
 
 
+def _image_of(r, p):
+    """I applied to the member with a_n = (A-B) tau / n: complex coefficients
+    that carry tau's phase, their imaginary parts all zero when tau is real."""
+    member = CoefficientSeq(SignConvention.GENERAL_TAIL,
+                            tuple((r.A - r.B) * r.tau / n for n in range(2, 13)), 0.0)
+    return apply_operator_I(member, p)
+
+
+REAL_SERIES = {"F": coeffs_F(PoissonParams(0.7), POLICY),
+               "G": coeffs_G(PoissonParams(0.7), POLICY),
+               "I_real_tau": _image_of(RParams(A=1.0, B=-0.5, tau=-1.5),
+                                       PoissonParams(1.5))}
+
+
+@pytest.mark.parametrize("value_at", [s_condition_value, c_condition_value],
+                         ids=["S", "C"])
+@pytest.mark.parametrize("kind", sorted(REAL_SERIES))
 @given(z=disk_points)
 @settings(max_examples=100)
-def test_s_condition_conjugation_symmetry(z):
+def test_condition_conjugation_symmetry(kind, value_at, z):
     # real coefficients commute with conjugation at every arithmetic step
-    f = coeffs_F(PoissonParams(0.7), POLICY)
+    f = REAL_SERIES[kind]
     c = ClassParams(k=0.6, lam=0.4)
-    v1, ok1 = s_condition_value(f, z, c)
-    v2, ok2 = s_condition_value(f, z.conjugate(), c)
+    v1, ok1 = value_at(f, z, c)
+    v2, ok2 = value_at(f, z.conjugate(), c)
     assert ok1 == ok2
     assert v1 == v2
 
@@ -261,18 +280,26 @@ def test_grid_spec_rejects_non_integer_points(points):
 
 # ---- grid reports against the public pointwise values ----
 
+def _circle(radius, points):
+    """The grid's points on one circle: rect(radius, j * step) up to
+    j = points // 2, then the conjugate of point points - j."""
+    step = 2 * math.pi / points
+    upper = [cmath.rect(radius, j * step) for j in range(points // 2 + 1)]
+    return upper + [upper[points - j].conjugate()
+                    for j in range(points // 2 + 1, points)]
+
+
 def _recomputed(f, condition, params, grid):
     """(max, argmax, violations, skipped) from the public condition values at
-    the grid's points: the first point of the largest value wins ties."""
+    every one of the grid's points: the first point of the largest value wins
+    ties."""
     value_at = {ConditionId.S_COND: s_condition_value,
                 ConditionId.C_COND: c_condition_value,
                 ConditionId.R_COND: r_condition_value}[condition]
     threshold = 1.0 if condition is ConditionId.R_COND else params.k
     best, argmax, violations, skipped = -math.inf, 0j, 0, 0
-    step = 2 * math.pi / grid.points_per_circle
     for radius in grid.radii:
-        for j in range(grid.points_per_circle):
-            z = cmath.rect(radius, j * step)
+        for z in _circle(radius, grid.points_per_circle):
             value, valid = value_at(f, z, params, grid.denominator_floor)
             if not valid:
                 skipped += 1
@@ -296,6 +323,8 @@ def _series(kind, m, scale, r):
         return coeffs_G(p, POLICY)
     if kind == "I":
         return apply_operator_I(worst_case_R_coeffs(r, 12), p)
+    if kind == "I_tau":
+        return _image_of(r, p)
     f = coeffs_F(p, POLICY)
     return CoefficientSeq(f.convention, tuple(b * scale for b in f.coefficients),
                           f.tail_bound * scale)
@@ -308,7 +337,7 @@ r_params = st.builds(
     st.floats(0.0, 2 * math.pi))
 
 
-@given(kind=st.sampled_from(["F", "G", "I", "scaled"]),
+@given(kind=st.sampled_from(["F", "G", "I", "I_tau", "scaled"]),
        condition=st.sampled_from(list(ConditionId)),
        m=st.floats(1e-3, 10.0), scale=st.floats(0.0, 4.0),
        k=st.floats(1e-3, 1.0), lam=st.floats(0.0, 0.999), r=r_params,
@@ -383,3 +412,69 @@ def test_s_condition_is_the_quotient_of_eval_series_and_eval_deriv(
             expected = ((0.0, False) if abs(w + 1) < floor
                         else (abs(w - 1) / abs(w + 1), True))
     assert s_condition_value(f, z, ClassParams(k=0.5, lam=lam), floor) == expected
+
+
+# ---- conjugate-symmetric circles ----
+
+def _bits(z):
+    return struct.pack("<dd", z.real, z.imag)
+
+
+def _recorded_points(monkeypatch, name, f, condition, params, grid):
+    """(the points at which disk.<name> evaluated the condition, the report)."""
+    seen = []
+    evaluate_at = getattr(gftpoisson.disk, name)
+
+    def recording(table, z, *args):
+        seen.append(z)
+        return evaluate_at(table, z, *args)
+
+    monkeypatch.setattr(gftpoisson.disk, name, recording)
+    return seen, grid_check(f, condition, params, grid)
+
+
+@given(radii=st.lists(st.floats(1e-3, 0.999), min_size=1, max_size=3),
+       points=st.sampled_from([8, 13, 33, 64, 256]))
+@settings(max_examples=60, deadline=None)
+def test_grid_circles_are_conjugate_symmetric(radii, points):
+    # the R-condition evaluates every point, so it sees the whole point set
+    with pytest.MonkeyPatch.context() as mp:
+        seen, _ = _recorded_points(mp, "_r_value", IDENTITY, ConditionId.R_COND,
+                                   RParams(A=1.0, B=0.0, tau=1.0),
+                                   GridSpec(radii=tuple(radii), points_per_circle=points))
+    assert len(seen) == len(radii) * points
+    step = 2 * math.pi / points
+    for i, radius in enumerate(radii):
+        circle = seen[i * points:(i + 1) * points]
+        for j, z in enumerate(circle):
+            if j <= points // 2:
+                assert _bits(z) == _bits(cmath.rect(radius, j * step))
+            else:
+                assert _bits(z) == _bits(circle[points - j].conjugate())
+
+
+MIRROR_SERIES = dict(REAL_SERIES, I_complex_tau=_image_of(
+    RParams(A=1.0, B=-0.5, tau=0.3 + 0.4j), PoissonParams(1.5)))
+
+
+@pytest.mark.parametrize("points", [8, 13, 64])
+@pytest.mark.parametrize("condition", list(ConditionId))
+@pytest.mark.parametrize("kind", sorted(MIRROR_SERIES))
+def test_only_real_s_and_c_tables_evaluate_half_of_each_circle(monkeypatch, kind,
+                                                                condition, points):
+    f = MIRROR_SERIES[kind]
+    grid = GridSpec(radii=(0.5, 0.9), points_per_circle=points)
+    if condition is ConditionId.R_COND:
+        name, params = "_r_value", RParams(A=1.0, B=-0.5, tau=0.3 + 0.4j)
+    else:
+        name, params = "_s_value", ClassParams(k=0.3, lam=0.4)
+    seen, report = _recorded_points(monkeypatch, name, f, condition, params, grid)
+    if kind == "I_complex_tau" or condition is ConditionId.R_COND:
+        assert len(seen) == 2 * points
+    else:
+        upper = [z for radius in grid.radii for z in _circle(radius, points)[:points // 2 + 1]]
+        assert [_bits(z) for z in seen] == [_bits(z) for z in upper]
+    assert _report_tuple(report) == _recomputed(f, condition, params, grid)
+    # a real series' largest value is first reached in the upper half
+    if kind != "I_complex_tau" and condition is not ConditionId.R_COND:
+        assert report.argmax_z.imag >= 0

@@ -443,3 +443,18 @@ def test_a_tiny_class_constant_is_solved_or_refused_as_a_domain_error(pid, k):
     # once m* - bracket rounds, so its low end is the smallest positive m
     assert margin(max(res.m_star - res.bracket_width, TINY_M)) > 0
     assert margin(res.m_star + res.bracket_width) <= 0
+
+
+@pytest.mark.parametrize("pid", [PredicateId.T1_F_in_S, PredicateId.C1_F_in_Sk,
+                                 PredicateId.T3_G_in_C, PredicateId.C5_G_in_Ck,
+                                 PredicateId.T6_I_in_C, PredicateId.C4_I_in_Ck])
+def test_doubling_starts_at_a_root_too_small_to_probe(pid):
+    # the root, of order k, lies far closer to 0 than tol/4, so the W route
+    # declines; doubling from it takes a few steps where halving from 1e-3
+    # took about 323
+    c = ClassParams(k=1e-100, lam=0.3)
+    res = solve_m_star(pid, c, r=R_UNIT)
+    assert res.outcome is Outcome.FINITE
+    assert res.evaluations <= 6
+    assert evaluate(pid, PoissonParams(res.m_star - res.bracket_width), c, R_UNIT).margin > 0
+    assert evaluate(pid, PoissonParams(res.m_star + res.bracket_width), c, R_UNIT).margin <= 0
