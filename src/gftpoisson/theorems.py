@@ -134,12 +134,15 @@ class PredicateSpec:
     policy, r).  needs_r marks the theorems that take (A, B, tau).  limit(c, r)
     is the value a bounded left-hand side tends to as m grows, computed in the
     floats lhs reaches there, and None for an unbounded one.  root(c, r) is the
-    crossing in closed form where there is one (T1, T3 and T6, through
-    Lambert's W); bracket(c, r) is a (lo, hi) with lo <= m* <= hi where the
-    row has proven bounds but no closed form (T2, T4 and T5).  Both are floats
-    the solver confirms with two margins before it relies on them; None
-    elsewhere, and a bracket is None where its float error could exceed its
-    widening.  The thresholds module derives both.
+    crossing of every row that has one: in closed form through Lambert's W
+    for T1, T3 and T6, by Newton's iteration from a proven start for T2, T4
+    and T5.  bracket(c, r) is a (lo, hi) with lo <= m* <= hi for T2, T4 and
+    T5: the solver's fallback where the root's two margins do not confirm it,
+    and the start of the T4/T5 iteration.  Both are floats the solver confirms
+    with two margins before it relies on them.  A Newton root is None where
+    its iteration does not converge, a bracket where its float error could
+    exceed its widening, and both elsewhere.  The thresholds module derives
+    them.
     """
 
     theorem: PredicateId
@@ -212,6 +215,74 @@ def _t5_bracket(c: ClassParams, r: RParams) -> tuple[float, float] | None:
     return _bounded_bracket(c, 2 * c.k / r.scale)
 
 
+# Newton's iterations for T2, T4 and T5 (derived in thresholds)
+_NEWTON_STEPS = 16
+_MIN_NORMAL = 2.2250738585072014e-308   # the smallest positive normal double
+
+
+def _newton(m: float, value_slope: Callable[[float], tuple[float, float]]
+            ) -> float | None:
+    """Climb by Newton steps value/slope from a start m <= m*.
+
+    Every exact step is positive and lands at or below m*, so the climb stops
+    once a step is at most 4e-16 m, as _lambert_w0 does; a step at or below 0
+    is the rounding noise of value near m*.  None where it does not converge,
+    or meets an m that is not a positive normal float or a slope that is not
+    positive.
+    """
+    for _ in range(_NEWTON_STEPS):
+        if not _MIN_NORMAL <= m < math.inf:
+            return None
+        value, slope = value_slope(m)
+        if not slope > 0:
+            return None
+        step = value / slope
+        if step <= 4e-16 * m:
+            return m
+        m += step
+    return None
+
+
+def _t2_root(c: ClassParams, r: RParams | None) -> float | None:
+    # value -m phi(m) and slope m phi'(m), so a tiny m never forms 1/m
+    p, q, two_k = c.P, _q_factor(c), 2 * c.k
+
+    def value_slope(m: float) -> tuple[float, float]:
+        s = p * m + 2 * q
+        return -m * (math.log(m / two_k * s) + m), 1 + m + p * m / s
+
+    m = c.k / q   # >= m*, and one step lands in (0, m*]
+    if not m >= _MIN_NORMAL:
+        return None
+    value, slope = value_slope(m)
+    return _newton(m + value / slope, value_slope)
+
+
+def _bounded_root(c: ClassParams, b: float) -> float | None:
+    # t4(m) = b, with t4' = -h' = Q g(m)/m + 2k e^-m; b - t4(m) = h(m) - d,
+    # and the form of the smaller side, b or d, carries the smaller rounding
+    start = _bounded_bracket(c, b)
+    if start is None:
+        return None
+    p, q, two_k = c.P, c.Q, 2 * c.k
+    d = p - b
+
+    def value_slope(m: float) -> tuple[float, float]:
+        e, e1, qg = math.exp(-m), -math.expm1(-m), q * _g_tail_ratio(m)
+        value = b - (p * e1 - qg) if b < d else q * e1 / m + two_k * e - d
+        return value, qg / m + two_k * e
+
+    return _newton(start[0], value_slope)
+
+
+def _t4_root(c: ClassParams, r: RParams | None) -> float | None:
+    return _bounded_root(c, 2 * c.k)
+
+
+def _t5_root(c: ClassParams, r: RParams) -> float | None:
+    return _bounded_root(c, 2 * c.k / r.scale)
+
+
 def _f(p: PoissonParams, policy: TruncationPolicy, r: RParams | None) -> CoefficientSeq:
     return coeffs_F(p, policy)
 
@@ -239,7 +310,7 @@ _ROWS = (
                   sum_scale=_f_sum_scale_S),
     PredicateSpec(PredicateId.T2_F_in_C, PredicateId.C2_F_in_Ck, _f,
                   ConditionId.C_COND, needs_r=False, limit=_none,
-                  root=_none, bracket=_t2_bracket, lhs=_t2,
+                  root=_t2_root, bracket=_t2_bracket, lhs=_t2,
                   sum_scale=_f_sum_scale_C),
     PredicateSpec(PredicateId.T3_G_in_C, PredicateId.C5_G_in_Ck, _g,
                   ConditionId.C_COND, needs_r=False, limit=_none,
@@ -247,11 +318,11 @@ _ROWS = (
                   sum_scale=_f_sum_scale_S),
     PredicateSpec(PredicateId.T4_G_in_S, PredicateId.C6_G_in_Sk, _g,
                   ConditionId.S_COND, needs_r=False,
-                  limit=lambda c, r: c.P, root=_none, bracket=_t4_bracket,
+                  limit=lambda c, r: c.P, root=_t4_root, bracket=_t4_bracket,
                   lhs=_t4, sum_scale=_t4),
     PredicateSpec(PredicateId.T5_I_in_S, PredicateId.C3_I_in_Sk, _image,
                   ConditionId.S_COND, needs_r=True,
-                  limit=lambda c, r: r.scale * c.P, root=_none,
+                  limit=lambda c, r: r.scale * c.P, root=_t5_root,
                   bracket=_t5_bracket, lhs=_t5, sum_scale=_t5),
     PredicateSpec(PredicateId.T6_I_in_C, PredicateId.C4_I_in_Ck, _image,
                   ConditionId.C_COND, needs_r=True, limit=_none,

@@ -44,15 +44,45 @@ k(1+lambda) and Q = (1-lambda)(1-k), so P - Q = 2k:
   Then h(U) <= Q/U + 2k e^-L <= d, so m* <= U <= max(L, 2Q/d).
   The float error of these formulas is a few ulp times P/d, so they are used
   only where d > 2^-30 P, and each end is widened by 2^-18 of itself.
-Two margins, lo > 0 and hi <= 0, confirm a bracket.
+Two margins, lo > 0 and hi <= 0, confirm a bracket; the solver probes it
+only where the root's two margins do not confirm the root.
+
+Newton crossings (a row's root for T2, T4 and T5).  On an increasing concave
+f, a Newton step m - f(m)/f'(m) lands at or below the zero of f from any m,
+since the tangent lies above f; from below the zero each step is positive
+and lands below it again, so the iterates climb monotonically to it.
+- T2: m e^m (P m + 2Q') = 2k is the zero of
+  phi(m) = log(m (P m + 2Q')/2k) + m, with phi' = 1/m + 1 + P/(P m + 2Q')
+  > 0 and phi'' = -1/m^2 - P^2/(P m + 2Q')^2 < 0.  The left-hand side is at
+  least 2Q' m, so m* <= m0 = k/Q', a start that needs no W.  With k <= 1,
+  Q' = (1-lambda) + k(2+lambda) >= 3k gives m0 <= 1/3, and Q' - P = k gives
+  P <= Q', so phi(m0) = m0 + log(1 + P k/(2Q'^2)) <= 1/3 + log(7/6) < 1.  As
+  phi' >= 1/m, the first iterate lies in [m0 (1 - phi(m0)), m*], above 0.
+  The iteration forms m phi and m phi', never 1/m.
+- T4, T5: t4(m*) = b, where t4 = P - h and h(m) = Q(1 - e^-m)/m +
+  2k e^-m.  (1 - e^-m)/m is the integral of e^-ms over s in [0, 1], so h is
+  convex and decreasing and t4 is concave and increasing: Newton from the
+  bracket's lower end climbs to m*, and where that bracket is None so is the
+  root.  d/dm (1 - e^-m)/m = -g(m)/m, so the slope t4' = -h' = Q g(m)/m +
+  2k e^-m reuses g and brings no new cancellation.  The value b - t4(m) =
+  h(m) - d is formed on the smaller side: b - t4(m) where b < d, h(m) - d
+  otherwise, so its rounding scales with b or d and not with P.
+In floats the value is noise near m*, so the climb stops at the first step
+of at most 4e-16 m, positive or not, and a root is None after 16 steps, at
+an m that is not a positive normal float or at a slope that is not positive.
+Where the margin rounds to one value over more than tol/2 of m (T5 near its
+limit, where m* is large: from about 80 up at the default tol), the two
+margins at m* -+ tol/4 cannot confirm the root, and the solver goes on to
+the row's bracket.
 
 Without a confirmed root or bracket, m is doubled from a positive-margin start
 until the margin is <= 0.  The start is the row's root where it is a positive
-float that the W route declined (a root closer to 0 than tol/4, as for k far
-below tol, probes that span tol, or probes without the sign change), and 1e-3
-otherwise, halved as often as needed down to the smallest positive double;
-where even that m has a margin <= 0, the crossing lies below every positive
-float and DomainError is raised.  The
+float that the root route declined (a root closer to 0 than tol/4, as for k
+far below tol, probes that span tol, or probes without the sign change), and
+1e-3 otherwise, halved as often as needed down to the smallest positive
+double; an m whose margin is <= 0 closes the bracket as it is, so no m is
+probed twice.  Where even the smallest positive double has a margin <= 0,
+the crossing lies below every positive float and DomainError is raised.  The
 bracket is then closed by ITP (Oliveira & Takahashi, "An Enhancement of the
 Bisection Method Average Performance Preserving Minmax Optimality", ACM TOMS
 47(1), 2020): a regula falsi step, truncated toward the midpoint and projected
@@ -131,17 +161,22 @@ def _doubled(margin, start: float) -> tuple:
     # for k near the smallest double it may lie below every positive float
     lo = start
     lo_margin = margin(lo)
+    hi = None
     while lo_margin <= 0:
         if lo == _TINY_M:
             raise DomainError(f"the crossing lies below the smallest positive double: "
                               f"the margin at m = {lo!r} is {lo_margin!r}")
+        # the rejected m closes the bracket as it is: halving a subnormal can
+        # round, so doubling lo need not land on it again
+        hi, hi_margin = lo, lo_margin
         lo = max(lo * 0.5, _TINY_M)
         lo_margin = margin(lo)
 
     # the margin ends below zero: an unbounded LHS overtakes 2k, and a bounded
     # one reaches its limit, past 2k here, once its vanishing term rounds away
-    hi = lo * 2
-    hi_margin = margin(hi)
+    if hi is None:
+        hi = lo * 2
+        hi_margin = margin(hi)
     while hi_margin > 0:
         lo, lo_margin = hi, hi_margin
         hi *= 2

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 
 import mpmath
@@ -34,8 +35,9 @@ def test_t1_fixture_root():
 def test_t2_fixture_root():
     res = solve_m_star(PredicateId.T2_F_in_C, K1, tol=1e-10)
     assert abs(res.m_star - T2_ROOT) < 1e-9
-    # two margins confirm [W(2k/(P u + 2Q')), u], then ITP; doubling made 17
-    assert res.evaluations <= 9
+    # two margins confirm the Newton root; the bracket and ITP made 9, and
+    # doubling 17
+    assert res.evaluations == 2
 
 
 def test_t6_fixture_root():
@@ -349,6 +351,97 @@ def test_t6_root_matches_the_mpmath_root(k, lam, r):
         assert abs(root - exact) <= 1e-15 * max(exact, 1)
 
 
+TOL = 1e-10   # solve_m_star's default
+
+
+def _mp_crossing(margin, bracket, dps=50):
+    with mpmath.workdps(dps):
+        return mpmath.findroot(margin, tuple(map(mpmath.mpf, bracket)),
+                               solver="anderson")
+
+
+@given(ks, lams)
+@settings(max_examples=500, deadline=None)
+def test_t2_newton_root_is_within_a_quarter_tol(k, lam):
+    c = ClassParams(k=k, lam=lam)
+    row = SPECS[PredicateId.T2_F_in_C]
+    root = row.root(c, None)
+    exact = _mp_crossing(lambda m: _mp_t2_margin(c, m), row.bracket(c, None))
+    assert abs(root - exact) <= TOL / 4
+
+
+def _assert_bounded_root(c, r):
+    row = SPECS[PredicateId.T4_G_in_S if r is None else PredicateId.T5_I_in_S]
+    scale = 1.0 if r is None else r.scale
+    root, bracket = row.root(c, r), row.bracket(c, r)
+    if bracket is None:
+        assert root is None   # no proven start: no crossing, or d <= 2^-30 P
+        return
+    exact = _mp_crossing(lambda m: _mp_t4_margin(c, scale, m), bracket)
+    with mpmath.workdps(50):
+        # one rounding of P or of b = 2k/scale moves the crossing by about
+        # 2^-53 (P + b)/t4'(m*); where that exceeds tol/4 (a limit within
+        # about 1e-2 of 2k, or k near 1 for T4) no float root can do better
+        k, _, q, _ = _mp_class(c)
+        slope = q * (-mpmath.expm1(-exact) / exact - mpmath.exp(-exact)) / exact \
+            + 2 * k * mpmath.exp(-exact)
+        resolution = 8 * 2.0 ** -53 * (c.P + 2 * c.k / scale) / slope + 4e-16 * exact
+        assert abs(root - exact) <= max(TOL / 4, resolution), (root, exact)
+
+
+@given(ks, lams)
+@settings(max_examples=500, deadline=None)
+def test_t4_newton_root_is_within_a_quarter_tol(k, lam):
+    _assert_bounded_root(ClassParams(k=k, lam=lam), None)
+
+
+@given(ks, lams, _r_params(), st.one_of(st.none(), st.floats(-10.0, 0.0)))
+@settings(max_examples=500, deadline=None)
+def test_t5_newton_root_is_within_a_quarter_tol(k, lam, r, excess_exp):
+    c = ClassParams(k=k, lam=lam)
+    if excess_exp is not None:
+        tau = 2 * k * (1 + 10 ** excess_exp) / (c.P * (r.A - r.B))
+        r = RParams(A=r.A, B=r.B, tau=tau)
+    _assert_bounded_root(c, r)
+
+
+@pytest.mark.parametrize("row", sorted(set(SPECS.values()), key=lambda row: row.theorem.value),
+                         ids=lambda row: row.theorem.value)
+@pytest.mark.parametrize("k", [5e-324, 1e-310, 2.2e-308, 1e-100])
+@pytest.mark.parametrize("lam", [0.0, 0.3, 0.999])
+def test_no_root_raises_at_a_tiny_class_constant(row, k, lam):
+    root = row.root(ClassParams(k=k, lam=lam), R_UNIT)
+    assert root is None or 0 < root < math.inf
+
+
+@pytest.mark.parametrize("pid", [PredicateId.T2_F_in_C, PredicateId.T4_G_in_S,
+                                 PredicateId.T5_I_in_S])
+@pytest.mark.parametrize("k", [1e-100, 1e-300])
+def test_newton_roots_keep_their_relative_accuracy_at_a_tiny_k(pid, k):
+    # m* is of order k; a value formed as h(m) - d = (P - t4(m)) - (P - b)
+    # would carry an absolute error near 1e-16, far above m* itself.  g(m)
+    # cancels to about m/2 out of m, so the reference needs 2 log10(1/k) digits
+    c, row = ClassParams(k=k, lam=0.3), SPECS[pid]
+    scale = R_WIDE.scale if pid is PredicateId.T5_I_in_S else 1.0
+    margin = (functools.partial(_mp_t2_margin, c) if pid is PredicateId.T2_F_in_C
+              else functools.partial(_mp_t4_margin, c, scale))
+    exact = _mp_crossing(margin, row.bracket(c, R_WIDE), dps=700)
+    assert abs(row.root(c, R_WIDE) - exact) <= 1e-15 * exact
+
+
+@given(_points())
+@settings(max_examples=500, deadline=None)
+def test_solver_shows_the_sign_change_at_its_bracket_ends(point):
+    pid, c, r = point
+    res = solve_m_star(pid, c, r=r)
+    if res.outcome is Outcome.ALWAYS_HOLDS:
+        return
+    below = evaluate(pid, PoissonParams(res.m_star - res.bracket_width), c, r)
+    above = evaluate(pid, PoissonParams(res.m_star + res.bracket_width), c, r)
+    assert below.margin > 0
+    assert above.margin <= 0
+
+
 @given(st.floats(0.0, math.e))
 @settings(max_examples=1000)
 @example(0.0)
@@ -364,7 +457,8 @@ def test_lambert_w0_matches_mpmath_on_zero_to_e(x):
 
 # ---- every m the solver evaluates is positive and finite ----
 
-def _recorded_probes(monkeypatch, pid, c, r, tol):
+def _recording(monkeypatch):
+    """The list every margin the solver evaluates appends its m to."""
     probes = []
     margin = gftpoisson.thresholds._margin
 
@@ -373,6 +467,11 @@ def _recorded_probes(monkeypatch, pid, c, r, tol):
         return margin(row, m, c_row, r_row)
 
     monkeypatch.setattr(gftpoisson.thresholds, "_margin", recording)
+    return probes
+
+
+def _recorded_probes(monkeypatch, pid, c, r, tol):
+    probes = _recording(monkeypatch)
     res = solve_m_star(pid, c, r=r, tol=tol)
     assert len(probes) == res.evaluations
     return probes
@@ -404,15 +503,29 @@ def test_a_probe_past_the_largest_float_raises(monkeypatch):
         solve_m_star(PredicateId.T2_F_in_C, K1)
 
 
-@pytest.mark.parametrize("pid,budget", [(PredicateId.T2_F_in_C, 9),
-                                        (PredicateId.T4_G_in_S, 11),
-                                        (PredicateId.T5_I_in_S, 9)])
-def test_rows_without_a_root_start_from_their_bracket(monkeypatch, pid, budget):
-    # doubling from m = 1e-3 made 17, 23 and 19 evaluations at this point
-    c, r = ClassParams(k=0.9, lam=0.7), RParams(A=0.5, B=-1.0, tau=-1.5)
+@pytest.mark.parametrize("pid", [PredicateId.T2_F_in_C, PredicateId.T4_G_in_S,
+                                 PredicateId.T5_I_in_S])
+def test_newton_roots_are_confirmed_in_two_margins(monkeypatch, pid):
+    # the confirmed bracket and ITP made 9, 11 and 9 evaluations at this
+    # point, and doubling from m = 1e-3 made 17, 23 and 19
+    c, r, tol = ClassParams(k=0.9, lam=0.7), RParams(A=0.5, B=-1.0, tau=-1.5), 1e-10
+    probes = _recorded_probes(monkeypatch, pid, c, r, tol)
+    root = SPECS[pid].root(c, r)
+    assert probes == [root - tol / 4, root + tol / 4]
+
+
+def test_unconfirmed_newton_root_falls_back_to_the_bracket(monkeypatch):
+    # near m* = 2000 the margin rounds to 0 over a stretch of m far wider than
+    # tol/2, so the probes at root -+ tol/4 cannot show the sign change; the
+    # solver then confirms the row's bracket and closes it by ITP
+    pid, c = PredicateId.T5_I_in_S, ClassParams(k=0.5, lam=0.0)
+    r = RParams(A=1.0, B=0.0, tau=1 / (1.5 - 0.5 / 2000))
     probes = _recorded_probes(monkeypatch, pid, c, r, 1e-10)
-    assert tuple(probes[:2]) == SPECS[pid].bracket(c, r)
-    assert len(probes) <= budget
+    root = SPECS[pid].root(c, r)
+    assert root == pytest.approx(2000, rel=1e-9)
+    assert probes[0] == root - 1e-10 / 4
+    assert evaluate(pid, PoissonParams(probes[0]), c, r).margin <= 0
+    assert tuple(probes[1:3]) == SPECS[pid].bracket(c, r)
 
 
 # ---- class constants near the smallest positive double ----
@@ -421,8 +534,11 @@ TINY_M = 5e-324
 R_UNIT = RParams(A=1.0, B=0.0, tau=1.0)
 
 
+TINY_KS = [5e-324, 1e-320, 1e-310, 2.2e-308]
+
+
 @pytest.mark.parametrize("pid", list(PredicateId))
-@pytest.mark.parametrize("k", [5e-324, 1e-320, 1e-310, 2.2e-308])
+@pytest.mark.parametrize("k", TINY_KS)
 def test_a_tiny_class_constant_is_solved_or_refused_as_a_domain_error(pid, k):
     # the crossing is of order k, below anything the W route can probe at
     # tol = 1e-10, so the doubling start halves down to 5e-324 to find it;
@@ -458,3 +574,16 @@ def test_doubling_starts_at_a_root_too_small_to_probe(pid):
     assert res.evaluations <= 6
     assert evaluate(pid, PoissonParams(res.m_star - res.bracket_width), c, R_UNIT).margin > 0
     assert evaluate(pid, PoissonParams(res.m_star + res.bracket_width), c, R_UNIT).margin <= 0
+
+
+@pytest.mark.parametrize("pid", list(PredicateId))
+@pytest.mark.parametrize("k", TINY_KS)
+def test_no_solve_probes_the_same_m_twice(monkeypatch, pid, k):
+    # after halving to a positive margin, doubling climbed straight back onto
+    # the m it had just rejected and evaluated that margin a second time
+    probes = _recording(monkeypatch)
+    try:
+        solve_m_star(pid, ClassParams(k=k, lam=0.3), r=R_UNIT)
+    except DomainError:
+        pass   # the halving reached 5e-324; its probes still count
+    assert probes and len(set(probes)) == len(probes), probes
