@@ -136,13 +136,10 @@ class PredicateSpec:
     floats lhs reaches there, and None for an unbounded one.  root(c, r) is the
     crossing of every row that has one: in closed form through Lambert's W
     for T1, T3 and T6, by Newton's iteration from a proven start for T2, T4
-    and T5.  bracket(c, r) is a (lo, hi) with lo <= m* <= hi for T2, T4 and
-    T5: the solver's fallback where the root's two margins do not confirm it,
-    and the start of the T4/T5 iteration.  Both are floats the solver confirms
-    with two margins before it relies on them.  A Newton root is None where
-    its iteration does not converge, a bracket where its float error could
-    exceed its widening, and both elsewhere.  The thresholds module derives
-    them.
+    and T5; None where that iteration does not converge, and for T4/T5 where
+    the start's float error could exceed its widening.  The solver confirms a
+    root with two margins before it relies on it.  The thresholds module
+    derives them.
     """
 
     theorem: PredicateId
@@ -152,7 +149,6 @@ class PredicateSpec:
     needs_r: bool
     limit: Callable[..., float | None]
     root: Callable[..., float | None]
-    bracket: Callable[..., tuple[float, float] | None]
     lhs: Callable[..., float]
     sum_scale: Callable[..., float]
 
@@ -169,12 +165,12 @@ def _none(c: ClassParams, r: RParams | None) -> None:
     return None
 
 
-# ---- closed-form crossings and start brackets (derived in thresholds) ----
+# ---- closed-form crossings (derived in thresholds) ----
 
-# relative widening of each bracket end, far above the float error of the
-# formulas below: a few ulp for T2, a few ulp times P/d for T4/T5
-_BRACKET_SLACK = 2.0 ** -18
-# T4/T5 brackets need d = P - 2k/scale above this share of P
+# relative widening of the T4/T5 Newton start, far above the float error of
+# its formula, a few ulp times P/d
+_START_SLACK = 2.0 ** -18
+# the T4/T5 start needs d = P - 2k/scale above this share of P
 _MIN_GAP = 2.0 ** -30
 
 
@@ -187,32 +183,15 @@ def _t6_root(c: ClassParams, r: RParams) -> float:
     return (a - two_k) / p + _lambert_w0(two_k / p * math.exp((two_k - a) / p))
 
 
-def _widened(lo: float, hi: float) -> tuple[float, float]:
-    return lo * (1 - _BRACKET_SLACK), hi * (1 + _BRACKET_SLACK)
-
-
-def _t2_bracket(c: ClassParams, r: RParams | None) -> tuple[float, float]:
-    q = _q_factor(c)
-    u = _lambert_w0(c.k / q)
-    return _widened(_lambert_w0(2 * c.k / (c.P * u + 2 * q)), u)
-
-
-def _bounded_bracket(c: ClassParams, b: float) -> tuple[float, float] | None:
-    p, q, two_k = c.P, c.Q, 2 * c.k
+def _bounded_start(c: ClassParams, b: float) -> float | None:
+    """A proven lower bound on the T4/T5 crossing t4(m*) = b; None where
+    d = P - b is at most 2^-30 P (no crossing, or one too far out for the
+    formula's float error)."""
+    p, q = c.P, c.Q
     d = p - b
     if not d > _MIN_GAP * p:
         return None
-    top = max(q / d, math.log(2 * two_k / d))
-    return _widened(max(-math.log1p(-b / p), q / d - 1),
-                    max(top, q / (d - two_k * math.exp(-top))))
-
-
-def _t4_bracket(c: ClassParams, r: RParams | None) -> tuple[float, float] | None:
-    return _bounded_bracket(c, 2 * c.k)
-
-
-def _t5_bracket(c: ClassParams, r: RParams) -> tuple[float, float] | None:
-    return _bounded_bracket(c, 2 * c.k / r.scale)
+    return max(-math.log1p(-b / p), q / d - 1) * (1 - _START_SLACK)
 
 
 # Newton's iterations for T2, T4 and T5 (derived in thresholds)
@@ -252,8 +231,8 @@ def _t2_root(c: ClassParams, r: RParams | None) -> float | None:
         return -m * (math.log(m / two_k * s) + m), 1 + m + p * m / s
 
     m = c.k / q   # >= m*, and one step lands in (0, m*]
-    if not m >= _MIN_NORMAL:
-        return None
+    if m < _MIN_NORMAL:
+        return m   # m* = m (1 - O(m)): within an ulp this close to 0
     value, slope = value_slope(m)
     return _newton(m + value / slope, value_slope)
 
@@ -261,10 +240,12 @@ def _t2_root(c: ClassParams, r: RParams | None) -> float | None:
 def _bounded_root(c: ClassParams, b: float) -> float | None:
     # t4(m) = b, with t4' = -h' = Q g(m)/m + 2k e^-m; b - t4(m) = h(m) - d,
     # and the form of the smaller side, b or d, carries the smaller rounding
-    start = _bounded_bracket(c, b)
+    start = _bounded_start(c, b)
     if start is None:
         return None
     p, q, two_k = c.P, c.Q, 2 * c.k
+    if start < _MIN_NORMAL:
+        return b / (two_k + 0.5 * q)   # t4(m) = (P - Q/2) m this close to 0
     d = p - b
 
     def value_slope(m: float) -> tuple[float, float]:
@@ -272,7 +253,7 @@ def _bounded_root(c: ClassParams, b: float) -> float | None:
         value = b - (p * e1 - qg) if b < d else q * e1 / m + two_k * e - d
         return value, qg / m + two_k * e
 
-    return _newton(start[0], value_slope)
+    return _newton(start, value_slope)
 
 
 def _t4_root(c: ClassParams, r: RParams | None) -> float | None:
@@ -306,27 +287,24 @@ def _image(p: PoissonParams, policy: TruncationPolicy, r: RParams) -> Coefficien
 _ROWS = (
     PredicateSpec(PredicateId.T1_F_in_S, PredicateId.C1_F_in_Sk, _f,
                   ConditionId.S_COND, needs_r=False, limit=_none,
-                  root=_lambert_root, bracket=_none, lhs=_t1,
-                  sum_scale=_f_sum_scale_S),
+                  root=_lambert_root, lhs=_t1, sum_scale=_f_sum_scale_S),
     PredicateSpec(PredicateId.T2_F_in_C, PredicateId.C2_F_in_Ck, _f,
                   ConditionId.C_COND, needs_r=False, limit=_none,
-                  root=_t2_root, bracket=_t2_bracket, lhs=_t2,
-                  sum_scale=_f_sum_scale_C),
+                  root=_t2_root, lhs=_t2, sum_scale=_f_sum_scale_C),
     PredicateSpec(PredicateId.T3_G_in_C, PredicateId.C5_G_in_Ck, _g,
                   ConditionId.C_COND, needs_r=False, limit=_none,
-                  root=_lambert_root, bracket=_none, lhs=_t1,
-                  sum_scale=_f_sum_scale_S),
+                  root=_lambert_root, lhs=_t1, sum_scale=_f_sum_scale_S),
     PredicateSpec(PredicateId.T4_G_in_S, PredicateId.C6_G_in_Sk, _g,
                   ConditionId.S_COND, needs_r=False,
-                  limit=lambda c, r: c.P, root=_t4_root, bracket=_t4_bracket,
-                  lhs=_t4, sum_scale=_t4),
+                  limit=lambda c, r: c.P, root=_t4_root, lhs=_t4,
+                  sum_scale=_t4),
     PredicateSpec(PredicateId.T5_I_in_S, PredicateId.C3_I_in_Sk, _image,
                   ConditionId.S_COND, needs_r=True,
-                  limit=lambda c, r: r.scale * c.P, root=_t5_root,
-                  bracket=_t5_bracket, lhs=_t5, sum_scale=_t5),
+                  limit=lambda c, r: r.scale * c.P, root=_t5_root, lhs=_t5,
+                  sum_scale=_t5),
     PredicateSpec(PredicateId.T6_I_in_C, PredicateId.C4_I_in_Ck, _image,
                   ConditionId.C_COND, needs_r=True, limit=_none,
-                  root=_t6_root, bracket=_none, lhs=_t6, sum_scale=_t6),
+                  root=_t6_root, lhs=_t6, sum_scale=_t6),
 )
 
 SPECS = {pid: row for row in _ROWS for pid in (row.theorem, row.corollary)}

@@ -27,25 +27,16 @@ Closed-form crossings (a row's root), with W Lambert's principal branch
   with t = 2k/P <= 1 the argument is below t e^t <= e.
 Two margins at m* -+ tol/4 confirm a root.
 
-Start brackets lo <= m* <= hi (a row's bracket), where P = (1-lambda) +
-k(1+lambda) and Q = (1-lambda)(1-k), so P - Q = 2k:
-- T2: m e^m (P m + 2Q') = 2k, Q' = 1 + 2k + k lambda - lambda > 0.  Dropping
-  P m >= 0 gives 2Q' m* e^m* <= 2k, so m* <= u = W(k/Q'), W being increasing.
-  Then P m* <= P u gives m* e^m* (P u + 2Q') >= 2k: m* >= W(2k/(P u + 2Q')).
-- T4, T5: with b = 2k/scale (scale = 1 for T4) the crossing is t4(m*) = b,
-  which exists only below the limit, b < P; let d = P - b.  Expanding g,
-  t4(m) = P - Q/m + e^-m (Q/m - 2k), so h(m) = P - t4(m) =
-  Q(1 - e^-m)/m + 2k e^-m decreases, with h(m*) = d.
-  Lower end: g >= 0 gives t4 <= P(1 - e^-m) < b below m = -log1p(-b/P).
-  And 1 - e^-m >= m/(1+m) gives h(m) > Q/(1+m) >= d for m <= Q/d - 1.  So
-  m* >= max(-log1p(-b/P), Q/d - 1); the second is near m* when m* is large.
-  Upper end: 1 - e^-m <= 1 gives h(m) <= Q/m + 2k e^-m.  Let
-  L = max(Q/d, log(4k/d)), so 2k e^-L <= d/2, and U = max(L, Q/(d - 2k e^-L)).
-  Then h(U) <= Q/U + 2k e^-L <= d, so m* <= U <= max(L, 2Q/d).
-  The float error of these formulas is a few ulp times P/d, so they are used
-  only where d > 2^-30 P, and each end is widened by 2^-18 of itself.
-Two margins, lo > 0 and hi <= 0, confirm a bracket; the solver probes it
-only where the root's two margins do not confirm the root.
+The T4/T5 Newton start, a proven lower bound on m*, where P = (1-lambda) +
+k(1+lambda) and Q = (1-lambda)(1-k), so P - Q = 2k.  With b = 2k/scale
+(scale = 1 for T4) the crossing is t4(m*) = b, which exists only below the
+limit, b < P; let d = P - b.  Expanding g, t4(m) = P - Q/m + e^-m (Q/m - 2k),
+so h(m) = P - t4(m) = Q(1 - e^-m)/m + 2k e^-m decreases, with h(m*) = d.
+g >= 0 gives t4 <= P(1 - e^-m) < b below m = -log1p(-b/P).  And 1 - e^-m >=
+m/(1+m) gives h(m) > Q/(1+m) >= d for m <= Q/d - 1.  So m* >= max(-log1p(-b/P),
+Q/d - 1); the second is near m* when m* is large.  The float error of this
+formula is a few ulp times P/d, so it is used only where d > 2^-30 P, and
+lowered by 2^-18 of itself.
 
 Newton crossings (a row's root for T2, T4 and T5).  On an increasing concave
 f, a Newton step m - f(m)/f'(m) lands at or below the zero of f from any m,
@@ -62,7 +53,7 @@ and lands below it again, so the iterates climb monotonically to it.
 - T4, T5: t4(m*) = b, where t4 = P - h and h(m) = Q(1 - e^-m)/m +
   2k e^-m.  (1 - e^-m)/m is the integral of e^-ms over s in [0, 1], so h is
   convex and decreasing and t4 is concave and increasing: Newton from the
-  bracket's lower end climbs to m*, and where that bracket is None so is the
+  lower bound above climbs to m*, and where that bound is None so is the
   root.  d/dm (1 - e^-m)/m = -g(m)/m, so the slope t4' = -h' = Q g(m)/m +
   2k e^-m reuses g and brings no new cancellation.  The value b - t4(m) =
   h(m) - d is formed on the smaller side: b - t4(m) where b < d, h(m) - d
@@ -70,26 +61,31 @@ and lands below it again, so the iterates climb monotonically to it.
 In floats the value is noise near m*, so the climb stops at the first step
 of at most 4e-16 m, positive or not, and a root is None after 16 steps, at
 an m that is not a positive normal float or at a slope that is not positive.
-Where the margin rounds to one value over more than tol/2 of m (T5 near its
-limit, where m* is large: from about 80 up at the default tol), the two
-margins at m* -+ tol/4 cannot confirm the root, and the solver goes on to
-the row's bracket.
+Where the start lies below the normal range (the stop rule underflows
+there), m* is within a factor 2 of it and the crossing is linear.  For T2
+the left-hand side is 2Q' m (1 + O(m)), so m* = (k/Q')(1 - O(m)) is the start
+itself to within an ulp; for T4/T5 the float t4 is P m - Q m/2, as g(m) =
+m/2 below 1e-8, so m* = b/(P - Q/2) = b/(2k + Q/2).
 
-Without a confirmed root or bracket, m is doubled from a positive-margin start
-until the margin is <= 0.  The start is the row's root where it is a positive
-float that the root route declined (a root closer to 0 than tol/4, as for k
-far below tol, probes that span tol, or probes without the sign change), and
-1e-3 otherwise, halved as often as needed down to the smallest positive
-double; an m whose margin is <= 0 closes the bracket as it is, so no m is
-probed twice.  Where even the smallest positive double has a margin <= 0,
-the crossing lies below every positive float and DomainError is raised.  The
-bracket is then closed by ITP (Oliveira & Takahashi, "An Enhancement of the
-Bisection Method Average Performance Preserving Minmax Optimality", ACM TOMS
-47(1), 2020): a regula falsi step, truncated toward the midpoint and projected
-into a shrinking ball around it, so its worst case stays within n0 = 1 step of
-bisection's.  As in Brent's method, no probe lands closer than tol/4 to either
-end: a step that closed the bracket far below tol would leave both ends in the
-margin's rounding noise.
+One outward search finds the bracket.  It probes m - step and then m + step,
+from the row's root with step = min(max(tol/4, ulp(root)), root/2), and from
+m = 1e-3 with step 5e-4 where the row has no root.  Where the two probes
+confirm the root and lie less than tol apart, the root is the answer.
+Otherwise the end whose margin has the wrong sign moves outward by a step
+that doubles each time, and the probe it leaves becomes the other end, so no
+m is probed twice.  A root whose probes cannot show the sign change, as
+where the margin rounds to one value over more than tol/2 of m (T5 near its
+limit, where m* is large: from about 80 up at the default tol), so costs a
+few steps out from its probe.  Below m a probe is never less than half of
+the last one rejected; where even the smallest positive double has a margin
+<= 0, the crossing lies below every positive float and DomainError is
+raised.  The bracket is then closed by ITP (Oliveira & Takahashi, "An
+Enhancement of the Bisection Method Average Performance Preserving Minmax
+Optimality", ACM TOMS 47(1), 2020): a regula falsi step, truncated toward the
+midpoint and projected into a shrinking ball around it, so its worst case
+stays within n0 = 1 step of bisection's.  As in Brent's method, no probe
+lands closer than tol/4 to either end: a step that closed the bracket far
+below tol would leave both ends in the margin's rounding noise.
 
 A tol near float resolution has one limit.  Near a subnormal crossing at
 tol = 5e-324, each product in the closed form rounds to a multiple of
@@ -141,45 +137,35 @@ def _finite(pid: PredicateId, m: float, lo: float, hi: float,
                            bracket_width=max(m - lo, hi - m), evaluations=evals)
 
 
-def _confirmed(start: tuple[float, float] | None, margin) -> tuple | None:
-    """(lo, hi, lo_margin, hi_margin) of a row's start bracket, where its two
-    margins confirm the sign change; None otherwise."""
-    if start is None or not 0 < start[0] < start[1] < math.inf:
-        return None
-    lo, hi = start
-    lo_margin = margin(lo)
-    if lo_margin <= 0:
-        return None
-    hi_margin = margin(hi)
-    return (lo, hi, lo_margin, hi_margin) if hi_margin <= 0 else None
-
-
-def _doubled(margin, start: float) -> tuple:
-    """(lo, hi, lo_margin, hi_margin) with lo_margin > 0 >= hi_margin, by
-    doubling m from start, after halving it to a positive margin if needed."""
+def _expanded(margin, m: float, step: float) -> tuple:
+    """(lo, hi, lo_margin, hi_margin) with lo_margin > 0 >= hi_margin, from
+    probes at m - step and m + step, moving the end with the wrong sign outward
+    by a step that doubles each time."""
     # every LHS vanishes as m -> 0+, so a positive margin exists above 0, but
     # for k near the smallest double it may lie below every positive float
-    lo = start
+    lo = m - step if m > step else _TINY_M
     lo_margin = margin(lo)
     hi = None
     while lo_margin <= 0:
         if lo == _TINY_M:
             raise DomainError(f"the crossing lies below the smallest positive double: "
                               f"the margin at m = {lo!r} is {lo_margin!r}")
-        # the rejected m closes the bracket as it is: halving a subnormal can
-        # round, so doubling lo need not land on it again
+        # the rejected m closes the bracket as it is, and no probe below it
+        # is less than its half, so a root far above m* is left by halving
         hi, hi_margin = lo, lo_margin
-        lo = max(lo * 0.5, _TINY_M)
+        step *= 2
+        lo = max(lo - step, lo * 0.5)
         lo_margin = margin(lo)
 
     # the margin ends below zero: an unbounded LHS overtakes 2k, and a bounded
     # one reaches its limit, past 2k here, once its vanishing term rounds away
     if hi is None:
-        hi = lo * 2
+        hi = m + step
         hi_margin = margin(hi)
     while hi_margin > 0:
         lo, lo_margin = hi, hi_margin
-        hi *= 2
+        step *= 2
+        hi += step
         hi_margin = margin(hi)
     return lo, hi, lo_margin, hi_margin
 
@@ -205,16 +191,18 @@ def solve_m_star(pid: PredicateId, c: ClassParams, r: RParams | None = None,
         evals += 1
         return _margin(row, m, c, r)
 
-    root = row.root(c, r)
-    if root is not None:
-        lo, hi = root - min_step, root + min_step
-        # lo == hi where tol/4 is below half an ulp of the root: nothing to probe
-        if 0 < lo < hi and hi - lo < tol and margin(lo) > 0 and margin(hi) <= 0:
-            return _finite(pid, root, lo, hi, evals)
-
-    start = root if root is not None and 0 < root < math.inf else 1e-3
-    lo, hi, lo_margin, hi_margin = (_confirmed(row.bracket(c, r), margin)
-                                    or _doubled(margin, start))
+    start = row.root(c, r)
+    if start is not None and 0 < start < math.inf:
+        # min(max(tol/4, ulp), start/2), but an ulp at 5e-324, where start/2
+        # is 0; conditionals, as min and max cost more than the rest here
+        step = min_step if min_step < start / 2 else start / 2
+        ulp = math.ulp(start)
+        step = step if step > ulp else ulp
+    else:
+        start, step = 1e-3, 5e-4
+    lo, hi, lo_margin, hi_margin = _expanded(margin, start, step)
+    if lo < start < hi and hi - lo < tol:   # the first two probes confirm it
+        return _finite(pid, start, lo, hi, evals)
 
     # ITP with kappa1 = 0.2 / width, kappa2 = 2, n0 = 1
     width = hi - lo

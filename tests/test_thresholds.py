@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import functools
 import math
 
@@ -11,7 +12,7 @@ import gftpoisson.thresholds
 from gftpoisson import (ClassParams, DomainError, InvalidTolerance,
                         MissingRParams, Outcome, PoissonParams, PredicateId,
                         RParams, Verdict, evaluate, solve_m_star)
-from gftpoisson.theorems import SPECS, _lambert_w0
+from gftpoisson.theorems import SPECS, _bounded_start, _lambert_w0, resolve
 
 K1 = ClassParams(k=1.0, lam=0.0)
 R_WIDE = RParams(A=1.0, B=-1.0, tau=1.0)
@@ -30,6 +31,17 @@ def test_t1_fixture_root():
     assert res.bracket_width < 1e-10
     # the W(2k/P) route: one probe on each side of Omega = W(1)
     assert res.evaluations == 2
+
+
+def test_a_confirmed_root_is_returned_bit_for_bit():
+    # W(2k/P) lies 5.6e-12 below 0.5, so root + tol/4 rounds on the coarser
+    # grid above 0.5 and the midpoint of the two probes is one ulp off the root
+    pid, c = PredicateId.T1_F_in_S, ClassParams(k=0.7012019672989103, lam=0.0)
+    root = SPECS[pid].root(c, None)
+    assert 0.5 * ((root - 1e-10 / 4) + (root + 1e-10 / 4)) != root
+    res = solve_m_star(pid, c)
+    assert res.evaluations == 2
+    assert res.m_star == root
 
 
 def test_t2_fixture_root():
@@ -181,8 +193,8 @@ def test_w_route_declines_a_bracket_as_wide_as_tol():
 
 
 def test_wide_tolerance_below_a_tiny_root():
-    # W(2k/P) = 2e-6 lies closer to 0 than tol/4, so the W route cannot probe
-    # below it and the doubling bracket takes over
+    # W(2k/P) = 2e-6 lies closer to 0 than tol/4, so the search probes it at
+    # half its size on either side
     c = ClassParams(k=1e-6, lam=0.0)
     res = solve_m_star(PredicateId.T1_F_in_S, c, tol=1.0)
     assert res.outcome is Outcome.FINITE
@@ -260,7 +272,7 @@ def test_requires_r_params_for_operator_predicates():
         solve_m_star(PredicateId.C4_I_in_Ck, K1)
 
 
-# ---- closed-form roots and start brackets against 50-digit references ----
+# ---- closed-form roots and Newton starts against 50-digit references ----
 
 ks = st.floats(1e-6, 1.0)
 lams = st.floats(0.0, 0.999)
@@ -293,47 +305,40 @@ def _mp_t4_margin(c, scale, m):
     return 2 * k - mpmath.mpf(scale) * (p * -mpmath.expm1(-m) - q * g)
 
 
-def _assert_true_bracket(bracket, margin):
-    lo, hi = bracket
-    with mpmath.workdps(50):
-        assert margin(lo) > 0, ("lower end past the crossing", bracket)
-        assert margin(hi) < 0, ("upper end short of the crossing", bracket)
-
-
-@given(ks, lams)
-@settings(max_examples=1000, deadline=None)
-def test_t2_bracket_ends_are_bounds(k, lam):
+def _bounded_case(k, lam, r, excess_exp):
+    """(c, r) of T4 where r is None, else of T5, with its limit scale * P put
+    just above 2k where excess_exp is given."""
     c = ClassParams(k=k, lam=lam)
-    _assert_true_bracket(SPECS[PredicateId.T2_F_in_C].bracket(c, None),
-                         lambda m: _mp_t2_margin(c, m))
+    if r is not None and excess_exp is not None:
+        # the crossing is far out when the limit is near 2k
+        tau = 2 * k * (1 + 10 ** excess_exp) / (c.P * (r.A - r.B))
+        r = RParams(A=r.A, B=r.B, tau=tau)
+    return c, r
 
 
-def _assert_bounded_bracket(c, scale, bracket):
+bounded_cases = (ks, lams, st.one_of(st.none(), _r_params()),
+                 st.one_of(st.none(), st.floats(-10.0, 0.0)))
+
+
+@given(*bounded_cases)
+@settings(max_examples=2000, deadline=None)
+@example(0.4, 0.0, None, None)   # the T4 fixture, m* = 1.175
+@example(1 - 2.0 ** -40, 0.0, None, None)   # d = Q = 2^-40 < 2^-30 P: no start
+@example(0.5, 0.0, RParams(A=1.0, B=0.0, tau=1 / (1.5 - 0.5 / 2000)), None)   # m* = 2000
+@example(0.5, 0.0, R_WIDE, -10.0)   # the limit 1e-10 above 2k
+def test_bounded_newton_start_is_below_the_crossing(k, lam, r, excess_exp):
+    # the T4/T5 Newton iteration climbs to m* only from a start at or below it
+    c, r = _bounded_case(k, lam, r, excess_exp)
+    scale = 1.0 if r is None else r.scale
     if scale * c.P <= 2 * c.k:
-        return   # the limit is at most 2k: no crossing to bracket
-    if bracket is None:
+        return   # the limit is at most 2k: no crossing to start below
+    start = _bounded_start(c, 2 * c.k / scale)
+    if start is None:
         # declined only where P - 2k/scale is within 2^-30 of P
         assert c.P - 2 * c.k / scale <= 2.0 ** -30 * c.P
         return
-    _assert_true_bracket(bracket, lambda m: _mp_t4_margin(c, scale, m))
-
-
-@given(ks, lams)
-@settings(max_examples=1000, deadline=None)
-def test_t4_bracket_ends_are_bounds(k, lam):
-    c = ClassParams(k=k, lam=lam)
-    _assert_bounded_bracket(c, 1.0, SPECS[PredicateId.T4_G_in_S].bracket(c, None))
-
-
-@given(ks, lams, _r_params(), st.one_of(st.none(), st.floats(-10.0, 0.0)))
-@settings(max_examples=1000, deadline=None)
-def test_t5_bracket_ends_are_bounds(k, lam, r, excess_exp):
-    c = ClassParams(k=k, lam=lam)
-    if excess_exp is not None:
-        # put the limit scale * P just above 2k, where the crossing is far out
-        tau = 2 * k * (1 + 10 ** excess_exp) / (c.P * (r.A - r.B))
-        r = RParams(A=r.A, B=r.B, tau=tau)
-    _assert_bounded_bracket(c, r.scale, SPECS[PredicateId.T5_I_in_S].bracket(c, r))
+    with mpmath.workdps(50):
+        assert _mp_t4_margin(c, scale, start) > 0, ("start past the crossing", start)
 
 
 @given(ks, lams, _r_params())
@@ -354,30 +359,35 @@ def test_t6_root_matches_the_mpmath_root(k, lam, r):
 TOL = 1e-10   # solve_m_star's default
 
 
-def _mp_crossing(margin, bracket, dps=50):
+def _mp_crossing(margin, dps=50):
+    """The zero of a margin that falls through 0 once as m grows, bracketed
+    by halving or doubling m from 1 in mpmath."""
     with mpmath.workdps(dps):
-        return mpmath.findroot(margin, tuple(map(mpmath.mpf, bracket)),
-                               solver="anderson")
+        lo = hi = mpmath.mpf(1)
+        while margin(hi) > 0:
+            lo, hi = hi, 2 * hi
+        while margin(lo) <= 0:
+            lo, hi = lo / 2, lo
+        return mpmath.findroot(margin, (lo, hi), solver="anderson")
 
 
 @given(ks, lams)
 @settings(max_examples=500, deadline=None)
 def test_t2_newton_root_is_within_a_quarter_tol(k, lam):
     c = ClassParams(k=k, lam=lam)
-    row = SPECS[PredicateId.T2_F_in_C]
-    root = row.root(c, None)
-    exact = _mp_crossing(lambda m: _mp_t2_margin(c, m), row.bracket(c, None))
+    root = SPECS[PredicateId.T2_F_in_C].root(c, None)
+    exact = _mp_crossing(lambda m: _mp_t2_margin(c, m))
     assert abs(root - exact) <= TOL / 4
 
 
 def _assert_bounded_root(c, r):
     row = SPECS[PredicateId.T4_G_in_S if r is None else PredicateId.T5_I_in_S]
     scale = 1.0 if r is None else r.scale
-    root, bracket = row.root(c, r), row.bracket(c, r)
-    if bracket is None:
+    root = row.root(c, r)
+    if _bounded_start(c, 2 * c.k / scale) is None:
         assert root is None   # no proven start: no crossing, or d <= 2^-30 P
         return
-    exact = _mp_crossing(lambda m: _mp_t4_margin(c, scale, m), bracket)
+    exact = _mp_crossing(lambda m: _mp_t4_margin(c, scale, m))
     with mpmath.workdps(50):
         # one rounding of P or of b = 2k/scale moves the crossing by about
         # 2^-53 (P + b)/t4'(m*); where that exceeds tol/4 (a limit within
@@ -398,11 +408,7 @@ def test_t4_newton_root_is_within_a_quarter_tol(k, lam):
 @given(ks, lams, _r_params(), st.one_of(st.none(), st.floats(-10.0, 0.0)))
 @settings(max_examples=500, deadline=None)
 def test_t5_newton_root_is_within_a_quarter_tol(k, lam, r, excess_exp):
-    c = ClassParams(k=k, lam=lam)
-    if excess_exp is not None:
-        tau = 2 * k * (1 + 10 ** excess_exp) / (c.P * (r.A - r.B))
-        r = RParams(A=r.A, B=r.B, tau=tau)
-    _assert_bounded_root(c, r)
+    _assert_bounded_root(*_bounded_case(k, lam, r, excess_exp))
 
 
 @pytest.mark.parametrize("row", sorted(set(SPECS.values()), key=lambda row: row.theorem.value),
@@ -425,7 +431,7 @@ def test_newton_roots_keep_their_relative_accuracy_at_a_tiny_k(pid, k):
     scale = R_WIDE.scale if pid is PredicateId.T5_I_in_S else 1.0
     margin = (functools.partial(_mp_t2_margin, c) if pid is PredicateId.T2_F_in_C
               else functools.partial(_mp_t4_margin, c, scale))
-    exact = _mp_crossing(margin, row.bracket(c, R_WIDE), dps=700)
+    exact = _mp_crossing(margin, dps=700)
     assert abs(row.root(c, R_WIDE) - exact) <= 1e-15 * exact
 
 
@@ -496,8 +502,8 @@ def test_probes_of_the_far_t5_crossing_are_positive_and_finite(monkeypatch, tol)
 
 
 def test_a_probe_past_the_largest_float_raises(monkeypatch):
-    # with a margin that never turns negative, doubling reaches m = inf, where
-    # the solver's guard raises, as PoissonParams(inf) does
+    # with a margin that never turns negative, the search's doubling step
+    # reaches m = inf, where the solver's guard raises, as PoissonParams(inf) does
     monkeypatch.setattr(gftpoisson.thresholds, "_margin", lambda row, m, c, r: 1.0)
     with pytest.raises(DomainError):
         solve_m_star(PredicateId.T2_F_in_C, K1)
@@ -506,7 +512,7 @@ def test_a_probe_past_the_largest_float_raises(monkeypatch):
 @pytest.mark.parametrize("pid", [PredicateId.T2_F_in_C, PredicateId.T4_G_in_S,
                                  PredicateId.T5_I_in_S])
 def test_newton_roots_are_confirmed_in_two_margins(monkeypatch, pid):
-    # the confirmed bracket and ITP made 9, 11 and 9 evaluations at this
+    # a confirmed start bracket and ITP made 9, 11 and 9 evaluations at this
     # point, and doubling from m = 1e-3 made 17, 23 and 19
     c, r, tol = ClassParams(k=0.9, lam=0.7), RParams(A=0.5, B=-1.0, tau=-1.5), 1e-10
     probes = _recorded_probes(monkeypatch, pid, c, r, tol)
@@ -514,18 +520,68 @@ def test_newton_roots_are_confirmed_in_two_margins(monkeypatch, pid):
     assert probes == [root - tol / 4, root + tol / 4]
 
 
-def test_unconfirmed_newton_root_falls_back_to_the_bracket(monkeypatch):
+def test_unconfirmed_newton_root_moves_out_from_its_probe(monkeypatch):
     # near m* = 2000 the margin rounds to 0 over a stretch of m far wider than
-    # tol/2, so the probes at root -+ tol/4 cannot show the sign change; the
-    # solver then confirms the row's bracket and closes it by ITP
-    pid, c = PredicateId.T5_I_in_S, ClassParams(k=0.5, lam=0.0)
+    # tol/2, so the probe at root - tol/4 cannot show the sign change.  That
+    # probe closes the bracket above, and the search steps down from it by
+    # tol/2, tol, 2 tol, ... to a positive margin, 10 evaluations in all;
+    # re-probing a separate start bracket and running ITP over it took 14
+    pid, c, tol = PredicateId.T5_I_in_S, ClassParams(k=0.5, lam=0.0), 1e-10
     r = RParams(A=1.0, B=0.0, tau=1 / (1.5 - 0.5 / 2000))
-    probes = _recorded_probes(monkeypatch, pid, c, r, 1e-10)
+    probes = _recorded_probes(monkeypatch, pid, c, r, tol)
     root = SPECS[pid].root(c, r)
     assert root == pytest.approx(2000, rel=1e-9)
-    assert probes[0] == root - 1e-10 / 4
-    assert evaluate(pid, PoissonParams(probes[0]), c, r).margin <= 0
-    assert tuple(probes[1:3]) == SPECS[pid].bracket(c, r)
+
+    def margin(m):
+        return evaluate(pid, PoissonParams(m), c, r).margin
+
+    assert probes[0] == root - tol / 4
+    assert margin(probes[0]) <= 0
+    m, step, j = probes[0], tol / 4, 1
+    while margin(m) <= 0:
+        step *= 2
+        m -= step
+        assert probes[j] == m
+        j += 1
+    assert j == 6 and len(probes) == 10
+    assert max(probes) == probes[0]   # root + tol/4 is never probed
+    res = solve_m_star(pid, c, r=r, tol=tol)
+    assert margin(res.m_star - res.bracket_width) > 0
+    assert margin(res.m_star + res.bracket_width) <= 0
+
+
+@pytest.mark.parametrize("root", [T1_ROOT - 1e-6, T1_ROOT + 1e-6, 1000 * T1_ROOT])
+def test_a_root_far_off_the_crossing_still_starts_the_search(monkeypatch, root):
+    # the end on the crossing's side moves out from the root's probes, so no
+    # answer depends on the root being right; below the root no probe is less
+    # than half of the one before, so a root 1000 times m* is left by halving
+    pid, tol = PredicateId.T1_F_in_S, 1e-10
+    monkeypatch.setitem(SPECS, pid, dataclasses.replace(SPECS[pid], root=lambda c, r: root))
+    probes = _recorded_probes(monkeypatch, pid, K1, None, tol)
+    assert probes[0] == root - tol / 4
+    assert len(set(probes)) == len(probes)
+    assert all(b >= a / 2 for a, b in zip(probes, probes[1:])), probes
+    res = solve_m_star(pid, K1, tol=tol)
+    assert abs(res.m_star - T1_ROOT) <= tol
+    assert evaluate(pid, PoissonParams(res.m_star - res.bracket_width), K1).margin > 0
+    assert evaluate(pid, PoissonParams(res.m_star + res.bracket_width), K1).margin <= 0
+
+
+def test_a_crossing_without_a_root_is_searched_from_a_thousandth(monkeypatch):
+    # d = P - 2k/scale = 2^-31 P leaves no proven Newton start, so T5 has no
+    # root; the search probes 1e-3 -+ 5e-4 and doubles its step out to m* near
+    # 7.2e8, where ITP closes the bracket at float resolution
+    pid, c = PredicateId.T5_I_in_S, ClassParams(k=0.5, lam=0.0)
+    r = RParams(A=1.0, B=0.0, tau=2 * c.k / (c.P * (1 - 2.0 ** -31)))
+    assert c.P - 2 * c.k / r.scale == 2.0 ** -31 * c.P
+    assert SPECS[pid].root(c, r) is None
+    probes = _recorded_probes(monkeypatch, pid, c, r, 1e-10)
+    assert probes[:3] == [5e-4, 1.5e-3, 2.5e-3]
+    assert len(probes) == 96   # doubling m from 1e-3 made 95
+    res = solve_m_star(pid, c, r=r)
+    assert res.m_star == pytest.approx(7.158e8, rel=1e-3)
+    assert evaluate(pid, PoissonParams(res.m_star - res.bracket_width), c, r).margin > 0
+    assert evaluate(pid, PoissonParams(res.m_star + res.bracket_width), c, r).margin <= 0
 
 
 # ---- class constants near the smallest positive double ----
@@ -540,8 +596,8 @@ TINY_KS = [5e-324, 1e-320, 1e-310, 2.2e-308]
 @pytest.mark.parametrize("pid", list(PredicateId))
 @pytest.mark.parametrize("k", TINY_KS)
 def test_a_tiny_class_constant_is_solved_or_refused_as_a_domain_error(pid, k):
-    # the crossing is of order k, below anything the W route can probe at
-    # tol = 1e-10, so the doubling start halves down to 5e-324 to find it;
+    # the crossing is of order k, far below tol = 1e-10, so the search probes
+    # the root at half its size on either side, down to 5e-324;
     # InvalidTolerance was raised here once the start fell below 1e-300
     c = ClassParams(k=k, lam=0.3)
 
@@ -561,17 +617,19 @@ def test_a_tiny_class_constant_is_solved_or_refused_as_a_domain_error(pid, k):
     assert margin(res.m_star + res.bracket_width) <= 0
 
 
-@pytest.mark.parametrize("pid", [PredicateId.T1_F_in_S, PredicateId.C1_F_in_Sk,
-                                 PredicateId.T3_G_in_C, PredicateId.C5_G_in_Ck,
-                                 PredicateId.T6_I_in_C, PredicateId.C4_I_in_Ck])
-def test_doubling_starts_at_a_root_too_small_to_probe(pid):
-    # the root, of order k, lies far closer to 0 than tol/4, so the W route
-    # declines; doubling from it takes a few steps where halving from 1e-3
-    # took about 323
-    c = ClassParams(k=1e-100, lam=0.3)
+@pytest.mark.parametrize("pid", list(PredicateId))
+@pytest.mark.parametrize("k", [1e-100, 1e-310, 2.2e-308])
+def test_a_root_closer_to_0_than_tol_is_confirmed_in_two_margins(pid, k):
+    # the root, of order k, lies far closer to 0 than tol/4, so the search
+    # probes it at half its size on either side.  Doubling from the W root
+    # took up to 6 evaluations here and halving from 1e-3 about 323.  Below
+    # the normal range the T2, T4 and T5 roots are the linear crossing; with
+    # no root there, the search would halve from 1e-3 about 1020 times
+    c = ClassParams(k=k, lam=0.3)
     res = solve_m_star(pid, c, r=R_UNIT)
-    assert res.outcome is Outcome.FINITE
-    assert res.evaluations <= 6
+    row, c_row = resolve(pid, c, R_UNIT)
+    assert res.evaluations == 2
+    assert res.m_star == row.root(c_row, R_UNIT)
     assert evaluate(pid, PoissonParams(res.m_star - res.bracket_width), c, R_UNIT).margin > 0
     assert evaluate(pid, PoissonParams(res.m_star + res.bracket_width), c, R_UNIT).margin <= 0
 
