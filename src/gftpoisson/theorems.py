@@ -131,14 +131,14 @@ class PredicateSpec:
     C.  sum_scale(m, c, r) is lhs on the scale of the weighted coefficient sum,
     mapped there by exact algebra rather than through a factor of e^m; the
     cross-check recomputes it as the condition's weighted sum of series(p,
-    policy, r).  needs_r marks the theorems that take (A, B, tau).  limit(c, r)
-    is the value a bounded left-hand side tends to as m grows, computed in the
-    floats lhs reaches there, and None for an unbounded one.  root(c, r) is the
-    crossing of every row that has one: in closed form through Lambert's W
-    for T1, T3 and T6, by Newton's iteration from a proven start for T2, T4
-    and T5; None where that iteration does not converge, and for T4/T5 where
-    the start's float error could exceed its widening.  The solver confirms a
-    root with two margins before it relies on it.  The thresholds module
+    policy, r).  needs_r marks the theorems that take (A, B, tau).  gap(c, r)
+    is d = P - 2k/scale, by which a bounded left-hand side's limit scale * P
+    exceeds 2k, over scale (scale = 1 for T4), within a few ulp of its exact
+    value and at most 0 where that is, and None for an unbounded row.  root(c, r, d)
+    is the crossing of every row that has one, given its gap: in closed form
+    through Lambert's W for T1, T3 and T6, by Newton's iteration for T2, T4
+    and T5; None where that iteration does not converge.  The solver confirms
+    a root with two margins before it relies on it.  The thresholds module
     derives them.
     """
 
@@ -147,7 +147,7 @@ class PredicateSpec:
     series: Callable[..., CoefficientSeq]
     condition: ConditionId
     needs_r: bool
-    limit: Callable[..., float | None]
+    gap: Callable[..., float | None]
     root: Callable[..., float | None]
     lhs: Callable[..., float]
     sum_scale: Callable[..., float]
@@ -167,31 +167,40 @@ def _none(c: ClassParams, r: RParams | None) -> None:
 
 # ---- closed-form crossings (derived in thresholds) ----
 
-# relative widening of the T4/T5 Newton start, far above the float error of
-# its formula, a few ulp times P/d
-_START_SLACK = 2.0 ** -18
-# the T4/T5 start needs d = P - 2k/scale above this share of P
-_MIN_GAP = 2.0 ** -30
-
-
-def _lambert_root(c: ClassParams, r: RParams | None) -> float:
+def _lambert_root(c: ClassParams, r: RParams | None, d: None) -> float:
     return _lambert_w0(2 * c.k / c.P)
 
 
-def _t6_root(c: ClassParams, r: RParams) -> float:
+def _t6_root(c: ClassParams, r: RParams, d: None) -> float:
     a, two_k, p = 2 * c.k / r.scale, 2 * c.k, c.P
     return (a - two_k) / p + _lambert_w0(two_k / p * math.exp((two_k - a) / p))
 
 
-def _bounded_start(c: ClassParams, b: float) -> float | None:
-    """A proven lower bound on the T4/T5 crossing t4(m*) = b; None where
-    d = P - b is at most 2^-30 P (no crossing, or one too far out for the
-    formula's float error)."""
-    p, q = c.P, c.Q
-    d = p - b
-    if not d > _MIN_GAP * p:
-        return None
-    return max(-math.log1p(-b / p), q / d - 1) * (1 - _START_SLACK)
+def _t5_gap(c: ClassParams, r: RParams) -> float:
+    """P - 2k/s with s = (A - B)|tau|; where the two cancel, from P^2 - 4k^2/S,
+    S = s^2, exact over the integer ratios of the inputs (see thresholds)."""
+    p, b = c.P, 2 * c.k / r.scale
+    if abs(2 * (p - b)) >= p:
+        return p - b   # P and 2k/s a factor 2 or more apart: no cancellation
+    kn, kd = c.k.as_integer_ratio()
+    ln, ld = c.lam.as_integer_ratio()
+    an, ad = r.A.as_integer_ratio()
+    bn, bd = r.B.as_integer_ratio()
+    xn, xd = r.tau.real.as_integer_ratio()
+    yn, yd = r.tau.imag.as_integer_ratio()
+    # P = pn/(ld kd), A - B = u/(ad bd), |tau|^2 = (v^2 + w^2)/(xd yd)^2
+    pn, u, v, w = (ld - ln) * kd + kn * (ld + ln), an * bd - bn * ad, xn * yd, yn * xd
+    t, pu, e = v * v + w * w, pn * u, 2 * kn * ld * ad * bd * xd * yd
+    num = pu * pu * t - e * e   # P^2 S - 4k^2 times (ld kd ad bd xd yd)^2
+    if num <= 0:
+        return 0.0
+    return num / ((ld * kd * u) ** 2 * t) / (p + b)
+
+
+def _gap_margin(m: float, c: ClassParams, d: float) -> float:
+    # h(m) - d = b - t4(m), h(m) = Q(1 - e^-m)/m + 2k e^-m: the sign of a
+    # bounded margin near the limit, where P - h(m) would cancel
+    return c.Q * -math.expm1(-m) / m + 2 * c.k * math.exp(-m) - d
 
 
 # Newton's iterations for T2, T4 and T5 (derived in thresholds)
@@ -201,28 +210,28 @@ _MIN_NORMAL = 2.2250738585072014e-308   # the smallest positive normal double
 
 def _newton(m: float, value_slope: Callable[[float], tuple[float, float]]
             ) -> float | None:
-    """Climb by Newton steps value/slope from a start m <= m*.
+    """Step by value/slope from any m to at most m*, then climb by such steps.
 
-    Every exact step is positive and lands at or below m*, so the climb stops
-    once a step is at most 4e-16 m, as _lambert_w0 does; a step at or below 0
-    is the rounding noise of value near m*.  None where it does not converge,
-    or meets an m that is not a positive normal float or a slope that is not
-    positive.
+    Every exact step from below m* is positive and lands at or below m*, so the
+    climb stops once a step is at most 4e-16 m, as _lambert_w0 does; a step at
+    or below 0 is the rounding noise of value near m*.  None where it does not
+    converge, or meets an m that is not a positive normal float or a slope
+    that is not positive.
     """
-    for _ in range(_NEWTON_STEPS):
+    for i in range(_NEWTON_STEPS):
         if not _MIN_NORMAL <= m < math.inf:
             return None
         value, slope = value_slope(m)
         if not slope > 0:
             return None
         step = value / slope
-        if step <= 4e-16 * m:
+        if i and step <= 4e-16 * m:
             return m
         m += step
     return None
 
 
-def _t2_root(c: ClassParams, r: RParams | None) -> float | None:
+def _t2_root(c: ClassParams, r: RParams | None, d: None) -> float | None:
     # value -m phi(m) and slope m phi'(m), so a tiny m never forms 1/m
     p, q, two_k = c.P, _q_factor(c), 2 * c.k
 
@@ -230,38 +239,35 @@ def _t2_root(c: ClassParams, r: RParams | None) -> float | None:
         s = p * m + 2 * q
         return -m * (math.log(m / two_k * s) + m), 1 + m + p * m / s
 
-    m = c.k / q   # >= m*, and one step lands in (0, m*]
+    m = c.k / q   # >= m*
     if m < _MIN_NORMAL:
         return m   # m* = m (1 - O(m)): within an ulp this close to 0
-    value, slope = value_slope(m)
-    return _newton(m + value / slope, value_slope)
+    return _newton(m, value_slope)
 
 
-def _bounded_root(c: ClassParams, b: float) -> float | None:
-    # t4(m) = b, with t4' = -h' = Q g(m)/m + 2k e^-m; b - t4(m) = h(m) - d,
-    # and the form of the smaller side, b or d, carries the smaller rounding
-    start = _bounded_start(c, b)
-    if start is None:
-        return None
+def _bounded_root(c: ClassParams, b: float, d: float) -> float | None:
+    # t4(m) = b, with t4' = -h' = Q g(m)/m + 2k e^-m; b - t4(m) = h(m) - d
+    # is formed on the smaller side, b or d, which carries the smaller rounding
     p, q, two_k = c.P, c.Q, 2 * c.k
+    start = max(math.log1p(b / d), q / d - 1)   # log1p(b/d) = log(P/d)
     if start < _MIN_NORMAL:
         return b / (two_k + 0.5 * q)   # t4(m) = (P - Q/2) m this close to 0
-    d = p - b
+    near = 2 * d <= p
 
     def value_slope(m: float) -> tuple[float, float]:
-        e, e1, qg = math.exp(-m), -math.expm1(-m), q * _g_tail_ratio(m)
-        value = b - (p * e1 - qg) if b < d else q * e1 / m + two_k * e - d
+        e, qg = math.exp(-m), q * _g_tail_ratio(m)
+        value = _gap_margin(m, c, d) if near else b - (p * -math.expm1(-m) - qg)
         return value, qg / m + two_k * e
 
     return _newton(start, value_slope)
 
 
-def _t4_root(c: ClassParams, r: RParams | None) -> float | None:
-    return _bounded_root(c, 2 * c.k)
+def _t4_root(c: ClassParams, r: RParams | None, d: float) -> float | None:
+    return _bounded_root(c, 2 * c.k, d)
 
 
-def _t5_root(c: ClassParams, r: RParams) -> float | None:
-    return _bounded_root(c, 2 * c.k / r.scale)
+def _t5_root(c: ClassParams, r: RParams, d: float) -> float | None:
+    return _bounded_root(c, 2 * c.k / r.scale, d)
 
 
 def _f(p: PoissonParams, policy: TruncationPolicy, r: RParams | None) -> CoefficientSeq:
@@ -286,24 +292,24 @@ def _image(p: PoissonParams, policy: TruncationPolicy, r: RParams) -> Coefficien
 
 _ROWS = (
     PredicateSpec(PredicateId.T1_F_in_S, PredicateId.C1_F_in_Sk, _f,
-                  ConditionId.S_COND, needs_r=False, limit=_none,
+                  ConditionId.S_COND, needs_r=False, gap=_none,
                   root=_lambert_root, lhs=_t1, sum_scale=_f_sum_scale_S),
     PredicateSpec(PredicateId.T2_F_in_C, PredicateId.C2_F_in_Ck, _f,
-                  ConditionId.C_COND, needs_r=False, limit=_none,
+                  ConditionId.C_COND, needs_r=False, gap=_none,
                   root=_t2_root, lhs=_t2, sum_scale=_f_sum_scale_C),
     PredicateSpec(PredicateId.T3_G_in_C, PredicateId.C5_G_in_Ck, _g,
-                  ConditionId.C_COND, needs_r=False, limit=_none,
+                  ConditionId.C_COND, needs_r=False, gap=_none,
                   root=_lambert_root, lhs=_t1, sum_scale=_f_sum_scale_S),
     PredicateSpec(PredicateId.T4_G_in_S, PredicateId.C6_G_in_Sk, _g,
                   ConditionId.S_COND, needs_r=False,
-                  limit=lambda c, r: c.P, root=_t4_root, lhs=_t4,
+                  gap=lambda c, r: c.Q, root=_t4_root, lhs=_t4,
                   sum_scale=_t4),
     PredicateSpec(PredicateId.T5_I_in_S, PredicateId.C3_I_in_Sk, _image,
                   ConditionId.S_COND, needs_r=True,
-                  limit=lambda c, r: r.scale * c.P, root=_t5_root, lhs=_t5,
+                  gap=_t5_gap, root=_t5_root, lhs=_t5,
                   sum_scale=_t5),
     PredicateSpec(PredicateId.T6_I_in_C, PredicateId.C4_I_in_Ck, _image,
-                  ConditionId.C_COND, needs_r=True, limit=_none,
+                  ConditionId.C_COND, needs_r=True, gap=_none,
                   root=_t6_root, lhs=_t6, sum_scale=_t6),
 )
 

@@ -1,8 +1,8 @@
 """Boundary Poisson parameter m* where a predicate flips from Holds to Fails.
 
-A bounded left-hand side (the integral-companion S-conditions) tends to a
-known limit as m grows and never exceeds it, in floats too; when that limit
-is at most 2k the predicate holds for every m and no margin is evaluated.
+A bounded left-hand side (T4, and T5 = scale * T4) rises to the limit
+scale * P as m grows.  Its row's gap d = P - 2k/scale (below) decides it:
+where d <= 0 the predicate holds for every m and no margin is evaluated.
 
 Every other predicate has a crossing, and only one, since every left-hand
 side increases strictly in m (in exact arithmetic); so the first sign change
@@ -10,13 +10,13 @@ the solver finds is m*.  For T1, T2, T3 and T6 the left-hand side is a sum of
 products of positive increasing terms.  For T4 write t4 = P(1 - e^-m) - Q g(m)
 with g(m) = (1 - e^-m - m e^-m)/m.  Then g'(m) = (e^-m (m^2 + m + 1) - 1)/m^2
 <= e^-m, because 1 + m <= e^m.  Where g' >= 0, t4' = P e^-m - Q g' >=
-(P - Q) e^-m = 2k e^-m > 0; where g' < 0, t4' > P e^-m > 0.  T5 is scale * t4.
+(P - Q) e^-m = 2k e^-m > 0; where g' < 0, t4' > P e^-m > 0.
 
 Each margin comes from theorems._margin, 2k minus the row's closed form over
 the float m: the float evaluate() reports, so the solver and evaluate agree at
-every m.  The solver checks tol, the class and (A, B, tau) once; every m it
-builds afterwards is positive and finite by construction, and a cheap guard
-raises DomainError should one not be.
+every m, except near a bounded row's limit (below).  The solver checks tol,
+the class and (A, B, tau) once; every m it builds afterwards is positive and
+finite by construction, and a cheap guard raises DomainError should one not be.
 
 Closed-form crossings (a row's root), with W Lambert's principal branch
 (Corless et al., "On the Lambert W function", Adv. Comput. Math. 5, 1996):
@@ -27,21 +27,34 @@ Closed-form crossings (a row's root), with W Lambert's principal branch
   with t = 2k/P <= 1 the argument is below t e^t <= e.
 Two margins at m* -+ tol/4 confirm a root.
 
-The T4/T5 Newton start, a proven lower bound on m*, where P = (1-lambda) +
-k(1+lambda) and Q = (1-lambda)(1-k), so P - Q = 2k.  With b = 2k/scale
-(scale = 1 for T4) the crossing is t4(m*) = b, which exists only below the
-limit, b < P; let d = P - b.  Expanding g, t4(m) = P - Q/m + e^-m (Q/m - 2k),
-so h(m) = P - t4(m) = Q(1 - e^-m)/m + 2k e^-m decreases, with h(m*) = d.
-g >= 0 gives t4 <= P(1 - e^-m) < b below m = -log1p(-b/P).  And 1 - e^-m >=
-m/(1+m) gives h(m) > Q/(1+m) >= d for m <= Q/d - 1.  So m* >= max(-log1p(-b/P),
-Q/d - 1); the second is near m* when m* is large.  The float error of this
-formula is a few ulp times P/d, so it is used only where d > 2^-30 P, and
-lowered by 2^-18 of itself.
+The bounded gap, where P = (1-lambda) + k(1+lambda) and Q = (1-lambda)(1-k),
+so P - Q = 2k.  With b = 2k/scale the crossing is t4(m*) = b.  Expanding g,
+t4(m) = P - Q/m + e^-m (Q/m - 2k), so h(m) = P - t4(m) = Q(1 - e^-m)/m +
+2k e^-m decreases to 0, and h(m*) = d.  Near the limit P - b and P - t4(m)
+cancel in floats, so neither is formed:
+- T4: d = P - 2k = Q.
+- T5: where P and b lie a factor 2 or more apart, P - b does not cancel.
+  Otherwise, with s = (A - B)|tau| and S = s^2 = (A - B)^2 (re(tau)^2 +
+  im(tau)^2), d (P + 2k/s) = P^2 - 4k^2/S =: X.  Every float is an integer
+  over a power of two (float.as_integer_ratio), so X = num/den in integers:
+  the sign of num decides d > 0, int/int division rounds X correctly, and no
+  square root enters.  X < P^2 <= 4 cannot overflow.  P + 2k/s adds positive
+  floats, so d = X/(P + 2k/s) is within a few ulp (3.3e-16 relative at worst
+  over 3000 draws against 60 digits).
+In the form h(m) = d the crossing's relative condition number is O(1): a few
+ulp of h or d move m* by a few ulp of m*.  So where d <= b the probes read
+h(m) - d (theorems._gap_margin), and two at m* -+ tol/4 show the sign change
+while m* stays below about tol/(8 * 2^-53), near 1e5 at the default tol.
+Where d > b the margin cancels no more than b - t4(m), and the probes read it.
+Where |margin| > BOUNDARY_TOL its float sign is exact (its error is a few ulp
+of 2k), so evaluate() reports Holds or Marginal at m* - bracket and Fails or
+Marginal at m* + bracket.
 
 Newton crossings (a row's root for T2, T4 and T5).  On an increasing concave
 f, a Newton step m - f(m)/f'(m) lands at or below the zero of f from any m,
 since the tangent lies above f; from below the zero each step is positive
-and lands below it again, so the iterates climb monotonically to it.
+and lands below it again.  So after one step, taken unconditionally, the
+iterates climb monotonically to m*.
 - T2: m e^m (P m + 2Q') = 2k is the zero of
   phi(m) = log(m (P m + 2Q')/2k) + m, with phi' = 1/m + 1 + P/(P m + 2Q')
   > 0 and phi'' = -1/m^2 - P^2/(P m + 2Q')^2 < 0.  The left-hand side is at
@@ -50,42 +63,36 @@ and lands below it again, so the iterates climb monotonically to it.
   P <= Q', so phi(m0) = m0 + log(1 + P k/(2Q'^2)) <= 1/3 + log(7/6) < 1.  As
   phi' >= 1/m, the first iterate lies in [m0 (1 - phi(m0)), m*], above 0.
   The iteration forms m phi and m phi', never 1/m.
-- T4, T5: t4(m*) = b, where t4 = P - h and h(m) = Q(1 - e^-m)/m +
-  2k e^-m.  (1 - e^-m)/m is the integral of e^-ms over s in [0, 1], so h is
-  convex and decreasing and t4 is concave and increasing: Newton from the
-  lower bound above climbs to m*, and where that bound is None so is the
-  root.  d/dm (1 - e^-m)/m = -g(m)/m, so the slope t4' = -h' = Q g(m)/m +
-  2k e^-m reuses g and brings no new cancellation.  The value b - t4(m) =
-  h(m) - d is formed on the smaller side: b - t4(m) where b < d, h(m) - d
-  otherwise, so its rounding scales with b or d and not with P.
-In floats the value is noise near m*, so the climb stops at the first step
-of at most 4e-16 m, positive or not, and a root is None after 16 steps, at
-an m that is not a positive normal float or at a slope that is not positive.
-Where the start lies below the normal range (the stop rule underflows
-there), m* is within a factor 2 of it and the crossing is linear.  For T2
-the left-hand side is 2Q' m (1 + O(m)), so m* = (k/Q')(1 - O(m)) is the start
-itself to within an ulp; for T4/T5 the float t4 is P m - Q m/2, as g(m) =
-m/2 below 1e-8, so m* = b/(P - Q/2) = b/(2k + Q/2).
+- T4, T5: t4(m*) = b.  (1 - e^-m)/m is the integral of e^-ms over s in
+  [0, 1], so h is convex and decreasing and t4 is concave and increasing.
+  d/dm (1 - e^-m)/m = -g(m)/m, so the slope t4' = -h' = Q g(m)/m + 2k e^-m
+  reuses g.  The value is formed as the probes form it: b - t4(m) where
+  d > b, h(m) - d otherwise.  The start: g >= 0 gives t4 <= P(1 - e^-m) < b
+  below m = log(P/d) = log1p(b/d), and 1 - e^-m >= m/(1+m) gives
+  h(m) > Q/(1+m) >= d for m <= Q/d - 1, so m* >= max(log1p(b/d), Q/d - 1).
+  Where Q g(m*) is below rounding, as at k = 1, its float may lie an ulp
+  above m*, which the first step absorbs.
+In floats the value is noise near m*, so after the first step the climb stops
+at a step of at most 4e-16 m, positive or not, and a root is None after 16
+steps, at an m that is not a positive normal float or at a slope that is not
+positive.  Where the start lies below the normal range (the stop rule
+underflows there), m* is within a factor 2 of it and the crossing is linear.
+For T2 the left-hand side is 2Q' m (1 + O(m)), so m* = (k/Q')(1 - O(m)) is
+the start itself to within an ulp; for T4/T5 the float t4 is P m - Q m/2, as
+g(m) = m/2 below 1e-8, so m* = b/(P - Q/2) = b/(2k + Q/2).
 
 One outward search finds the bracket.  It probes m - step and then m + step,
 from the row's root with step = min(max(tol/4, ulp(root)), root/2), and from
 m = 1e-3 with step 5e-4 where the row has no root.  Where the two probes
 confirm the root and lie less than tol apart, the root is the answer.
-Otherwise the end whose margin has the wrong sign moves outward by a step
-that doubles each time, and the probe it leaves becomes the other end, so no
-m is probed twice.  A root whose probes cannot show the sign change, as
-where the margin rounds to one value over more than tol/2 of m (T5 near its
-limit, where m* is large: from about 80 up at the default tol), so costs a
-few steps out from its probe.  Below m a probe is never less than half of
-the last one rejected; where even the smallest positive double has a margin
-<= 0, the crossing lies below every positive float and DomainError is
-raised.  The bracket is then closed by ITP (Oliveira & Takahashi, "An
-Enhancement of the Bisection Method Average Performance Preserving Minmax
-Optimality", ACM TOMS 47(1), 2020): a regula falsi step, truncated toward the
-midpoint and projected into a shrinking ball around it, so its worst case
-stays within n0 = 1 step of bisection's.  As in Brent's method, no probe
-lands closer than tol/4 to either end: a step that closed the bracket far
-below tol would leave both ends in the margin's rounding noise.
+Otherwise the end whose margin has the wrong sign moves outward by a step that
+doubles each time, and the probe it leaves becomes the other end, so no m is
+probed twice.  Below m a probe is never less than half of the last one
+rejected; where even the smallest positive double has a margin <= 0, the
+crossing lies below every positive float and DomainError is raised.
+Bisection closes the bracket left where the row has no root, where tol is
+near float resolution, or where m* lies past about 1e5.  Its midpoint stays
+tol/2 or more from either end, so both ends never sit in the margin's noise.
 
 A tol near float resolution has one limit.  Near a subnormal crossing at
 tol = 5e-324, each product in the closed form rounds to a multiple of
@@ -105,7 +112,7 @@ from .criteria import ClassParams, RParams
 from .errors import DomainError, InvalidTolerance
 from .series import _is_real
 # evaluate is not called here, but bench/test_tracer.py wraps it under this name
-from .theorems import PredicateId, _margin, evaluate, resolve  # noqa: F401
+from .theorems import PredicateId, _gap_margin, _margin, evaluate, resolve  # noqa: F401
 
 _TINY_M = 5e-324   # the smallest positive double
 
@@ -133,14 +140,16 @@ def _finite(pid: PredicateId, m: float, lo: float, hi: float,
             evals: int) -> ThresholdResult:
     # m may round onto an end of a float-resolution bracket, so the reported
     # half-width reaches the far end and m +- bracket still holds [lo, hi]
+    below, above = m - lo, hi - m
     return ThresholdResult(predicate=pid.value, outcome=Outcome.FINITE, m_star=m,
-                           bracket_width=max(m - lo, hi - m), evaluations=evals)
+                           bracket_width=below if below > above else above,
+                           evaluations=evals)
 
 
-def _expanded(margin, m: float, step: float) -> tuple:
-    """(lo, hi, lo_margin, hi_margin) with lo_margin > 0 >= hi_margin, from
-    probes at m - step and m + step, moving the end with the wrong sign outward
-    by a step that doubles each time."""
+def _expanded(margin, m: float, step: float) -> tuple[float, float]:
+    """(lo, hi) with margin(lo) > 0 >= margin(hi), from probes at m - step and
+    m + step, moving the end with the wrong sign outward by a step that
+    doubles each time."""
     # every LHS vanishes as m -> 0+, so a positive margin exists above 0, but
     # for k near the smallest double it may lie below every positive float
     lo = m - step if m > step else _TINY_M
@@ -152,22 +161,20 @@ def _expanded(margin, m: float, step: float) -> tuple:
                               f"the margin at m = {lo!r} is {lo_margin!r}")
         # the rejected m closes the bracket as it is, and no probe below it
         # is less than its half, so a root far above m* is left by halving
-        hi, hi_margin = lo, lo_margin
+        hi = lo
         step *= 2
-        lo = max(lo - step, lo * 0.5)
+        lo = lo - step if lo - step > lo * 0.5 else lo * 0.5
         lo_margin = margin(lo)
 
     # the margin ends below zero: an unbounded LHS overtakes 2k, and a bounded
-    # one reaches its limit, past 2k here, once its vanishing term rounds away
+    # one nears its limit, past 2k here
     if hi is None:
         hi = m + step
-        hi_margin = margin(hi)
-    while hi_margin > 0:
-        lo, lo_margin = hi, hi_margin
-        step *= 2
-        hi += step
-        hi_margin = margin(hi)
-    return lo, hi, lo_margin, hi_margin
+        while margin(hi) > 0:
+            lo = hi
+            step *= 2
+            hi += step
+    return lo, hi
 
 
 def solve_m_star(pid: PredicateId, c: ClassParams, r: RParams | None = None,
@@ -176,54 +183,40 @@ def solve_m_star(pid: PredicateId, c: ClassParams, r: RParams | None = None,
     if not (_is_real(tol) and math.isfinite(tol) and tol > 0):
         raise InvalidTolerance(f"tol must be finite and positive, got {tol!r}")
     row, c = resolve(pid, c, r)
-    limit = row.limit(c, r)
-    if limit is not None and 2 * c.k - limit >= 0:
+    d = row.gap(c, r)
+    if d is not None and not d > 0:
         return ThresholdResult(predicate=pid.value, outcome=Outcome.ALWAYS_HOLDS,
                                m_star=None, bracket_width=None, evaluations=0)
 
     evals = 0
-    min_step = tol / 4   # no probe comes closer than this to a known end
+    near = d is not None and 2 * d <= c.P   # d <= 2k/scale: the margin cancels
 
     def margin(m: float) -> float:
         nonlocal evals
         if not 0 < m < math.inf:
             raise DomainError(f"solver probe m = {m!r} is not finite and positive")
         evals += 1
-        return _margin(row, m, c, r)
+        return _gap_margin(m, c, d) if near else _margin(row, m, c, r)
 
-    start = row.root(c, r)
+    start = row.root(c, r, d)
     if start is not None and 0 < start < math.inf:
         # min(max(tol/4, ulp), start/2), but an ulp at 5e-324, where start/2
         # is 0; conditionals, as min and max cost more than the rest here
-        step = min_step if min_step < start / 2 else start / 2
+        step = tol / 4 if tol / 4 < start / 2 else start / 2
         ulp = math.ulp(start)
         step = step if step > ulp else ulp
     else:
         start, step = 1e-3, 5e-4
-    lo, hi, lo_margin, hi_margin = _expanded(margin, start, step)
+    lo, hi = _expanded(margin, start, step)
     if lo < start < hi and hi - lo < tol:   # the first two probes confirm it
         return _finite(pid, start, lo, hi, evals)
 
-    # ITP with kappa1 = 0.2 / width, kappa2 = 2, n0 = 1
-    width = hi - lo
-    j_max = max(math.ceil(math.log2(width) - math.log2(tol)), 0) + 1
-    j = 0
-    while hi - lo >= tol:
-        half = 0.5 * (lo + hi)
-        falsi = lo + (hi - lo) * lo_margin / (lo_margin - hi_margin)
-        sigma = 1.0 if half >= falsi else -1.0
-        delta = 0.2 / width * (hi - lo) ** 2
-        target = falsi + sigma * delta if delta <= abs(half - falsi) else half
-        radius = math.ldexp(tol, j_max - j - 1) - (hi - lo) / 2
-        m = target if abs(target - half) <= radius else half - sigma * radius
-        m = min(max(m, lo + min_step, math.nextafter(lo, hi)),
-                hi - min_step, math.nextafter(hi, lo))
+    while hi - lo >= tol:   # bisection
+        m = 0.5 * (lo + hi)
         if not lo < m < hi:
             break   # bracket at float resolution
-        y = margin(m)
-        if y > 0:
-            lo, lo_margin = m, y
+        if margin(m) > 0:
+            lo = m
         else:
-            hi, hi_margin = m, y
-        j += 1
+            hi = m
     return _finite(pid, 0.5 * (lo + hi), lo, hi, evals)

@@ -61,7 +61,7 @@ CASES = {
 GOLDEN = {
     "check": "d5ea35eed64f736144528cf7b816e5136fd14929149812d9bc4d8eb0b70c8a4d",
     "crosscheck": "c8adf09d21b1e849ec1800db5cf7e807026e44f99ca861ffd7b0c82f9adc3b8b",
-    "threshold": "de2e55b0d007db7b3c587a6b9012c456eebf9e5d5791e22f80354a6a114616a3",
+    "threshold": "ec037aa5073948e816675a65a067047ecec757def46322cc49ba752e90881ee5",
     "grid": "0b5ce581b18c2ad3d5b630ee9b3fe1f1233a8f43f574e62aaa0bacda22f7aa32",
     "identities": "d79a1d5a56b3709bcfc63893532b7f54c45bbc52457dae535191c431c97eae3b",
     "suite": "b92b07a37ab95d39b545b5bf4516d3d9d0c693f74530bc3d9c97a68b9e60ebfe",

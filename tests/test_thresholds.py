@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import functools
 import math
+import random
 
 import mpmath
 import pytest
@@ -9,10 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gftpoisson.thresholds
+from gftpoisson.cli import EXIT_USAGE, main
 from gftpoisson import (ClassParams, DomainError, InvalidTolerance,
                         MissingRParams, Outcome, PoissonParams, PredicateId,
                         RParams, Verdict, evaluate, solve_m_star)
-from gftpoisson.theorems import SPECS, _bounded_start, _lambert_w0, resolve
+from gftpoisson.theorems import SPECS, _lambert_w0, resolve
 
 K1 = ClassParams(k=1.0, lam=0.0)
 R_WIDE = RParams(A=1.0, B=-1.0, tau=1.0)
@@ -37,7 +39,7 @@ def test_a_confirmed_root_is_returned_bit_for_bit():
     # W(2k/P) lies 5.6e-12 below 0.5, so root + tol/4 rounds on the coarser
     # grid above 0.5 and the midpoint of the two probes is one ulp off the root
     pid, c = PredicateId.T1_F_in_S, ClassParams(k=0.7012019672989103, lam=0.0)
-    root = SPECS[pid].root(c, None)
+    root = SPECS[pid].root(c, None, None)
     assert 0.5 * ((root - 1e-10 / 4) + (root + 1e-10 / 4)) != root
     res = solve_m_star(pid, c)
     assert res.evaluations == 2
@@ -103,37 +105,27 @@ def test_t5_crossing_beyond_fifty_is_found():
 
 
 def test_t5_one_ulp_past_the_limit_terminates():
-    # fl(scale * P) is the float just above 2k = 1, so the limit margin is -2^-52
-    # and the float LHS reaches it only where (1-k) g(m) drops below half an ulp
+    # fl(scale * P) is the float just above 2k = 1, so the float limit margin
+    # is -2^-52; the exact gap d = 4.2e-16 puts the crossing near m = 1.2e15,
+    # where the margin has rounded to 0 since about 9e14
     c = ClassParams(k=0.5, lam=0.0)
     r = RParams(A=1.0, B=0.0, tau=0.6666666666666669)
     assert 2 * c.k - r.scale * 1.5 == -2.0 ** -52
     res = solve_m_star(PredicateId.T5_I_in_S, c, r=r)
-    assert res.outcome is Outcome.FINITE
     assert res.evaluations < 200
-    # the bracket ends at float resolution near m = 9e14, where m* may round
-    # onto either end, so probe three half-widths out; the margin passes
-    # through exactly 0 there before it settles at -2^-52 near m = 2e15
-    probe = 3 * res.bracket_width
-    below = evaluate(PredicateId.T5_I_in_S, PoissonParams(res.m_star - probe), c, r)
-    above = evaluate(PredicateId.T5_I_in_S, PoissonParams(res.m_star + probe), c, r)
-    assert below.margin > 0
-    assert above.margin <= 0
+    _assert_bounded_contract(PredicateId.T5_I_in_S, c, r, res)
 
 
 def test_float_resolution_bracket_holds_the_sign_change():
-    # near m = 9e14 the bracket closes at one ulp and m* rounds onto one of its
-    # ends, so the reported bracket must reach the far end
+    # near m = 1.2e15 the bracket closes at one ulp and m* rounds onto one of
+    # its ends, so the reported bracket must reach the far end
     c = ClassParams(k=0.5, lam=0.0)
     r = RParams(A=1.0, B=0.0, tau=0.6666666666666669)
     res = solve_m_star(PredicateId.T5_I_in_S, c, r=r)
-    assert res.outcome is Outcome.FINITE
-    below = evaluate(PredicateId.T5_I_in_S,
-                     PoissonParams(res.m_star - res.bracket_width), c, r)
-    above = evaluate(PredicateId.T5_I_in_S,
-                     PoissonParams(res.m_star + res.bracket_width), c, r)
-    assert below.margin > 0
-    assert above.margin <= 0
+    assert res.bracket_width <= math.ulp(res.m_star)
+    with mpmath.workdps(50):
+        exact = _mp_crossing(lambda m: _mp_gap_margin(c, _mp_scale(r), m))
+        assert abs(exact - res.m_star) <= res.bracket_width
 
 
 @st.composite
@@ -147,7 +139,7 @@ def _points(draw):
 
 
 @given(_points())
-@settings(max_examples=150)
+@settings(max_examples=150, deadline=None)
 def test_bounded_outcome_agrees_with_evaluate(point):
     pid, c, r = point
     res = solve_m_star(pid, c, r=r)
@@ -157,10 +149,13 @@ def test_bounded_outcome_agrees_with_evaluate(point):
 
     if res.outcome is Outcome.ALWAYS_HOLDS:
         assert res.evaluations == 0
-        assert all(margin(m) >= 0 for m in (1, 50, 1e3, 1e6, 1e12))
+        # the exact limit is at most 2k, and the float margin at most an ulp
+        # below 0, inside the Marginal band
+        assert all(evaluate(pid, PoissonParams(m), c, r).verdict is not Verdict.FAILS
+                   for m in (1, 50, 1e3, 1e6, 1e12))
+    if SPECS[pid].gap(c, r) is not None:
+        _assert_bounded_contract(pid, c, r, res)
     elif res.m_star <= 1e4:
-        # near k = 1 the margin is so flat at m* that it can round to exactly
-        # 0 above the crossing; the solver counts 0 as not holding, as it must
         probe = 3 * res.bracket_width
         assert margin(res.m_star - probe) > 0
         assert margin(res.m_star + probe) <= 0
@@ -323,22 +318,24 @@ bounded_cases = (ks, lams, st.one_of(st.none(), _r_params()),
 @given(*bounded_cases)
 @settings(max_examples=2000, deadline=None)
 @example(0.4, 0.0, None, None)   # the T4 fixture, m* = 1.175
-@example(1 - 2.0 ** -40, 0.0, None, None)   # d = Q = 2^-40 < 2^-30 P: no start
+@example(1 - 2.0 ** -40, 0.0, None, None)   # d = Q = 2^-40, declined below 2^-30 P once
 @example(0.5, 0.0, RParams(A=1.0, B=0.0, tau=1 / (1.5 - 0.5 / 2000)), None)   # m* = 2000
 @example(0.5, 0.0, R_WIDE, -10.0)   # the limit 1e-10 above 2k
+@example(1.0, 0.3, R_WIDE, None)   # Q = 0: the start is m* itself
 def test_bounded_newton_start_is_below_the_crossing(k, lam, r, excess_exp):
-    # the T4/T5 Newton iteration climbs to m* only from a start at or below it
+    # m* >= max(log(P/d), Q/d - 1) in exact arithmetic; the float start may lie
+    # an ulp or so above it, and the first Newton step, taken unconditionally,
+    # lands below it.  The margin is compared at 50 digits, so an exact 0 (Q = 0)
+    # may read as -1e-50
     c, r = _bounded_case(k, lam, r, excess_exp)
-    scale = 1.0 if r is None else r.scale
-    if scale * c.P <= 2 * c.k:
-        return   # the limit is at most 2k: no crossing to start below
-    start = _bounded_start(c, 2 * c.k / scale)
-    if start is None:
-        # declined only where P - 2k/scale is within 2^-30 of P
-        assert c.P - 2 * c.k / scale <= 2.0 ** -30 * c.P
-        return
     with mpmath.workdps(50):
-        assert _mp_t4_margin(c, scale, start) > 0, ("start past the crossing", start)
+        s = _mp_scale(r)
+        k_, p, q, _ = _mp_class(c)
+        d = p - 2 * k_ / s
+        if d <= 0:
+            return   # the limit is at most 2k: no crossing to start below
+        start = max(mpmath.log(p / d), q / d - 1)
+        assert _mp_gap_margin(c, s, start) >= -mpmath.mpf(10) ** -45, ("start past m*", start)
 
 
 @given(ks, lams, _r_params())
@@ -346,7 +343,7 @@ def test_bounded_newton_start_is_below_the_crossing(k, lam, r, excess_exp):
 def test_t6_root_matches_the_mpmath_root(k, lam, r):
     # s (P m + 2k (1 - e^-m)) = 2k at m* = (a - 2k)/P + W((2k/P) e^((2k-a)/P)), a = 2k/s
     c = ClassParams(k=k, lam=lam)
-    root = SPECS[PredicateId.T6_I_in_C].root(c, r)
+    root = SPECS[PredicateId.T6_I_in_C].root(c, r, None)
     with mpmath.workdps(50):
         k_, p, _, _ = _mp_class(c)
         s = mpmath.mpf(r.scale)
@@ -368,35 +365,72 @@ def _mp_crossing(margin, dps=50):
             lo, hi = hi, 2 * hi
         while margin(lo) <= 0:
             lo, hi = lo / 2, lo
-        return mpmath.findroot(margin, (lo, hi), solver="anderson")
+        return mpmath.findroot(margin, (lo, hi), solver="anderson", maxsteps=200)
+
+
+def _mp_scale(r):
+    """(A - B)|tau| of the float inputs at the working precision; 1 for T4."""
+    if r is None:
+        return mpmath.mpf(1)
+    return (mpmath.mpf(r.A) - mpmath.mpf(r.B)) * mpmath.hypot(r.tau.real, r.tau.imag)
+
+
+def _mp_gap_margin(c, s, m):
+    """b - t4(m) = h(m) - d at the working precision, with b = 2k/s and
+    d = P - b, formed on the smaller side, b or d, as the solver forms it."""
+    k, p, q, _ = _mp_class(c)
+    m, b = mpmath.mpf(m), 2 * k / s
+    if 2 * b < p:
+        return b - (p * -mpmath.expm1(-m) - q * (-mpmath.expm1(-m) - m * mpmath.exp(-m)) / m)
+    return q * -mpmath.expm1(-m) / m + 2 * k * mpmath.exp(-m) - (p - b)
+
+
+def _assert_bounded_contract(pid, c, r, res):
+    """A bounded solve answers always_holds exactly where scale * P <= 2k, and
+    otherwise evaluate() reports Holds or Marginal at m* - bracket and Fails or
+    Marginal at m* + bracket, and the 50-digit crossing lies in m* -+ bracket
+    while m* <= 1e5, past which the root's probes fall in the noise of h - d."""
+    row, c_row = resolve(pid, c, r)
+    r_row = r if row.needs_r else None
+    with mpmath.workdps(50):
+        s = _mp_scale(r_row)
+        k, p, _, _ = _mp_class(c_row)
+        if s * p <= 2 * k:
+            assert res.outcome is Outcome.ALWAYS_HOLDS, res
+            return
+        assert res.outcome is Outcome.FINITE, res
+        if res.m_star <= 1e5:
+            exact = _mp_crossing(lambda m: _mp_gap_margin(c_row, s, m))
+            assert abs(exact - res.m_star) <= res.bracket_width, (res, exact)
+    below = evaluate(pid, PoissonParams(res.m_star - res.bracket_width), c, r)
+    above = evaluate(pid, PoissonParams(res.m_star + res.bracket_width), c, r)
+    assert below.verdict is not Verdict.FAILS, below
+    assert above.verdict is not Verdict.HOLDS, above
 
 
 @given(ks, lams)
 @settings(max_examples=500, deadline=None)
 def test_t2_newton_root_is_within_a_quarter_tol(k, lam):
     c = ClassParams(k=k, lam=lam)
-    root = SPECS[PredicateId.T2_F_in_C].root(c, None)
+    root = SPECS[PredicateId.T2_F_in_C].root(c, None, None)
     exact = _mp_crossing(lambda m: _mp_t2_margin(c, m))
     assert abs(root - exact) <= TOL / 4
 
 
 def _assert_bounded_root(c, r):
     row = SPECS[PredicateId.T4_G_in_S if r is None else PredicateId.T5_I_in_S]
-    scale = 1.0 if r is None else r.scale
-    root = row.root(c, r)
-    if _bounded_start(c, 2 * c.k / scale) is None:
-        assert root is None   # no proven start: no crossing, or d <= 2^-30 P
-        return
-    exact = _mp_crossing(lambda m: _mp_t4_margin(c, scale, m))
+    d = row.gap(c, r)
     with mpmath.workdps(50):
-        # one rounding of P or of b = 2k/scale moves the crossing by about
-        # 2^-53 (P + b)/t4'(m*); where that exceeds tol/4 (a limit within
-        # about 1e-2 of 2k, or k near 1 for T4) no float root can do better
-        k, _, q, _ = _mp_class(c)
-        slope = q * (-mpmath.expm1(-exact) / exact - mpmath.exp(-exact)) / exact \
-            + 2 * k * mpmath.exp(-exact)
-        resolution = 8 * 2.0 ** -53 * (c.P + 2 * c.k / scale) / slope + 4e-16 * exact
-        assert abs(root - exact) <= max(TOL / 4, resolution), (root, exact)
+        s = _mp_scale(r)
+        k, p, _, _ = _mp_class(c)
+        assert (d > 0) == (s * p > 2 * k), d   # the gap's sign is exact
+        if not d > 0:
+            return
+        root = row.root(c, r, d)
+        exact = _mp_crossing(lambda m: _mp_gap_margin(c, s, m))
+        # a few ulp of d or of h(m) move the crossing by a few ulp of m*; once
+        # that exceeds tol/4 (m* above about 1e4) no float root does better
+        assert abs(root - exact) <= max(TOL / 4, 16 * 2.0 ** -53 * exact), (root, exact)
 
 
 @given(ks, lams)
@@ -416,7 +450,8 @@ def test_t5_newton_root_is_within_a_quarter_tol(k, lam, r, excess_exp):
 @pytest.mark.parametrize("k", [5e-324, 1e-310, 2.2e-308, 1e-100])
 @pytest.mark.parametrize("lam", [0.0, 0.3, 0.999])
 def test_no_root_raises_at_a_tiny_class_constant(row, k, lam):
-    root = row.root(ClassParams(k=k, lam=lam), R_UNIT)
+    c = ClassParams(k=k, lam=lam)
+    root = row.root(c, R_UNIT, row.gap(c, R_UNIT))
     assert root is None or 0 < root < math.inf
 
 
@@ -432,7 +467,7 @@ def test_newton_roots_keep_their_relative_accuracy_at_a_tiny_k(pid, k):
     margin = (functools.partial(_mp_t2_margin, c) if pid is PredicateId.T2_F_in_C
               else functools.partial(_mp_t4_margin, c, scale))
     exact = _mp_crossing(margin, dps=700)
-    assert abs(row.root(c, R_WIDE) - exact) <= 1e-15 * exact
+    assert abs(row.root(c, R_WIDE, row.gap(c, R_WIDE)) - exact) <= 1e-15 * exact
 
 
 @given(_points())
@@ -440,7 +475,8 @@ def test_newton_roots_keep_their_relative_accuracy_at_a_tiny_k(pid, k):
 def test_solver_shows_the_sign_change_at_its_bracket_ends(point):
     pid, c, r = point
     res = solve_m_star(pid, c, r=r)
-    if res.outcome is Outcome.ALWAYS_HOLDS:
+    if SPECS[pid].gap(c, r) is not None:
+        _assert_bounded_contract(pid, c, r, res)
         return
     below = evaluate(pid, PoissonParams(res.m_star - res.bracket_width), c, r)
     above = evaluate(pid, PoissonParams(res.m_star + res.bracket_width), c, r)
@@ -464,15 +500,21 @@ def test_lambert_w0_matches_mpmath_on_zero_to_e(x):
 # ---- every m the solver evaluates is positive and finite ----
 
 def _recording(monkeypatch):
-    """The list every margin the solver evaluates appends its m to."""
+    """The list every margin the solver evaluates appends its m to: evaluate's
+    margin, or h(m) - d near a bounded row's limit."""
     probes = []
-    margin = gftpoisson.thresholds._margin
+    margin, gap_margin = gftpoisson.thresholds._margin, gftpoisson.thresholds._gap_margin
 
     def recording(row, m, c_row, r_row):
         probes.append(m)
         return margin(row, m, c_row, r_row)
 
+    def gap_recording(m, c_row, d):
+        probes.append(m)
+        return gap_margin(m, c_row, d)
+
     monkeypatch.setattr(gftpoisson.thresholds, "_margin", recording)
+    monkeypatch.setattr(gftpoisson.thresholds, "_gap_margin", gap_recording)
     return probes
 
 
@@ -494,7 +536,7 @@ def test_every_probe_is_positive_and_finite(monkeypatch, pid, k, tol):
 
 @pytest.mark.parametrize("tol", [5e-324, 1e-10, 0.5])
 def test_probes_of_the_far_t5_crossing_are_positive_and_finite(monkeypatch, tol):
-    # the limit exceeds 2k by one ulp and the crossing sits near m = 9e14
+    # the float limit exceeds 2k by one ulp and the crossing sits near m = 1.2e15
     c = ClassParams(k=0.5, lam=0.0)
     r = RParams(A=1.0, B=0.0, tau=0.6666666666666669)
     probes = _recorded_probes(monkeypatch, PredicateId.T5_I_in_S, c, r, tol)
@@ -516,38 +558,22 @@ def test_newton_roots_are_confirmed_in_two_margins(monkeypatch, pid):
     # point, and doubling from m = 1e-3 made 17, 23 and 19
     c, r, tol = ClassParams(k=0.9, lam=0.7), RParams(A=0.5, B=-1.0, tau=-1.5), 1e-10
     probes = _recorded_probes(monkeypatch, pid, c, r, tol)
-    root = SPECS[pid].root(c, r)
+    root = SPECS[pid].root(c, r, SPECS[pid].gap(c, r))
     assert probes == [root - tol / 4, root + tol / 4]
 
 
-def test_unconfirmed_newton_root_moves_out_from_its_probe(monkeypatch):
-    # near m* = 2000 the margin rounds to 0 over a stretch of m far wider than
-    # tol/2, so the probe at root - tol/4 cannot show the sign change.  That
-    # probe closes the bracket above, and the search steps down from it by
-    # tol/2, tol, 2 tol, ... to a positive margin, 10 evaluations in all;
-    # re-probing a separate start bracket and running ITP over it took 14
+def test_near_limit_newton_root_is_confirmed_in_two_probes(monkeypatch):
+    # near m* = 2000 evaluate's margin rounds to 0 over a stretch of m far
+    # wider than tol/2, so probes of it could not confirm the root: the search
+    # stepped down from the low one and ITP closed a bracket 7.8e-10 off the
+    # crossing, in 10 evaluations.  h(m) - d shows the sign change at root -+ tol/4
     pid, c, tol = PredicateId.T5_I_in_S, ClassParams(k=0.5, lam=0.0), 1e-10
     r = RParams(A=1.0, B=0.0, tau=1 / (1.5 - 0.5 / 2000))
     probes = _recorded_probes(monkeypatch, pid, c, r, tol)
-    root = SPECS[pid].root(c, r)
+    root = SPECS[pid].root(c, r, SPECS[pid].gap(c, r))
     assert root == pytest.approx(2000, rel=1e-9)
-
-    def margin(m):
-        return evaluate(pid, PoissonParams(m), c, r).margin
-
-    assert probes[0] == root - tol / 4
-    assert margin(probes[0]) <= 0
-    m, step, j = probes[0], tol / 4, 1
-    while margin(m) <= 0:
-        step *= 2
-        m -= step
-        assert probes[j] == m
-        j += 1
-    assert j == 6 and len(probes) == 10
-    assert max(probes) == probes[0]   # root + tol/4 is never probed
-    res = solve_m_star(pid, c, r=r, tol=tol)
-    assert margin(res.m_star - res.bracket_width) > 0
-    assert margin(res.m_star + res.bracket_width) <= 0
+    assert probes == [root - tol / 4, root + tol / 4]
+    _assert_bounded_contract(pid, c, r, solve_m_star(pid, c, r=r, tol=tol))
 
 
 @pytest.mark.parametrize("root", [T1_ROOT - 1e-6, T1_ROOT + 1e-6, 1000 * T1_ROOT])
@@ -556,7 +582,7 @@ def test_a_root_far_off_the_crossing_still_starts_the_search(monkeypatch, root):
     # answer depends on the root being right; below the root no probe is less
     # than half of the one before, so a root 1000 times m* is left by halving
     pid, tol = PredicateId.T1_F_in_S, 1e-10
-    monkeypatch.setitem(SPECS, pid, dataclasses.replace(SPECS[pid], root=lambda c, r: root))
+    monkeypatch.setitem(SPECS, pid, dataclasses.replace(SPECS[pid], root=lambda c, r, d: root))
     probes = _recorded_probes(monkeypatch, pid, K1, None, tol)
     assert probes[0] == root - tol / 4
     assert len(set(probes)) == len(probes)
@@ -568,20 +594,24 @@ def test_a_root_far_off_the_crossing_still_starts_the_search(monkeypatch, root):
 
 
 def test_a_crossing_without_a_root_is_searched_from_a_thousandth(monkeypatch):
-    # d = P - 2k/scale = 2^-31 P leaves no proven Newton start, so T5 has no
-    # root; the search probes 1e-3 -+ 5e-4 and doubles its step out to m* near
-    # 7.2e8, where ITP closes the bracket at float resolution
+    # with d = P - 2k/scale = 2^-31 P the T5 root lies near m* = 7.2e8, where
+    # an ulp exceeds tol, so its probes leave a bracket for bisection to close
+    # at float resolution.  With the root taken away, the search probes
+    # 1e-3 -+ 5e-4 and doubles its step out to m*; below 2^-30 P there was no
+    # proven start, and with ITP this took 96 evaluations
     pid, c = PredicateId.T5_I_in_S, ClassParams(k=0.5, lam=0.0)
     r = RParams(A=1.0, B=0.0, tau=2 * c.k / (c.P * (1 - 2.0 ** -31)))
     assert c.P - 2 * c.k / r.scale == 2.0 ** -31 * c.P
-    assert SPECS[pid].root(c, r) is None
+    rooted = solve_m_star(pid, c, r=r)
+    assert rooted.evaluations == 3
+    monkeypatch.setitem(SPECS, pid, dataclasses.replace(SPECS[pid], root=lambda c, r, d: None))
     probes = _recorded_probes(monkeypatch, pid, c, r, 1e-10)
     assert probes[:3] == [5e-4, 1.5e-3, 2.5e-3]
-    assert len(probes) == 96   # doubling m from 1e-3 made 95
+    assert len(probes) == 94
     res = solve_m_star(pid, c, r=r)
     assert res.m_star == pytest.approx(7.158e8, rel=1e-3)
-    assert evaluate(pid, PoissonParams(res.m_star - res.bracket_width), c, r).margin > 0
-    assert evaluate(pid, PoissonParams(res.m_star + res.bracket_width), c, r).margin <= 0
+    assert abs(res.m_star - rooted.m_star) <= res.bracket_width + rooted.bracket_width
+    _assert_bounded_contract(pid, c, r, res)
 
 
 # ---- class constants near the smallest positive double ----
@@ -629,7 +659,7 @@ def test_a_root_closer_to_0_than_tol_is_confirmed_in_two_margins(pid, k):
     res = solve_m_star(pid, c, r=R_UNIT)
     row, c_row = resolve(pid, c, R_UNIT)
     assert res.evaluations == 2
-    assert res.m_star == row.root(c_row, R_UNIT)
+    assert res.m_star == row.root(c_row, R_UNIT, row.gap(c_row, R_UNIT))
     assert evaluate(pid, PoissonParams(res.m_star - res.bracket_width), c, R_UNIT).margin > 0
     assert evaluate(pid, PoissonParams(res.m_star + res.bracket_width), c, R_UNIT).margin <= 0
 
@@ -645,3 +675,99 @@ def test_no_solve_probes_the_same_m_twice(monkeypatch, pid, k):
     except DomainError:
         pass   # the halving reached 5e-324; its probes still count
     assert probes and len(set(probes)) == len(probes), probes
+
+
+# ---- bounded crossings against 50 digits ----
+
+BOUNDED_PIDS = (PredicateId.T4_G_in_S, PredicateId.C6_G_in_Sk,
+                PredicateId.T5_I_in_S, PredicateId.C3_I_in_Sk)
+
+
+def _near_limit_points(seed, count):
+    """T5/C3 points drawn as the threshold_sweep workload draws its near-limit
+    ones: |tau| puts the crossing near m_t, log-uniform in [60, 3000]."""
+    rng = random.Random(seed)
+    points = []
+    for i in range(count):
+        pid = (PredicateId.T5_I_in_S, PredicateId.C3_I_in_Sk)[i % 2]
+        k, lam = rng.uniform(1e-6, 1.0), rng.uniform(0.0, 0.999)
+        b = rng.uniform(-1.0, 0.9)
+        a = rng.uniform(b + 0.05, 1.0)
+        m_t = 10 ** rng.uniform(math.log10(60.0), math.log10(3000.0))
+        row_lam = 0.0 if pid is PredicateId.C3_I_in_Sk else lam
+        p = (1 - row_lam) + k * (1 + row_lam)
+        scale = 2 * k / (p - (1 - row_lam) * (1 - k) / m_t)
+        tau = cmath.rect(scale / (a - b), rng.uniform(0.0, 2 * math.pi))
+        points.append((pid, ClassParams(k=k, lam=lam), RParams(A=a, B=b, tau=tau)))
+    return points
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_near_limit_brackets_hold_the_50_digit_crossing(seed):
+    # float margins rounded to one value over many tol of m here, and 76 of
+    # the 278 finite bounded solves at three workload seeds reported a
+    # bracket that missed the crossing, by up to 2.3e-7 with a 5e-11 bracket
+    for pid, c, r in _near_limit_points(seed, 40):
+        res = solve_m_star(pid, c, r=r)
+        assert res.evaluations == 2, (pid, c, r, res)
+        _assert_bounded_contract(pid, c, r, res)
+
+
+@pytest.mark.parametrize("pid", [PredicateId.T4_G_in_S, PredicateId.C6_G_in_Sk])
+@pytest.mark.parametrize("j", range(1, 54))
+def test_t4_brackets_hold_the_50_digit_crossing_near_k_1(pid, j):
+    # d = Q = (1 - lambda) 2^-j; the float limit P - 2k cancelled to a few ulp
+    c = ClassParams(k=1 - 2.0 ** -j, lam=0.3)
+    res = solve_m_star(pid, c)
+    assert res.evaluations == 2, res
+    _assert_bounded_contract(pid, c, None, res)
+
+
+def test_t4_near_k_1_is_confirmed_in_two_probes():
+    # 57 evaluations reported 31.22136 +- 2.5e-11 here; the crossing is 31.22417
+    pid, c = PredicateId.T4_G_in_S, ClassParams(k=1 - 2.0 ** -44, lam=0.0)
+    res = solve_m_star(pid, c)
+    assert res.evaluations == 2
+    assert res.m_star == pytest.approx(31.22417, abs=1e-5)
+    _assert_bounded_contract(pid, c, None, res)
+
+
+@given(st.sampled_from(BOUNDED_PIDS), ks, lams, _r_params(),
+       st.one_of(st.none(), st.floats(-4.0, 0.0)))
+@settings(max_examples=300, deadline=None)
+@example(PredicateId.T5_I_in_S, 1.0, 0.3, R_WIDE, -4.0)
+def test_bounded_brackets_hold_the_50_digit_crossing(pid, k, lam, r, excess_exp):
+    # the limit at most 1e-4 above 2k keeps m* below about 1e5, where the
+    # root's probes tol/4 apart still differ by more than the noise of h(m) - d
+    c, r = _bounded_case(k, lam, r, excess_exp)
+    _assert_bounded_contract(pid, c, r, solve_m_star(pid, c, r=r))
+
+
+def test_a_gap_the_float_limit_hides_is_solved():
+    # fl(scale * P) = 2k, so the float limit called this always_holds, but
+    # scale * P exceeds 2k by 1.1e-16 and the crossing lies near m = 3e15
+    pid, c = PredicateId.T5_I_in_S, ClassParams(k=0.5, lam=0.0)
+    r = RParams(A=1.0, B=0.0, tau=math.nextafter(2 / 3, 1))
+    assert 2 * c.k - r.scale * c.P == 0
+    res = solve_m_star(pid, c, r=r)
+    _assert_bounded_contract(pid, c, r, res)
+    with mpmath.workdps(50):
+        exact = _mp_crossing(lambda m: _mp_gap_margin(c, _mp_scale(r), m))
+        assert exact == pytest.approx(3.0024e15, rel=1e-4)
+        assert abs(exact - res.m_star) <= res.bracket_width
+
+
+def test_a_crossing_past_the_largest_double_is_refused(capsys):
+    # d = 5e-324 puts Q/d and the crossing past every double, where the float
+    # limit, 1e-323 * 1.0, called this always_holds; the root is None and the
+    # search doubles out to m = inf, where the probe guard raises
+    pid, c = PredicateId.T5_I_in_S, ClassParams(k=5e-324, lam=0.0)
+    r = RParams(A=1.0, B=0.0, tau=1e-323)
+    assert 2 * c.k - r.scale * c.P == 0
+    assert SPECS[pid].gap(c, r) == 5e-324
+    with pytest.raises(DomainError):
+        solve_m_star(pid, c, r=r)
+    code = main(["threshold", "--predicate", pid.value, "--k", "5e-324",
+                 "--A", "1", "--B", "0", "--tau-re", "1e-323"])
+    assert code == EXIT_USAGE
+    assert "not finite and positive" in capsys.readouterr().err
