@@ -6,7 +6,11 @@ C(k,lambda) when the same holds for w_C(n) = n w_S(n): necessary and
 sufficient for a negative tail, sufficient for a general one (Silverman, Proc.
 AMS 51, 1975).  lemma_sum returns the truncated sum only: the weights grow
 with n, so a bound on sum_{n>N} |coeff_n| is no bound on the weighted tail,
-and no verdict is drawn from it.  For the class R^tau(A,B) the n-th
+and no verdict is drawn from it.  lemma_sum is the public route over a
+CoefficientSeq; theorems' cross-check passes the float magnitudes of one
+weight pass to the same private _weighted_sum, the one place the weight
+expressions are written.  ClassParams stores P and Q, and RParams the scale
+(A-B)|tau|, once, at construction.  For the class R^tau(A,B) the n-th
 coefficient of any member is bounded by (A-B)|tau|/n; the sequence
 saturating that bound drives the operator theorems.
 """
@@ -16,7 +20,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DomainError
 from .series import CoefficientSeq, SignConvention, _is_real
@@ -38,56 +42,58 @@ class ConditionId(enum.Enum):
     R_COND = "R_cond"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ClassParams:
-    """The pair (k, lambda) with 0 < k <= 1 and 0 <= lambda < 1."""
+    """The pair (k, lambda) with 0 < k <= 1 and 0 <= lambda < 1.
+
+    P = (1 - lambda) + k (1 + lambda) and Q = (1 - lambda)(1 - k), the slope
+    and offset of w_S(n) = n P - Q, are stored at construction; they take no
+    part in repr, equality or hashing.
+    """
 
     k: float
     lam: float = 0.0
+    P: float = field(init=False, repr=False, compare=False)
+    Q: float = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if not (_is_real(self.k) and 0 < self.k <= 1):
-            raise DomainError(f"k must be in (0,1], got {self.k!r}")
-        if not (_is_real(self.lam) and 0 <= self.lam < 1):
-            raise DomainError(f"lambda must be in [0,1), got {self.lam!r}")
-        object.__setattr__(self, "k", float(self.k))
-        object.__setattr__(self, "lam", float(self.lam))
-
-    @property
-    def P(self) -> float:
-        """(1 - lambda) + k (1 + lambda), the slope of w_S(n) = n P - Q."""
-        return (1 - self.lam) + self.k * (1 + self.lam)
-
-    @property
-    def Q(self) -> float:
-        """(1 - lambda)(1 - k), the offset of w_S(n) = n P - Q."""
-        return (1 - self.lam) * (1 - self.k)
+    def __init__(self, k: float, lam: float = 0.0) -> None:
+        if not (_is_real(k) and 0 < k <= 1):
+            raise DomainError(f"k must be in (0,1], got {k!r}")
+        if not (_is_real(lam) and 0 <= lam < 1):
+            raise DomainError(f"lambda must be in [0,1), got {lam!r}")
+        k, lam = float(k), float(lam)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "P", (1 - lam) + k * (1 + lam))
+        object.__setattr__(self, "Q", (1 - lam) * (1 - k))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RParams:
-    """The triple (A, B, tau) with -1 <= B < A <= 1 and tau nonzero."""
+    """The triple (A, B, tau) with -1 <= B < A <= 1 and tau nonzero.
+
+    scale = (A - B)|tau|, the factor multiplying every coefficient bound, is
+    stored at construction; it takes no part in repr, equality or hashing.
+    """
 
     A: float
     B: float
     tau: complex = 1.0 + 0.0j
+    scale: float = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if not (_is_real(self.A) and _is_real(self.B) and -1 <= self.B < self.A <= 1):
-            raise DomainError(f"need -1 <= B < A <= 1, got A={self.A!r}, B={self.B!r}")
-        tau = complex(self.tau)
-        if tau == 0:
+    def __init__(self, A: float, B: float, tau: complex = 1.0 + 0.0j) -> None:
+        if not (_is_real(A) and _is_real(B) and -1 <= B < A <= 1):
+            raise DomainError(f"need -1 <= B < A <= 1, got A={A!r}, B={B!r}")
+        t = complex(tau)
+        if t == 0:
             raise DomainError("tau must be nonzero")
-        if isinstance(self.tau, bool) or not cmath.isfinite(tau):
-            raise DomainError(f"tau must be a finite complex number, got {self.tau!r}")
-        object.__setattr__(self, "A", float(self.A))
-        object.__setattr__(self, "B", float(self.B))
-        object.__setattr__(self, "tau", tau)
-
-    @property
-    def scale(self) -> float:
-        """(A - B)|tau|, the factor multiplying every coefficient bound."""
-        return (self.A - self.B) * abs(self.tau)
+        if isinstance(tau, bool) or not cmath.isfinite(t):
+            raise DomainError(f"tau must be a finite complex number, got {tau!r}")
+        A, B = float(A), float(B)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "tau", t)
+        object.__setattr__(self, "scale", (A - B) * abs(t))
 
 
 @dataclass(frozen=True)
@@ -125,6 +131,18 @@ def weight_C(n: int, c: ClassParams) -> float:
     return n * weight_S(n, c)
 
 
+def _weighted_sum(magnitudes, c: ClassParams, condition: ConditionId) -> float:
+    """sum_{n>=2} w(n) a_n over the magnitudes a_n = |coeff_n| from n = 2, with
+    w = w_S for S_COND and w_C for C_COND, correctly rounded by math.fsum."""
+    # weight_S(n) = n P - Q and weight_C(n) = n weight_S(n), in their operation order
+    P, Q = c.P, c.Q
+    if condition is ConditionId.S_COND:
+        return math.fsum([(n * P - Q) * a for n, a in enumerate(magnitudes, 2)])
+    if condition is ConditionId.C_COND:
+        return math.fsum([(n * (n * P - Q)) * a for n, a in enumerate(magnitudes, 2)])
+    raise DomainError(f"no coefficient criterion for the condition {condition!r}")
+
+
 def lemma_sum(f: CoefficientSeq, c: ClassParams, condition: ConditionId) -> float:
     """sum_{n=2}^{N} w(n) |coeff_n| with w = w_S for S_COND and w_C for C_COND,
     to compare with 2k; any other condition has no criterion here.
@@ -132,13 +150,7 @@ def lemma_sum(f: CoefficientSeq, c: ClassParams, condition: ConditionId) -> floa
     f.tail_bound bounds sum_{n>N} |coeff_n|, and w(N+1) times it is no bound
     on the omitted weighted tail when w grows.
     """
-    # weight_S(n) = n P - Q and weight_C(n) = n weight_S(n), in their operation order
-    P, Q = c.P, c.Q
-    if condition is ConditionId.S_COND:
-        return math.fsum([(n * P - Q) * abs(a) for n, a in enumerate(f.coefficients, 2)])
-    if condition is ConditionId.C_COND:
-        return math.fsum([(n * (n * P - Q)) * abs(a) for n, a in enumerate(f.coefficients, 2)])
-    raise DomainError(f"no coefficient criterion for the condition {condition!r}")
+    return _weighted_sum(map(abs, f.coefficients), c, condition)
 
 
 # ---- coefficient bound for R^tau(A,B) ----

@@ -4,10 +4,14 @@ Builds the negative-tail series F(m,z) = z - sum_{n>=2} e^{-m} m^{n-1}/(n-1)! z^
 its integral companion G(m,z) = z - sum e^{-m} m^{n-1}/n! z^n, and the termwise
 (Hadamard) operator that multiplies a normalized series by the Poisson weights.
 One pass of the weight recurrence chooses the order N with a provable tail bound
-and yields the weights F and G are built from.  m e^{-m} is subnormal from
-m = 715 on, so every builder refuses such an m with TruncationNotReached.  One
-table gives each shifted exponential sum that the weighted coefficient sums
-collapse to: its first index, closed form, first term and term ratio.
+and yields the weights F and G are built from.  Each such series is a _Series:
+its coefficient rule and tail bound, written once, give both the
+CoefficientSeq its builder returns and the float magnitudes |coeff_n| that
+theorems' cross-check sums straight from the weight pass, with no sequence
+built.  m e^{-m} is subnormal from m = 715 on, so every builder refuses such an
+m with TruncationNotReached.  One table gives each shifted exponential sum that
+the weighted coefficient sums collapse to: its first index, closed form, first
+term and term ratio.
 """
 
 from __future__ import annotations
@@ -39,16 +43,16 @@ class SumKind(enum.Enum):
     POW_N_OVER_N_FACT = "PowNOverNFact"    # sum_{n>=2} m^n/n! = e^m - 1 - m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PoissonParams:
     """Poisson parameter m > 0."""
 
     m: float
 
-    def __post_init__(self) -> None:
-        if not (_is_real(self.m) and math.isfinite(self.m) and self.m > 0):
-            raise DomainError(f"m must be a finite positive real, got {self.m!r}")
-        object.__setattr__(self, "m", float(self.m))
+    def __init__(self, m: float) -> None:
+        if not (_is_real(m) and math.isfinite(m) and m > 0):
+            raise DomainError(f"m must be a finite positive real, got {m!r}")
+        object.__setattr__(self, "m", float(m))
 
 
 @dataclass(frozen=True)
@@ -77,11 +81,10 @@ class CoefficientSeq:
     coefficient of z is implicitly 1.
 
     A sequence a caller builds is validated term by term: negative-tail
-    coefficients become floats >= 0, general-tail ones complex.  The builders
-    coeffs_F, coeffs_G and theorems' I image are trusted, through _trusted: their
-    coefficients have those types and signs by construction, so only their
-    tail_bound is checked, which rejects a non-finite or negative bound on
-    every path.
+    coefficients become floats >= 0, general-tail ones complex.  A _Series
+    (coeffs_F, coeffs_G and theorems' I image) is trusted: its coefficients
+    have those types and signs by construction, so only its tail_bound is
+    checked, which rejects a non-finite or negative bound on every path.
     """
 
     convention: SignConvention
@@ -108,17 +111,6 @@ class CoefficientSeq:
     @property
     def truncation_order(self) -> int:
         return len(self.coefficients) + 1
-
-
-def _trusted(convention: SignConvention, coefficients: tuple,
-             tail_bound: float) -> CoefficientSeq:
-    """A sequence a builder has just computed, its coefficients already of the
-    convention's type and sign: only the tail bound is checked."""
-    seq = object.__new__(CoefficientSeq)
-    object.__setattr__(seq, "convention", convention)
-    object.__setattr__(seq, "coefficients", coefficients)
-    object.__setattr__(seq, "tail_bound", _check_tail(tail_bound))
-    return seq
 
 
 # ---- Poisson coefficients ----
@@ -168,18 +160,63 @@ def choose_truncation(p: PoissonParams, policy: TruncationPolicy) -> int:
     return len(_weights(p, policy))
 
 
+class _Series(NamedTuple):
+    """A series built from one pass of the weight recurrence.
+
+    terms(w, omitted, r) maps the weights w = [c_2, ..., c_N] and the next one,
+    c_{N+1}, to the magnitudes |coeff_n|, n = 2 .. N, as nonnegative floats,
+    and a bound on sum_{n>N} |coeff_n|; r is the (A, B, tau) a series of the
+    class R^tau(A,B) reads.  Called with (p, policy, r) it builds the
+    CoefficientSeq, its coefficients complex for a general tail; magnitudes
+    gives the same floats without building one.
+    """
+
+    convention: SignConvention
+    terms: Callable[[list, float, object], tuple[list, float]]
+
+    def magnitudes(self, p: PoissonParams, policy: TruncationPolicy,
+                   r) -> tuple[list, float]:
+        """(|coeff_n| for n = 2 .. N, the tail bound), the bound checked."""
+        w = _weights(p, policy)
+        omitted = w.pop()
+        mags, tail = self.terms(w, omitted, r)
+        return mags, _check_tail(tail)
+
+    def __call__(self, p: PoissonParams, policy: TruncationPolicy,
+                 r=None) -> CoefficientSeq:
+        mags, tail = self.magnitudes(p, policy, r)
+        if self.convention is SignConvention.GENERAL_TAIL:
+            mags = [complex(a) for a in mags]
+        # the types and signs CoefficientSeq's validation would give, by construction
+        seq = object.__new__(CoefficientSeq)
+        object.__setattr__(seq, "convention", self.convention)
+        object.__setattr__(seq, "coefficients", tuple(mags))
+        object.__setattr__(seq, "tail_bound", tail)
+        return seq
+
+
+def _f_terms(w: list, omitted: float, r) -> tuple[list, float]:
+    # b_n = c_n; the term ratio past the floor is below 1/2
+    return w, 2.0 * omitted
+
+
+def _g_terms(w: list, omitted: float, r) -> tuple[list, float]:
+    # b_n = c_n / n, and F's tail over N + 1
+    return [c / n for n, c in enumerate(w, 2)], 2.0 * omitted / (len(w) + 2)
+
+
+_F = _Series(SignConvention.NEGATIVE_TAIL, _f_terms)
+_G = _Series(SignConvention.NEGATIVE_TAIL, _g_terms)
+
+
 def coeffs_F(p: PoissonParams, policy: TruncationPolicy = TruncationPolicy()) -> CoefficientSeq:
     """Negative-tail coefficients b_n = e^{-m} m^{n-1}/(n-1)! of F(m,z)."""
-    *out, omitted = _weights(p, policy)
-    # the term ratio past the floor is below 1/2
-    return _trusted(SignConvention.NEGATIVE_TAIL, tuple(out), 2.0 * omitted)
+    return _F(p, policy)
 
 
 def coeffs_G(p: PoissonParams, policy: TruncationPolicy = TruncationPolicy()) -> CoefficientSeq:
     """Negative-tail coefficients b_n = e^{-m} m^{n-1}/n! of the integral companion G."""
-    *w, omitted = _weights(p, policy)
-    out = tuple([c / n for n, c in enumerate(w, 2)])
-    return _trusted(SignConvention.NEGATIVE_TAIL, out, 2.0 * omitted / (len(w) + 2))
+    return _G(p, policy)
 
 
 def _pmf_max_beyond(p: PoissonParams, j0: int) -> float:

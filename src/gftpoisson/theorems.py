@@ -4,9 +4,13 @@ Each predicate compares a closed-form left-hand side against 2k.  The
 cross-check recomputes it as the weighted sum of |coeff_n| of the theorem's
 own series under its own condition's weights (Silverman's criterion: necessary
 and sufficient for F and G, sufficient for the general-tail image I) and
-reports the absolute difference.  To keep it stable for large m, both routes
-are compared on the scale of the weighted sum itself (the closed form is
-mapped onto that scale by exact algebra), never through a factor of e^m.
+reports the absolute difference.  It sums the magnitudes straight from one
+weight pass, with the row series' own coefficient rule and its tail bound
+checked, and builds no CoefficientSeq: the same floats, and so the same
+residual bit for bit, as criteria.lemma_sum over the series the row builds.
+To keep it stable for large m, both routes are compared on the scale of the
+weighted sum itself (the closed form is mapped onto that scale by exact
+algebra), never through a factor of e^m.
 """
 
 from __future__ import annotations
@@ -17,10 +21,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .criteria import (ClassParams, ConditionId, MembershipReport, RParams,
-                       classify, lemma_sum)
+                       _weighted_sum, classify)
 from .errors import MissingRParams
-from .series import (CoefficientSeq, PoissonParams, SignConvention,
-                     TruncationPolicy, _trusted, _weights, coeffs_F, coeffs_G)
+# coeffs_F is not called here, but bench/test_tracer.py wraps it under this name
+from .series import (PoissonParams, SignConvention, TruncationPolicy,  # noqa: F401
+                     _F, _G, _Series, coeffs_F)
 
 # math.exp overflows just past 709; beyond this every predicate fails anyway
 _EXP_GUARD = 700.0
@@ -125,26 +130,27 @@ class PredicateSpec:
 
     lhs(m, c, r) is the closed form compared against 2k, over the float m: the
     public t1_lhs ... t6_lhs pass it p.m, and the solver calls it on the m it
-    builds without wrapping each in a PoissonParams.  series(p, policy, r)
-    builds the function the theorem is about (F, G or the image I of the
-    extremal R^tau(A,B) member), and condition names its disk inequality, S or
-    C.  sum_scale(m, c, r) is lhs on the scale of the weighted coefficient sum,
-    mapped there by exact algebra rather than through a factor of e^m; the
-    cross-check recomputes it as the condition's weighted sum of series(p,
-    policy, r).  needs_r marks the theorems that take (A, B, tau).  gap(c, r)
-    is d = P - 2k/scale, by which a bounded left-hand side's limit scale * P
-    exceeds 2k, over scale (scale = 1 for T4), within a few ulp of its exact
-    value and at most 0 where that is, and None for an unbounded row.  root(c, r, d)
-    is the crossing of every row that has one, given its gap: in closed form
-    through Lambert's W for T1, T3 and T6, by Newton's iteration for T2, T4
-    and T5; None where that iteration does not converge.  The solver confirms
-    a root with two margins before it relies on it.  The thresholds module
-    derives them.
+    builds without wrapping each in a PoissonParams.  series is the function
+    the theorem is about (F, G or the image I of the extremal R^tau(A,B)
+    member): series(p, policy, r) builds it, and series.magnitudes(p, policy,
+    r) gives its |coeff_n| and checked tail bound from the same weight pass.
+    condition names its disk inequality, S or C.  sum_scale(m, c, r) is lhs on
+    the scale of the weighted coefficient sum, mapped there by exact algebra
+    rather than through a factor of e^m; the cross-check recomputes it as the
+    condition's weighted sum of those magnitudes.  needs_r marks the theorems
+    that take (A, B, tau).  gap(c, r) is d = P - 2k/scale, by which a bounded
+    left-hand side's limit scale * P exceeds 2k, over scale (scale = 1 for
+    T4), within a few ulp of its exact value and at most 0 where that is, and
+    None for an unbounded row.  root(c, r, d) is the crossing of every row
+    that has one, given its gap: in closed form through Lambert's W for T1, T3
+    and T6, by Newton's iteration for T2, T4 and T5; None where that iteration
+    does not converge.  The solver confirms a root with two margins before it
+    relies on it.  The thresholds module derives them.
     """
 
     theorem: PredicateId
     corollary: PredicateId
-    series: Callable[..., CoefficientSeq]
+    series: _Series
     condition: ConditionId
     needs_r: bool
     gap: Callable[..., float | None]
@@ -270,37 +276,30 @@ def _t5_root(c: ClassParams, r: RParams, d: float) -> float | None:
     return _bounded_root(c, 2 * c.k / r.scale, d)
 
 
-def _f(p: PoissonParams, policy: TruncationPolicy, r: RParams | None) -> CoefficientSeq:
-    return coeffs_F(p, policy)
-
-
-def _g(p: PoissonParams, policy: TruncationPolicy, r: RParams | None) -> CoefficientSeq:
-    return coeffs_G(p, policy)
-
-
-def _image(p: PoissonParams, policy: TruncationPolicy, r: RParams) -> CoefficientSeq:
-    """I applied to the extremal R^tau(A,B) member from one weight pass: the
-    products c_n (scale/n) of apply_operator_I on worst_case_R_coeffs, as
-    complex, and scale times coeffs_G's tail, since |I_n| is scale times G's
-    coefficient.  The tail check refuses a scale that overflows to inf."""
-    *w, omitted = _weights(p, policy)
+def _image_terms(w: list, omitted: float, r: RParams) -> tuple[list, float]:
+    """I applied to the extremal R^tau(A,B) member: the products c_n (scale/n)
+    that apply_operator_I forms on worst_case_R_coeffs, and scale times
+    coeffs_G's tail, since |I_n| is scale times G's coefficient.  The tail
+    check refuses a scale that overflows to inf."""
     scale = r.scale
-    return _trusted(SignConvention.GENERAL_TAIL,
-                    tuple([complex(c * (scale / n)) for n, c in enumerate(w, 2)]),
-                    scale * (2.0 * omitted / (len(w) + 2)))
+    return ([c * (scale / n) for n, c in enumerate(w, 2)],
+            scale * (2.0 * omitted / (len(w) + 2)))
+
+
+_image = _Series(SignConvention.GENERAL_TAIL, _image_terms)
 
 
 _ROWS = (
-    PredicateSpec(PredicateId.T1_F_in_S, PredicateId.C1_F_in_Sk, _f,
+    PredicateSpec(PredicateId.T1_F_in_S, PredicateId.C1_F_in_Sk, _F,
                   ConditionId.S_COND, needs_r=False, gap=_none,
                   root=_lambert_root, lhs=_t1, sum_scale=_f_sum_scale_S),
-    PredicateSpec(PredicateId.T2_F_in_C, PredicateId.C2_F_in_Ck, _f,
+    PredicateSpec(PredicateId.T2_F_in_C, PredicateId.C2_F_in_Ck, _F,
                   ConditionId.C_COND, needs_r=False, gap=_none,
                   root=_t2_root, lhs=_t2, sum_scale=_f_sum_scale_C),
-    PredicateSpec(PredicateId.T3_G_in_C, PredicateId.C5_G_in_Ck, _g,
+    PredicateSpec(PredicateId.T3_G_in_C, PredicateId.C5_G_in_Ck, _G,
                   ConditionId.C_COND, needs_r=False, gap=_none,
                   root=_lambert_root, lhs=_t1, sum_scale=_f_sum_scale_S),
-    PredicateSpec(PredicateId.T4_G_in_S, PredicateId.C6_G_in_Sk, _g,
+    PredicateSpec(PredicateId.T4_G_in_S, PredicateId.C6_G_in_Sk, _G,
                   ConditionId.S_COND, needs_r=False,
                   gap=lambda c, r: c.Q, root=_t4_root, lhs=_t4,
                   sum_scale=_t4),
@@ -367,8 +366,9 @@ def _crosscheck_detail(row: PredicateSpec, p: PoissonParams, c: ClassParams,
                        policy: TruncationPolicy) -> tuple[float, int]:
     """The residual and truncation order, at class parameters resolve() returned."""
     closed = row.sum_scale(p.m, c, r)
-    seq = row.series(p, policy, r)
-    return abs(closed - lemma_sum(seq, c, row.condition)), seq.truncation_order
+    magnitudes, _ = row.series.magnitudes(p, policy, r)
+    return (abs(closed - _weighted_sum(magnitudes, c, row.condition)),
+            len(magnitudes) + 1)
 
 
 def crosscheck(pid: PredicateId, p: PoissonParams, c: ClassParams,

@@ -1,3 +1,5 @@
+import cmath
+import dataclasses
 import math
 
 import pytest
@@ -17,29 +19,40 @@ lams = st.floats(min_value=0.0, max_value=0.999)
 
 # ---- parameter validation ----
 
-@pytest.mark.parametrize("bad_k", [0.0, -0.5, 1.5, math.nan, True])
+@pytest.mark.parametrize("bad_k", [0.0, -0.5, 1.5, math.nan, math.inf, -math.inf, True])
 def test_class_params_rejects_bad_k(bad_k):
     with pytest.raises(DomainError) as exc:
         ClassParams(k=bad_k, lam=0.0)
-    assert "k must be in (0,1]" in str(exc.value)
+    assert str(exc.value) == f"k must be in (0,1], got {bad_k!r}"
 
 
-@pytest.mark.parametrize("bad_lam", [-0.1, 1.0, 1.5, math.nan, False])
+@pytest.mark.parametrize("bad_lam", [-0.1, 1.0, 1.5, math.nan, math.inf, -math.inf, False])
 def test_class_params_rejects_bad_lambda(bad_lam):
     with pytest.raises(DomainError) as exc:
         ClassParams(k=0.5, lam=bad_lam)
-    assert "lambda must be in [0,1)" in str(exc.value)
+    assert str(exc.value) == f"lambda must be in [0,1), got {bad_lam!r}"
 
 
 def test_r_params_ordering_and_tau():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as exc:
         RParams(A=0.5, B=0.5, tau=1.0)
-    with pytest.raises(DomainError):
+    assert str(exc.value) == "need -1 <= B < A <= 1, got A=0.5, B=0.5"
+    with pytest.raises(DomainError) as exc:
         RParams(A=0.5, B=-1.5, tau=1.0)
-    with pytest.raises(DomainError):
+    assert str(exc.value) == "need -1 <= B < A <= 1, got A=0.5, B=-1.5"
+    with pytest.raises(DomainError) as exc:
         RParams(A=1.5, B=0.0, tau=1.0)
-    with pytest.raises(DomainError):
-        RParams(A=1.0, B=0.0, tau=0.0)
+    assert str(exc.value) == "need -1 <= B < A <= 1, got A=1.5, B=0.0"
+    with pytest.raises(DomainError) as exc:
+        RParams(A=math.nan, B=0.0, tau=1.0)
+    assert str(exc.value) == "need -1 <= B < A <= 1, got A=nan, B=0.0"
+    with pytest.raises(DomainError) as exc:
+        RParams(A=1.0, B=-math.inf, tau=1.0)
+    assert str(exc.value) == "need -1 <= B < A <= 1, got A=1.0, B=-inf"
+    for zero in (0.0, 0j):
+        with pytest.raises(DomainError) as exc:
+            RParams(A=1.0, B=0.0, tau=zero)
+        assert str(exc.value) == "tau must be nonzero"
 
 
 @pytest.mark.parametrize("a, b, tau", [
@@ -47,13 +60,65 @@ def test_r_params_ordering_and_tau():
     (1.0, 0.0, complex(math.nan, 0.0)), (1.0, 0.0, complex(1.0, math.inf)),
     (1.0, 0.0, complex(-math.inf, 0.0))])
 def test_r_params_rejects_bools_and_non_finite_tau(a, b, tau):
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as exc:
         RParams(A=a, B=b, tau=tau)
+    if isinstance(a, bool) or isinstance(b, bool):
+        assert str(exc.value) == f"need -1 <= B < A <= 1, got A={a!r}, B={b!r}"
+    else:
+        assert str(exc.value) == f"tau must be a finite complex number, got {tau!r}"
 
 
 def test_r_params_scale():
     r = RParams(A=1.0, B=-1.0, tau=0.5j)
     assert r.scale == pytest.approx(1.0, rel=1e-15)
+
+
+# ---- stored constants ----
+
+r_params = st.builds(
+    lambda b, gap, rho, theta: RParams(A=min(1.0, b + gap), B=b,
+                                       tau=cmath.rect(rho, theta)),
+    st.floats(-1.0, 0.9), st.floats(0.05, 1.0), st.floats(0.05, 2.0),
+    st.floats(0.0, 2 * math.pi))
+
+
+@given(k=ks, lam=lams, r=r_params)
+def test_stored_constants_are_the_expressions_of_the_fields(k, lam, r):
+    c = ClassParams(k, lam)
+    assert c.P == (1 - c.lam) + c.k * (1 + c.lam)
+    assert c.Q == (1 - c.lam) * (1 - c.k)
+    assert r.scale == (r.A - r.B) * abs(r.tau)
+
+
+def test_stored_constants_stay_out_of_repr_equality_and_hash():
+    c, r = ClassParams(0.5, 0.3), RParams(1.0, -0.5, 2j)
+    assert repr(c) == "ClassParams(k=0.5, lam=0.3)"
+    assert repr(r) == "RParams(A=1.0, B=-0.5, tau=2j)"
+    c2, r2 = ClassParams(0.5, 0.3), RParams(1.0, -0.5, 2j)
+    object.__setattr__(c2, "P", 0.0)
+    object.__setattr__(r2, "scale", 0.0)
+    assert c2 == c and hash(c2) == hash(c)
+    assert r2 == r and hash(r2) == hash(r)
+
+
+@pytest.mark.parametrize("obj, name", [
+    (ClassParams(0.5, 0.3), "k"), (ClassParams(0.5, 0.3), "lam"),
+    (ClassParams(0.5, 0.3), "P"), (ClassParams(0.5, 0.3), "Q"),
+    (RParams(1.0, -0.5, 2j), "A"), (RParams(1.0, -0.5, 2j), "B"),
+    (RParams(1.0, -0.5, 2j), "tau"), (RParams(1.0, -0.5, 2j), "scale"),
+    (PoissonParams(0.5), "m")])
+def test_every_field_is_frozen(obj, name):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(obj, name, 0.25)
+
+
+def test_replace_recomputes_the_stored_constants():
+    c = dataclasses.replace(ClassParams(0.5, 0.3), lam=0.0)
+    assert (c.k, c.lam, c.P, c.Q) == (0.5, 0.0, 1.5, 0.5)
+    r = dataclasses.replace(RParams(1.0, -0.5, 2j), tau=-1.0)
+    assert (r.tau, r.scale) == (-1.0, 1.5)
+    with pytest.raises(DomainError):
+        dataclasses.replace(ClassParams(0.5, 0.3), k=2.0)
 
 
 # ---- weights ----

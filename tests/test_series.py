@@ -20,10 +20,11 @@ POLICY = TruncationPolicy(eps=1e-12)
 
 # ---- parameter validation ----
 
-@pytest.mark.parametrize("bad_m", [0.0, -1.0, math.nan, math.inf, True])
+@pytest.mark.parametrize("bad_m", [0.0, -1.0, math.nan, math.inf, -math.inf, True])
 def test_poisson_params_rejects_bad_m(bad_m):
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as exc:
         PoissonParams(bad_m)
+    assert str(exc.value) == f"m must be a finite positive real, got {bad_m!r}"
 
 
 def test_coefficient_seq_rejects_negative_entries():

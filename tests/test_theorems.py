@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gftpoisson import (ClassParams, ConditionId, MissingRParams, PoissonParams,
-                        PredicateId, RParams, TruncationPolicy,
+from gftpoisson import (ClassParams, ConditionId, DomainError, MissingRParams,
+                        PoissonParams, PredicateId, RParams, TruncationPolicy,
                         Verdict, apply_operator_I, choose_truncation, classify,
                         coeffs_G, crosscheck, evaluate, evaluate_with_crosscheck,
                         lemma_sum, t1_lhs, t2_lhs, t4_lhs, t5_lhs, t6_lhs,
@@ -295,6 +295,34 @@ def test_image_tail_bound_covers_the_true_tail(m, eps_exp, r):
             term *= mm / n
         true_tail = mpmath.mpf(r.scale) * tail
     assert 0 < true_tail <= f.tail_bound
+
+
+# ---- the cross-check's one weight pass ----
+
+@given(pid=st.sampled_from(list(PredicateId)),
+       log_m=st.floats(math.log(1e-6), math.log(714.0)),
+       eps=st.floats(1e-14, 1e-2), k=ks, lam=lams, r=r_params)
+@settings(max_examples=300, deadline=None)
+def test_crosscheck_equals_lemma_sum_over_the_built_series(pid, log_m, eps, k, lam, r):
+    # the reference route builds the row's CoefficientSeq and sums it with the
+    # public lemma_sum; the cross-check sums the same floats from one weight pass
+    p, policy = PoissonParams(min(math.exp(log_m), 714.0)), TruncationPolicy(eps=eps)
+    c = ClassParams(k=k, lam=lam)
+    row, c0 = resolve(pid, c, r)
+    seq = row.series(p, policy, r)
+    residual = abs(row.sum_scale(p.m, c0, r) - lemma_sum(seq, c0, row.condition))
+    assert crosscheck(pid, p, c, r, policy).hex() == residual.hex()
+    report = evaluate_with_crosscheck(pid, p, c, r, policy)
+    assert report.crosscheck_residual.hex() == residual.hex()
+    assert report.truncation_order == seq.truncation_order
+
+
+@pytest.mark.parametrize("pid", [PredicateId.T5_I_in_S, PredicateId.T6_I_in_C])
+def test_crosscheck_refuses_a_scale_that_overflows(pid):
+    # |tau| overflows to inf, so the I image's tail is inf and its check refuses it
+    r = RParams(A=1.0, B=-1.0, tau=1e308 + 1e308j)
+    with pytest.raises(DomainError, match="tail_bound must be finite"):
+        crosscheck(pid, PoissonParams(0.5), ClassParams(k=0.5), r)
 
 
 # ---- each C row cross-checks its own series ----
