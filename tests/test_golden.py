@@ -56,6 +56,19 @@ CASES = {
         ("identities", "--m", "0.7", "--format", "human", "--out", "report.txt")],
     "suite": [("suite", "--format", "json"), ("suite", "--format", "human"),
               ("suite", "--format", "human", "--out", "report.txt")],
+    # from m of about 40 on the weighted terms rise before they fall, so these
+    # sums reach fsum largest first; m = 714 is the largest m a series is built at
+    "crosscheck_large_m": [("crosscheck", "--predicate", pid, "--m", m, *flags,
+                            "--format", "json")
+                           for m in ("60", "300", "714") for _, flags in POINTS
+                           for pid in PREDICATES],
+    # at m = 700 Shift3's terms overflow in fsum and identities exits 4
+    "identities_large_m": [("identities", "--m", m, "--format", fmt)
+                           for m in ("60", "300", "700") for fmt in ("json", "human")],
+    # the weighted I terms overflow in fsum here and crosscheck exits 4
+    "crosscheck_overflow": [("crosscheck", "--predicate", "T6_I_in_C", "--m", "5",
+                             "--k", "0.5", "--lambda", "0.3", "--A", "1", "--B", "-1",
+                             "--tau-re", "8e307")],
 }
 
 GOLDEN = {
@@ -65,6 +78,9 @@ GOLDEN = {
     "grid": "0b5ce581b18c2ad3d5b630ee9b3fe1f1233a8f43f574e62aaa0bacda22f7aa32",
     "identities": "d79a1d5a56b3709bcfc63893532b7f54c45bbc52457dae535191c431c97eae3b",
     "suite": "b92b07a37ab95d39b545b5bf4516d3d9d0c693f74530bc3d9c97a68b9e60ebfe",
+    "crosscheck_large_m": "49bfa278fa65ef4b1606af63fe8b5e14455de55cda3ffaf91a27b37408ccb6e1",
+    "identities_large_m": "7b85036b29d652ff5ad7e5dc4de3162d2756749d51d354f21220c1fc48b09c07",
+    "crosscheck_overflow": "22f2e832de56f751d8b5b9fd918e3ed91961259165ab936c512a394564d20c70",
 }
 
 
