@@ -9,21 +9,24 @@ with n, so a bound on sum_{n>N} |coeff_n| is no bound on the weighted tail,
 and no verdict is drawn from it.  lemma_sum is the public route over a
 CoefficientSeq; theorems' cross-check passes the float magnitudes of one
 weight pass to the same private _weighted_sum, the one place the weight
-expressions are written.  ClassParams stores P and Q, and RParams the scale
-(A-B)|tau|, once, at construction.  For the class R^tau(A,B) the n-th
-coefficient of any member is bounded by (A-B)|tau|/n; the sequence
-saturating that bound drives the operator theorems.
+expressions are written.  Its fsum is correctly rounded, so for nonnegative
+finite terms it is order-independent, and the terms of large m, which rise
+before they fall, are added largest first: linear rather than quadratic in N.
+Only a sum that is inf, nan or near overflow keeps its given order.
+ClassParams stores P and Q, and RParams the scale (A-B)|tau|, once, at
+construction.  For the class R^tau(A,B) the n-th coefficient of any member is
+bounded by (A-B)|tau|/n; the sequence saturating that bound drives the
+operator theorems.
 """
 
 from __future__ import annotations
 
 import cmath
 import enum
-import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError
-from .series import CoefficientSeq, SignConvention, _is_real
+from .series import CoefficientSeq, SignConvention, _exact_sum, _is_real
 
 # Verdicts within this absolute band around lhs = 2k are Marginal: the sharp
 # boundary cases sit exactly on the line and floats cannot adjudicate equality.
@@ -133,13 +136,21 @@ def weight_C(n: int, c: ClassParams) -> float:
 
 def _weighted_sum(magnitudes, c: ClassParams, condition: ConditionId) -> float:
     """sum_{n>=2} w(n) a_n over the magnitudes a_n = |coeff_n| from n = 2, with
-    w = w_S for S_COND and w_C for C_COND, correctly rounded by math.fsum."""
+    w = w_S for S_COND and w_C for C_COND, correctly rounded by math.fsum.
+
+    The terms are nonnegative, and for finite ones the correctly rounded sum
+    does not depend on their order.  Poisson magnitudes rise across hundreds
+    of binades before their mode at n ~ m, where fsum in the given order costs
+    O(N^2), so a rising list is added largest first (series._exact_sum),
+    unless its naive sum is inf, nan or near overflow, where order can decide
+    between inf and OverflowError.
+    """
     # weight_S(n) = n P - Q and weight_C(n) = n weight_S(n), in their operation order
     P, Q = c.P, c.Q
     if condition is ConditionId.S_COND:
-        return math.fsum([(n * P - Q) * a for n, a in enumerate(magnitudes, 2)])
+        return _exact_sum([(n * P - Q) * a for n, a in enumerate(magnitudes, 2)])
     if condition is ConditionId.C_COND:
-        return math.fsum([(n * (n * P - Q)) * a for n, a in enumerate(magnitudes, 2)])
+        return _exact_sum([(n * (n * P - Q)) * a for n, a in enumerate(magnitudes, 2)])
     raise DomainError(f"no coefficient criterion for the condition {condition!r}")
 
 

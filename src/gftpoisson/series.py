@@ -72,6 +72,27 @@ def _check_tail(tail_bound) -> float:
     return float(tail_bound)
 
 
+def _exact_sum(terms: list) -> float:
+    """math.fsum(terms) for nonnegative terms, added largest first when they rise.
+
+    fsum is correctly rounded, so over nonnegative finite terms its result does
+    not depend on their order, but its cost does: it keeps a partial for every
+    rounding error that a much larger later term strands, so a list rising
+    across hundreds of binades, as the Poisson weights do before their mode at
+    n ~ m, costs O(N^2), and the same list largest first O(N).  A list whose
+    last term exceeds its first is sorted in place, largest first, unless its
+    naive sum is inf, nan or near overflow: there order matters, since
+    fsum([1e308, inf, 1.5e308]) is inf but the sorted list overflows.  Falling
+    lists, such as the weighted terms at m below about 35, are summed as
+    given, without the cost of a sort.
+    """
+    # below 2^1000 a naive sum of nonnegative floats is finite, and so is
+    # every partial of fsum over them, in any order
+    if terms[0] < terms[-1] and sum(terms) < 2.0 ** 1000:
+        terms.sort(reverse=True)
+    return math.fsum(terms)
+
+
 @dataclass(frozen=True)
 class CoefficientSeq:
     """Truncated normalized series z -/+ sum_{n=2}^{N} coeff_n z^n.
@@ -270,7 +291,12 @@ def shifted_exp_sum(p: PoissonParams, kind: SumKind) -> float:
 
 
 def partial_shifted_sum(p: PoissonParams, kind: SumKind, upto: int) -> float:
-    """Direct term-by-term summation to index n=upto (independent of the closed form)."""
+    """Direct term-by-term summation to index n=upto (independent of the closed form).
+
+    The terms rise until n ~ m; where the last one exceeds the first, as at
+    large m, _exact_sum adds them largest first.  fsum rounds correctly, so
+    the sum is the same in any order; an inf or overflowing one keeps its order.
+    """
     row, m = _sum_row(kind), p.m
     if upto < row.first:
         return 0.0
@@ -279,4 +305,4 @@ def partial_shifted_sum(p: PoissonParams, kind: SumKind, upto: int) -> float:
     for n in range(row.first + 1, upto + 1):
         t *= m / (n - row.shift)
         terms.append(t)
-    return math.fsum(terms)
+    return _exact_sum(terms)

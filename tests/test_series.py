@@ -1,10 +1,12 @@
 import hashlib
 import math
 import random
+import struct
+import sys
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gftpoisson import (CoefficientSeq, DomainError, PoissonParams,
@@ -13,6 +15,7 @@ from gftpoisson import (CoefficientSeq, DomainError, PoissonParams,
                         coeffs_F, coeffs_G, partial_shifted_sum,
                         shifted_exp_sum, worst_case_R_coeffs)
 from gftpoisson.criteria import RParams
+from gftpoisson.series import _SUMS, _exact_sum
 from gftpoisson.theorems import _image
 
 POLICY = TruncationPolicy(eps=1e-12)
@@ -349,3 +352,88 @@ def test_builders_build_what_validation_would(m, eps, b, gap, tau):
         assert all(type(a) is kind for a in seq.coefficients)
         assert all(type(a) is kind for a in validated.coefficients)
         assert type(seq.tail_bound) is float
+
+
+# ---- exact sums, largest first when the terms rise ----
+
+def _outcome(total):
+    """The float bits total() returns, or the exception it raises."""
+    try:
+        return struct.pack("<d", total())
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+TINY, BIG = sys.float_info.min, sys.float_info.max
+summands = st.one_of(
+    st.sampled_from([0.0, 5e-324, TINY, 2.0 ** 1000, BIG, math.inf, math.nan]),
+    st.floats(min_value=0.0, max_value=TINY),            # subnormals
+    st.floats(min_value=0.0, max_value=BIG),
+    st.floats(min_value=2.0 ** 999, max_value=2.0 ** 1001),
+    st.floats(min_value=2.0 ** 1022, max_value=BIG),
+    st.floats(min_value=0.0, allow_infinity=True))
+
+
+@st.composite
+def tied_lists(draw):
+    # 1 and 3 times powers of two 0 to 106 binades below one anchor: their
+    # sums often fall exactly halfway between two doubles
+    e = draw(st.integers(-1074, 1022))
+    part = st.builds(lambda d, k: math.ldexp(k, e - d),
+                     st.sampled_from([0, 1, 52, 53, 54, 105, 106]), st.sampled_from([1, 3]))
+    return draw(st.lists(part, min_size=1, max_size=30))
+
+
+nonnegative_lists = st.one_of(st.lists(summands, min_size=1, max_size=40), tied_lists())
+
+
+@given(terms=st.one_of(nonnegative_lists, nonnegative_lists.map(sorted)))
+@settings(max_examples=500, deadline=None)
+@example(terms=[1e308, math.inf, 1e308])
+# rising, and the sorted list would raise OverflowError where fsum returns inf
+@example(terms=[1e308, math.inf, 1.5e308])
+@example(terms=[0.0, 1e308, 1e308, math.inf])
+@example(terms=[0.0, math.nan, 1.0])
+def test_exact_sum_is_fsum_in_the_given_order(terms):
+    assert _outcome(lambda: _exact_sum(list(terms))) == _outcome(lambda: math.fsum(terms))
+
+
+def _natural_shifted_terms(p, kind, upto):
+    row = _SUMS[kind]
+    t = row.term(p.m)
+    terms = [t]
+    for n in range(row.first + 1, upto + 1):
+        t *= p.m / (n - row.shift)
+        terms.append(t)
+    return terms
+
+
+@given(kind=st.sampled_from(list(SumKind)), log_m=st.floats(math.log(1e-3), math.log(714.0)))
+@settings(max_examples=200, deadline=None)
+def test_partial_shifted_sum_is_fsum_of_its_terms_in_natural_order(kind, log_m):
+    # from m = 697 on m^2 e^m exceeds the largest double, and Shift3 raises
+    p = PoissonParams(min(math.exp(log_m), 714.0))
+    upto = choose_truncation(p, POLICY)
+    natural = _natural_shifted_terms(p, kind, upto)
+    assert (_outcome(lambda: partial_shifted_sum(p, kind, upto))
+            == _outcome(lambda: math.fsum(natural)))
+
+
+def test_rising_shifted_terms_reach_fsum_largest_first(fsum_calls):
+    p = PoissonParams(300.0)
+    upto = choose_truncation(p, POLICY)
+    partial_shifted_sum(p, SumKind.SHIFT1, upto)
+    [terms] = fsum_calls
+    natural = _natural_shifted_terms(p, SumKind.SHIFT1, upto)
+    assert natural[0] < natural[-1]
+    assert terms == sorted(natural, reverse=True)
+
+
+def test_falling_shifted_terms_reach_fsum_in_natural_order(fsum_calls):
+    # the terms rise to n ~ m and fall below the first, so they stay as built
+    p = PoissonParams(5.0)
+    upto = choose_truncation(p, POLICY)
+    partial_shifted_sum(p, SumKind.SHIFT1, upto)
+    natural = _natural_shifted_terms(p, SumKind.SHIFT1, upto)
+    assert fsum_calls == [natural]
+    assert natural != sorted(natural, reverse=True)

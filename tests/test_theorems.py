@@ -11,8 +11,9 @@ from gftpoisson import (ClassParams, ConditionId, DomainError, MissingRParams,
                         PoissonParams, PredicateId, RParams, TruncationPolicy,
                         Verdict, apply_operator_I, choose_truncation, classify,
                         coeffs_G, crosscheck, evaluate, evaluate_with_crosscheck,
-                        lemma_sum, t1_lhs, t2_lhs, t4_lhs, t5_lhs, t6_lhs,
-                        worst_case_R_coeffs)
+                        coeffs_F, lemma_sum, t1_lhs, t2_lhs, t4_lhs, t5_lhs,
+                        t6_lhs, weight_C, weight_S, worst_case_R_coeffs)
+from gftpoisson.series import _exact_sum
 from gftpoisson.theorems import SPECS, _image, _margin, resolve
 
 ks = st.floats(min_value=1e-6, max_value=1.0)
@@ -315,6 +316,52 @@ def test_crosscheck_equals_lemma_sum_over_the_built_series(pid, log_m, eps, k, l
     report = evaluate_with_crosscheck(pid, p, c, r, policy)
     assert report.crosscheck_residual.hex() == residual.hex()
     assert report.truncation_order == seq.truncation_order
+
+
+def _natural_terms(row, seq, c):
+    # Silverman's weighted terms of the row's own series, in index order
+    w = weight_S if row.condition is ConditionId.S_COND else weight_C
+    return [w(n, c) * abs(a) for n, a in enumerate(seq.coefficients, 2)]
+
+
+@given(pid=st.sampled_from(list(PredicateId)),
+       log_m=st.floats(math.log(1e-3), math.log(714.0)), k=ks, lam=lams, r=r_params)
+@settings(max_examples=200, deadline=None)
+@example(pid=PredicateId.T2_F_in_C, log_m=math.log(300.0), k=0.5, lam=0.25, r=R_DEFAULT)
+def test_crosscheck_sums_its_terms_as_fsum_does_in_their_natural_order(pid, log_m, k, lam, r):
+    # the terms rise before they fall from m of about 35 on and are then added
+    # largest first; fsum is correctly rounded, so no bit may move
+    p, c = PoissonParams(min(math.exp(log_m), 714.0)), ClassParams(k=k, lam=lam)
+    row, c0 = resolve(pid, c, r)
+    terms = _natural_terms(row, row.series(p, TruncationPolicy(), r), c0)
+    natural = math.fsum(terms)
+    assert _exact_sum(list(terms)).hex() == natural.hex()
+    residual = abs(row.sum_scale(p.m, c0, r) - natural)
+    assert crosscheck(pid, p, c, r).hex() == residual.hex()
+
+
+F_IN_S = PredicateId.T1_F_in_S
+C_FIXTURE = ClassParams(k=0.5, lam=0.25)
+
+
+def test_rising_crosscheck_terms_reach_fsum_largest_first(fsum_calls):
+    # at m = 300 the F terms under w_S rise over 400 binades to n ~ 300; in
+    # that order fsum would cost O(N^2)
+    p = PoissonParams(300.0)
+    crosscheck(F_IN_S, p, C_FIXTURE)
+    [terms] = fsum_calls
+    natural = _natural_terms(SPECS[F_IN_S], coeffs_F(p), C_FIXTURE)
+    assert natural[0] < natural[-1]
+    assert terms == sorted(natural, reverse=True)
+
+
+@pytest.mark.parametrize("m", [1.0, 5.0])
+def test_falling_crosscheck_terms_reach_fsum_in_natural_order(fsum_calls, m):
+    # at m = 5 the terms rise to n ~ 5 and then fall below the first, so a
+    # sort would reorder them: they must arrive unsorted
+    p = PoissonParams(m)
+    crosscheck(F_IN_S, p, C_FIXTURE)
+    assert fsum_calls == [_natural_terms(SPECS[F_IN_S], coeffs_F(p), C_FIXTURE)]
 
 
 @pytest.mark.parametrize("pid", [PredicateId.T5_I_in_S, PredicateId.T6_I_in_C])
