@@ -18,8 +18,8 @@ from .errors import (DomainError, InvalidTolerance, MissingRParams,
                      TruncationNotReached)
 from .serialize import dict_to_human, dumps_canonical, fmt_float, rows_to_csv
 # coeffs_F is not called here, but bench/test_tracer.py wraps it under this name
-from .series import (PoissonParams, TruncationPolicy, choose_truncation,  # noqa: F401
-                     coeffs_F)
+from .series import (_SHIFT3_M_MAX, PoissonParams, TruncationPolicy,  # noqa: F401
+                     choose_truncation, coeffs_F)
 from .suite import _identity_rows, run_suite
 from .theorems import (SPECS, PredicateId, evaluate, evaluate_with_crosscheck,
                        resolve)
@@ -199,6 +199,9 @@ def _cmd_identities(args) -> int:
     p = PoissonParams(args.m)
     policy = TruncationPolicy(eps=args.eps)
     n_top = choose_truncation(p, policy)
+    if p.m > _SHIFT3_M_MAX:
+        raise OverflowError(f"Shift3's m^2 e^m overflows above m = {_SHIFT3_M_MAX!r}, "
+                            "the largest m identities accepts")
     entries = [{"kind": kind.value, "closed": closed, "partial": partial,
                 "abs_err": err, "pass": err <= allowed}
                for kind, closed, partial, err, allowed in _identity_rows(p, n_top)]

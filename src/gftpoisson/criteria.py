@@ -60,15 +60,15 @@ class ClassParams:
     Q: float = field(init=False, repr=False, compare=False)
 
     def __init__(self, k: float, lam: float = 0.0) -> None:
-        if not (_is_real(k) and 0 < k <= 1):
+        # an exact float needs no type check; nan fails the comparisons
+        if not ((type(k) is float or _is_real(k)) and 0 < k <= 1):
             raise DomainError(f"k must be in (0,1], got {k!r}")
-        if not (_is_real(lam) and 0 <= lam < 1):
+        if not ((type(lam) is float or _is_real(lam)) and 0 <= lam < 1):
             raise DomainError(f"lambda must be in [0,1), got {lam!r}")
         k, lam = float(k), float(lam)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "P", (1 - lam) + k * (1 + lam))
-        object.__setattr__(self, "Q", (1 - lam) * (1 - k))
+        # frozen: fields are set once, past the __setattr__ that refuses them
+        self.__dict__.update(k=k, lam=lam, P=(1 - lam) + k * (1 + lam),
+                             Q=(1 - lam) * (1 - k))
 
 
 @dataclass(frozen=True, init=False)
@@ -85,7 +85,8 @@ class RParams:
     scale: float = field(init=False, repr=False, compare=False)
 
     def __init__(self, A: float, B: float, tau: complex = 1.0 + 0.0j) -> None:
-        if not (_is_real(A) and _is_real(B) and -1 <= B < A <= 1):
+        if not ((type(A) is float or _is_real(A)) and (type(B) is float or _is_real(B))
+                and -1 <= B < A <= 1):
             raise DomainError(f"need -1 <= B < A <= 1, got A={A!r}, B={B!r}")
         t = complex(tau)
         if t == 0:
@@ -93,10 +94,7 @@ class RParams:
         if isinstance(tau, bool) or not cmath.isfinite(t):
             raise DomainError(f"tau must be a finite complex number, got {tau!r}")
         A, B = float(A), float(B)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "tau", t)
-        object.__setattr__(self, "scale", (A - B) * abs(t))
+        self.__dict__.update(A=A, B=B, tau=t, scale=(A - B) * abs(t))
 
 
 @dataclass(frozen=True)

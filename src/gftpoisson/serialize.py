@@ -3,28 +3,26 @@
 Floats are printed with 17 significant digits so that parse-and-reprint is
 byte-identical; dict key order is insertion order; indentation is fixed at
 two spaces.  Non-finite floats use the same spellings the json module accepts
-(Infinity, -Infinity, NaN).
+(Infinity, -Infinity, NaN), and -0.0 prints as 0.
 
-A dict value whose type is exactly float, str, int, bool or None is formatted
-from a table keyed by type, so a flat dict (a check, crosscheck or threshold
-report) is written in one pass; any other value, a subclass of those types
-included, goes through the isinstance chain of _write, which prints the same
-bytes.
+dumps_canonical writes a flat dict (a check, crosscheck, threshold or suite
+report) in one pass: each key whose type is exactly str is quoted once per
+process and kept in a bounded table of heads, since reports repeat a few
+fixed key sets, and each value whose type is exactly float, str, int, bool or
+None is formatted from a table keyed by type.  Any other dict, key or value,
+a subclass of those types included, goes through the isinstance chain of
+_write, which prints the same bytes.
 """
 
 from __future__ import annotations
 
-import math
+# %.17g spells the special values the C way; -nan prints as nan
+_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "-0": "0"}
 
 
 def fmt_float(x: float) -> str:
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    if x == 0:
-        return "0"   # normalize -0.0 so the round trip stays stable
-    return "%.17g" % x
+    s = "%.17g" % x
+    return _SPECIAL.get(s, s)
 
 
 def _write(obj, indent: int, out: list) -> None:
@@ -43,17 +41,13 @@ def _write(obj, indent: int, out: list) -> None:
         if not obj:
             out.append("{}")
             return
-        items = []
-        for key, value in obj.items():
-            head = pad + '  "' + _escaped(str(key)) + '": '
-            fmt = _FLAT.get(type(value))
-            if fmt is not None:
-                items.append(head + fmt(value))
-            else:
-                nested: list = []
-                _write(value, indent + 1, nested)
-                items.append(head + "".join(nested))
-        out.append("{\n" + ",\n".join(items) + "\n" + pad + "}")
+        out.append("{\n")
+        for i, (key, value) in enumerate(obj.items()):
+            if i:
+                out.append(",\n")
+            out.append(pad + '  "' + _escaped(str(key)) + '": ')
+            _write(value, indent + 1, out)
+        out.append("\n" + pad + "}")
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
@@ -94,8 +88,42 @@ _FLAT = {
     type(None): lambda _: "null",
 }
 
+# the quoted, indented head of each top-level str key kept so far; keys are
+# schema strings, so a few dozen cover every report, and a dict with a key
+# that finds the table full is written by _write
+_HEADS: dict = {}
+_HEADS_CAP = 256
+
+
+def _flat(obj: dict) -> str:
+    # a key that is not exactly a str looks up None, which is never kept, so no
+    # equal key of another type reuses a head (a str subclass may print
+    # otherwise than its value); that KeyError, a key not kept yet and a value
+    # type without a formatter all send obj to _keep_heads
+    return "{\n" + ",\n".join([_HEADS[key if type(key) is str else None]
+                                 + _FLAT[type(value)](value)
+                                 for key, value in obj.items()]) + "\n}"
+
+
+def _keep_heads(obj: dict) -> bool:
+    """Keep the head of every key of obj; False if obj is not flat or a head does not fit."""
+    if not all(type(key) is str and type(value) in _FLAT for key, value in obj.items()):
+        return False
+    for key in obj:
+        if key not in _HEADS:
+            if len(_HEADS) >= _HEADS_CAP:
+                return False
+            _HEADS[key] = '  "' + _escaped(key) + '": '
+    return True
+
 
 def dumps_canonical(obj) -> str:
+    if type(obj) is dict and obj:
+        try:
+            return _flat(obj)
+        except KeyError:
+            if _keep_heads(obj):
+                return _flat(obj)
     out: list = []
     _write(obj, 0, out)
     return "".join(out)

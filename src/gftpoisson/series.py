@@ -50,9 +50,9 @@ class PoissonParams:
     m: float
 
     def __init__(self, m: float) -> None:
-        if not (_is_real(m) and math.isfinite(m) and m > 0):
+        if not ((type(m) is float or _is_real(m)) and math.isfinite(m) and m > 0):
             raise DomainError(f"m must be a finite positive real, got {m!r}")
-        object.__setattr__(self, "m", float(m))
+        self.__dict__["m"] = float(m)
 
 
 @dataclass(frozen=True)
@@ -277,6 +277,11 @@ _SUMS = {
     SumKind.POW_N_OVER_N_FACT: _ShiftedSum(2, lambda m: math.expm1(m) - m,
                                            lambda m: m * m / 2.0, 0),
 }
+
+
+# the largest float m at which Shift3's closed form m^2 e^m is finite, so the
+# largest at which the identities command can compare every closed form
+_SHIFT3_M_MAX = 696.6900317052614
 
 
 def _sum_row(kind) -> _ShiftedSum:

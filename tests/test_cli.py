@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -302,6 +303,44 @@ def test_identities_csv(capsys):
     assert lines[0] == "kind,closed,partial,abs_err,pass"
     assert len(lines) == 6
     assert all(line.endswith(",true") for line in lines[1:])
+
+
+# Shift3's closed form m^2 e^m exceeds DBL_MAX past m = 696.69..., while the
+# series routes accept every m up to 714
+SHIFT3_LIMIT = "696.6900317052614"
+SHIFT3_OVERFLOW = ("numeric failure: Shift3's m^2 e^m overflows above m = "
+                   f"{SHIFT3_LIMIT}, the largest m identities accepts\n")
+
+
+@pytest.mark.parametrize("m", ["696.6900317052615", "696.9"]
+                         + [str(m) for m in range(697, 715)])
+@pytest.mark.parametrize("fmt", ["json", "human"])
+def test_identities_past_the_shift3_limit_exits_four_naming_it(capsys, m, fmt):
+    code, out, err = run_cli(capsys, "identities", "--m", m, "--format", fmt)
+    assert (code, out, err) == (EXIT_NUMERIC, "", SHIFT3_OVERFLOW)
+
+
+def test_identities_at_the_shift3_limit_passes(capsys):
+    code, out, _ = run_cli(capsys, "identities", "--m", SHIFT3_LIMIT)
+    assert code == EXIT_HOLDS
+    d = json.loads(out)
+    assert d["identities"][2]["kind"] == "Shift3"
+    assert d["identities"][2]["closed"] == 1.7976931348621626e+308
+
+
+def test_the_shift3_limit_is_the_last_float_with_a_finite_closed_form():
+    m = float(SHIFT3_LIMIT)
+    assert series._SHIFT3_M_MAX == m
+    p = series.PoissonParams(m)
+    assert series.shifted_exp_sum(p, series.SumKind.SHIFT3) < float("inf")
+    above = series.PoissonParams(math.nextafter(m, 1000.0))
+    assert series.shifted_exp_sum(above, series.SumKind.SHIFT3) == float("inf")
+
+
+def test_identities_past_the_series_limit_keeps_its_message(capsys):
+    code, out, err = run_cli(capsys, "identities", "--m", "715")
+    assert (code, out) == (EXIT_NUMERIC, "")
+    assert err.startswith("numeric failure: ") and "Shift3" not in err
 
 
 # ---- suite ----

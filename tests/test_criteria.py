@@ -1,6 +1,8 @@
 import cmath
+import copy
 import dataclasses
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -101,15 +103,81 @@ def test_stored_constants_stay_out_of_repr_equality_and_hash():
     assert r2 == r and hash(r2) == hash(r)
 
 
+class _Real(float):
+    pass
+
+
+# each record built from exact floats, which skip the type check, from ints and
+# from a float subclass, which take it
+_RECORDS = {
+    "float": (ClassParams(1.0, 0.0), RParams(1.0, -1.0, 2.0), PoissonParams(3.0)),
+    "int": (ClassParams(1, 0), RParams(1, -1, 2), PoissonParams(3)),
+    "subclass": (ClassParams(_Real(1.0), _Real(0.0)),
+                 RParams(_Real(1.0), _Real(-1.0), _Real(2.0)), PoissonParams(_Real(3.0))),
+}
+_FIELDS = {ClassParams: ("k", "lam", "P", "Q"), RParams: ("A", "B", "tau", "scale"),
+           PoissonParams: ("m",)}
+
+
+@pytest.mark.parametrize("kind", sorted(_RECORDS))
 @pytest.mark.parametrize("obj, name", [
     (ClassParams(0.5, 0.3), "k"), (ClassParams(0.5, 0.3), "lam"),
     (ClassParams(0.5, 0.3), "P"), (ClassParams(0.5, 0.3), "Q"),
     (RParams(1.0, -0.5, 2j), "A"), (RParams(1.0, -0.5, 2j), "B"),
     (RParams(1.0, -0.5, 2j), "tau"), (RParams(1.0, -0.5, 2j), "scale"),
     (PoissonParams(0.5), "m")])
-def test_every_field_is_frozen(obj, name):
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        setattr(obj, name, 0.25)
+def test_every_field_is_frozen(obj, name, kind):
+    same_type = next(rec for rec in _RECORDS[kind] if type(rec) is type(obj))
+    for record in (obj, same_type):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, 0.25)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(record, name)
+
+
+@pytest.mark.parametrize("kind", ["int", "subclass"])
+def test_records_from_ints_and_float_subclasses_equal_the_float_ones(kind):
+    for built, reference in zip(_RECORDS[kind], _RECORDS["float"]):
+        assert built == reference and hash(built) == hash(reference)
+        assert repr(built) == repr(reference)
+        for name in _FIELDS[type(built)]:
+            value = getattr(built, name)
+            assert value == getattr(reference, name)
+            assert type(value) is (complex if name == "tau" else float)
+
+
+@pytest.mark.parametrize("bad", [True, math.nan, math.inf, -math.inf,
+                                 _Real(math.nan), _Real(math.inf)])
+def test_every_record_refuses_bools_and_non_finite_values(bad):
+    with pytest.raises(DomainError) as exc:
+        ClassParams(bad, 0.0)
+    assert str(exc.value) == f"k must be in (0,1], got {bad!r}"
+    with pytest.raises(DomainError) as exc:
+        ClassParams(0.5, bad)
+    assert str(exc.value) == f"lambda must be in [0,1), got {bad!r}"
+    with pytest.raises(DomainError) as exc:
+        RParams(bad, -1.0)
+    assert str(exc.value) == f"need -1 <= B < A <= 1, got A={bad!r}, B=-1.0"
+    with pytest.raises(DomainError) as exc:
+        RParams(1.0, bad)
+    assert str(exc.value) == f"need -1 <= B < A <= 1, got A=1.0, B={bad!r}"
+    with pytest.raises(DomainError) as exc:
+        PoissonParams(bad)
+    assert str(exc.value) == f"m must be a finite positive real, got {bad!r}"
+
+
+@pytest.mark.parametrize("copy_of", [lambda x: pickle.loads(pickle.dumps(x)),
+                                     copy.deepcopy, copy.copy])
+@pytest.mark.parametrize("record", [ClassParams(0.3, 0.7), RParams(0.5, -0.25, 1 - 2j),
+                                    PoissonParams(2.5)])
+def test_records_survive_pickle_and_copy(copy_of, record):
+    twin = copy_of(record)
+    assert type(twin) is type(record) and twin == record and hash(twin) == hash(record)
+    assert vars(twin) == vars(record)
+    for name in _FIELDS[type(record)]:
+        assert getattr(twin, name) == getattr(record, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(twin, name, 0.25)
 
 
 def test_replace_recomputes_the_stored_constants():

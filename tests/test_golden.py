@@ -62,7 +62,7 @@ CASES = {
                             "--format", "json")
                            for m in ("60", "300", "714") for _, flags in POINTS
                            for pid in PREDICATES],
-    # at m = 700 Shift3's terms overflow in fsum and identities exits 4
+    # at m = 700 Shift3's m^2 e^m overflows and identities exits 4, naming its limit on m
     "identities_large_m": [("identities", "--m", m, "--format", fmt)
                            for m in ("60", "300", "700") for fmt in ("json", "human")],
     # the weighted I terms overflow in fsum here and crosscheck exits 4
@@ -79,7 +79,7 @@ GOLDEN = {
     "identities": "d79a1d5a56b3709bcfc63893532b7f54c45bbc52457dae535191c431c97eae3b",
     "suite": "b92b07a37ab95d39b545b5bf4516d3d9d0c693f74530bc3d9c97a68b9e60ebfe",
     "crosscheck_large_m": "49bfa278fa65ef4b1606af63fe8b5e14455de55cda3ffaf91a27b37408ccb6e1",
-    "identities_large_m": "7b85036b29d652ff5ad7e5dc4de3162d2756749d51d354f21220c1fc48b09c07",
+    "identities_large_m": "d506117420e9e02eaa216038d3b392825a54239491d42305e5b05ce6c632906c",
     "crosscheck_overflow": "22f2e832de56f751d8b5b9fd918e3ed91961259165ab936c512a394564d20c70",
 }
 

@@ -3,11 +3,22 @@ import json
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from gftpoisson import dumps_canonical
+from gftpoisson import dumps_canonical, serialize
 from gftpoisson.serialize import _ESCAPES, dict_to_human, fmt_float, rows_to_csv
+
+
+def _reference_fmt_float(x: float) -> str:
+    """The three-check spelling fmt_float had before its special-value table."""
+    if math.isnan(x):
+        return "NaN"
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    if x == 0:
+        return "0"
+    return "%.17g" % x
 
 
 def test_fmt_float_spellings():
@@ -23,6 +34,20 @@ def test_fmt_float_spellings():
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_fmt_float_round_trips(x):
     assert float(fmt_float(x)) == x
+
+
+@given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+@example(math.nan)
+@example(float("-nan"))
+@example(math.inf)
+@example(-math.inf)
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(-2.2250738585072009e-308)
+@example(1.7976931348621571e+308)
+def test_fmt_float_matches_the_three_check_spelling(x):
+    assert fmt_float(x) == _reference_fmt_float(x)
 
 
 def test_dumps_scalar_values():
@@ -98,7 +123,7 @@ def _general(obj, indent=0, out=None):
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
-        out.append(fmt_float(obj))
+        out.append(_reference_fmt_float(obj))
     elif isinstance(obj, str):
         out.append('"' + obj.translate(_ESCAPES) + '"')
     elif isinstance(obj, dict):
@@ -137,6 +162,11 @@ class _Real(float):
         return "_Real"
 
 
+class _Name(str):
+    def __str__(self):
+        return "renamed"
+
+
 @pytest.mark.parametrize("obj", [
     {"flag": True, "off": False, "n": 1, "zero": 0, "big": -(10 ** 30)},
     {"level": _Level.LOW, "n": 2},
@@ -154,9 +184,44 @@ class _Real(float):
     {"only": []},
     [{"a": 1}, {"b": [0.5, None]}, {}],
     {"outer": {"inner": {"leaf": "x"}}},
+    {"predicate": "T1_F_in_S", _Name("verdict"): "Holds"},
+    {"predicate": "T1_F_in_S", "verdict": _Name("Holds")},
 ])
 def test_flat_dicts_print_what_the_general_writer_prints(obj):
     assert dumps_canonical(obj) == _general(obj)
+
+
+def test_a_str_subclass_never_reuses_the_head_of_its_equal_str():
+    dumps_canonical({"verdict": "Holds"})
+    assert dumps_canonical({_Name("verdict"): "Holds"}) == '{\n  "renamed": "Holds"\n}'
+    assert dumps_canonical({"verdict": _Name("Holds")}) == '{\n  "verdict": "Holds"\n}'
+
+
+def test_equal_keys_of_other_types_never_reuse_a_head():
+    # 1, True and 1.0 are one dict key, but each prints as its own type
+    dumps_canonical({"1": "str key"})
+    for obj, text in [({1: "v"}, '{\n  "1": "v"\n}'),
+                      ({True: "v"}, '{\n  "True": "v"\n}'),
+                      ({1.0: "v"}, '{\n  "1.0": "v"\n}'),
+                      ({1: "v"}, '{\n  "1": "v"\n}')]:
+        assert dumps_canonical(obj) == _general(obj) == text
+    assert not any(type(key) is not str for key in serialize._HEADS)
+
+
+def test_the_kept_heads_stop_at_their_cap(monkeypatch):
+    monkeypatch.setattr(serialize, "_HEADS", {})
+    cap = serialize._HEADS_CAP
+    keys = [f"key {i}" for i in range(cap + 40)]
+    for i in range(0, len(keys), 7):
+        obj = {key: i + 0.5 for key in keys[i:i + 7]}
+        assert dumps_canonical(obj) == _general(obj)
+    assert len(serialize._HEADS) == cap
+    # a dict whose keys are all kept still takes the flat path past the cap,
+    # and one with a key that no longer fits is written by the general route
+    for obj in ({keys[0]: 1.5, keys[cap - 1]: None}, {keys[0]: 1.5, keys[-1]: "x"},
+                {"a new key": True}):
+        assert dumps_canonical(obj) == _general(obj)
+    assert len(serialize._HEADS) == cap
 
 
 def test_a_subclass_value_takes_the_isinstance_chain():
