@@ -9,30 +9,40 @@ sampling reports the maximum, its location, and the count of violations.
 
 A grid builds its series' table once, straight from the coefficients: the
 pairs (b_n, n b_n) from n = N down to 2, or (n b_n, n (n b_n)) for the z f'
-of the C-condition.  Each point then runs one Horner loop that carries f and f'
+of the C-condition.  It evaluates one circle at a time, with one call to a
+per-circle evaluator: _s_values for the S- and C-conditions, _r_values for the
+R-condition.  Each runs one Horner loop per point.  _s_values carries f and f'
 together (Knuth, TAOCP vol. 2, sec. 4.6.4), the f accumulator in the operation
-order of eval_series, so f matches it bit for bit; eval_deriv and the
-R-condition read the f' of the same loop.  The public condition values go
-through the same helpers.  Each grid point is tested once for |z| < 1,
-since a radius one ulp below 1 is accepted by GridSpec and cmath.rect may
-round it out.
+order of eval_series; _r_values carries only f', the one value the R-condition
+reads, whose bits do not depend on f.  The public condition values call the
+same evaluators with one point, so each formula is written once.  eval_series,
+eval_deriv and the suite's pole check need f and f' themselves, which the
+evaluators do not return; they read them from _horner_pair, the same loop at
+one point.  Each grid point is tested once for |z| < 1, since a radius one ulp
+below 1 is accepted by GridSpec and cmath.rect may round it out.
 
 Each circle of P points is conjugate-symmetric: point j is
 cmath.rect(radius, j * 2pi/P) for j <= P//2 and the conjugate of point P - j
 above that.  When every pair of an S- or C-condition table has imaginary part
-0 (the float F and G, and I images of real coefficients), a lower-half point
-reuses the value of its mirror, since IEEE +, -, *, / and abs commute with
-conjugation and conj(f(z)) = f(conj(z)) holds for a real series: the value
-is the same float at z and at conj(z).  Such a grid runs floor(P/2) + 1 Horner
-passes per circle, and its argmax, the first point of the largest value,
-lies in the upper half.  The R-condition, where (A-B) tau need not be real,
-and complex tables evaluate every point.
+0 (the float F and G, and I images of real coefficients), the value at a
+lower-half point is the value at its mirror, since IEEE +, -, *, / and abs
+commute with conjugation and conj(f(z)) = f(conj(z)) holds for a real series:
+the value is the same float at z and at conj(z).  Such a grid evaluates and
+visits only the P//2 + 1 upper-half points of each circle, each with a
+multiplicity, the number of grid points that share its value: 1 for j = 0 and,
+when P is even, for j = P/2, which are their own mirrors, and 2 for every
+other point.  A point adds its multiplicity to violations or skipped, so every
+grid point still counts once.  The argmax, the first point of the largest
+value, lies in the upper half, since a lower-half point comes after its
+mirror.  The R-condition, where (A-B) tau need not be real, and complex
+tables evaluate all P points, the lower half as conjugates.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .criteria import ClassParams, ConditionId, RParams
@@ -59,10 +69,7 @@ class GridSpec:
             raise DomainError(f"points_per_circle must be an int, got {self.points_per_circle!r}")
         if self.points_per_circle < 8:
             raise DomainError(f"need at least 8 points per circle, got {self.points_per_circle}")
-        # an infinite floor skips every point, and a grid that sampled nothing reads as a pass
-        if not (_is_real(self.denominator_floor) and 0 < self.denominator_floor < math.inf):
-            raise DomainError("denominator_floor must be a finite positive number, "
-                              f"got {self.denominator_floor!r}")
+        _require_floor(self.denominator_floor)
         object.__setattr__(self, "radii", tuple(float(r) for r in radii))
 
 
@@ -82,11 +89,21 @@ class GridReport:
 
 # ---- series evaluation ----
 
-def _require_in_disk(z: complex) -> complex:
+def _require_in_disk(z) -> complex:
+    # a bool is no point, as in _is_real; |z| < 1 is False at a NaN coordinate
+    if isinstance(z, bool):
+        raise DomainError(f"evaluation point must satisfy |z| < 1, got z={z!r}")
     z = complex(z)
-    if abs(z) >= 1:
+    if not abs(z) < 1:
         raise DomainError(f"evaluation point must satisfy |z| < 1, got |z|={abs(z)!r}")
     return z
+
+
+def _require_floor(denominator_floor) -> None:
+    # an infinite floor skips every point, and a grid that sampled nothing reads as a pass
+    if not (_is_real(denominator_floor) and 0 < denominator_floor < math.inf):
+        raise DomainError("denominator_floor must be a finite positive number, "
+                          f"got {denominator_floor!r}")
 
 
 def _pair_table(f: CoefficientSeq, zfprime: bool = False) -> tuple[bool, tuple]:
@@ -100,7 +117,7 @@ def _pair_table(f: CoefficientSeq, zfprime: bool = False) -> tuple[bool, tuple]:
 
 
 def _horner_pair(table: tuple[bool, tuple], z: complex) -> tuple[complex, complex]:
-    """(f(z), f'(z)) in one pass, f in eval_series's operation order."""
+    """(f(z), f'(z)) at one point, in the operation order of _s_values."""
     negative, pairs = table
     acc = dacc = 0j
     for coeff, dcoeff in pairs:
@@ -113,12 +130,7 @@ def _horner_pair(table: tuple[bool, tuple], z: complex) -> tuple[complex, comple
 
 def eval_series(f: CoefficientSeq, z: complex) -> complex:
     """f(z) by Horner evaluation of the truncated tail."""
-    z = _require_in_disk(z)
-    acc = 0j
-    for coeff in reversed(f.coefficients):
-        acc = acc * z + coeff
-    tail = acc * z * z
-    return z - tail if f.convention is SignConvention.NEGATIVE_TAIL else z + tail
+    return _horner_pair(_pair_table(f), _require_in_disk(z))[0]
 
 
 def eval_deriv(f: CoefficientSeq, z: complex) -> complex:
@@ -128,48 +140,64 @@ def eval_deriv(f: CoefficientSeq, z: complex) -> complex:
 
 # ---- condition values ----
 
-def _s_value(table: tuple[bool, tuple], z: complex, lam: float,
-             denominator_floor: float) -> tuple[float, bool]:
-    if z == 0:
-        return 0.0, True   # w -> 1 by normalization
-    fz, dfz = _horner_pair(table, z)
-    num = z * dfz
-    den = (1 - lam) * fz + lam * num
-    if abs(den) < denominator_floor:
-        return 0.0, False
-    w = num / den
-    wp1 = w + 1
-    if abs(wp1) < denominator_floor:
-        return 0.0, False
-    return abs(w - 1) / abs(wp1), True
+def _s_values(table: tuple[bool, tuple], zs: Iterable[complex], lam: float,
+              denominator_floor: float) -> Iterator[tuple[float, bool]]:
+    """Yield (|w-1|/|w+1|, valid) at each point of zs, with f and f' from one
+    Horner loop per point, f in eval_series's operation order."""
+    negative, pairs = table
+    for z in zs:
+        if z == 0:
+            yield 0.0, True   # w -> 1 by normalization
+            continue
+        acc = dacc = 0j
+        for coeff, dcoeff in pairs:
+            acc = acc * z + coeff
+            dacc = dacc * z + dcoeff
+        fz = z - acc * z * z if negative else z + acc * z * z
+        num = z * (1 - dacc * z if negative else 1 + dacc * z)
+        den = (1 - lam) * fz + lam * num
+        if abs(den) < denominator_floor:
+            yield 0.0, False
+            continue
+        w = num / den
+        wp1 = w + 1
+        yield (0.0, False) if abs(wp1) < denominator_floor else (abs(w - 1) / abs(wp1), True)
 
 
-def _r_value(table: tuple[bool, tuple], z: complex, r: RParams,
-             denominator_floor: float) -> tuple[float, bool]:
-    d = _horner_pair(table, z)[1] - 1
-    den = (r.A - r.B) * r.tau - r.B * d
-    if abs(den) < denominator_floor:
-        return 0.0, False
-    return abs(d) / abs(den), True
+def _r_values(table: tuple[bool, tuple], zs: Iterable[complex], r: RParams,
+              denominator_floor: float) -> Iterator[tuple[float, bool]]:
+    """Yield (|f'-1| / |(A-B) tau - B (f'-1)|, valid) at each point of zs, with
+    f' alone from one Horner loop per point."""
+    negative, pairs = table
+    for z in zs:
+        dacc = 0j
+        for _, dcoeff in pairs:
+            dacc = dacc * z + dcoeff
+        d = (1 - dacc * z if negative else 1 + dacc * z) - 1
+        den = (r.A - r.B) * r.tau - r.B * d
+        yield (0.0, False) if abs(den) < denominator_floor else (abs(d) / abs(den), True)
 
 
 def s_condition_value(f: CoefficientSeq, z: complex, c: ClassParams,
                       denominator_floor: float = DEFAULT_FLOOR) -> tuple[float, bool]:
     """(|w-1|/|w+1|, valid) at z; valid=False marks a near-singular denominator."""
-    return _s_value(_pair_table(f), _require_in_disk(z), c.lam, denominator_floor)
+    _require_floor(denominator_floor)
+    return next(_s_values(_pair_table(f), (_require_in_disk(z),), c.lam, denominator_floor))
 
 
 def c_condition_value(f: CoefficientSeq, z: complex, c: ClassParams,
                       denominator_floor: float = DEFAULT_FLOOR) -> tuple[float, bool]:
     """S-condition value of z f'(z)."""
-    return _s_value(_pair_table(f, zfprime=True), _require_in_disk(z), c.lam,
-                    denominator_floor)
+    _require_floor(denominator_floor)
+    return next(_s_values(_pair_table(f, zfprime=True), (_require_in_disk(z),), c.lam,
+                          denominator_floor))
 
 
 def r_condition_value(f: CoefficientSeq, z: complex, r: RParams,
                       denominator_floor: float = DEFAULT_FLOOR) -> tuple[float, bool]:
     """|f'-1| / |(A-B) tau - B (f'-1)| at z, against threshold 1."""
-    return _r_value(_pair_table(f), _require_in_disk(z), r, denominator_floor)
+    _require_floor(denominator_floor)
+    return next(_r_values(_pair_table(f), (_require_in_disk(z),), r, denominator_floor))
 
 
 # ---- grid sampling ----
@@ -180,25 +208,25 @@ def grid_check(f: CoefficientSeq, condition: ConditionId, params,
 
     The maximum is taken over valid points with a deterministic tie-break
     (first radius, then first angle); a point counts as a violation when its
-    value reaches the class threshold (k for S/C, 1 for R).  A lower-half
-    point of a real S/C table counts its mirror's value (see the module
-    docstring); every point is counted once either way.
+    value reaches the class threshold (k for S/C, 1 for R).  A real S/C table
+    visits the upper half of each circle only, each point with the count of
+    grid points that share its value (see the module docstring); every grid
+    point is counted once either way.
     """
+    # the C-condition is the S-condition of z f', built once per grid
+    table = _pair_table(f, zfprime=condition is ConditionId.C_COND)
     if condition is ConditionId.R_COND:
         if not isinstance(params, RParams):
             raise DomainError("R condition requires RParams")
         threshold = 1.0
-        table = _pair_table(f)
-        value_at = lambda z: _r_value(table, z, params, grid.denominator_floor)
+        evaluate, arg = _r_values, params
         # (A-B) tau need not be real, so the R-condition has no mirror symmetry
         mirrored = False
     else:
         if not isinstance(params, ClassParams):
             raise DomainError("S/C conditions require ClassParams")
         threshold = params.k
-        # the C-condition is the S-condition of z f', built once per grid
-        table = _pair_table(f, zfprime=condition is ConditionId.C_COND)
-        value_at = lambda z: _s_value(table, z, params.lam, grid.denominator_floor)
+        evaluate, arg = _s_values, params.lam
         # a real table gives the same value at conj(z) as at z, bit for bit
         mirrored = all(a.imag == 0 and da.imag == 0 for a, da in table[1])
 
@@ -209,29 +237,28 @@ def grid_check(f: CoefficientSeq, condition: ConditionId, params,
     points = grid.points_per_circle
     half = points // 2
     step = 2 * math.pi / points
+    # the grid points that share each visited point's value: j = 0 and, for
+    # even P, j = P/2 are their own mirrors
+    multiplicity = ((1,) + (2,) * (half - 1) + (1 + points % 2,) if mirrored
+                    else (1,) * points)
     for radius in grid.radii:
-        circle = []   # (z, value, valid) of points 0 .. j-1
-        for j in range(points):
-            if j <= half:
-                z = cmath.rect(radius, j * step)
-                if abs(z) >= 1:
-                    _require_in_disk(z)   # raises; GridSpec radii below 1 may still round out
-                value, valid = value_at(z)
-            else:
-                # the conjugate of point points - j; |z| is that point's, already checked
-                z, value, valid = circle[points - j]
-                z = z.conjugate()
-                if not mirrored:
-                    value, valid = value_at(z)
-            circle.append((z, value, valid))
+        zs = [cmath.rect(radius, j * step) for j in range(half + 1)]
+        if max(map(abs, zs)) >= 1:
+            # raises at the first point that rounded out of the disk
+            _require_in_disk(next(z for z in zs if abs(z) >= 1))
+        if not mirrored:
+            # the conjugate of point points - j, whose |z| is already checked
+            zs += [zs[points - j].conjugate() for j in range(half + 1, points)]
+        values = evaluate(table, zs, arg, grid.denominator_floor)
+        for z, (value, valid), count in zip(zs, values, multiplicity):
             if not valid:
-                skipped += 1
+                skipped += count
                 continue
             if value > max_value:
                 max_value = value
                 argmax = z
             if value >= threshold:
-                violations += 1
+                violations += count
     if max_value == -math.inf:
         max_value = 0.0   # every point skipped
     return GridReport(condition=condition, max_value=max_value, argmax_z=argmax,

@@ -59,6 +59,25 @@ def test_eval_rejects_points_outside_open_disk(z):
         eval_deriv(IDENTITY, z)
 
 
+NO_DISK_POINTS = [math.nan, complex(math.nan, 0.1), complex(0.1, math.nan),
+                  complex(math.nan, math.nan), False, True]
+
+
+@pytest.mark.parametrize("z", NO_DISK_POINTS)
+def test_every_evaluation_rejects_nan_and_bool_points(z):
+    # |nan| >= 1 is False, so a NaN point once read as inside the disk, and
+    # gave (nan, True) as a valid condition value; False is no spelling of 0
+    f = coeffs_F(PoissonParams(0.7), POLICY)
+    c = ClassParams(k=0.5, lam=0.3)
+    r = RParams(A=1.0, B=-0.5, tau=1.0)
+    for evaluate in (lambda: eval_series(f, z), lambda: eval_deriv(f, z),
+                     lambda: s_condition_value(f, z, c),
+                     lambda: c_condition_value(f, z, c),
+                     lambda: r_condition_value(f, z, r)):
+        with pytest.raises(DomainError, match=r"\|z\| < 1"):
+            evaluate()
+
+
 # ---- pointwise conditions ----
 
 def test_s_condition_identity_function_near_zero():
@@ -186,6 +205,29 @@ def test_grid_spec_rejects_non_finite_or_bool_floor(floor):
         GridSpec(denominator_floor=floor)
 
 
+@pytest.mark.parametrize("floor", [math.inf, math.nan, True, "1e-12", 0.0, -1.0, 0])
+@pytest.mark.parametrize("value_at", [s_condition_value, c_condition_value,
+                                      r_condition_value], ids=["S", "C", "R"])
+def test_condition_values_refuse_the_floors_grid_spec_refuses(value_at, floor):
+    # a floor of nan, 0 or -1 turned the guard off, and inf or True read every
+    # point as skipped; the rule and the message are GridSpec's
+    f = coeffs_F(PoissonParams(0.7), POLICY)
+    params = (RParams(A=1.0, B=-0.5, tau=1.0) if value_at is r_condition_value
+              else ClassParams(k=0.5, lam=0.3))
+    with pytest.raises(DomainError) as refused:
+        value_at(f, 0.5 + 0.25j, params, floor)
+    with pytest.raises(DomainError) as spec_refused:
+        GridSpec(denominator_floor=floor)
+    assert str(refused.value) == str(spec_refused.value)
+
+
+@pytest.mark.parametrize("floor", [5e-324, 1e-12, 1, 1.7976931348623157e308])
+def test_condition_values_accept_the_floors_grid_spec_accepts(floor):
+    f = coeffs_F(PoissonParams(0.7), POLICY)
+    GridSpec(denominator_floor=floor)
+    assert s_condition_value(f, 0.5, ClassParams(k=0.5, lam=0.3), floor)[1] is (floor < 0.1)
+
+
 @pytest.mark.parametrize("radius", ["0.5", 0.5 + 0j, True, math.nan])
 def test_grid_spec_rejects_a_radius_that_is_no_real_number(radius):
     # like the floor: a string or complex is no radius, whatever it spells
@@ -278,7 +320,7 @@ def test_grid_spec_rejects_non_integer_points(points):
         GridSpec(points_per_circle=points)
 
 
-# ---- grid reports against the public pointwise values ----
+# ---- grid reports against the reference pointwise values ----
 
 def _circle(radius, points):
     """The grid's points on one circle: rect(radius, j * step) up to
@@ -289,18 +331,69 @@ def _circle(radius, points):
                     for j in range(points // 2 + 1, points)]
 
 
+# The reference arithmetic: one point at a time, as grid_check evaluated before
+# it took a circle per call, so the grid is held to code it does not share.
+
+def _reference_table(f, zfprime=False):
+    """(negative tail?, pairs (a_n, n a_n) for n = N down to 2), a_n = coeff_n,
+    or n coeff_n for z f'."""
+    pairs = []
+    for n, coeff in zip(range(f.truncation_order, 1, -1), reversed(f.coefficients)):
+        a = n * coeff if zfprime else coeff
+        pairs.append((a, n * a))
+    return f.convention is SignConvention.NEGATIVE_TAIL, tuple(pairs)
+
+
+def _horner_pair(table, z):
+    negative, pairs = table
+    acc = dacc = 0j
+    for coeff, dcoeff in pairs:
+        acc = acc * z + coeff
+        dacc = dacc * z + dcoeff
+    if negative:
+        return z - acc * z * z, 1 - dacc * z
+    return z + acc * z * z, 1 + dacc * z
+
+
+def _s_value(table, z, lam, floor):
+    if z == 0:
+        return 0.0, True
+    fz, dfz = _horner_pair(table, z)
+    num = z * dfz
+    den = (1 - lam) * fz + lam * num
+    if abs(den) < floor:
+        return 0.0, False
+    w = num / den
+    wp1 = w + 1
+    if abs(wp1) < floor:
+        return 0.0, False
+    return abs(w - 1) / abs(wp1), True
+
+
+def _r_value(table, z, r, floor):
+    d = _horner_pair(table, z)[1] - 1
+    den = (r.A - r.B) * r.tau - r.B * d
+    if abs(den) < floor:
+        return 0.0, False
+    return abs(d) / abs(den), True
+
+
+def _reference_value(f, condition, params, z, floor):
+    if condition is ConditionId.R_COND:
+        return _r_value(_reference_table(f), z, params, floor)
+    return _s_value(_reference_table(f, zfprime=condition is ConditionId.C_COND),
+                    z, params.lam, floor)
+
+
 def _recomputed(f, condition, params, grid):
-    """(max, argmax, violations, skipped) from the public condition values at
-    every one of the grid's points: the first point of the largest value wins
-    ties."""
-    value_at = {ConditionId.S_COND: s_condition_value,
-                ConditionId.C_COND: c_condition_value,
-                ConditionId.R_COND: r_condition_value}[condition]
+    """(max, argmax, violations, skipped) from the reference values at every
+    one of the grid's points: the first point of the largest value wins ties."""
     threshold = 1.0 if condition is ConditionId.R_COND else params.k
     best, argmax, violations, skipped = -math.inf, 0j, 0, 0
     for radius in grid.radii:
         for z in _circle(radius, grid.points_per_circle):
-            value, valid = value_at(f, z, params, grid.denominator_floor)
+            value, valid = _reference_value(f, condition, params, z,
+                                            grid.denominator_floor)
             if not valid:
                 skipped += 1
                 continue
@@ -353,6 +446,24 @@ def test_grid_check_equals_public_condition_values(kind, condition, m, scale, k,
                     denominator_floor=10.0 ** floor_exp)
     report = grid_check(f, condition, params, grid)
     assert _report_tuple(report) == _recomputed(f, condition, params, grid)
+    # the public values are the reference's at every point of the grid
+    value_at = {ConditionId.S_COND: s_condition_value,
+                ConditionId.C_COND: c_condition_value,
+                ConditionId.R_COND: r_condition_value}[condition]
+    for radius in grid.radii:
+        for z in _circle(radius, points):
+            assert (value_at(f, z, params, grid.denominator_floor)
+                    == _reference_value(f, condition, params, z, grid.denominator_floor))
+
+
+@given(kind=st.sampled_from(["F", "G", "I", "I_tau", "scaled"]), m=st.floats(1e-3, 10.0),
+       scale=st.floats(0.0, 4.0), r=r_params, z=disk_points)
+@settings(max_examples=100, deadline=None)
+def test_eval_series_and_eval_deriv_are_the_reference_values(kind, m, scale, r, z):
+    f = _series(kind, m, scale, r)
+    fz, dfz = _horner_pair(_reference_table(f), complex(z))
+    assert _bits(eval_series(f, z)) == _bits(fz)
+    assert _bits(eval_deriv(f, z)) == _bits(dfz)
 
 
 @pytest.mark.parametrize("pid", [PredicateId.T1_F_in_S, PredicateId.T4_G_in_S,
@@ -370,14 +481,19 @@ def test_c_grid_is_the_s_grid_of_z_fprime(pid):
     assert c_condition_value(f, z, c) == s_condition_value(zf, z, c)
 
 
+@pytest.mark.parametrize("points", [64, 9])
 @pytest.mark.parametrize("condition", list(ConditionId))
-def test_grid_check_with_some_points_skipped_equals_public_values(condition):
-    r = RParams(A=1.0, B=-1.0, tau=0.3 + 0.4j)
-    f = apply_operator_I(worst_case_R_coeffs(r, 12), PoissonParams(4.0))
-    params = r if condition is ConditionId.R_COND else ClassParams(k=0.4, lam=0.6)
-    grid = GridSpec(radii=(0.5, 0.9), points_per_circle=64, denominator_floor=0.8)
+def test_grid_check_with_some_points_skipped_equals_public_values(condition, points):
+    # a real table, so the S/C grids visit the upper half with multiplicities;
+    # at P = 9 the point j = P//2 has a mirror, at P = 64 it has none
+    f = apply_operator_I(worst_case_R_coeffs(RParams(A=1.0, B=-1.0, tau=0.3 + 0.4j), 12),
+                         PoissonParams(4.0))
+    params = (RParams(A=0.3, B=-0.5, tau=0.3 + 0.4j) if condition is ConditionId.R_COND
+              else ClassParams(k=0.02, lam=0.3))
+    grid = GridSpec(radii=(0.5, 0.9), points_per_circle=points, denominator_floor=0.5)
     report = grid_check(f, condition, params, grid)
-    assert 0 < report.skipped < 128
+    assert 0 < report.skipped < 2 * points
+    assert report.violations > 0
     assert _report_tuple(report) == _recomputed(f, condition, params, grid)
 
 
@@ -421,16 +537,21 @@ def _bits(z):
 
 
 def _recorded_points(monkeypatch, name, f, condition, params, grid):
-    """(the points at which disk.<name> evaluated the condition, the report)."""
+    """(the points at which the per-circle evaluator disk.<name> evaluated the
+    condition, the report); the evaluator is called once per circle."""
     seen = []
-    evaluate_at = getattr(gftpoisson.disk, name)
+    calls = []
+    evaluate = getattr(gftpoisson.disk, name)
 
-    def recording(table, z, *args):
-        seen.append(z)
-        return evaluate_at(table, z, *args)
+    def recording(table, zs, *args):
+        calls.append(len(zs))
+        seen.extend(zs)
+        return evaluate(table, zs, *args)
 
     monkeypatch.setattr(gftpoisson.disk, name, recording)
-    return seen, grid_check(f, condition, params, grid)
+    report = grid_check(f, condition, params, grid)
+    assert len(calls) == len(grid.radii)
+    return seen, report
 
 
 @given(radii=st.lists(st.floats(1e-3, 0.999), min_size=1, max_size=3),
@@ -439,7 +560,7 @@ def _recorded_points(monkeypatch, name, f, condition, params, grid):
 def test_grid_circles_are_conjugate_symmetric(radii, points):
     # the R-condition evaluates every point, so it sees the whole point set
     with pytest.MonkeyPatch.context() as mp:
-        seen, _ = _recorded_points(mp, "_r_value", IDENTITY, ConditionId.R_COND,
+        seen, _ = _recorded_points(mp, "_r_values", IDENTITY, ConditionId.R_COND,
                                    RParams(A=1.0, B=0.0, tau=1.0),
                                    GridSpec(radii=tuple(radii), points_per_circle=points))
     assert len(seen) == len(radii) * points
@@ -465,9 +586,9 @@ def test_only_real_s_and_c_tables_evaluate_half_of_each_circle(monkeypatch, kind
     f = MIRROR_SERIES[kind]
     grid = GridSpec(radii=(0.5, 0.9), points_per_circle=points)
     if condition is ConditionId.R_COND:
-        name, params = "_r_value", RParams(A=1.0, B=-0.5, tau=0.3 + 0.4j)
+        name, params = "_r_values", RParams(A=1.0, B=-0.5, tau=0.3 + 0.4j)
     else:
-        name, params = "_s_value", ClassParams(k=0.3, lam=0.4)
+        name, params = "_s_values", ClassParams(k=0.3, lam=0.4)
     seen, report = _recorded_points(monkeypatch, name, f, condition, params, grid)
     if kind == "I_complex_tau" or condition is ConditionId.R_COND:
         assert len(seen) == 2 * points
