@@ -7,11 +7,9 @@ every claim can be checked by two routes.
 """
 
 from .criteria import (BOUNDARY_TOL, ClassParams, ConditionId, MembershipReport,
-                       RParams, Verdict, classify, dixit_pal_bound, lemma_sum,
-                       weight_C, weight_S, worst_case_R_coeffs)
-from .disk import (GridReport, GridSpec, c_condition_value, eval_deriv,
-                   eval_series, grid_check, r_condition_value,
-                   s_condition_value)
+                       RParams, Verdict, classify, dixit_pal_bound,
+                       worst_case_R_coeffs)
+from .disk import GridReport, GridSpec, grid_check
 from .errors import (DomainError, InvalidTolerance, MissingRParams,
                      TruncationNotReached)
 from .serialize import dumps_canonical
@@ -20,8 +18,7 @@ from .series import (CoefficientSeq, PoissonParams, SignConvention, SumKind,
                      coeffs_F, coeffs_G, partial_shifted_sum, shifted_exp_sum)
 from .suite import run_suite
 from .theorems import (PredicateId, crosscheck, evaluate,
-                       evaluate_with_crosscheck, t1_lhs, t2_lhs, t4_lhs, t5_lhs,
-                       t6_lhs)
+                       evaluate_with_crosscheck, t1_lhs, t4_lhs, t5_lhs)
 from .thresholds import Outcome, ThresholdResult, solve_m_star
 
 __version__ = "0.1.0"
@@ -32,12 +29,9 @@ __all__ = [
     "MembershipReport", "MissingRParams", "Outcome", "PoissonParams",
     "PredicateId", "RParams", "SignConvention", "SumKind",
     "ThresholdResult", "TruncationNotReached", "TruncationPolicy", "Verdict",
-    "apply_operator_I", "c_condition_value",
-    "choose_truncation", "classify", "coeffs_F", "coeffs_G", "crosscheck",
-    "dixit_pal_bound", "dumps_canonical", "eval_deriv", "eval_series",
-    "evaluate", "evaluate_with_crosscheck", "grid_check", "lemma_sum",
-    "partial_shifted_sum", "r_condition_value", "run_suite",
-    "s_condition_value", "shifted_exp_sum", "solve_m_star", "t1_lhs", "t2_lhs",
-    "t4_lhs", "t5_lhs", "t6_lhs", "weight_C", "weight_S",
-    "worst_case_R_coeffs",
+    "apply_operator_I", "choose_truncation", "classify", "coeffs_F",
+    "coeffs_G", "crosscheck", "dixit_pal_bound", "dumps_canonical", "evaluate",
+    "evaluate_with_crosscheck", "grid_check", "partial_shifted_sum",
+    "run_suite", "shifted_exp_sum", "solve_m_star", "t1_lhs", "t4_lhs",
+    "t5_lhs", "worst_case_R_coeffs",
 ]

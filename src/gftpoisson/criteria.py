@@ -4,16 +4,15 @@ z -/+ sum coeff_n z^n lies in S(k,lambda) when sum w_S(n) |coeff_n| <= 2k with
 w_S(n) = n P - Q, P = (1-lambda)+k(1+lambda) and Q = (1-lambda)(1-k), and in
 C(k,lambda) when the same holds for w_C(n) = n w_S(n): necessary and
 sufficient for a negative tail, sufficient for a general one (Silverman, Proc.
-AMS 51, 1975).  lemma_sum returns the truncated sum only: the weights grow
-with n, so a bound on sum_{n>N} |coeff_n| is no bound on the weighted tail,
-and no verdict is drawn from it.  lemma_sum is the public route over a
-CoefficientSeq; theorems' cross-check passes the float magnitudes of one
-weight pass to the same private _weighted_sum, the one place the weight
-expressions are written.  Its fsum is correctly rounded, so for nonnegative
-finite terms it is order-independent, and the terms of large m, which rise
-before they fall, are added largest first: linear rather than quadratic in N.
-Only a sum that is inf, nan or near overflow keeps its given order.
-ClassParams stores P and Q, and RParams the scale (A-B)|tau|, once, at
+AMS 51, 1975).  The private _weighted_sum is the one place these weights are
+written: theorems' cross-check passes it the float magnitudes of one weight
+pass and compares the truncated sum with the closed form.  It draws no verdict
+from the sum, since the weights grow with n, so a bound on sum_{n>N} |coeff_n|
+is no bound on the weighted tail.  Its fsum is correctly rounded, so for
+nonnegative finite terms it is order-independent, and the terms of large m,
+which rise before they fall, are added largest first: linear rather than
+quadratic in N.  Only a sum that is inf, nan or near overflow keeps its given
+order.  ClassParams stores P and Q, and RParams the scale (A-B)|tau|, once, at
 construction.  For the class R^tau(A,B) the n-th coefficient of any member is
 bounded by (A-B)|tau|/n; the sequence saturating that bound drives the
 operator theorems.
@@ -23,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError
@@ -76,7 +76,9 @@ class RParams:
     """The triple (A, B, tau) with -1 <= B < A <= 1 and tau nonzero.
 
     scale = (A - B)|tau|, the factor multiplying every coefficient bound, is
-    stored at construction; it takes no part in repr, equality or hashing.
+    stored at construction and must be finite: finite A, B and tau can still
+    overflow it, and a closed form times inf is no verdict.  It takes no part
+    in repr, equality or hashing.
     """
 
     A: float
@@ -94,7 +96,14 @@ class RParams:
         if isinstance(tau, bool) or not cmath.isfinite(t):
             raise DomainError(f"tau must be a finite complex number, got {tau!r}")
         A, B = float(A), float(B)
-        self.__dict__.update(A=A, B=B, tau=t, scale=(A - B) * abs(t))
+        try:
+            scale = (A - B) * abs(t)
+        except OverflowError:   # |tau| itself is past the largest double
+            scale = math.inf
+        if scale == math.inf:
+            raise DomainError("the scale (A-B)|tau| must be finite, "
+                              f"got A={A!r}, B={B!r}, tau={tau!r}")
+        self.__dict__.update(A=A, B=B, tau=t, scale=scale)
 
 
 @dataclass(frozen=True)
@@ -120,21 +129,12 @@ def classify(margin: float) -> Verdict:
     return Verdict.HOLDS if margin > 0 else Verdict.FAILS
 
 
-# ---- lemma weights ----
-
-def weight_S(n: int, c: ClassParams) -> float:
-    if n < 2:
-        raise DomainError(f"weights start at n=2, got {n}")
-    return n * c.P - c.Q
-
-
-def weight_C(n: int, c: ClassParams) -> float:
-    return n * weight_S(n, c)
-
+# ---- Silverman's weighted sum ----
 
 def _weighted_sum(magnitudes, c: ClassParams, condition: ConditionId) -> float:
     """sum_{n>=2} w(n) a_n over the magnitudes a_n = |coeff_n| from n = 2, with
-    w = w_S for S_COND and w_C for C_COND, correctly rounded by math.fsum.
+    w = w_S for S_COND and w_C for C_COND (a row's condition is one of the
+    two), correctly rounded by math.fsum.
 
     The terms are nonnegative, and for finite ones the correctly rounded sum
     does not depend on their order.  Poisson magnitudes rise across hundreds
@@ -143,23 +143,11 @@ def _weighted_sum(magnitudes, c: ClassParams, condition: ConditionId) -> float:
     unless its naive sum is inf, nan or near overflow, where order can decide
     between inf and OverflowError.
     """
-    # weight_S(n) = n P - Q and weight_C(n) = n weight_S(n), in their operation order
+    # w_S(n) = n P - Q and w_C(n) = n w_S(n)
     P, Q = c.P, c.Q
     if condition is ConditionId.S_COND:
         return _exact_sum([(n * P - Q) * a for n, a in enumerate(magnitudes, 2)])
-    if condition is ConditionId.C_COND:
-        return _exact_sum([(n * (n * P - Q)) * a for n, a in enumerate(magnitudes, 2)])
-    raise DomainError(f"no coefficient criterion for the condition {condition!r}")
-
-
-def lemma_sum(f: CoefficientSeq, c: ClassParams, condition: ConditionId) -> float:
-    """sum_{n=2}^{N} w(n) |coeff_n| with w = w_S for S_COND and w_C for C_COND,
-    to compare with 2k; any other condition has no criterion here.
-
-    f.tail_bound bounds sum_{n>N} |coeff_n|, and w(N+1) times it is no bound
-    on the omitted weighted tail when w grows.
-    """
-    return _weighted_sum(map(abs, f.coefficients), c, condition)
+    return _exact_sum([(n * (n * P - Q)) * a for n, a in enumerate(magnitudes, 2)])
 
 
 # ---- coefficient bound for R^tau(A,B) ----

@@ -11,15 +11,14 @@ A grid builds its series' table once, straight from the coefficients: the
 pairs (b_n, n b_n) from n = N down to 2, or (n b_n, n (n b_n)) for the z f'
 of the C-condition.  It evaluates one circle at a time, with one call to a
 per-circle evaluator: _s_values for the S- and C-conditions, _r_values for the
-R-condition.  Each runs one Horner loop per point.  _s_values carries f and f'
-together (Knuth, TAOCP vol. 2, sec. 4.6.4), the f accumulator in the operation
-order of eval_series; _r_values carries only f', the one value the R-condition
-reads, whose bits do not depend on f.  The public condition values call the
-same evaluators with one point, so each formula is written once.  eval_series,
-eval_deriv and the suite's pole check need f and f' themselves, which the
-evaluators do not return; they read them from _horner_pair, the same loop at
-one point.  Each grid point is tested once for |z| < 1, since a radius one ulp
-below 1 is accepted by GridSpec and cmath.rect may round it out.
+R-condition.  Each runs one Horner loop per point, so each formula is written
+once.  _s_values carries f and f' together (Knuth, TAOCP vol. 2, sec.
+4.6.4), in the operation order of _horner_pair; _r_values carries only f', the
+one value the R-condition reads, whose bits do not depend on f.  The suite's
+pole check needs f and f' themselves, which the evaluators do not return; it
+reads them from _horner_pair, the same loop at one point.  Each grid point is
+tested once for |z| < 1, since a radius one ulp below 1 is accepted by
+GridSpec and cmath.rect may round it out.
 
 Each circle of P points is conjugate-symmetric: point j is
 cmath.rect(radius, j * 2pi/P) for j <= P//2 and the conjugate of point P - j
@@ -52,6 +51,14 @@ from .series import CoefficientSeq, SignConvention, _is_real
 DEFAULT_RADII = (0.25, 0.5, 0.75, 0.9)
 DEFAULT_POINTS = 256
 DEFAULT_FLOOR = 1e-12
+# A circle's points are built as one list, and each is evaluated in pure
+# Python by a Horner loop over the N terms: about 50 bytes, and 3 to 10
+# microseconds at N = 15 to 121 (CPython 3.11), per point.  2**20 points keep
+# one circle near 50 MB and a four-circle grid at N = 121 near 40 s, and space
+# the samples 6e-6 radians apart, 4096 times finer than the default.  A larger
+# count would only exhaust memory or time, or fail as a numeric error once it
+# no longer fits an index.
+MAX_POINTS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -69,7 +76,13 @@ class GridSpec:
             raise DomainError(f"points_per_circle must be an int, got {self.points_per_circle!r}")
         if self.points_per_circle < 8:
             raise DomainError(f"need at least 8 points per circle, got {self.points_per_circle}")
-        _require_floor(self.denominator_floor)
+        if self.points_per_circle > MAX_POINTS:
+            raise DomainError(f"need at most {MAX_POINTS} points per circle, "
+                              f"got {self.points_per_circle}")
+        # an infinite floor skips every point, and a grid that sampled nothing reads as a pass
+        if not (_is_real(self.denominator_floor) and 0 < self.denominator_floor < math.inf):
+            raise DomainError("denominator_floor must be a finite positive number, "
+                              f"got {self.denominator_floor!r}")
         object.__setattr__(self, "radii", tuple(float(r) for r in radii))
 
 
@@ -88,23 +101,6 @@ class GridReport:
 
 
 # ---- series evaluation ----
-
-def _require_in_disk(z) -> complex:
-    # a bool is no point, as in _is_real; |z| < 1 is False at a NaN coordinate
-    if isinstance(z, bool):
-        raise DomainError(f"evaluation point must satisfy |z| < 1, got z={z!r}")
-    z = complex(z)
-    if not abs(z) < 1:
-        raise DomainError(f"evaluation point must satisfy |z| < 1, got |z|={abs(z)!r}")
-    return z
-
-
-def _require_floor(denominator_floor) -> None:
-    # an infinite floor skips every point, and a grid that sampled nothing reads as a pass
-    if not (_is_real(denominator_floor) and 0 < denominator_floor < math.inf):
-        raise DomainError("denominator_floor must be a finite positive number, "
-                          f"got {denominator_floor!r}")
-
 
 def _pair_table(f: CoefficientSeq, zfprime: bool = False) -> tuple[bool, tuple]:
     """(negative tail?, pairs (a_n, n * a_n) for n = N down to 2), where a_n is
@@ -128,27 +124,14 @@ def _horner_pair(table: tuple[bool, tuple], z: complex) -> tuple[complex, comple
     return z + acc * z * z, 1 + dacc * z
 
 
-def eval_series(f: CoefficientSeq, z: complex) -> complex:
-    """f(z) by Horner evaluation of the truncated tail."""
-    return _horner_pair(_pair_table(f), _require_in_disk(z))[0]
-
-
-def eval_deriv(f: CoefficientSeq, z: complex) -> complex:
-    """f'(z) by Horner evaluation."""
-    return _horner_pair(_pair_table(f), _require_in_disk(z))[1]
-
-
 # ---- condition values ----
 
 def _s_values(table: tuple[bool, tuple], zs: Iterable[complex], lam: float,
               denominator_floor: float) -> Iterator[tuple[float, bool]]:
-    """Yield (|w-1|/|w+1|, valid) at each point of zs, with f and f' from one
-    Horner loop per point, f in eval_series's operation order."""
+    """Yield (|w-1|/|w+1|, valid) at each point of zs, none of them 0, with f
+    and f' from one Horner loop per point."""
     negative, pairs = table
     for z in zs:
-        if z == 0:
-            yield 0.0, True   # w -> 1 by normalization
-            continue
         acc = dacc = 0j
         for coeff, dcoeff in pairs:
             acc = acc * z + coeff
@@ -176,28 +159,6 @@ def _r_values(table: tuple[bool, tuple], zs: Iterable[complex], r: RParams,
         d = (1 - dacc * z if negative else 1 + dacc * z) - 1
         den = (r.A - r.B) * r.tau - r.B * d
         yield (0.0, False) if abs(den) < denominator_floor else (abs(d) / abs(den), True)
-
-
-def s_condition_value(f: CoefficientSeq, z: complex, c: ClassParams,
-                      denominator_floor: float = DEFAULT_FLOOR) -> tuple[float, bool]:
-    """(|w-1|/|w+1|, valid) at z; valid=False marks a near-singular denominator."""
-    _require_floor(denominator_floor)
-    return next(_s_values(_pair_table(f), (_require_in_disk(z),), c.lam, denominator_floor))
-
-
-def c_condition_value(f: CoefficientSeq, z: complex, c: ClassParams,
-                      denominator_floor: float = DEFAULT_FLOOR) -> tuple[float, bool]:
-    """S-condition value of z f'(z)."""
-    _require_floor(denominator_floor)
-    return next(_s_values(_pair_table(f, zfprime=True), (_require_in_disk(z),), c.lam,
-                          denominator_floor))
-
-
-def r_condition_value(f: CoefficientSeq, z: complex, r: RParams,
-                      denominator_floor: float = DEFAULT_FLOOR) -> tuple[float, bool]:
-    """|f'-1| / |(A-B) tau - B (f'-1)| at z, against threshold 1."""
-    _require_floor(denominator_floor)
-    return next(_r_values(_pair_table(f), (_require_in_disk(z),), r, denominator_floor))
 
 
 # ---- grid sampling ----
@@ -244,8 +205,9 @@ def grid_check(f: CoefficientSeq, condition: ConditionId, params,
     for radius in grid.radii:
         zs = [cmath.rect(radius, j * step) for j in range(half + 1)]
         if max(map(abs, zs)) >= 1:
-            # raises at the first point that rounded out of the disk
-            _require_in_disk(next(z for z in zs if abs(z) >= 1))
+            # names the first point that rounded out of the disk
+            z = next(z for z in zs if abs(z) >= 1)
+            raise DomainError(f"evaluation point must satisfy |z| < 1, got |z|={abs(z)!r}")
         if not mirrored:
             # the conjugate of point points - j, whose |z| is already checked
             zs += [zs[points - j].conjugate() for j in range(half + 1, points)]

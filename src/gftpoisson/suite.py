@@ -56,7 +56,7 @@ def _no_interior_pole(f, lam: float) -> bool:
     # For a negative-tail f (every b_n >= 0) it is 1 - sum b_n (1-lam+lam n) r^(n-1),
     # strictly decreasing in r, so its sign at the end decides; taking the end
     # one ulp past 0.999 can only reject a draw, never accept one wrongly.
-    # f(r) and f'(r) come from one Horner pass, with eval_series's and eval_deriv's floats
+    # f(r) and f'(r) come from one Horner pass, in the grid evaluators' operation order
     r = math.nextafter(0.999, 1.0)
     fr, dfr = _horner_pair(_pair_table(f), complex(r))
     return (1 - lam) * fr.real / r + lam * dfr.real > 0

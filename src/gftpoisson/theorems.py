@@ -7,7 +7,7 @@ and sufficient for F and G, sufficient for the general-tail image I) and
 reports the absolute difference.  It sums the magnitudes straight from one
 weight pass, with the row series' own coefficient rule and its tail bound
 checked, and builds no CoefficientSeq: the same floats, and so the same
-residual bit for bit, as criteria.lemma_sum over the series the row builds.
+residual bit for bit, as summing the |coeff_n| of the series the row builds.
 To keep it stable for large m, both routes are compared on the scale of the
 weighted sum itself (the closed form is mapped onto that scale by exact
 algebra), never through a factor of e^m.
@@ -106,20 +106,12 @@ def t1_lhs(p: PoissonParams, c: ClassParams) -> float:
     return _t1(p.m, c, None)
 
 
-def t2_lhs(p: PoissonParams, c: ClassParams) -> float:
-    return _t2(p.m, c, None)
-
-
 def t4_lhs(p: PoissonParams, c: ClassParams) -> float:
     return _t4(p.m, c, None)
 
 
 def t5_lhs(p: PoissonParams, c: ClassParams, r: RParams) -> float:
     return r.scale * t4_lhs(p, c)
-
-
-def t6_lhs(p: PoissonParams, c: ClassParams, r: RParams) -> float:
-    return _t6(p.m, c, r)
 
 
 # ---- the six theorems ----
@@ -129,11 +121,12 @@ class PredicateSpec:
     """One theorem, and its corollary at lambda = 0.
 
     lhs(m, c, r) is the closed form compared against 2k, over the float m: the
-    public t1_lhs ... t6_lhs pass it p.m, and the solver calls it on the m it
-    builds without wrapping each in a PoissonParams.  series is the function
-    the theorem is about (F, G or the image I of the extremal R^tau(A,B)
-    member): series(p, policy, r) builds it, and series.magnitudes(p, policy,
-    r) gives its |coeff_n| and checked tail bound from the same weight pass.
+    public t1_lhs, t4_lhs and t5_lhs pass it p.m, and the solver calls it on
+    the m it builds without wrapping each in a PoissonParams.  series is the
+    function the theorem is about (F, G or the image I of the extremal
+    R^tau(A,B) member): series(p, policy, r) builds it, and
+    series.magnitudes(p, policy, r) gives its |coeff_n| and checked tail bound
+    from the same weight pass.
     condition names its disk inequality, S or C.  sum_scale(m, c, r) is lhs on
     the scale of the weighted coefficient sum, mapped there by exact algebra
     rather than through a factor of e^m; the cross-check recomputes it as the
@@ -279,8 +272,7 @@ def _t5_root(c: ClassParams, r: RParams, d: float) -> float | None:
 def _image_terms(w: list, omitted: float, r: RParams) -> tuple[list, float]:
     """I applied to the extremal R^tau(A,B) member: the products c_n (scale/n)
     that apply_operator_I forms on worst_case_R_coeffs, and scale times
-    coeffs_G's tail, since |I_n| is scale times G's coefficient.  The tail
-    check refuses a scale that overflows to inf."""
+    coeffs_G's tail, since |I_n| is scale times G's coefficient."""
     scale = r.scale
     return ([c * (scale / n) for n, c in enumerate(w, 2)],
             scale * (2.0 * omitted / (len(w) + 2)))

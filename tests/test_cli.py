@@ -8,6 +8,7 @@ import pytest
 from gftpoisson import series
 from gftpoisson.cli import (EXIT_FAILS, EXIT_HOLDS, EXIT_MARGINAL,
                             EXIT_NUMERIC, EXIT_USAGE, main)
+from gftpoisson.disk import MAX_POINTS
 
 
 def run_cli(capsys, *argv):
@@ -132,17 +133,26 @@ def test_non_finite_tau_exit_three(capsys, flag, value):
     assert "tau must be a finite complex number" in err
 
 
-@pytest.mark.parametrize("command", ["crosscheck", "grid"])
+# the scale (A-B)|tau| is inf, or |tau| itself is past the largest double
+OVERFLOWING_SCALES = [
+    (("--A", "1", "--B", "-1", "--tau-re", "1e308", "--tau-im", "1e308"),
+     "A=1.0, B=-1.0, tau=(1e+308+1e+308j)"),
+    (("--A", "1e-300", "--B", "0", "--tau-re", "1.7e308", "--tau-im", "1.7e308"),
+     "A=1e-300, B=0.0, tau=(1.7e+308+1.7e+308j)")]
+
+
+@pytest.mark.parametrize("command", ["check", "crosscheck", "threshold", "grid"])
 @pytest.mark.parametrize("pid", ["T5_I_in_S", "T6_I_in_C"])
-def test_a_scale_that_overflows_is_refused_by_the_image_tail(capsys, command, pid):
-    # |tau| overflows to inf, so the I image's tail is inf; the builder's
-    # trusted construction still checks it, as a caller's sequence is checked
-    code, out, err = run_cli(capsys, command, "--predicate", pid, "--m", "0.5",
-                             "--k", "0.5", "--A", "1", "--B", "-1",
-                             "--tau-re", "1e308", "--tau-im", "1e308")
-    assert code == EXIT_USAGE
-    assert out == ""
-    assert "tail_bound must be finite" in err
+@pytest.mark.parametrize("r_args, named", OVERFLOWING_SCALES, ids=["scale", "tau"])
+def test_a_scale_that_overflows_is_refused_by_every_command(capsys, command, pid,
+                                                            r_args, named):
+    # check once printed lhs Infinity with verdict Fails, threshold blamed a
+    # crossing below the smallest double, crosscheck and grid refused the I
+    # image's infinite tail, and an overflowing |tau| exited 4
+    m = () if command == "threshold" else ("--m", "0.5")
+    code, out, err = run_cli(capsys, command, "--predicate", pid, *m, "--k", "0.5", *r_args)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: the scale (A-B)|tau| must be finite, got {named}\n"
 
 
 def test_grid_corollary_validates_lambda_like_check(capsys):
@@ -260,6 +270,14 @@ def test_grid_violations_exit_one(capsys):
                            "--m", "2.0", "--k", "0.05")
     assert code == EXIT_FAILS
     assert json.loads(out)["violations"] > 0
+
+
+def test_grid_refuses_a_count_it_cannot_use(capsys):
+    # a count that fits no index once exited 4 as a numeric failure
+    code, out, err = run_cli(capsys, "grid", "--predicate", "T1_F_in_S", "--m", "0.5",
+                             "--k", "0.5", "--points", str(10 ** 20))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: need at most {MAX_POINTS} points per circle, got {10 ** 20}\n"
 
 
 def test_grid_radii_and_points_flags(capsys):

@@ -12,8 +12,8 @@ from gftpoisson import (ClassParams, CoefficientSeq, ConditionId, DomainError,
                         PoissonParams, RParams, SignConvention,
                         TruncationPolicy, Verdict, apply_operator_I,
                         choose_truncation, classify, coeffs_F, coeffs_G,
-                        dixit_pal_bound, lemma_sum, weight_C, weight_S,
-                        worst_case_R_coeffs)
+                        dixit_pal_bound, worst_case_R_coeffs)
+from gftpoisson.criteria import _weighted_sum
 
 ks = st.floats(min_value=1e-6, max_value=1.0)
 lams = st.floats(min_value=0.0, max_value=0.999)
@@ -73,6 +73,19 @@ def test_r_params_rejects_bools_and_non_finite_tau(a, b, tau):
 def test_r_params_scale():
     r = RParams(A=1.0, B=-1.0, tau=0.5j)
     assert r.scale == pytest.approx(1.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("a, b, tau", [
+    (1.0, -1.0, 1e308 + 1e308j), (1.0, -1.0, 1e308), (0.5, -1.0, -1.2e308),
+    # |tau| itself is past the largest double, though both parts are finite
+    (1e-300, 0.0, 1.7e308 + 1.7e308j)])
+def test_r_params_refuses_a_scale_that_overflows(a, b, tau):
+    # finite A, B and tau whose (A-B)|tau| is inf once gave closed forms of inf,
+    # read as a Fails verdict
+    with pytest.raises(DomainError) as exc:
+        RParams(A=a, B=b, tau=tau)
+    assert str(exc.value) == ("the scale (A-B)|tau| must be finite, "
+                              f"got A={a!r}, B={b!r}, tau={tau!r}")
 
 
 # ---- stored constants ----
@@ -191,29 +204,37 @@ def test_replace_recomputes_the_stored_constants():
 
 # ---- weights ----
 
+S, C = ConditionId.S_COND, ConditionId.C_COND
+
+
+def _weight(n, c, condition):
+    # w(n) as _weighted_sum sees it: the sum over the unit magnitude at n
+    return _weighted_sum([0.0] * (n - 2) + [1.0], c, condition)
+
+
 def test_weight_values():
     c = ClassParams(k=1.0, lam=0.0)
-    assert weight_S(2, c) == pytest.approx(4.0, abs=1e-15)
+    assert _weight(2, c, S) == pytest.approx(4.0, abs=1e-15)
     k = 0.3
-    assert weight_S(2, ClassParams(k=k, lam=0.0)) == pytest.approx(1 + 3 * k, abs=1e-15)
-    assert weight_S(3, ClassParams(k=0.5, lam=0.5)) == pytest.approx(3.5, abs=1e-15)
-    assert weight_C(2, c) == pytest.approx(8.0, abs=1e-15)
-    assert weight_S(3, c) == pytest.approx(6.0, abs=1e-15)
-    assert weight_S(3, ClassParams(k=0.3, lam=0.0)) == pytest.approx(3.2, abs=1e-14)
+    assert _weight(2, ClassParams(k=k, lam=0.0), S) == pytest.approx(1 + 3 * k, abs=1e-15)
+    assert _weight(3, ClassParams(k=0.5, lam=0.5), S) == pytest.approx(3.5, abs=1e-15)
+    assert _weight(2, c, C) == pytest.approx(8.0, abs=1e-15)
+    assert _weight(3, c, S) == pytest.approx(6.0, abs=1e-15)
+    assert _weight(3, ClassParams(k=0.3, lam=0.0), S) == pytest.approx(3.2, abs=1e-14)
 
 
 @given(k=ks, lam=lams, n=st.integers(min_value=2, max_value=100))
-def test_weight_S_positive_and_increasing(k, lam, n):
+def test_s_weights_are_positive_and_increasing(k, lam, n):
     c = ClassParams(k=k, lam=lam)
-    assert weight_S(n, c) > 0
-    assert weight_S(n + 1, c) > weight_S(n, c)
+    assert _weight(n, c, S) > 0
+    assert _weight(n + 1, c, S) > _weight(n, c, S)
 
 
 @given(k=ks, lam=lams, n=st.integers(min_value=2, max_value=100))
-def test_weight_C_is_n_times_weight_S(k, lam, n):
+def test_c_weights_are_n_times_the_s_weights(k, lam, n):
     c = ClassParams(k=k, lam=lam)
-    assert weight_C(n, c) == pytest.approx(n * weight_S(n, c), rel=1e-15)
-    assert weight_C(n, c) > weight_S(n, c)
+    assert _weight(n, c, C) == pytest.approx(n * _weight(n, c, S), rel=1e-15)
+    assert _weight(n, c, C) > _weight(n, c, S)
 
 
 # ---- classify ----
@@ -226,50 +247,56 @@ def test_classify_bands():
     assert classify(-5e-10) is Verdict.MARGINAL
 
 
-# ---- lemma_sum ----
+# ---- the weighted sum ----
 
 def _seq(coeffs):
     return CoefficientSeq(SignConvention.NEGATIVE_TAIL, tuple(coeffs), 0.0)
 
 
-def test_lemma_sum_identity_function_holds():
+def _sum(f, c, condition):
+    # Silverman's sum over a CoefficientSeq: the weighted sum of its magnitudes
+    return _weighted_sum(map(abs, f.coefficients), c, condition)
+
+
+def test_weighted_sum_identity_function_holds():
     c = ClassParams(k=0.5, lam=0.25)
-    lhs = lemma_sum(_seq([0.0]), c, ConditionId.S_COND)
+    lhs = _sum(_seq([0.0]), c, S)
     assert lhs == 0.0
     assert classify(2 * c.k - lhs) is Verdict.HOLDS
 
 
-def test_lemma_sum_sharpness_witness_is_marginal():
+def test_weighted_sum_sharpness_witness_is_marginal():
     # one-term tail with b_2 = 2k / w_S(2) sits exactly on the bound
     c = ClassParams(k=0.7, lam=0.3)
-    b2 = 2 * c.k / weight_S(2, c)
-    lhs = lemma_sum(_seq([b2]), c, ConditionId.S_COND)
+    b2 = 2 * c.k / (2 * c.P - c.Q)
+    lhs = _sum(_seq([b2]), c, S)
     assert lhs == pytest.approx(2 * c.k, rel=1e-15)
     assert classify(2 * c.k - lhs) is Verdict.MARGINAL
 
 
-def test_lemma_sum_poisson_m02_frozen_value():
+def test_weighted_sum_poisson_m02_frozen_value():
     # k=1, lam=0: sum (n+... ) reduces to 2m + 2(1 - e^{-m})
-    from gftpoisson import PoissonParams, TruncationPolicy, coeffs_F
     f = coeffs_F(PoissonParams(0.2), TruncationPolicy(eps=1e-13))
     c = ClassParams(k=1.0, lam=0.0)
-    lhs = lemma_sum(f, c, ConditionId.S_COND)
+    lhs = _sum(f, c, S)
     assert lhs == pytest.approx(0.7625384938440364, abs=1e-12)
     assert classify(2 * c.k - lhs) is Verdict.HOLDS
 
 
-def _weight_fn_sum(f, c, condition):
-    # the sum as one weight_S / weight_C call per term
-    w = weight_S if condition is ConditionId.S_COND else weight_C
-    return math.fsum(w(n, c) * abs(f.coefficients[n - 2])
+def _written_out_sum(f, c, condition):
+    # the sum as one weight per term: w_S(n) = n P - Q, w_C(n) = n w_S(n)
+    def w(n):
+        return n * c.P - c.Q if condition is S else n * (n * c.P - c.Q)
+    return math.fsum(w(n) * abs(f.coefficients[n - 2])
                      for n in range(2, f.truncation_order + 1))
 
 
-@pytest.mark.parametrize("condition", [ConditionId.S_COND, ConditionId.C_COND])
+@pytest.mark.parametrize("condition", [S, C])
 @pytest.mark.parametrize("series", "FGI")
 @given(m=st.floats(min_value=1e-3, max_value=300.0), k=ks, lam=lams)
 @settings(max_examples=30, deadline=None)
-def test_lemma_sum_matches_the_weight_functions_bit_for_bit(series, condition, m, k, lam):
+def test_weighted_sum_matches_the_written_out_weights_bit_for_bit(series, condition,
+                                                                  m, k, lam):
     p, policy = PoissonParams(m), TruncationPolicy()
     if series == "F":
         f = coeffs_F(p, policy)
@@ -280,41 +307,34 @@ def test_lemma_sum_matches_the_weight_functions_bit_for_bit(series, condition, m
         worst = worst_case_R_coeffs(r, choose_truncation(p, policy))
         f = apply_operator_I(worst, p)
     c = ClassParams(k=k, lam=lam)
-    assert lemma_sum(f, c, condition) == _weight_fn_sum(f, c, condition)
+    assert _sum(f, c, condition) == _written_out_sum(f, c, condition)
 
 
-def test_lemma_sum_sums_the_magnitude_of_a_general_tail():
+def test_weighted_sum_sums_the_magnitude_of_a_general_tail():
     # the criterion on |a_n| is sufficient for a general tail: |0.3 + 0.4j| = 0.5
     c = ClassParams(k=0.5, lam=0.2)
     f = CoefficientSeq(SignConvention.GENERAL_TAIL, (0.3 + 0.4j,), 0.0)
-    assert lemma_sum(f, c, ConditionId.S_COND) == 0.5 * weight_S(2, c)
-    assert lemma_sum(f, c, ConditionId.C_COND) == 0.5 * weight_C(2, c)
-
-
-@pytest.mark.parametrize("condition", ["S", ConditionId.R_COND, None])
-def test_lemma_sum_rejects_a_condition_without_a_criterion(condition):
-    # a value naming no S or C criterion must not fall through to either weights
-    with pytest.raises(DomainError):
-        lemma_sum(_seq([0.5]), ClassParams(k=0.5, lam=0.2), condition)
+    assert _sum(f, c, S) == 0.5 * (2 * c.P - c.Q)
+    assert _sum(f, c, C) == 0.5 * (2 * (2 * c.P - c.Q))
 
 
 @given(k=ks, lam=lams, b=st.floats(min_value=1e-6, max_value=0.5))
 @settings(max_examples=100)
-def test_lemma_sum_monotone_in_coefficients(k, lam, b):
+def test_weighted_sum_monotone_in_coefficients(k, lam, b):
     c = ClassParams(k=k, lam=lam)
-    lo = lemma_sum(_seq([b]), c, ConditionId.S_COND)
-    hi = lemma_sum(_seq([b, b / 2]), c, ConditionId.S_COND)
+    lo = _sum(_seq([b]), c, S)
+    hi = _sum(_seq([b, b / 2]), c, S)
     assert hi > lo
 
 
 @given(k=ks, lam=lams,
        bs=st.lists(st.floats(min_value=0.0, max_value=0.05), min_size=1, max_size=6))
 @settings(max_examples=200)
-def test_lemma_sum_C_holding_implies_S_holding(k, lam, bs):
+def test_weighted_sum_C_holding_implies_S_holding(k, lam, bs):
     c = ClassParams(k=k, lam=lam)
     seq = _seq(bs)
-    if classify(2 * c.k - lemma_sum(seq, c, ConditionId.C_COND)) is Verdict.HOLDS:
-        s_verdict = classify(2 * c.k - lemma_sum(seq, c, ConditionId.S_COND))
+    if classify(2 * c.k - _sum(seq, c, C)) is Verdict.HOLDS:
+        s_verdict = classify(2 * c.k - _sum(seq, c, S))
         assert s_verdict in (Verdict.HOLDS, Verdict.MARGINAL)
 
 

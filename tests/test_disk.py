@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 
 from gftpoisson import (ClassParams, CoefficientSeq, ConditionId, DomainError,
                         GridSpec, PoissonParams, RParams, SignConvention,
-                        TruncationPolicy, apply_operator_I, c_condition_value,
-                        coeffs_F, coeffs_G, eval_deriv, eval_series,
-                        grid_check, r_condition_value, s_condition_value,
-                        worst_case_R_coeffs)
+                        TruncationPolicy, apply_operator_I, coeffs_F, coeffs_G,
+                        grid_check, worst_case_R_coeffs)
 import gftpoisson.disk
+from gftpoisson.disk import MAX_POINTS
 from gftpoisson.theorems import SPECS, PredicateId
 
 POLICY = TruncationPolicy(eps=1e-12)
@@ -24,90 +23,67 @@ disk_points = st.complex_numbers(max_magnitude=0.95, allow_nan=False,
 
 # ---- series evaluation ----
 
+def _f_and_fprime(f, z):
+    """(f(z), f'(z)) from the one-point Horner pass the suite's pole check reads."""
+    return gftpoisson.disk._horner_pair(gftpoisson.disk._pair_table(f), complex(z))
+
+
 def test_eval_identity_function():
-    assert eval_series(IDENTITY, 0.5 + 0.25j) == 0.5 + 0.25j
-    assert eval_deriv(IDENTITY, 0.5 + 0.25j) == 1.0
+    assert _f_and_fprime(IDENTITY, 0.5 + 0.25j) == (0.5 + 0.25j, 1.0)
 
 
 def test_eval_one_term_tail():
     f = CoefficientSeq(SignConvention.NEGATIVE_TAIL, (0.5,), 0.0)
-    assert eval_series(f, 0.5) == pytest.approx(0.5 - 0.5 * 0.25, rel=1e-15)
-    assert eval_deriv(f, 0.5) == pytest.approx(1 - 2 * 0.5 * 0.5, rel=1e-15)
+    fz, dfz = _f_and_fprime(f, 0.5)
+    assert fz == pytest.approx(0.5 - 0.5 * 0.25, rel=1e-15)
+    assert dfz == pytest.approx(1 - 2 * 0.5 * 0.5, rel=1e-15)
 
 
 def test_eval_matches_direct_summation():
     f = coeffs_F(PoissonParams(1.0), POLICY)
     z = 0.5
+    fz, dfz = _f_and_fprime(f, z)
     direct = z - math.fsum(
         b * z ** n for n, b in enumerate(f.coefficients, start=2))
-    assert eval_series(f, z) == pytest.approx(direct, rel=1e-14)
+    assert fz == pytest.approx(direct, rel=1e-14)
     direct_d = 1 - math.fsum(
         n * b * z ** (n - 1) for n, b in enumerate(f.coefficients, start=2))
-    assert eval_deriv(f, z) == pytest.approx(direct_d, rel=1e-14)
+    assert dfz == pytest.approx(direct_d, rel=1e-14)
 
 
 def test_eval_general_tail_adds_terms():
     f = CoefficientSeq(SignConvention.GENERAL_TAIL, (0.5 + 0j,), 0.0)
-    assert eval_series(f, 0.5) == pytest.approx(0.5 + 0.5 * 0.25, rel=1e-15)
+    assert _f_and_fprime(f, 0.5)[0] == pytest.approx(0.5 + 0.5 * 0.25, rel=1e-15)
 
 
-@pytest.mark.parametrize("z", [1.0, -1.0, 1j, 0.8 + 0.7j])
-def test_eval_rejects_points_outside_open_disk(z):
-    with pytest.raises(DomainError):
-        eval_series(IDENTITY, z)
-    with pytest.raises(DomainError):
-        eval_deriv(IDENTITY, z)
+# ---- conditions on one circle ----
+
+@pytest.mark.parametrize("lam", [0.0, 0.3])
+def test_s_condition_of_the_identity_function_is_zero_to_rounding(lam):
+    # w = 1 up to one rounding of the lam split or of an off-axis z/z division
+    report = grid_check(IDENTITY, ConditionId.S_COND, ClassParams(k=0.5, lam=lam),
+                        GridSpec(radii=(0.5, 0.9)))
+    assert report.max_value <= 1e-15
+    assert (report.violations, report.skipped) == (0, 0)
 
 
-NO_DISK_POINTS = [math.nan, complex(math.nan, 0.1), complex(0.1, math.nan),
-                  complex(math.nan, math.nan), False, True]
-
-
-@pytest.mark.parametrize("z", NO_DISK_POINTS)
-def test_every_evaluation_rejects_nan_and_bool_points(z):
-    # |nan| >= 1 is False, so a NaN point once read as inside the disk, and
-    # gave (nan, True) as a valid condition value; False is no spelling of 0
-    f = coeffs_F(PoissonParams(0.7), POLICY)
-    c = ClassParams(k=0.5, lam=0.3)
-    r = RParams(A=1.0, B=-0.5, tau=1.0)
-    for evaluate in (lambda: eval_series(f, z), lambda: eval_deriv(f, z),
-                     lambda: s_condition_value(f, z, c),
-                     lambda: c_condition_value(f, z, c),
-                     lambda: r_condition_value(f, z, r)):
-        with pytest.raises(DomainError, match=r"\|z\| < 1"):
-            evaluate()
-
-
-# ---- pointwise conditions ----
-
-def test_s_condition_identity_function_near_zero():
-    c = ClassParams(k=0.5, lam=0.3)
-    for z in (0.0, 0.5, 0.9j, -0.7 + 0.2j):
-        value, ok = s_condition_value(IDENTITY, z, c)
-        assert ok
-        assert value <= 1e-15   # w = 1 up to one rounding of the lam split
-
-
-def test_s_condition_identity_function_lambda_zero_exact():
-    c = ClassParams(k=0.5, lam=0.0)
-    value, ok = s_condition_value(IDENTITY, 0.5 + 0.25j, c)
-    assert ok
-    assert value == 0.0
-
-
-def test_s_condition_at_origin():
-    f = coeffs_F(PoissonParams(2.0), POLICY)
-    value, ok = s_condition_value(f, 0.0, ClassParams(k=0.5, lam=0.0))
-    assert ok
-    assert value == 0.0
-
-
-def test_s_condition_small_m_inside_bound():
-    f = coeffs_F(PoissonParams(0.3), POLICY)
+def test_c_condition_poisson_integral_small_m():
+    g = coeffs_G(PoissonParams(0.3), POLICY)
     c = ClassParams(k=1.0, lam=0.0)
-    value, ok = s_condition_value(f, 0.9, c)
-    assert ok
-    assert 0 < value < c.k
+    report = grid_check(g, ConditionId.C_COND, c, GridSpec(radii=(0.85,)))
+    assert (report.violations, report.skipped) == (0, 0)
+    assert report.max_value < c.k
+
+
+def test_r_condition_B_zero_reference_circles():
+    # f' - 1 = (A-B) tau z for the extremal quadratic, so the ratio is |z|
+    r = RParams(A=0.6, B=0.0, tau=2.0)
+    a2 = (r.A - r.B) * r.tau / 2
+    f = CoefficientSeq(SignConvention.GENERAL_TAIL, (a2,), 0.0)
+    for radius in (0.25, 0.5, 0.75):
+        report = grid_check(f, ConditionId.R_COND, r, GridSpec(radii=(radius,)))
+        assert report.max_value == pytest.approx(radius, rel=1e-14)
+        assert (report.violations, report.skipped) == (0, 0)
 
 
 def _image_of(r, p):
@@ -124,58 +100,32 @@ REAL_SERIES = {"F": coeffs_F(PoissonParams(0.7), POLICY),
                                        PoissonParams(1.5))}
 
 
-@pytest.mark.parametrize("value_at", [s_condition_value, c_condition_value],
+@pytest.mark.parametrize("condition", [ConditionId.S_COND, ConditionId.C_COND],
                          ids=["S", "C"])
 @pytest.mark.parametrize("kind", sorted(REAL_SERIES))
-@given(z=disk_points)
-@settings(max_examples=100)
-def test_condition_conjugation_symmetry(kind, value_at, z):
-    # real coefficients commute with conjugation at every arithmetic step
+@given(radius=st.floats(1e-3, 0.999), points=st.integers(8, 64))
+@settings(max_examples=30, deadline=None)
+def test_condition_conjugation_symmetry(kind, condition, radius, points):
+    # real coefficients commute with conjugation at every arithmetic step, so
+    # the values at the conjugates of the upper-half points a grid visits are
+    # the same floats, and the report counts each with its mirror
+    evaluate = gftpoisson.disk._s_values
+    circles = []
+
+    def with_conjugates(table, zs, *args):
+        values = list(evaluate(table, zs, *args))
+        circles.append(len(zs))
+        assert values == list(evaluate(table, [z.conjugate() for z in zs], *args))
+        return values
+
     f = REAL_SERIES[kind]
-    c = ClassParams(k=0.6, lam=0.4)
-    v1, ok1 = value_at(f, z, c)
-    v2, ok2 = value_at(f, z.conjugate(), c)
-    assert ok1 == ok2
-    assert v1 == v2
-
-
-def test_c_condition_applies_derivative_coefficient_map():
-    # z f' of z - b z^2 is z - 2b z^2, so the C-condition of f equals the
-    # S-condition of the remapped sequence
-    b = 0.2
-    f = CoefficientSeq(SignConvention.NEGATIVE_TAIL, (b,), 0.0)
-    g = CoefficientSeq(SignConvention.NEGATIVE_TAIL, (2 * b,), 0.0)
-    c = ClassParams(k=0.8, lam=0.1)
-    z = 0.4 + 0.3j
-    vc, okc = c_condition_value(f, z, c)
-    vs, oks = s_condition_value(g, z, c)
-    assert okc == oks
-    assert vc == pytest.approx(vs, rel=1e-14)
-
-
-def test_c_condition_poisson_integral_small_m():
-    g = coeffs_G(PoissonParams(0.3), POLICY)
-    c = ClassParams(k=1.0, lam=0.0)
-    value, ok = c_condition_value(g, 0.85, c)
-    assert ok
-    assert value < c.k
-
-
-def test_r_condition_identity_function_is_zero():
-    r = RParams(A=1.0, B=-0.5, tau=1 + 2j)
-    value, ok = r_condition_value(IDENTITY, 0.3 + 0.3j, r)
-    assert ok
-    assert value == 0.0
-
-
-def test_r_condition_B_zero_reference_point():
-    # f' - 1 = (A-B) tau z for the extremal quadratic, so the ratio is |z|
-    r = RParams(A=0.6, B=0.0, tau=2.0)
-    a2 = (r.A - r.B) * r.tau / 2
-    f = CoefficientSeq(SignConvention.GENERAL_TAIL, (a2,), 0.0)
-    value, ok = r_condition_value(f, 0.5, r)
-    assert ok
-    assert value == pytest.approx(0.5, rel=1e-14)
+    params = ClassParams(k=0.6, lam=0.4)
+    grid = GridSpec(radii=(radius,), points_per_circle=points)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gftpoisson.disk, "_s_values", with_conjugates)
+        report = grid_check(f, condition, params, grid)
+    assert circles == [points // 2 + 1]
+    assert _report_tuple(report) == _recomputed(f, condition, params, grid)
 
 
 # ---- grid sweeps ----
@@ -198,34 +148,22 @@ def test_grid_spec_validation():
         GridSpec(denominator_floor=-1.0)
 
 
-@pytest.mark.parametrize("floor", [math.inf, math.nan, True, "1e-12"])
-def test_grid_spec_rejects_non_finite_or_bool_floor(floor):
-    # an infinite floor skips every point and reads like a pass; True is no 1.0
-    with pytest.raises(DomainError):
-        GridSpec(denominator_floor=floor)
-
-
 @pytest.mark.parametrize("floor", [math.inf, math.nan, True, "1e-12", 0.0, -1.0, 0])
-@pytest.mark.parametrize("value_at", [s_condition_value, c_condition_value,
-                                      r_condition_value], ids=["S", "C", "R"])
-def test_condition_values_refuse_the_floors_grid_spec_refuses(value_at, floor):
-    # a floor of nan, 0 or -1 turned the guard off, and inf or True read every
-    # point as skipped; the rule and the message are GridSpec's
-    f = coeffs_F(PoissonParams(0.7), POLICY)
-    params = (RParams(A=1.0, B=-0.5, tau=1.0) if value_at is r_condition_value
-              else ClassParams(k=0.5, lam=0.3))
-    with pytest.raises(DomainError) as refused:
-        value_at(f, 0.5 + 0.25j, params, floor)
-    with pytest.raises(DomainError) as spec_refused:
+def test_grid_spec_rejects_non_finite_or_bool_floor(floor):
+    # an infinite floor skips every point and reads like a pass; True is no
+    # 1.0; a floor of nan, 0 or -1 turns the guard off
+    with pytest.raises(DomainError) as exc:
         GridSpec(denominator_floor=floor)
-    assert str(refused.value) == str(spec_refused.value)
+    assert str(exc.value) == f"denominator_floor must be a finite positive number, got {floor!r}"
 
 
 @pytest.mark.parametrize("floor", [5e-324, 1e-12, 1, 1.7976931348623157e308])
-def test_condition_values_accept_the_floors_grid_spec_accepts(floor):
+def test_grids_accept_the_floors_grid_spec_accepts(floor):
+    # |(1-lam) f + lam z f'| is about 0.5 on the circle of radius 0.5
     f = coeffs_F(PoissonParams(0.7), POLICY)
-    GridSpec(denominator_floor=floor)
-    assert s_condition_value(f, 0.5, ClassParams(k=0.5, lam=0.3), floor)[1] is (floor < 0.1)
+    grid = GridSpec(radii=(0.5,), points_per_circle=8, denominator_floor=floor)
+    report = grid_check(f, ConditionId.S_COND, ClassParams(k=0.5, lam=0.3), grid)
+    assert report.skipped == (0 if floor < 0.1 else 8)
 
 
 @pytest.mark.parametrize("radius", ["0.5", 0.5 + 0j, True, math.nan])
@@ -318,6 +256,24 @@ def test_grid_spec_rejects_non_integer_points(points):
     # range() in grid_check needs an int; a bool is no spelling of a count
     with pytest.raises(DomainError):
         GridSpec(points_per_circle=points)
+
+
+@pytest.mark.parametrize("points", [MAX_POINTS + 1, 10 ** 20])
+def test_grid_spec_refuses_a_count_past_the_cap(points):
+    # refused at construction, before grid_check builds a point; 10**20 once
+    # reached range() there and failed as a numeric error
+    with pytest.raises(DomainError) as exc:
+        GridSpec(points_per_circle=points)
+    assert str(exc.value) == f"need at most {MAX_POINTS} points per circle, got {points}"
+
+
+def test_grid_check_refuses_a_point_that_rounds_out_of_the_disk():
+    # GridSpec accepts a radius one ulp below 1, and cmath.rect rounds point 8
+    # of 289 on that circle onto |z| = 1
+    grid = GridSpec(radii=(math.nextafter(1.0, 0.0),), points_per_circle=289)
+    with pytest.raises(DomainError) as exc:
+        grid_check(IDENTITY, ConditionId.S_COND, ClassParams(k=0.5), grid)
+    assert str(exc.value) == "evaluation point must satisfy |z| < 1, got |z|=1.0"
 
 
 # ---- grid reports against the reference pointwise values ----
@@ -438,52 +394,57 @@ r_params = st.builds(
        points=st.sampled_from([8, 13, 33]),
        floor_exp=st.floats(-14.0, 0.5))
 @settings(max_examples=150, deadline=None)
-def test_grid_check_equals_public_condition_values(kind, condition, m, scale, k,
-                                                   lam, r, radii, points, floor_exp):
+def test_grid_check_equals_the_reference_values(kind, condition, m, scale, k,
+                                                lam, r, radii, points, floor_exp):
     f = _series(kind, m, scale, r)
     params = r if condition is ConditionId.R_COND else ClassParams(k=k, lam=lam)
     grid = GridSpec(radii=tuple(radii), points_per_circle=points,
                     denominator_floor=10.0 ** floor_exp)
     report = grid_check(f, condition, params, grid)
     assert _report_tuple(report) == _recomputed(f, condition, params, grid)
-    # the public values are the reference's at every point of the grid
-    value_at = {ConditionId.S_COND: s_condition_value,
-                ConditionId.C_COND: c_condition_value,
-                ConditionId.R_COND: r_condition_value}[condition]
-    for radius in grid.radii:
-        for z in _circle(radius, points):
-            assert (value_at(f, z, params, grid.denominator_floor)
-                    == _reference_value(f, condition, params, z, grid.denominator_floor))
 
 
 @given(kind=st.sampled_from(["F", "G", "I", "I_tau", "scaled"]), m=st.floats(1e-3, 10.0),
        scale=st.floats(0.0, 4.0), r=r_params, z=disk_points)
 @settings(max_examples=100, deadline=None)
-def test_eval_series_and_eval_deriv_are_the_reference_values(kind, m, scale, r, z):
+def test_one_point_horner_is_the_reference_value(kind, m, scale, r, z):
     f = _series(kind, m, scale, r)
     fz, dfz = _horner_pair(_reference_table(f), complex(z))
-    assert _bits(eval_series(f, z)) == _bits(fz)
-    assert _bits(eval_deriv(f, z)) == _bits(dfz)
+    got_fz, got_dfz = _f_and_fprime(f, z)
+    assert _bits(got_fz) == _bits(fz)
+    assert _bits(got_dfz) == _bits(dfz)
 
 
-@pytest.mark.parametrize("pid", [PredicateId.T1_F_in_S, PredicateId.T4_G_in_S,
-                                 PredicateId.T5_I_in_S], ids=["F", "G", "I"])
-def test_c_grid_is_the_s_grid_of_z_fprime(pid):
-    r = RParams(A=1.0, B=-0.5, tau=0.3 + 0.4j)
-    f = SPECS[pid].series(PoissonParams(2.5), POLICY, r)
+# z f' of z - b z^2 is z - 2b z^2; I_complex_tau's table is complex, so its
+# grids evaluate every point
+R_COMPLEX_TAU = RParams(A=1.0, B=-0.5, tau=0.3 + 0.4j)
+ZFPRIME_SERIES = {
+    "one_term": CoefficientSeq(SignConvention.NEGATIVE_TAIL, (0.2,), 0.0),
+    "I_complex_tau": _image_of(R_COMPLEX_TAU, PoissonParams(1.5)),
+    **{kind: SPECS[pid].series(PoissonParams(2.5), POLICY, R_COMPLEX_TAU)
+       for kind, pid in (("F", PredicateId.T1_F_in_S), ("G", PredicateId.T4_G_in_S),
+                         ("I", PredicateId.T5_I_in_S))}}
+
+
+@pytest.mark.parametrize("kind", sorted(ZFPRIME_SERIES))
+@given(k=st.floats(1e-3, 1.0), lam=st.floats(0.0, 0.999),
+       radii=st.lists(st.floats(0.01, 0.999), min_size=1, max_size=3),
+       points=st.sampled_from([8, 13, 64]), floor_exp=st.floats(-14.0, 0.5))
+@settings(max_examples=40, deadline=None)
+def test_c_grid_is_the_s_grid_of_z_fprime(kind, k, lam, radii, points, floor_exp):
+    f = ZFPRIME_SERIES[kind]
     zf = CoefficientSeq(f.convention,
                         tuple(n * a for n, a in enumerate(f.coefficients, 2)), 0.0)
-    c = ClassParams(k=0.6, lam=0.3)
-    grid = GridSpec(points_per_circle=64)
+    c = ClassParams(k=k, lam=lam)
+    grid = GridSpec(radii=tuple(radii), points_per_circle=points,
+                    denominator_floor=10.0 ** floor_exp)
     assert (_report_tuple(grid_check(f, ConditionId.C_COND, c, grid))
             == _report_tuple(grid_check(zf, ConditionId.S_COND, c, grid)))
-    z = 0.5 + 0.6j
-    assert c_condition_value(f, z, c) == s_condition_value(zf, z, c)
 
 
 @pytest.mark.parametrize("points", [64, 9])
 @pytest.mark.parametrize("condition", list(ConditionId))
-def test_grid_check_with_some_points_skipped_equals_public_values(condition, points):
+def test_grid_check_with_some_points_skipped_equals_the_reference_values(condition, points):
     # a real table, so the S/C grids visit the upper half with multiplicities;
     # at P = 9 the point j = P//2 has a mirror, at P = 64 it has none
     f = apply_operator_I(worst_case_R_coeffs(RParams(A=1.0, B=-1.0, tau=0.3 + 0.4j), 12),
@@ -505,29 +466,6 @@ def test_grid_check_one_ulp_inside_the_unit_circle(condition):
     grid = GridSpec(radii=(math.nextafter(1.0, 0.0),), points_per_circle=64)
     report = grid_check(f, condition, params, grid)
     assert _report_tuple(report) == _recomputed(f, condition, params, grid)
-
-
-@given(kind=st.sampled_from(["F", "G", "I", "scaled"]), m=st.floats(1e-3, 10.0),
-       scale=st.floats(0.0, 4.0), lam=st.floats(0.0, 0.999), r=r_params,
-       z=disk_points, floor_exp=st.floats(-14.0, 0.5))
-@settings(max_examples=200, deadline=None)
-def test_s_condition_is_the_quotient_of_eval_series_and_eval_deriv(
-        kind, m, scale, lam, r, z, floor_exp):
-    f = _series(kind, m, scale, r)
-    floor = 10.0 ** floor_exp
-    z = complex(z)
-    if z == 0:
-        expected = (0.0, True)
-    else:
-        num = z * eval_deriv(f, z)
-        den = (1 - lam) * eval_series(f, z) + lam * num
-        if abs(den) < floor:
-            expected = (0.0, False)
-        else:
-            w = num / den
-            expected = ((0.0, False) if abs(w + 1) < floor
-                        else (abs(w - 1) / abs(w + 1), True))
-    assert s_condition_value(f, z, ClassParams(k=0.5, lam=lam), floor) == expected
 
 
 # ---- conjugate-symmetric circles ----

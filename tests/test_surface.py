@@ -1,0 +1,26 @@
+"""The package's public surface, pinned: a name joins or leaves `__all__` only
+by an edit to this list."""
+
+import gftpoisson
+
+PUBLIC = [
+    "BOUNDARY_TOL", "ClassParams", "CoefficientSeq", "ConditionId",
+    "DomainError", "GridReport", "GridSpec", "InvalidTolerance",
+    "MembershipReport", "MissingRParams", "Outcome", "PoissonParams",
+    "PredicateId", "RParams", "SignConvention", "SumKind", "ThresholdResult",
+    "TruncationNotReached", "TruncationPolicy", "Verdict", "apply_operator_I",
+    "choose_truncation", "classify", "coeffs_F", "coeffs_G", "crosscheck",
+    "dixit_pal_bound", "dumps_canonical", "evaluate",
+    "evaluate_with_crosscheck", "grid_check", "partial_shifted_sum",
+    "run_suite", "shifted_exp_sum", "solve_m_star", "t1_lhs", "t4_lhs",
+    "t5_lhs", "worst_case_R_coeffs",
+]
+
+
+def test_all_is_the_pinned_public_surface():
+    assert sorted(gftpoisson.__all__) == PUBLIC
+
+
+def test_every_public_name_resolves():
+    for name in PUBLIC:
+        getattr(gftpoisson, name)

@@ -11,8 +11,8 @@ from gftpoisson import (ClassParams, ConditionId, DomainError, MissingRParams,
                         PoissonParams, PredicateId, RParams, TruncationPolicy,
                         Verdict, apply_operator_I, choose_truncation, classify,
                         coeffs_G, crosscheck, evaluate, evaluate_with_crosscheck,
-                        coeffs_F, lemma_sum, t1_lhs, t2_lhs, t4_lhs, t5_lhs,
-                        t6_lhs, weight_C, weight_S, worst_case_R_coeffs)
+                        coeffs_F, t1_lhs, t4_lhs, t5_lhs, worst_case_R_coeffs)
+from gftpoisson.criteria import _weighted_sum
 from gftpoisson.series import _exact_sum
 from gftpoisson.theorems import SPECS, _image, _margin, resolve
 
@@ -21,6 +21,9 @@ lams = st.floats(min_value=0.0, max_value=0.999)
 ms = st.floats(min_value=1e-3, max_value=20.0)
 
 R_DEFAULT = RParams(A=1.0, B=-1.0, tau=1.0)
+# the closed forms that have no public wrapper, over the float m
+T2_CLOSED = SPECS[PredicateId.T2_F_in_C].lhs
+T6_CLOSED = SPECS[PredicateId.T6_I_in_C].lhs
 
 
 # ---- closed forms ----
@@ -51,7 +54,7 @@ def test_t1_marginal_at_fixture_root():
 
 
 def test_t2_at_m1_k1_lam0_is_8e():
-    assert t2_lhs(PoissonParams(1.0), ClassParams(k=1.0, lam=0.0)) == pytest.approx(
+    assert T2_CLOSED(1.0, ClassParams(k=1.0, lam=0.0), None) == pytest.approx(
         8 * math.e, rel=1e-15)
     assert 8 * math.e == pytest.approx(21.74625462767236, abs=1e-13)
 
@@ -106,8 +109,8 @@ def test_t5_fails_for_wide_R_class():
 
 
 def test_t6_frozen_value():
-    assert t6_lhs(PoissonParams(0.1), ClassParams(k=1.0, lam=0.0),
-                  R_DEFAULT) == pytest.approx(0.7806503278561617, abs=1e-15)
+    assert T6_CLOSED(0.1, ClassParams(k=1.0, lam=0.0),
+                     R_DEFAULT) == pytest.approx(0.7806503278561617, abs=1e-15)
 
 
 @given(m=ms, k=ks, lam=lams)
@@ -119,19 +122,20 @@ def test_t6_equivalent_form(m, k, lam):
     c = ClassParams(k=k, lam=lam)
     p_fac = (1 - lam) + k * (1 + lam)
     naive = 2.0 * math.exp(-m) * (p_fac * m * math.exp(m) + 2 * k * (math.exp(m) - 1))
-    assert t6_lhs(PoissonParams(m), c, R_DEFAULT) == pytest.approx(naive, rel=1e-12)
+    assert T6_CLOSED(m, c, R_DEFAULT) == pytest.approx(naive, rel=1e-12)
 
 
-@pytest.mark.parametrize("fn", [t1_lhs, t2_lhs])
+@pytest.mark.parametrize("fn", [lambda m, c: t1_lhs(PoissonParams(m), c),
+                                lambda m, c: T2_CLOSED(m, c, None)], ids=["T1", "T2"])
 def test_monotone_in_m(fn):
     c = ClassParams(k=0.4, lam=0.3)
-    vals = [fn(PoissonParams(m), c) for m in (0.1, 0.5, 1.0, 2.0, 5.0)]
+    vals = [fn(m, c) for m in (0.1, 0.5, 1.0, 2.0, 5.0)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
 def test_t6_monotone_in_m():
     c = ClassParams(k=0.4, lam=0.3)
-    vals = [t6_lhs(PoissonParams(m), c, R_DEFAULT) for m in (0.1, 0.5, 1.0, 2.0)]
+    vals = [T6_CLOSED(m, c, R_DEFAULT) for m in (0.1, 0.5, 1.0, 2.0)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
@@ -304,14 +308,17 @@ def test_image_tail_bound_covers_the_true_tail(m, eps_exp, r):
        log_m=st.floats(math.log(1e-6), math.log(714.0)),
        eps=st.floats(1e-14, 1e-2), k=ks, lam=lams, r=r_params)
 @settings(max_examples=300, deadline=None)
-def test_crosscheck_equals_lemma_sum_over_the_built_series(pid, log_m, eps, k, lam, r):
-    # the reference route builds the row's CoefficientSeq and sums it with the
-    # public lemma_sum; the cross-check sums the same floats from one weight pass
+def test_crosscheck_equals_the_weighted_sum_over_the_built_series(pid, log_m, eps, k,
+                                                                  lam, r):
+    # the reference route builds the row's CoefficientSeq and sums the
+    # magnitudes of its coefficients; the cross-check sums the same floats
+    # from one weight pass
     p, policy = PoissonParams(min(math.exp(log_m), 714.0)), TruncationPolicy(eps=eps)
     c = ClassParams(k=k, lam=lam)
     row, c0 = resolve(pid, c, r)
     seq = row.series(p, policy, r)
-    residual = abs(row.sum_scale(p.m, c0, r) - lemma_sum(seq, c0, row.condition))
+    residual = abs(row.sum_scale(p.m, c0, r)
+                   - _weighted_sum(map(abs, seq.coefficients), c0, row.condition))
     assert crosscheck(pid, p, c, r, policy).hex() == residual.hex()
     report = evaluate_with_crosscheck(pid, p, c, r, policy)
     assert report.crosscheck_residual.hex() == residual.hex()
@@ -319,9 +326,11 @@ def test_crosscheck_equals_lemma_sum_over_the_built_series(pid, log_m, eps, k, l
 
 
 def _natural_terms(row, seq, c):
-    # Silverman's weighted terms of the row's own series, in index order
-    w = weight_S if row.condition is ConditionId.S_COND else weight_C
-    return [w(n, c) * abs(a) for n, a in enumerate(seq.coefficients, 2)]
+    # Silverman's weighted terms of the row's own series, in index order, with
+    # w_S(n) = n P - Q and w_C(n) = n w_S(n)
+    if row.condition is ConditionId.S_COND:
+        return [(n * c.P - c.Q) * abs(a) for n, a in enumerate(seq.coefficients, 2)]
+    return [(n * (n * c.P - c.Q)) * abs(a) for n, a in enumerate(seq.coefficients, 2)]
 
 
 @given(pid=st.sampled_from(list(PredicateId)),
@@ -366,10 +375,10 @@ def test_falling_crosscheck_terms_reach_fsum_in_natural_order(fsum_calls, m):
 
 @pytest.mark.parametrize("pid", [PredicateId.T5_I_in_S, PredicateId.T6_I_in_C])
 def test_crosscheck_refuses_a_scale_that_overflows(pid):
-    # |tau| overflows to inf, so the I image's tail is inf and its check refuses it
-    r = RParams(A=1.0, B=-1.0, tau=1e308 + 1e308j)
-    with pytest.raises(DomainError, match="tail_bound must be finite"):
-        crosscheck(pid, PoissonParams(0.5), ClassParams(k=0.5), r)
+    # (A-B)|tau| overflows to inf, so RParams refuses it before any route runs
+    with pytest.raises(DomainError, match=r"the scale \(A-B\)\|tau\| must be finite"):
+        crosscheck(pid, PoissonParams(0.5), ClassParams(k=0.5),
+                   RParams(A=1.0, B=-1.0, tau=1e308 + 1e308j))
 
 
 # ---- each C row cross-checks its own series ----
@@ -383,7 +392,8 @@ C_ROWS = (PredicateId.T3_G_in_C, PredicateId.C5_G_in_Ck,
 def _own_c_residual(pid, p, c, r, policy):
     row, c = resolve(pid, c, r)
     own = _image(p, policy, r) if row.needs_r else coeffs_G(p, policy)
-    return abs(row.sum_scale(p.m, c, r) - lemma_sum(own, c, ConditionId.C_COND))
+    return abs(row.sum_scale(p.m, c, r)
+               - _weighted_sum(map(abs, own.coefficients), c, ConditionId.C_COND))
 
 
 @given(pid=st.sampled_from(C_ROWS), m=st.floats(1e-3, 700.0), k=ks, lam=lams,
