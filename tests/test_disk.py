@@ -166,6 +166,16 @@ def test_grids_accept_the_floors_grid_spec_accepts(floor):
     assert report.skipped == (0 if floor < 0.1 else 8)
 
 
+@pytest.mark.parametrize("radius", [-math.inf, -0.5, -0.0, 0.0, 1.0,
+                                    math.nextafter(1.0, 2.0), math.inf])
+def test_grid_spec_rejects_a_radius_outside_the_open_disk(radius):
+    # a radius is the one way a point enters a grid, so the open disk's bounds
+    # are checked there: 0 and 1 are out, and so is every signed or infinite edge
+    with pytest.raises(DomainError) as exc:
+        GridSpec(radii=(0.25, radius))
+    assert str(exc.value) == f"radii must be real numbers in (0,1), got {(0.25, radius)!r}"
+
+
 @pytest.mark.parametrize("radius", ["0.5", 0.5 + 0j, True, math.nan])
 def test_grid_spec_rejects_a_radius_that_is_no_real_number(radius):
     # like the floor: a string or complex is no radius, whatever it spells
@@ -233,13 +243,22 @@ def test_grid_check_huge_floor_skips_everything():
     assert report.violations == 0
 
 
-def test_grid_check_requires_matching_params():
-    with pytest.raises(DomainError):
-        grid_check(IDENTITY, ConditionId.R_COND, ClassParams(k=0.5, lam=0.0),
-                   GridSpec())
-    with pytest.raises(DomainError):
-        grid_check(IDENTITY, ConditionId.S_COND, RParams(A=1.0, B=0.0, tau=1.0),
-                   GridSpec())
+@pytest.mark.parametrize("params", [RParams(A=1.0, B=0.0, tau=1.0), None],
+                         ids=["RParams", "None"])
+@pytest.mark.parametrize("condition", [ConditionId.S_COND, ConditionId.C_COND])
+def test_grid_check_refuses_a_record_other_than_class_params(condition, params):
+    # a DomainError, so the CLI exits 3, not an AttributeError traceback
+    with pytest.raises(DomainError) as exc:
+        grid_check(IDENTITY, condition, params, GridSpec())
+    assert str(exc.value) == "S/C conditions require ClassParams"
+
+
+@pytest.mark.parametrize("params", [ClassParams(k=0.5, lam=0.0), None],
+                         ids=["ClassParams", "None"])
+def test_grid_check_refuses_a_record_other_than_r_params(params):
+    with pytest.raises(DomainError) as exc:
+        grid_check(IDENTITY, ConditionId.R_COND, params, GridSpec())
+    assert str(exc.value) == "R condition requires RParams"
 
 
 def test_grid_check_counts_violations():
@@ -256,6 +275,12 @@ def test_grid_spec_rejects_non_integer_points(points):
     # range() in grid_check needs an int; a bool is no spelling of a count
     with pytest.raises(DomainError):
         GridSpec(points_per_circle=points)
+
+
+@pytest.mark.parametrize("points", [8, MAX_POINTS])
+def test_grid_spec_accepts_both_ends_of_the_count_range(points):
+    # construction builds no point, so the cap itself is cheap to accept here
+    assert GridSpec(points_per_circle=points).points_per_circle == points
 
 
 @pytest.mark.parametrize("points", [MAX_POINTS + 1, 10 ** 20])
