@@ -4,18 +4,15 @@ z -/+ sum coeff_n z^n lies in S(k,lambda) when sum w_S(n) |coeff_n| <= 2k with
 w_S(n) = n P - Q, P = (1-lambda)+k(1+lambda) and Q = (1-lambda)(1-k), and in
 C(k,lambda) when the same holds for w_C(n) = n w_S(n): necessary and
 sufficient for a negative tail, sufficient for a general one (Silverman, Proc.
-AMS 51, 1975).  The private _weighted_sum is the one place these weights are
-written: theorems' cross-check passes it the float magnitudes of one weight
-pass and compares the truncated sum with the closed form.  It draws no verdict
-from the sum, since the weights grow with n, so a bound on sum_{n>N} |coeff_n|
-is no bound on the weighted tail.  Its fsum is correctly rounded, so for
-nonnegative finite terms it is order-independent, and the terms of large m,
-which rise before they fall, are added largest first: linear rather than
-quadratic in N.  Only a sum that is inf, nan or near overflow keeps its given
-order.  ClassParams stores P and Q, and RParams the scale (A-B)|tau|, once, at
-construction.  For the class R^tau(A,B) the n-th coefficient of any member is
-bounded by (A-B)|tau|/n; the sequence saturating that bound drives the
-operator theorems.
+AMS 51, 1975).  These weights are written once, in series' weight pass,
+which forms each term w(n) |coeff_n| as it makes the Poisson weight c_n;
+theorems' cross-check compares the sum of those terms with the closed form.
+It draws no verdict from the sum, since the weights grow with n, so a bound
+on sum_{n>N} |coeff_n| is no bound on the weighted tail.  ClassParams stores
+P and Q, and RParams the scale (A-B)|tau|, once, at construction; they and
+the result records set every field in one step.  For the class R^tau(A,B)
+the n-th coefficient of any member is bounded by (A-B)|tau|/n; the sequence
+saturating that bound drives the operator theorems.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError
-from .series import CoefficientSeq, SignConvention, _exact_sum, _is_real
+from .series import CoefficientSeq, SignConvention, _is_real
 
 # Verdicts within this absolute band around lhs = 2k are Marginal: the sharp
 # boundary cases sit exactly on the line and floats cannot adjudicate equality.
@@ -76,9 +73,10 @@ class RParams:
     """The triple (A, B, tau) with -1 <= B < A <= 1 and tau nonzero.
 
     scale = (A - B)|tau|, the factor multiplying every coefficient bound, is
-    stored at construction and must be finite: finite A, B and tau can still
-    overflow it, and a closed form times inf is no verdict.  It takes no part
-    in repr, equality or hashing.
+    stored at construction and must be finite and nonzero: finite A, B and tau
+    can still overflow it, and a closed form times inf is no verdict, or
+    underflow it to 0, which T5's gap 2k/scale cannot divide by.  It takes no
+    part in repr, equality or hashing.
     """
 
     A: float
@@ -100,13 +98,14 @@ class RParams:
             scale = (A - B) * abs(t)
         except OverflowError:   # |tau| itself is past the largest double
             scale = math.inf
-        if scale == math.inf:
-            raise DomainError("the scale (A-B)|tau| must be finite, "
+        if scale == math.inf or scale == 0:
+            need = "nonzero" if scale == 0 else "finite"
+            raise DomainError(f"the scale (A-B)|tau| must be {need}, "
                               f"got A={A!r}, B={B!r}, tau={tau!r}")
         self.__dict__.update(A=A, B=B, tau=t, scale=scale)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MembershipReport:
     predicate: str
     verdict: Verdict
@@ -115,6 +114,14 @@ class MembershipReport:
     margin: float
     crosscheck_residual: float | None = None
     truncation_order: int | None = None
+
+    def __init__(self, predicate: str, verdict: Verdict, lhs: float, rhs: float,
+                 margin: float, crosscheck_residual: float | None = None,
+                 truncation_order: int | None = None) -> None:
+        # frozen: fields are set once, past the __setattr__ that refuses them
+        self.__dict__.update(predicate=predicate, verdict=verdict, lhs=lhs, rhs=rhs,
+                             margin=margin, crosscheck_residual=crosscheck_residual,
+                             truncation_order=truncation_order)
 
     def to_json_dict(self) -> dict:
         return {"predicate": self.predicate, "verdict": self.verdict.value,
@@ -127,27 +134,6 @@ def classify(margin: float) -> Verdict:
     if abs(margin) <= BOUNDARY_TOL:
         return Verdict.MARGINAL
     return Verdict.HOLDS if margin > 0 else Verdict.FAILS
-
-
-# ---- Silverman's weighted sum ----
-
-def _weighted_sum(magnitudes, c: ClassParams, condition: ConditionId) -> float:
-    """sum_{n>=2} w(n) a_n over the magnitudes a_n = |coeff_n| from n = 2, with
-    w = w_S for S_COND and w_C for C_COND (a row's condition is one of the
-    two), correctly rounded by math.fsum.
-
-    The terms are nonnegative, and for finite ones the correctly rounded sum
-    does not depend on their order.  Poisson magnitudes rise across hundreds
-    of binades before their mode at n ~ m, where fsum in the given order costs
-    O(N^2), so a rising list is added largest first (series._exact_sum),
-    unless its naive sum is inf, nan or near overflow, where order can decide
-    between inf and OverflowError.
-    """
-    # w_S(n) = n P - Q and w_C(n) = n w_S(n)
-    P, Q = c.P, c.Q
-    if condition is ConditionId.S_COND:
-        return _exact_sum([(n * P - Q) * a for n, a in enumerate(magnitudes, 2)])
-    return _exact_sum([(n * (n * P - Q)) * a for n, a in enumerate(magnitudes, 2)])
 
 
 # ---- coefficient bound for R^tau(A,B) ----

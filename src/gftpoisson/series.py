@@ -3,15 +3,16 @@
 Builds the negative-tail series F(m,z) = z - sum_{n>=2} e^{-m} m^{n-1}/(n-1)! z^n,
 its integral companion G(m,z) = z - sum e^{-m} m^{n-1}/n! z^n, and the termwise
 (Hadamard) operator that multiplies a normalized series by the Poisson weights.
-One pass of the weight recurrence chooses the order N with a provable tail bound
-and yields the weights F and G are built from.  Each such series is a _Series:
-its coefficient rule and tail bound, written once, give both the
-CoefficientSeq its builder returns and the float magnitudes |coeff_n| that
-theorems' cross-check sums straight from the weight pass, with no sequence
-built.  m e^{-m} is subnormal from m = 715 on, so every builder refuses such an
-m with TruncationNotReached.  One table gives each shifted exponential sum that
-the weighted coefficient sums collapse to: its first index, closed form, first
-term and term ratio.
+One loop, _weight_pass, runs the weight recurrence, holds the stopping rule
+that chooses the order N with a provable tail bound, and forms each series'
+coefficient from its weight as it goes.  Each such series is a _Series: its
+coefficient rule and tail bound give the CoefficientSeq its builder returns,
+and the same pass, given P and Q, forms Silverman's weighted terms
+w(n) |coeff_n| instead: theorems' cross-check sums them and builds no
+sequence and no list but theirs.  m e^{-m} is subnormal from m = 715 on, so
+every builder refuses such an m with TruncationNotReached.  One table gives
+each shifted exponential sum that the weighted coefficient sums collapse to:
+its first index, closed form, first term and term ratio.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ class PoissonParams:
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Target absolute tail error eps; N < 2518 however small it is (see _weights)."""
+    """Target absolute tail error eps; N < 2518 however small it is (see _weight_pass)."""
 
     eps: float = 1e-12
 
@@ -147,8 +148,16 @@ def _first_weight(m: float) -> float:
     return c
 
 
-def _weights(p: PoissonParams, policy: TruncationPolicy) -> list:
-    """[c_2, ..., c_N, c_{N+1}]: c_n = e^{-m} m^{n-1}/(n-1)! to the certified N, and one more.
+def _weight_pass(m: float, eps: float, rule: str, scale: float = 1.0, P: float | None = None,
+                 Q: float = 0.0, c_weights: bool = False) -> tuple[list, int, float]:
+    """([t_2, ..., t_N], N, c_{N+1}): one pass of the weight recurrence.
+
+    c_2 = m e^{-m} and c_{n+1} = c_n (m/n) give c_n = e^{-m} m^{n-1}/(n-1)!.
+    As each c_n is made, the pass forms the series' coefficient a_n by its
+    rule, c_n for "F", c_n/n for "G" and c_n (scale/n) for "I", and appends
+    t_n = a_n or, given P and Q, Silverman's weighted term w(n) a_n with
+    w_S(n) = n P - Q, or w_C(n) = n w_S(n) for c_weights: the one place these
+    weights are written.
 
     The weights of both membership criteria grow at most like n^2.  N is at
     least 2 ceil(m) + 10; past that floor the weighted term ratio of n^2 c_n
@@ -159,53 +168,71 @@ def _weights(p: PoissonParams, policy: TruncationPolicy) -> list:
     floor is at most 1440, and past it each step multiplies c <= 1 by m/n < 1/2
     (by a margin no rounding closes), so c underflows to 0, where the loop
     stops, within 1077 steps.  So N < 2 ceil(m) + 10 + 1078 <= 2518.
+
+    n is carried as the float x.  Every n here is below 2518, so x is exact,
+    and so is each conversion of the int n to a float that n * P, m / n,
+    c / n, scale / n and 2.0 * (n ** 2) * c would make: x * P, m / x, c / x,
+    scale / x and 2.0 * (x * x) * c are the same float operations on the same
+    operands and give the same bits, without a conversion per operation.
     """
-    m = p.m
-    floor = 2 * math.ceil(m) + 10
+    floor = 2.0 * math.ceil(m) + 10.0
+    divide, scaled = rule != "F", rule == "I"
     c = _first_weight(m)
-    out = [c]
-    for n in range(2, floor):
-        c *= m / n
-        out.append(c)
-    n = floor
-    while not 2.0 * (n ** 2) * c < policy.eps:
-        c *= m / n
-        n += 1
-        out.append(c)
-    out.append(c * (m / n))
-    return out
+    terms, x = [], 2.0
+    append = terms.append
+    while True:
+        a = (c * (scale / x) if scaled else c / x) if divide else c
+        if P is None:
+            append(a)
+        elif c_weights:
+            append((x * (x * P - Q)) * a)
+        else:
+            append((x * P - Q) * a)
+        if x >= floor and 2.0 * (x * x) * c < eps:
+            return terms, int(x), c * (m / x)
+        c *= m / x
+        x += 1.0
 
 
 def choose_truncation(p: PoissonParams, policy: TruncationPolicy) -> int:
     """Smallest order N with a certified weighted tail below eps."""
-    return len(_weights(p, policy))
+    return _weight_pass(p.m, policy.eps, "F")[1]
 
 
 class _Series(NamedTuple):
     """A series built from one pass of the weight recurrence.
 
-    terms(w, omitted, r) maps the weights w = [c_2, ..., c_N] and the next one,
-    c_{N+1}, to the magnitudes |coeff_n|, n = 2 .. N, as nonnegative floats,
-    and a bound on sum_{n>N} |coeff_n|; r is the (A, B, tau) a series of the
-    class R^tau(A,B) reads.  Called with (p, policy, r) it builds the
-    CoefficientSeq, its coefficients complex for a general tail; magnitudes
-    gives the same floats without building one.
+    rule names its coefficient a_n, formed from the weight c_n inside the
+    pass (see _weight_pass); the pass's next weight, c_{N+1}, bounds
+    sum_{n>N} |a_n|.  Called with (p, policy, r) it builds the
+    CoefficientSeq, its coefficients complex for a general tail; weighted_sum
+    sums Silverman's terms w(n) a_n from the same pass instead, with the same
+    tail bound checked, and builds no sequence.  An "I" series reads the
+    scale (A - B)|tau| of r.
     """
 
     convention: SignConvention
-    terms: Callable[[list, float, object], tuple[list, float]]
+    rule: str
 
-    def magnitudes(self, p: PoissonParams, policy: TruncationPolicy,
-                   r) -> tuple[list, float]:
-        """(|coeff_n| for n = 2 .. N, the tail bound), the bound checked."""
-        w = _weights(p, policy)
-        omitted = w.pop()
-        mags, tail = self.terms(w, omitted, r)
-        return mags, _check_tail(tail)
+    def _pass(self, p: PoissonParams, policy: TruncationPolicy, r,
+              *weights) -> tuple[list, int, float]:
+        scale = r.scale if self.rule == "I" else 1.0
+        terms, n_top, omitted = _weight_pass(p.m, policy.eps, self.rule, scale, *weights)
+        # F's term ratio past the floor is below 1/2; G's b_n = c_n / n has F's
+        # tail over N + 1, and |I_n| is scale times G's (scale 1.0 is exact)
+        tail = 2.0 * omitted if self.rule == "F" else 2.0 * omitted / (n_top + 1)
+        return terms, n_top, _check_tail(scale * tail)
+
+    def weighted_sum(self, p: PoissonParams, policy: TruncationPolicy, r, c,
+                     c_weights: bool) -> tuple[float, int]:
+        """(sum_{n=2}^{N} w(n) |a_n|, N), w = w_C for c_weights and w_S
+        otherwise, with P and Q read from the class parameters c."""
+        terms, n_top, _ = self._pass(p, policy, r, c.P, c.Q, c_weights)
+        return _exact_sum(terms), n_top
 
     def __call__(self, p: PoissonParams, policy: TruncationPolicy,
                  r=None) -> CoefficientSeq:
-        mags, tail = self.magnitudes(p, policy, r)
+        mags, _, tail = self._pass(p, policy, r)
         if self.convention is SignConvention.GENERAL_TAIL:
             mags = [complex(a) for a in mags]
         # the types and signs CoefficientSeq's validation would give, by construction
@@ -216,18 +243,11 @@ class _Series(NamedTuple):
         return seq
 
 
-def _f_terms(w: list, omitted: float, r) -> tuple[list, float]:
-    # b_n = c_n; the term ratio past the floor is below 1/2
-    return w, 2.0 * omitted
-
-
-def _g_terms(w: list, omitted: float, r) -> tuple[list, float]:
-    # b_n = c_n / n, and F's tail over N + 1
-    return [c / n for n, c in enumerate(w, 2)], 2.0 * omitted / (len(w) + 2)
-
-
-_F = _Series(SignConvention.NEGATIVE_TAIL, _f_terms)
-_G = _Series(SignConvention.NEGATIVE_TAIL, _g_terms)
+_F = _Series(SignConvention.NEGATIVE_TAIL, "F")
+_G = _Series(SignConvention.NEGATIVE_TAIL, "G")
+# theorems' I image of the extremal R^tau(A,B) member: the products c_n (scale/n)
+# that apply_operator_I forms on worst_case_R_coeffs
+_image = _Series(SignConvention.GENERAL_TAIL, "I")
 
 
 def coeffs_F(p: PoissonParams, policy: TruncationPolicy = TruncationPolicy()) -> CoefficientSeq:

@@ -4,9 +4,9 @@ Each predicate compares a closed-form left-hand side against 2k.  The
 cross-check recomputes it as the weighted sum of |coeff_n| of the theorem's
 own series under its own condition's weights (Silverman's criterion: necessary
 and sufficient for F and G, sufficient for the general-tail image I) and
-reports the absolute difference.  It sums the magnitudes straight from one
-weight pass, with the row series' own coefficient rule and its tail bound
-checked, and builds no CoefficientSeq: the same floats, and so the same
+reports the absolute difference.  Its terms w(n) |coeff_n| are formed inside
+one weight pass, with the row series' own coefficient rule and its tail bound
+checked, and it builds no CoefficientSeq: the same floats, and so the same
 residual bit for bit, as summing the |coeff_n| of the series the row builds.
 To keep it stable for large m, both routes are compared on the scale of the
 weighted sum itself (the closed form is mapped onto that scale by exact
@@ -20,12 +20,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .criteria import (ClassParams, ConditionId, MembershipReport, RParams,
-                       _weighted_sum, classify)
+from .criteria import ClassParams, ConditionId, MembershipReport, RParams, classify
 from .errors import MissingRParams
 # coeffs_F is not called here, but bench/test_tracer.py wraps it under this name
-from .series import (PoissonParams, SignConvention, TruncationPolicy,  # noqa: F401
-                     _F, _G, _Series, coeffs_F)
+from .series import (PoissonParams, TruncationPolicy,  # noqa: F401
+                     _F, _G, _image, _Series, coeffs_F)
 
 # math.exp overflows just past 709; beyond this every predicate fails anyway
 _EXP_GUARD = 700.0
@@ -125,12 +124,12 @@ class PredicateSpec:
     the m it builds without wrapping each in a PoissonParams.  series is the
     function the theorem is about (F, G or the image I of the extremal
     R^tau(A,B) member): series(p, policy, r) builds it, and
-    series.magnitudes(p, policy, r) gives its |coeff_n| and checked tail bound
-    from the same weight pass.
+    series.weighted_sum(p, policy, r, c, c_weights) sums its weighted terms
+    w(n) |coeff_n|, formed in the same weight pass, with its tail bound checked.
     condition names its disk inequality, S or C.  sum_scale(m, c, r) is lhs on
     the scale of the weighted coefficient sum, mapped there by exact algebra
-    rather than through a factor of e^m; the cross-check recomputes it as the
-    condition's weighted sum of those magnitudes.  needs_r marks the theorems
+    rather than through a factor of e^m; the cross-check recomputes it as that
+    sum under the condition's weights.  needs_r marks the theorems
     that take (A, B, tau).  gap(c, r) is d = P - 2k/scale, by which a bounded
     left-hand side's limit scale * P exceeds 2k, over scale (scale = 1 for
     T4), within a few ulp of its exact value and at most 0 where that is, and
@@ -269,18 +268,6 @@ def _t5_root(c: ClassParams, r: RParams, d: float) -> float | None:
     return _bounded_root(c, 2 * c.k / r.scale, d)
 
 
-def _image_terms(w: list, omitted: float, r: RParams) -> tuple[list, float]:
-    """I applied to the extremal R^tau(A,B) member: the products c_n (scale/n)
-    that apply_operator_I forms on worst_case_R_coeffs, and scale times
-    coeffs_G's tail, since |I_n| is scale times G's coefficient."""
-    scale = r.scale
-    return ([c * (scale / n) for n, c in enumerate(w, 2)],
-            scale * (2.0 * omitted / (len(w) + 2)))
-
-
-_image = _Series(SignConvention.GENERAL_TAIL, _image_terms)
-
-
 _ROWS = (
     PredicateSpec(PredicateId.T1_F_in_S, PredicateId.C1_F_in_Sk, _F,
                   ConditionId.S_COND, needs_r=False, gap=_none,
@@ -358,9 +345,9 @@ def _crosscheck_detail(row: PredicateSpec, p: PoissonParams, c: ClassParams,
                        policy: TruncationPolicy) -> tuple[float, int]:
     """The residual and truncation order, at class parameters resolve() returned."""
     closed = row.sum_scale(p.m, c, r)
-    magnitudes, _ = row.series.magnitudes(p, policy, r)
-    return (abs(closed - _weighted_sum(magnitudes, c, row.condition)),
-            len(magnitudes) + 1)
+    total, n_top = row.series.weighted_sum(p, policy, r, c,
+                                           row.condition is ConditionId.C_COND)
+    return abs(closed - total), n_top
 
 
 def crosscheck(pid: PredicateId, p: PoissonParams, c: ClassParams,

@@ -122,13 +122,19 @@ class Outcome(enum.Enum):
     ALWAYS_HOLDS = "always_holds"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ThresholdResult:
     predicate: str
     outcome: Outcome
     m_star: float | None
     bracket_width: float | None
     evaluations: int
+
+    def __init__(self, predicate: str, outcome: Outcome, m_star: float | None,
+                 bracket_width: float | None, evaluations: int) -> None:
+        # frozen: fields are set once, past the __setattr__ that refuses them
+        self.__dict__.update(predicate=predicate, outcome=outcome, m_star=m_star,
+                             bracket_width=bracket_width, evaluations=evaluations)
 
     def to_json_dict(self) -> dict:
         return {"predicate": self.predicate, "outcome": self.outcome.value,

@@ -155,6 +155,26 @@ def test_a_scale_that_overflows_is_refused_by_every_command(capsys, command, pid
     assert err == f"error: the scale (A-B)|tau| must be finite, got {named}\n"
 
 
+# (A-B)|tau| underflows to 0 though A > B and tau is nonzero
+UNDERFLOWING_SCALES = [
+    (("--A", "5e-324", "--B", "0", "--tau-re", "5e-324"), "A=5e-324, B=0.0, tau=(5e-324+0j)"),
+    (("--A", "0.25", "--B", "0", "--tau-re", "0", "--tau-im", "5e-324"),
+     "A=0.25, B=0.0, tau=5e-324j")]
+
+
+@pytest.mark.parametrize("command", ["check", "crosscheck", "threshold", "grid"])
+@pytest.mark.parametrize("pid", ["T5_I_in_S", "T6_I_in_C"])
+@pytest.mark.parametrize("r_args, named", UNDERFLOWING_SCALES, ids=["A", "tau"])
+def test_a_scale_that_underflows_is_refused_by_every_command(capsys, command, pid,
+                                                             r_args, named):
+    # threshold once ended in a ZeroDivisionError traceback, and check,
+    # crosscheck and grid answered for an image that is identically z
+    m = () if command == "threshold" else ("--m", "0.5")
+    code, out, err = run_cli(capsys, command, "--predicate", pid, *m, "--k", "0.5", *r_args)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: the scale (A-B)|tau| must be nonzero, got {named}\n"
+
+
 def test_grid_corollary_validates_lambda_like_check(capsys):
     argv = ("--predicate", "C1_F_in_Sk", "--m", "0.3", "--k", "0.5",
             "--lambda", "2")

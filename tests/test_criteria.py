@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gftpoisson import (ClassParams, CoefficientSeq, ConditionId, DomainError,
-                        PoissonParams, RParams, SignConvention,
-                        TruncationPolicy, Verdict, apply_operator_I,
-                        choose_truncation, classify, coeffs_F, coeffs_G,
-                        dixit_pal_bound, worst_case_R_coeffs)
-from gftpoisson.criteria import _weighted_sum
+                        MembershipReport, Outcome, PoissonParams, RParams,
+                        SignConvention, ThresholdResult, TruncationPolicy,
+                        Verdict, apply_operator_I, choose_truncation, classify,
+                        coeffs_F, coeffs_G, dixit_pal_bound, dumps_canonical,
+                        worst_case_R_coeffs)
+from gftpoisson.series import _F, _G
+from gftpoisson.theorems import _image
 
 ks = st.floats(min_value=1e-6, max_value=1.0)
 lams = st.floats(min_value=0.0, max_value=0.999)
@@ -85,6 +87,16 @@ def test_r_params_refuses_a_scale_that_overflows(a, b, tau):
     with pytest.raises(DomainError) as exc:
         RParams(A=a, B=b, tau=tau)
     assert str(exc.value) == ("the scale (A-B)|tau| must be finite, "
+                              f"got A={a!r}, B={b!r}, tau={tau!r}")
+
+
+@pytest.mark.parametrize("a, b, tau", [
+    (5e-324, 0.0, 5e-324), (0.25, 0.0, 5e-324j), (1e-200, -1e-200, 1e-200 - 1e-200j)])
+def test_r_params_refuses_a_scale_that_underflows(a, b, tau):
+    # A > B and tau != 0, yet (A-B)|tau| rounds to 0, which T5's gap 2k/scale divided by
+    with pytest.raises(DomainError) as exc:
+        RParams(A=a, B=b, tau=tau)
+    assert str(exc.value) == ("the scale (A-B)|tau| must be nonzero, "
                               f"got A={a!r}, B={b!r}, tau={tau!r}")
 
 
@@ -193,6 +205,43 @@ def test_records_survive_pickle_and_copy(copy_of, record):
             setattr(twin, name, 0.25)
 
 
+# ---- result records ----
+
+_REPORT = MembershipReport("T1_F_in_S", Verdict.HOLDS, 0.5, 1.0, 0.5)
+_RESULT = ThresholdResult("T5_I_in_S", Outcome.FINITE, 0.25, 1e-11, 2)
+
+
+@pytest.mark.parametrize("record", [_REPORT, _RESULT], ids=["report", "result"])
+def test_result_records_are_frozen(record):
+    # one __dict__ step sets every field; assignment is still refused
+    for f in dataclasses.fields(record):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, f.name, 0.25)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(record, f.name)
+
+
+def test_result_records_keep_their_repr_equality_and_bytes():
+    assert repr(_REPORT) == (
+        "MembershipReport(predicate='T1_F_in_S', verdict=<Verdict.HOLDS: 'Holds'>, "
+        "lhs=0.5, rhs=1.0, margin=0.5, crosscheck_residual=None, truncation_order=None)")
+    assert repr(_RESULT) == (
+        "ThresholdResult(predicate='T5_I_in_S', outcome=<Outcome.FINITE: 'finite'>, "
+        "m_star=0.25, bracket_width=1e-11, evaluations=2)")
+    by_name = MembershipReport(predicate="T1_F_in_S", verdict=Verdict.HOLDS, lhs=0.5,
+                               rhs=1.0, margin=0.5)
+    assert by_name == _REPORT and hash(by_name) == hash(_REPORT)
+    assert dataclasses.replace(_REPORT, truncation_order=15).truncation_order == 15
+    assert _REPORT != dataclasses.replace(_REPORT, crosscheck_residual=0.0)
+    assert pickle.loads(pickle.dumps(_RESULT)) == _RESULT
+    assert dumps_canonical(_REPORT.to_json_dict()) == (
+        '{\n  "predicate": "T1_F_in_S",\n  "verdict": "Holds",\n  "lhs": 0.5,\n'
+        '  "rhs": 1,\n  "margin": 0.5,\n  "residual": null,\n  "N": null\n}')
+    assert dumps_canonical(_RESULT.to_json_dict()) == (
+        '{\n  "predicate": "T5_I_in_S",\n  "outcome": "finite",\n  "m_star": 0.25,\n'
+        '  "bracket": 9.9999999999999994e-12,\n  "evals": 2\n}')
+
+
 def test_replace_recomputes_the_stored_constants():
     c = dataclasses.replace(ClassParams(0.5, 0.3), lam=0.0)
     assert (c.k, c.lam, c.P, c.Q) == (0.5, 0.0, 1.5, 0.5)
@@ -205,6 +254,15 @@ def test_replace_recomputes_the_stored_constants():
 # ---- weights ----
 
 S, C = ConditionId.S_COND, ConditionId.C_COND
+
+
+def _weighted_sum(magnitudes, c, condition):
+    # the reference sum: w_S(n) = n P - Q and w_C(n) = n w_S(n) written out over
+    # the magnitudes a_n from n = 2, correctly rounded by fsum
+    P, Q = c.P, c.Q
+    if condition is S:
+        return math.fsum([(n * P - Q) * a for n, a in enumerate(magnitudes, 2)])
+    return math.fsum([(n * (n * P - Q)) * a for n, a in enumerate(magnitudes, 2)])
 
 
 def _weight(n, c, condition):
@@ -281,14 +339,8 @@ def test_weighted_sum_poisson_m02_frozen_value():
     lhs = _sum(f, c, S)
     assert lhs == pytest.approx(0.7625384938440364, abs=1e-12)
     assert classify(2 * c.k - lhs) is Verdict.HOLDS
-
-
-def _written_out_sum(f, c, condition):
-    # the sum as one weight per term: w_S(n) = n P - Q, w_C(n) = n w_S(n)
-    def w(n):
-        return n * c.P - c.Q if condition is S else n * (n * c.P - c.Q)
-    return math.fsum(w(n) * abs(f.coefficients[n - 2])
-                     for n in range(2, f.truncation_order + 1))
+    assert _F.weighted_sum(PoissonParams(0.2), TruncationPolicy(eps=1e-13), None, c,
+                           False) == (lhs, f.truncation_order)
 
 
 @pytest.mark.parametrize("condition", [S, C])
@@ -297,17 +349,20 @@ def _written_out_sum(f, c, condition):
 @settings(max_examples=30, deadline=None)
 def test_weighted_sum_matches_the_written_out_weights_bit_for_bit(series, condition,
                                                                   m, k, lam):
+    # the one weight pass forms each w(n) a_n as it makes the weight c_n; the
+    # written-out sum over the sequence the series builds has the same bits
     p, policy = PoissonParams(m), TruncationPolicy()
+    r = RParams(A=1.0, B=-0.5, tau=0.3 + 0.4j)
     if series == "F":
-        f = coeffs_F(p, policy)
+        one_pass, f = _F, coeffs_F(p, policy)
     elif series == "G":
-        f = coeffs_G(p, policy)
+        one_pass, f = _G, coeffs_G(p, policy)
     else:
-        r = RParams(A=1.0, B=-0.5, tau=0.3 + 0.4j)
         worst = worst_case_R_coeffs(r, choose_truncation(p, policy))
-        f = apply_operator_I(worst, p)
+        one_pass, f = _image, apply_operator_I(worst, p)
     c = ClassParams(k=k, lam=lam)
-    assert _sum(f, c, condition) == _written_out_sum(f, c, condition)
+    total, n_top = one_pass.weighted_sum(p, policy, r, c, condition is C)
+    assert (total.hex(), n_top) == (_sum(f, c, condition).hex(), f.truncation_order)
 
 
 def test_weighted_sum_sums_the_magnitude_of_a_general_tail():

@@ -12,7 +12,6 @@ from gftpoisson import (ClassParams, ConditionId, DomainError, MissingRParams,
                         Verdict, apply_operator_I, choose_truncation, classify,
                         coeffs_G, crosscheck, evaluate, evaluate_with_crosscheck,
                         coeffs_F, t1_lhs, t4_lhs, t5_lhs, worst_case_R_coeffs)
-from gftpoisson.criteria import _weighted_sum
 from gftpoisson.series import _exact_sum
 from gftpoisson.theorems import SPECS, _image, _margin, resolve
 
@@ -304,6 +303,19 @@ def test_image_tail_bound_covers_the_true_tail(m, eps_exp, r):
 
 # ---- the cross-check's one weight pass ----
 
+def _written_terms(magnitudes, c, condition):
+    # w(n) a_n over the magnitudes a_n from n = 2, in index order, with the
+    # weights written out: w_S(n) = n P - Q and w_C(n) = n w_S(n)
+    if condition is ConditionId.S_COND:
+        return [(n * c.P - c.Q) * a for n, a in enumerate(magnitudes, 2)]
+    return [(n * (n * c.P - c.Q)) * a for n, a in enumerate(magnitudes, 2)]
+
+
+def _weighted_sum(magnitudes, c, condition):
+    # the reference sum: the written-out terms, correctly rounded by fsum
+    return math.fsum(_written_terms(magnitudes, c, condition))
+
+
 @given(pid=st.sampled_from(list(PredicateId)),
        log_m=st.floats(math.log(1e-6), math.log(714.0)),
        eps=st.floats(1e-14, 1e-2), k=ks, lam=lams, r=r_params)
@@ -325,12 +337,51 @@ def test_crosscheck_equals_the_weighted_sum_over_the_built_series(pid, log_m, ep
     assert report.truncation_order == seq.truncation_order
 
 
+# eps log-uniform down to the smallest double, where N reaches 1968 at m = 714
+small_eps = st.floats(math.log(5e-324), math.log(1e-2)).map(
+    lambda log_eps: max(math.exp(log_eps), 5e-324))
+
+
+@given(pid=st.sampled_from(list(PredicateId)),
+       log_m=st.floats(math.log(1e-6), math.log(714.0)), eps=small_eps, k=ks,
+       lam=lams, r=r_params)
+@settings(max_examples=300, deadline=None)
+@example(pid=PredicateId.T2_F_in_C, log_m=math.log(714.0), eps=5e-324, k=1.0,
+         lam=0.999, r=R_DEFAULT)
+@example(pid=PredicateId.T3_G_in_C, log_m=math.log(714.0), eps=5e-324, k=1e-6,
+         lam=0.0, r=R_DEFAULT)
+@example(pid=PredicateId.C4_I_in_Ck, log_m=math.log(714.0), eps=5e-324, k=0.5,
+         lam=0.5, r=RParams(A=1.0, B=-1.0, tau=2.0 - 1.5j))
+def test_one_pass_residual_and_order_are_the_written_out_sum_down_to_the_least_eps(
+        pid, log_m, eps, k, lam, r):
+    # each term w(n) a_n is formed inside the weight pass; summed with the
+    # weights written out over the |coeff_n| of the built series it has the
+    # same bits, and the pass stops at the same N, at every eps
+    p, policy = PoissonParams(min(math.exp(log_m), 714.0)), TruncationPolicy(eps=eps)
+    c = ClassParams(k=k, lam=lam)
+    row, c0 = resolve(pid, c, r)
+    seq = row.series(p, policy, r)
+    residual = abs(row.sum_scale(p.m, c0, r)
+                   - _weighted_sum(map(abs, seq.coefficients), c0, row.condition))
+    report = evaluate_with_crosscheck(pid, p, c, r, policy)
+    assert report.crosscheck_residual.hex() == residual.hex()
+    assert crosscheck(pid, p, c, r, policy).hex() == residual.hex()
+    assert report.truncation_order == seq.truncation_order
+
+
+@pytest.mark.parametrize("pid", list(PredicateId))
+@pytest.mark.parametrize("m, eps", [(1e-6, 1e-2), (1.0, 1e-12), (35.0, 1e-300),
+                                    (300.0, 1e-12), (714.0, 1e-12), (714.0, 5e-324)])
+def test_crosscheck_order_is_choose_truncation(pid, m, eps):
+    # the stopping rule is read by one loop, weighted or not
+    p, policy = PoissonParams(m), TruncationPolicy(eps=eps)
+    report = evaluate_with_crosscheck(pid, p, ClassParams(k=0.5, lam=0.3), R_DEFAULT, policy)
+    assert report.truncation_order == choose_truncation(p, policy)
+
+
 def _natural_terms(row, seq, c):
-    # Silverman's weighted terms of the row's own series, in index order, with
-    # w_S(n) = n P - Q and w_C(n) = n w_S(n)
-    if row.condition is ConditionId.S_COND:
-        return [(n * c.P - c.Q) * abs(a) for n, a in enumerate(seq.coefficients, 2)]
-    return [(n * (n * c.P - c.Q)) * abs(a) for n, a in enumerate(seq.coefficients, 2)]
+    # Silverman's weighted terms of the row's own series, in index order
+    return _written_terms(map(abs, seq.coefficients), c, row.condition)
 
 
 @given(pid=st.sampled_from(list(PredicateId)),
