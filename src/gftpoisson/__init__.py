@@ -7,15 +7,14 @@ every claim can be checked by two routes.
 """
 
 from .criteria import (BOUNDARY_TOL, ClassParams, ConditionId, MembershipReport,
-                       RParams, Verdict, classify, dixit_pal_bound,
-                       worst_case_R_coeffs)
+                       RParams, Verdict, classify)
 from .disk import GridReport, GridSpec, grid_check
 from .errors import (DomainError, InvalidTolerance, MissingRParams,
                      TruncationNotReached)
 from .serialize import dumps_canonical
 from .series import (CoefficientSeq, PoissonParams, SignConvention, SumKind,
-                     TruncationPolicy, apply_operator_I, choose_truncation,
-                     coeffs_F, coeffs_G, partial_shifted_sum, shifted_exp_sum)
+                     TruncationPolicy, choose_truncation, coeffs_F, coeffs_G,
+                     partial_shifted_sum, shifted_exp_sum)
 from .suite import run_suite
 from .theorems import (PredicateId, crosscheck, evaluate,
                        evaluate_with_crosscheck, t1_lhs, t4_lhs, t5_lhs)
@@ -29,9 +28,8 @@ __all__ = [
     "MembershipReport", "MissingRParams", "Outcome", "PoissonParams",
     "PredicateId", "RParams", "SignConvention", "SumKind",
     "ThresholdResult", "TruncationNotReached", "TruncationPolicy", "Verdict",
-    "apply_operator_I", "choose_truncation", "classify", "coeffs_F",
-    "coeffs_G", "crosscheck", "dixit_pal_bound", "dumps_canonical", "evaluate",
-    "evaluate_with_crosscheck", "grid_check", "partial_shifted_sum",
-    "run_suite", "shifted_exp_sum", "solve_m_star", "t1_lhs", "t4_lhs",
-    "t5_lhs", "worst_case_R_coeffs",
+    "choose_truncation", "classify", "coeffs_F", "coeffs_G", "crosscheck",
+    "dumps_canonical", "evaluate", "evaluate_with_crosscheck", "grid_check",
+    "partial_shifted_sum", "run_suite", "shifted_exp_sum", "solve_m_star",
+    "t1_lhs", "t4_lhs", "t5_lhs",
 ]

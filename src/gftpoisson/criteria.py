@@ -11,8 +11,8 @@ It draws no verdict from the sum, since the weights grow with n, so a bound
 on sum_{n>N} |coeff_n| is no bound on the weighted tail.  ClassParams stores
 P and Q, and RParams the scale (A-B)|tau|, once, at construction; they and
 the result records set every field in one step.  For the class R^tau(A,B)
-the n-th coefficient of any member is bounded by (A-B)|tau|/n; the sequence
-saturating that bound drives the operator theorems.
+the n-th coefficient of any member is bounded by (A-B)|tau|/n (Dixit and
+Pal, 1995); the operator theorems are about the member that attains it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError
-from .series import CoefficientSeq, SignConvention, _is_real
+from .series import _is_real
 
 # Verdicts within this absolute band around lhs = 2k are Marginal: the sharp
 # boundary cases sit exactly on the line and floats cannot adjudicate equality.
@@ -135,23 +135,3 @@ def classify(margin: float) -> Verdict:
         return Verdict.MARGINAL
     return Verdict.HOLDS if margin > 0 else Verdict.FAILS
 
-
-# ---- coefficient bound for R^tau(A,B) ----
-
-def dixit_pal_bound(n: int, r: RParams) -> float:
-    """The n-th coefficient bound (A-B)|tau|/n."""
-    if n < 2:
-        raise DomainError(f"bound defined for n >= 2, got {n}")
-    return r.scale / n
-
-
-def worst_case_R_coeffs(r: RParams, N: int) -> CoefficientSeq:
-    """General-tail sequence saturating the coefficient bound up to order N.
-
-    Its tail_bound of 0.0 is no bound: the omitted sum_{n>N} (A-B)|tau|/n
-    diverges.
-    """
-    if N < 2:
-        raise DomainError(f"need N >= 2, got {N}")
-    return CoefficientSeq(SignConvention.GENERAL_TAIL,
-                          tuple(dixit_pal_bound(n, r) for n in range(2, N + 1)), 0.0)

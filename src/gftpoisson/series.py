@@ -1,18 +1,18 @@
 """Poisson-weighted coefficient sequences with certified truncation.
 
 Builds the negative-tail series F(m,z) = z - sum_{n>=2} e^{-m} m^{n-1}/(n-1)! z^n,
-its integral companion G(m,z) = z - sum e^{-m} m^{n-1}/n! z^n, and the termwise
-(Hadamard) operator that multiplies a normalized series by the Poisson weights.
-One loop, _weight_pass, runs the weight recurrence, holds the stopping rule
-that chooses the order N with a provable tail bound, and forms each series'
-coefficient from its weight as it goes.  Each such series is a _Series: its
-coefficient rule and tail bound give the CoefficientSeq its builder returns,
-and the same pass, given P and Q, forms Silverman's weighted terms
-w(n) |coeff_n| instead: theorems' cross-check sums them and builds no
-sequence and no list but theirs.  m e^{-m} is subnormal from m = 715 on, so
-every builder refuses such an m with TruncationNotReached.  One table gives
-each shifted exponential sum that the weighted coefficient sums collapse to:
-its first index, closed form, first term and term ratio.
+its integral companion G(m,z) = z - sum e^{-m} m^{n-1}/n! z^n, and the image
+under I(m) of the extremal R^tau(A,B) member: the Poisson weights times its
+coefficients (A-B)|tau|/n.  One loop, _weight_pass, runs the weight
+recurrence, holds the stopping rule that chooses the order N with a provable
+tail bound, and forms each series' coefficient from its weight as it goes.
+Each such series is a _Series: its coefficient rule and tail bound give the
+CoefficientSeq its builder returns, and the same pass, given P and Q, forms
+Silverman's weighted terms w(n) |coeff_n| instead: theorems' cross-check sums
+them and builds no sequence and no list but theirs.  m e^{-m} is subnormal
+from m = 715 on, so every builder refuses such an m with TruncationNotReached.
+One table gives each shifted exponential sum that the weighted coefficient
+sums collapse to: its first index, closed form, first term and term ratio.
 """
 
 from __future__ import annotations
@@ -169,6 +169,20 @@ def _weight_pass(m: float, eps: float, rule: str, scale: float = 1.0, P: float |
     (by a margin no rounding closes), so c underflows to 0, where the loop
     stops, within 1077 steps.  So N < 2 ceil(m) + 10 + 1078 <= 2518.
 
+    The tail bound is 2 c_{N+1} (see _Series): past the floor each ratio is
+    at most m/(2m + 11), so the true sum of c_n over n > N is at most
+    (2 - 11/(m + 11)) c_{N+1} < 1.985 c_{N+1}, a slack that covers the pass's
+    relative rounding, under 2518 * 2^-52 < 2^-40.  A subnormal product
+    c * (m/x) is instead off by up to 2^-1075 absolute.  c is normal up to
+    n = 2m + 1 (the Poisson mass at 2m exceeds e^{-0.39m - 5}), so each such
+    error arises where m/n < 1/2 and later steps halve it: the computed c_{N+1}
+    is low by at most 2^-1075 (1 + 1/2 + ...) = 2^-1074 beyond its relative
+    error, and the tail is below 2 c_{N+1} + 2^-1073.  Where 2 c_{N+1} is
+    normal, 2^-1073 is under 2^-50 of it, inside the slack; below, _Series adds
+    it, exactly, and rounds the /(N+1) and *scale steps up.  It does so too
+    where the bound itself is subnormal, as at a tiny scale: rounding it there
+    is off by an absolute 2^-1075, which no relative slack covers.
+
     n is carried as the float x.  Every n here is below 2518, so x is exact,
     and so is each conversion of the int n to a float that n * P, m / n,
     c / n, scale / n and 2.0 * (n ** 2) * c would make: x * P, m / x, c / x,
@@ -220,8 +234,14 @@ class _Series(NamedTuple):
         terms, n_top, omitted = _weight_pass(p.m, policy.eps, self.rule, scale, *weights)
         # F's term ratio past the floor is below 1/2; G's b_n = c_n / n has F's
         # tail over N + 1, and |I_n| is scale times G's (scale 1.0 is exact)
-        tail = 2.0 * omitted if self.rule == "F" else 2.0 * omitted / (n_top + 1)
-        return terms, n_top, _check_tail(scale * tail)
+        tail, over = 2.0 * omitted, (1 if self.rule == "F" else n_top + 1)
+        bound = scale * (tail / over)
+        if tail < sys.float_info.min or bound < sys.float_info.min:
+            # c_{N+1} may be low by 2^-1074, or the bound rounded by an absolute
+            # 2^-1075: add twice the first, and round the steps up (see _weight_pass)
+            tail = math.nextafter((tail + 2.0 ** -1073) / over, math.inf)
+            bound = math.nextafter(scale * tail, math.inf)
+        return terms, n_top, _check_tail(bound)
 
     def weighted_sum(self, p: PoissonParams, policy: TruncationPolicy, r, c,
                      c_weights: bool) -> tuple[float, int]:
@@ -245,8 +265,8 @@ class _Series(NamedTuple):
 
 _F = _Series(SignConvention.NEGATIVE_TAIL, "F")
 _G = _Series(SignConvention.NEGATIVE_TAIL, "G")
-# theorems' I image of the extremal R^tau(A,B) member: the products c_n (scale/n)
-# that apply_operator_I forms on worst_case_R_coeffs
+# theorems' I image of the Dixit-Pal extremal R^tau(A,B) member, a_n = scale/n
+# with scale = (A-B)|tau|: each Poisson weight c_n times that a_n
 _image = _Series(SignConvention.GENERAL_TAIL, "I")
 
 
@@ -258,25 +278,6 @@ def coeffs_F(p: PoissonParams, policy: TruncationPolicy = TruncationPolicy()) ->
 def coeffs_G(p: PoissonParams, policy: TruncationPolicy = TruncationPolicy()) -> CoefficientSeq:
     """Negative-tail coefficients b_n = e^{-m} m^{n-1}/n! of the integral companion G."""
     return _G(p, policy)
-
-
-def _pmf_max_beyond(p: PoissonParams, j0: int) -> float:
-    """max over j >= j0 of the Poisson pmf e^{-m} m^j / j!."""
-    j = j0 if j0 >= p.m else math.floor(p.m)
-    return math.exp(-p.m + j * math.log(p.m) - math.lgamma(j + 1))
-
-
-def apply_operator_I(f: CoefficientSeq, p: PoissonParams) -> CoefficientSeq:
-    """Termwise product with the Poisson weights: coeff_n -> e^{-m} m^{n-1}/(n-1)! coeff_n."""
-    out = []
-    c = _first_weight(p.m)
-    for n in range(2, f.truncation_order + 1):
-        out.append(c * f.coefficients[n - 2])
-        c *= p.m / n
-    # every weight is a probability mass, so the tail shrinks by at least the
-    # largest mass beyond the truncation order
-    tail = f.tail_bound * _pmf_max_beyond(p, f.truncation_order)
-    return CoefficientSeq(f.convention, tuple(out), tail)
 
 
 # ---- shifted exponential sums ----

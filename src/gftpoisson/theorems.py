@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .criteria import ClassParams, ConditionId, MembershipReport, RParams, classify
@@ -98,7 +98,12 @@ def _t5(m: float, c: ClassParams, r: RParams) -> float:
 
 
 def _t6(m: float, c: ClassParams, r: RParams) -> float:
-    return r.scale * (c.P * m + 2 * c.k * (-math.expm1(-m)))
+    lhs = c.P * m + 2 * c.k * (-math.expm1(-m))
+    if lhs == math.inf:
+        # P m overflows, from m = MAX/P on, where 2k(1 - e^-m) is below its
+        # ulp; a scale below 1 can bring the product back under the largest double
+        return 2.0 * (r.scale * (c.P * (0.5 * m)))
+    return r.scale * lhs
 
 
 def t1_lhs(p: PoissonParams, c: ClassParams) -> float:
@@ -129,26 +134,30 @@ class PredicateSpec:
     condition names its disk inequality, S or C.  sum_scale(m, c, r) is lhs on
     the scale of the weighted coefficient sum, mapped there by exact algebra
     rather than through a factor of e^m; the cross-check recomputes it as that
-    sum under the condition's weights.  needs_r marks the theorems
-    that take (A, B, tau).  gap(c, r) is d = P - 2k/scale, by which a bounded
-    left-hand side's limit scale * P exceeds 2k, over scale (scale = 1 for
-    T4), within a few ulp of its exact value and at most 0 where that is, and
-    None for an unbounded row.  root(c, r, d) is the crossing of every row
-    that has one, given its gap: in closed form through Lambert's W for T1, T3
-    and T6, by Newton's iteration for T2, T4 and T5; None where that iteration
-    does not converge.  The solver confirms a root with two margins before it
-    relies on it.  The thresholds module derives them.
+    sum under the condition's weights.  needs_r, set at construction, marks
+    the theorems that take (A, B, tau): those about the I image.
+    gap(c, r) is d = P - 2k/scale, by which a bounded left-hand side's limit
+    scale * P exceeds 2k, over scale (scale = 1 for T4), within a few ulp of
+    its exact value and at most 0 where that is, and None for an unbounded
+    row.  root(c, r, d) is the crossing of every row that has one, given its
+    gap: in closed form through Lambert's W for T1, T3 and T6, by Newton's
+    iteration for T2, T4 and T5; None where that iteration does not converge.
+    The solver confirms a root with two margins before it relies on it.  The
+    thresholds module derives them.
     """
 
     theorem: PredicateId
     corollary: PredicateId
     series: _Series
     condition: ConditionId
-    needs_r: bool
+    needs_r: bool = field(init=False)
     gap: Callable[..., float | None]
     root: Callable[..., float | None]
     lhs: Callable[..., float]
     sum_scale: Callable[..., float]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "needs_r", self.series is _image)
 
 
 def _f_sum_scale_S(m: float, c: ClassParams, r: RParams | None) -> float:
@@ -270,24 +279,22 @@ def _t5_root(c: ClassParams, r: RParams, d: float) -> float | None:
 
 _ROWS = (
     PredicateSpec(PredicateId.T1_F_in_S, PredicateId.C1_F_in_Sk, _F,
-                  ConditionId.S_COND, needs_r=False, gap=_none,
+                  ConditionId.S_COND, gap=_none,
                   root=_lambert_root, lhs=_t1, sum_scale=_f_sum_scale_S),
     PredicateSpec(PredicateId.T2_F_in_C, PredicateId.C2_F_in_Ck, _F,
-                  ConditionId.C_COND, needs_r=False, gap=_none,
+                  ConditionId.C_COND, gap=_none,
                   root=_t2_root, lhs=_t2, sum_scale=_f_sum_scale_C),
     PredicateSpec(PredicateId.T3_G_in_C, PredicateId.C5_G_in_Ck, _G,
-                  ConditionId.C_COND, needs_r=False, gap=_none,
+                  ConditionId.C_COND, gap=_none,
                   root=_lambert_root, lhs=_t1, sum_scale=_f_sum_scale_S),
     PredicateSpec(PredicateId.T4_G_in_S, PredicateId.C6_G_in_Sk, _G,
-                  ConditionId.S_COND, needs_r=False,
-                  gap=lambda c, r: c.Q, root=_t4_root, lhs=_t4,
-                  sum_scale=_t4),
+                  ConditionId.S_COND, gap=lambda c, r: c.Q,
+                  root=_t4_root, lhs=_t4, sum_scale=_t4),
     PredicateSpec(PredicateId.T5_I_in_S, PredicateId.C3_I_in_Sk, _image,
-                  ConditionId.S_COND, needs_r=True,
-                  gap=_t5_gap, root=_t5_root, lhs=_t5,
-                  sum_scale=_t5),
+                  ConditionId.S_COND, gap=_t5_gap,
+                  root=_t5_root, lhs=_t5, sum_scale=_t5),
     PredicateSpec(PredicateId.T6_I_in_C, PredicateId.C4_I_in_Ck, _image,
-                  ConditionId.C_COND, needs_r=True, gap=_none,
+                  ConditionId.C_COND, gap=_none,
                   root=_t6_root, lhs=_t6, sum_scale=_t6),
 )
 

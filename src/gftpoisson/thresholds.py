@@ -89,7 +89,9 @@ Otherwise the end whose margin has the wrong sign moves outward by a step that
 doubles each time, and the probe it leaves becomes the other end, so no m is
 probed twice.  Below m a probe is never less than half of the last one
 rejected; where even the smallest positive double has a margin <= 0, the
-crossing lies below every positive float and DomainError is raised.
+crossing lies below every positive float and DomainError is raised.  Above m
+no probe passes the largest double; where its margin is still > 0, the
+crossing lies past every float and DomainError is raised.
 Bisection closes the bracket left where the row has no root, where tol is
 near float resolution, or where m* lies past about 1e5.  Its midpoint stays
 tol/2 or more from either end, so both ends never sit in the margin's noise.
@@ -115,6 +117,7 @@ from .series import _is_real
 from .theorems import PredicateId, _gap_margin, _margin, evaluate, resolve  # noqa: F401
 
 _TINY_M = 5e-324   # the smallest positive double
+_HUGE_M = 1.7976931348623157e308   # the largest double
 
 
 class Outcome(enum.Enum):
@@ -152,6 +155,12 @@ def _finite(pid: PredicateId, m: float, lo: float, hi: float,
                            evaluations=evals)
 
 
+def _midpoint(lo: float, hi: float) -> float:
+    # lo + hi may pass the largest double; their halves, exact there, do not
+    m = 0.5 * (lo + hi)
+    return m if m < math.inf else 0.5 * lo + 0.5 * hi
+
+
 def _expanded(margin, m: float, step: float) -> tuple[float, float]:
     """(lo, hi) with margin(lo) > 0 >= margin(hi), from probes at m - step and
     m + step, moving the end with the wrong sign outward by a step that
@@ -173,13 +182,16 @@ def _expanded(margin, m: float, step: float) -> tuple[float, float]:
         lo_margin = margin(lo)
 
     # the margin ends below zero: an unbounded LHS overtakes 2k, and a bounded
-    # one nears its limit, past 2k here
+    # one nears its limit, past 2k here, but maybe past the largest double
     if hi is None:
-        hi = m + step
-        while margin(hi) > 0:
+        hi = m + step if m + step < _HUGE_M else _HUGE_M
+        while (hi_margin := margin(hi)) > 0:
+            if hi == _HUGE_M:
+                raise DomainError(f"the crossing lies past the largest double: "
+                                  f"the margin at m = {hi!r} is {hi_margin!r}")
             lo = hi
             step *= 2
-            hi += step
+            hi = hi + step if hi + step < _HUGE_M else _HUGE_M
     return lo, hi
 
 
@@ -218,11 +230,11 @@ def solve_m_star(pid: PredicateId, c: ClassParams, r: RParams | None = None,
         return _finite(pid, start, lo, hi, evals)
 
     while hi - lo >= tol:   # bisection
-        m = 0.5 * (lo + hi)
+        m = _midpoint(lo, hi)
         if not lo < m < hi:
             break   # bracket at float resolution
         if margin(m) > 0:
             lo = m
         else:
             hi = m
-    return _finite(pid, 0.5 * (lo + hi), lo, hi, evals)
+    return _finite(pid, _midpoint(lo, hi), lo, hi, evals)

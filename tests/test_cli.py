@@ -381,6 +381,41 @@ def test_identities_past_the_series_limit_keeps_its_message(capsys):
     assert err.startswith("numeric failure: ") and "Shift3" not in err
 
 
+# ---- each route's domain in m ----
+
+MIN_NORMAL, BELOW_MIN_NORMAL = "2.2250738585072014e-308", "2.225073858507201e-308"
+SERIES_M_MAX, ABOVE_SERIES_M_MAX = "714.9686572379665", "714.9686572379666"
+T1 = ("--predicate", "T1_F_in_S", "--k", "0.5")
+T6 = ("--predicate", "T6_I_in_C", "--k", "0.5", "--A", "1", "--B", "-1", "--tau-re")
+
+
+# the table of README's exit-code section, one row per side of each edge
+@pytest.mark.parametrize("argv,code", [
+    (("check", *T1, "--m", "5e-324"), EXIT_HOLDS),
+    (("check", *T1, "--m", "0"), EXIT_USAGE),
+    (("check", *T1, "--m", "1.7976931348623157e+308"), EXIT_FAILS),
+    (("check", *T1, "--m", "inf"), EXIT_USAGE),
+    (("crosscheck", *T1, "--m", MIN_NORMAL), EXIT_HOLDS),
+    (("crosscheck", *T1, "--m", BELOW_MIN_NORMAL), EXIT_NUMERIC),
+    (("crosscheck", *T1, "--m", SERIES_M_MAX), EXIT_FAILS),
+    (("crosscheck", *T1, "--m", ABOVE_SERIES_M_MAX), EXIT_NUMERIC),
+    (("grid", *T1, "--m", MIN_NORMAL), EXIT_HOLDS),
+    (("grid", *T1, "--m", BELOW_MIN_NORMAL), EXIT_NUMERIC),
+    (("grid", *T1, "--m", SERIES_M_MAX), EXIT_HOLDS),
+    (("grid", *T1, "--m", ABOVE_SERIES_M_MAX), EXIT_NUMERIC),
+    (("identities", "--m", MIN_NORMAL), EXIT_HOLDS),
+    (("identities", "--m", BELOW_MIN_NORMAL), EXIT_NUMERIC),
+    (("identities", "--m", SHIFT3_LIMIT), EXIT_HOLDS),
+    (("identities", "--m", "696.6900317052615"), EXIT_NUMERIC),
+    (("threshold", "--predicate", "C2_F_in_Ck", "--k", "1e-323"), EXIT_HOLDS),
+    (("threshold", "--predicate", "C2_F_in_Ck", "--k", "5e-324"), EXIT_USAGE),
+    (("threshold", *T6, "1e-308"), EXIT_HOLDS),
+    (("threshold", *T6, "1e-309"), EXIT_USAGE),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v))
+def test_each_route_accepts_its_domain_in_m_and_refuses_past_it(capsys, argv, code):
+    assert run_cli(capsys, *argv)[0] == code
+
+
 # ---- suite ----
 
 def test_suite_json_all_pass(capsys, monkeypatch):

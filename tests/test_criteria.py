@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 from gftpoisson import (ClassParams, CoefficientSeq, ConditionId, DomainError,
                         MembershipReport, Outcome, PoissonParams, RParams,
                         SignConvention, ThresholdResult, TruncationPolicy,
-                        Verdict, apply_operator_I, choose_truncation, classify,
-                        coeffs_F, coeffs_G, dixit_pal_bound, dumps_canonical,
-                        worst_case_R_coeffs)
+                        Verdict, choose_truncation, classify, coeffs_F,
+                        coeffs_G, dumps_canonical)
 from gftpoisson.series import _F, _G
 from gftpoisson.theorems import _image
 
@@ -311,6 +310,17 @@ def _seq(coeffs):
     return CoefficientSeq(SignConvention.NEGATIVE_TAIL, tuple(coeffs), 0.0)
 
 
+def _extremal_image(p, r, n_top):
+    """I(m) on the extremal R^tau(A,B) member a_n = (A-B)|tau|/n, to n = n_top,
+    written out: the weight recurrence over the int n, c_2 = m e^{-m} and
+    c_{n+1} = c_n (m/n), each weight times complex(scale / n)."""
+    out, c = [], p.m * math.exp(-p.m)
+    for n in range(2, n_top + 1):
+        out.append(c * complex(r.scale / n))
+        c *= p.m / n
+    return out
+
+
 def _sum(f, c, condition):
     # Silverman's sum over a CoefficientSeq: the weighted sum of its magnitudes
     return _weighted_sum(map(abs, f.coefficients), c, condition)
@@ -354,15 +364,15 @@ def test_weighted_sum_matches_the_written_out_weights_bit_for_bit(series, condit
     p, policy = PoissonParams(m), TruncationPolicy()
     r = RParams(A=1.0, B=-0.5, tau=0.3 + 0.4j)
     if series == "F":
-        one_pass, f = _F, coeffs_F(p, policy)
+        one_pass, coeffs = _F, coeffs_F(p, policy).coefficients
     elif series == "G":
-        one_pass, f = _G, coeffs_G(p, policy)
+        one_pass, coeffs = _G, coeffs_G(p, policy).coefficients
     else:
-        worst = worst_case_R_coeffs(r, choose_truncation(p, policy))
-        one_pass, f = _image, apply_operator_I(worst, p)
+        one_pass, coeffs = _image, _extremal_image(p, r, choose_truncation(p, policy))
     c = ClassParams(k=k, lam=lam)
     total, n_top = one_pass.weighted_sum(p, policy, r, c, condition is C)
-    assert (total.hex(), n_top) == (_sum(f, c, condition).hex(), f.truncation_order)
+    assert (total.hex(), n_top) == (_weighted_sum(map(abs, coeffs), c, condition).hex(),
+                                    len(coeffs) + 1)
 
 
 def test_weighted_sum_sums_the_magnitude_of_a_general_tail():
@@ -391,27 +401,3 @@ def test_weighted_sum_C_holding_implies_S_holding(k, lam, bs):
     if classify(2 * c.k - _sum(seq, c, C)) is Verdict.HOLDS:
         s_verdict = classify(2 * c.k - _sum(seq, c, S))
         assert s_verdict in (Verdict.HOLDS, Verdict.MARGINAL)
-
-
-# ---- derivative bound for the R class ----
-
-def test_dixit_pal_bound_values():
-    assert dixit_pal_bound(2, RParams(A=1.0, B=-1.0, tau=1.0)) == pytest.approx(
-        1.0, rel=1e-15)
-    assert dixit_pal_bound(4, RParams(A=0.5, B=0.0, tau=2j)) == pytest.approx(
-        0.25, rel=1e-15)
-
-
-@given(n=st.integers(min_value=2, max_value=50))
-def test_dixit_pal_bound_decreasing(n):
-    r = RParams(A=0.8, B=-0.3, tau=1 + 1j)
-    assert dixit_pal_bound(n + 1, r) < dixit_pal_bound(n, r)
-
-
-def test_worst_case_R_coeffs():
-    r = RParams(A=1.0, B=-1.0, tau=1.0)
-    w = worst_case_R_coeffs(r, 4)
-    assert w.convention is SignConvention.GENERAL_TAIL
-    assert w.tail_bound == 0.0
-    assert w.coefficients[0] == pytest.approx(1.0, rel=1e-15)
-    assert abs(w.coefficients[1]) == pytest.approx(2 / 3, rel=1e-15)

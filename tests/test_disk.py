@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from gftpoisson import (ClassParams, CoefficientSeq, ConditionId, DomainError,
                         GridSpec, PoissonParams, RParams, SignConvention,
-                        TruncationPolicy, apply_operator_I, coeffs_F, coeffs_G,
-                        grid_check, worst_case_R_coeffs)
+                        TruncationPolicy, coeffs_F, coeffs_G, grid_check)
 import gftpoisson.disk
 from gftpoisson.disk import MAX_POINTS
+from gftpoisson.series import _image
 from gftpoisson.theorems import SPECS, PredicateId
 
 POLICY = TruncationPolicy(eps=1e-12)
@@ -86,12 +86,26 @@ def test_r_condition_B_zero_reference_circles():
         assert (report.violations, report.skipped) == (0, 0)
 
 
+def _weighted(p, member):
+    """I(m) on the polynomial z + sum member[n-2] z^n, written out: the
+    Poisson weights c_2 = m e^{-m}, c_{n+1} = c_n (m/n) times its coefficients."""
+    weights, c = [], p.m * math.exp(-p.m)
+    for n in range(2, len(member) + 2):
+        weights.append(c)
+        c *= p.m / n
+    return CoefficientSeq(SignConvention.GENERAL_TAIL,
+                          tuple(w * a for w, a in zip(weights, member)), 0.0)
+
+
 def _image_of(r, p):
     """I applied to the member with a_n = (A-B) tau / n: complex coefficients
     that carry tau's phase, their imaginary parts all zero when tau is real."""
-    member = CoefficientSeq(SignConvention.GENERAL_TAIL,
-                            tuple((r.A - r.B) * r.tau / n for n in range(2, 13)), 0.0)
-    return apply_operator_I(member, p)
+    return _weighted(p, [(r.A - r.B) * r.tau / n for n in range(2, 13)])
+
+
+def _extremal_image(r, p):
+    """I applied to the member with a_n = (A-B)|tau| / n, to n = 12."""
+    return _weighted(p, [r.scale / n for n in range(2, 13)])
 
 
 REAL_SERIES = {"F": coeffs_F(PoissonParams(0.7), POLICY),
@@ -228,7 +242,7 @@ def test_grid_check_r_condition_worst_case():
     # |f'-1| <= 2 sum of the Poisson masses = 2(1-e^{-m}) keeps the operator
     # image inside the R bound at m=0.5
     r = RParams(A=1.0, B=-1.0, tau=1.0)
-    f = apply_operator_I(worst_case_R_coeffs(r, 40), PoissonParams(0.5))
+    f = _image(PoissonParams(0.5), POLICY, r)
     report = grid_check(f, ConditionId.R_COND, r, GridSpec())
     assert report.violations == 0
     assert report.max_value < 1.0
@@ -396,7 +410,7 @@ def _series(kind, m, scale, r):
     if kind == "G":
         return coeffs_G(p, POLICY)
     if kind == "I":
-        return apply_operator_I(worst_case_R_coeffs(r, 12), p)
+        return _extremal_image(r, p)
     if kind == "I_tau":
         return _image_of(r, p)
     f = coeffs_F(p, POLICY)
@@ -472,8 +486,7 @@ def test_c_grid_is_the_s_grid_of_z_fprime(kind, k, lam, radii, points, floor_exp
 def test_grid_check_with_some_points_skipped_equals_the_reference_values(condition, points):
     # a real table, so the S/C grids visit the upper half with multiplicities;
     # at P = 9 the point j = P//2 has a mirror, at P = 64 it has none
-    f = apply_operator_I(worst_case_R_coeffs(RParams(A=1.0, B=-1.0, tau=0.3 + 0.4j), 12),
-                         PoissonParams(4.0))
+    f = _extremal_image(RParams(A=1.0, B=-1.0, tau=0.3 + 0.4j), PoissonParams(4.0))
     params = (RParams(A=0.3, B=-0.5, tau=0.3 + 0.4j) if condition is ConditionId.R_COND
               else ClassParams(k=0.02, lam=0.3))
     grid = GridSpec(radii=(0.5, 0.9), points_per_circle=points, denominator_floor=0.5)

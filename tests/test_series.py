@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 
 from gftpoisson import (CoefficientSeq, DomainError, PoissonParams,
                         SignConvention, SumKind, TruncationNotReached,
-                        TruncationPolicy, apply_operator_I, choose_truncation,
-                        coeffs_F, coeffs_G, partial_shifted_sum,
-                        shifted_exp_sum, worst_case_R_coeffs)
+                        TruncationPolicy, choose_truncation, coeffs_F,
+                        coeffs_G, partial_shifted_sum, shifted_exp_sum)
 from gftpoisson.criteria import RParams
 from gftpoisson.series import _SUMS, _exact_sum
 from gftpoisson.theorems import _image
@@ -140,39 +139,6 @@ def test_coeffs_G_total_mass_m1():
     assert math.fsum(g.coefficients) == pytest.approx(0.26424111765711533, abs=1e-13)
 
 
-# ---- operator ----
-
-def test_operator_on_zero_tail_is_identity():
-    f = CoefficientSeq(SignConvention.GENERAL_TAIL, (0j, 0j, 0j), 0.0)
-    out = apply_operator_I(f, PoissonParams(2.0))
-    assert out.coefficients == (0j, 0j, 0j)
-    assert out.tail_bound == 0.0
-    assert out.truncation_order == f.truncation_order
-
-
-def test_operator_single_term():
-    f = CoefficientSeq(SignConvention.GENERAL_TAIL, (1.0 + 0j,), 0.0)
-    out = apply_operator_I(f, PoissonParams(1.0))
-    assert out.coefficients[0] == pytest.approx(math.exp(-1), rel=1e-15)
-
-
-def test_operator_on_worst_case_sequence():
-    r = RParams(A=1.0, B=-1.0, tau=1.0)
-    worst = worst_case_R_coeffs(r, 6)
-    out = apply_operator_I(worst, PoissonParams(1.0))
-    # spot check n=3: weight e^{-1}/2 times coefficient 2/3
-    assert out.coefficients[1].real == pytest.approx(math.exp(-1) / 3, rel=1e-14)
-    assert out.coefficients[1].imag == 0.0
-    assert out.coefficients[0].real == pytest.approx(math.exp(-1), rel=1e-15)
-
-
-def test_operator_preserves_order_and_shrinks_tail():
-    f = CoefficientSeq(SignConvention.GENERAL_TAIL, (0.5 + 0.1j, 0.2j), 0.7)
-    out = apply_operator_I(f, PoissonParams(3.0))
-    assert out.truncation_order == f.truncation_order
-    assert 0 <= out.tail_bound <= f.tail_bound
-
-
 # ---- shifted exponential sums ----
 
 CLOSED = {
@@ -271,16 +237,12 @@ def test_a_huge_m_is_refused_before_any_weight_loop(build):
 
 # m e^{-m} is subnormal from m = 715 on; the weights would start from a
 # number with too few bits, and the coefficients and tail bound round to zero
-@pytest.mark.parametrize("build", [coeffs_F, coeffs_G], ids=["F", "G"])
+@pytest.mark.parametrize("build", [
+    coeffs_F, coeffs_G, lambda p, policy: _image(p, policy, RParams(A=1.0, B=-1.0))],
+    ids=["F", "G", "I"])
 def test_builders_refuse_a_subnormal_first_weight(build):
     with pytest.raises(TruncationNotReached):
         build(PoissonParams(800.0), POLICY)
-
-
-def test_operator_refuses_a_subnormal_first_weight():
-    f = CoefficientSeq(SignConvention.GENERAL_TAIL, (1.0 + 0j, 0.5j), 0.1)
-    with pytest.raises(TruncationNotReached):
-        apply_operator_I(f, PoissonParams(800.0))
 
 
 def test_builders_still_reach_m_714():
@@ -290,8 +252,8 @@ def test_builders_still_reach_m_714():
     # the Poisson weights of F carry mass 1 - e^{-m}
     assert math.fsum(f.coefficients) == pytest.approx(1.0, rel=1e-9)
     assert coeffs_G(p, POLICY).coefficients[0] == f.coefficients[0] / 2
-    out = apply_operator_I(CoefficientSeq(SignConvention.GENERAL_TAIL, (1.0 + 0j,), 0.0), p)
-    assert out.coefficients[0] == f.coefficients[0]
+    # scale (A-B)|tau| = 2 makes the image's a_2 = c_2 (2/2) the weight itself
+    assert _image(p, POLICY, RParams(A=1.0, B=-1.0)).coefficients[0] == f.coefficients[0]
 
 
 @pytest.mark.parametrize("m", [709.0, 711.0, 713.0, 714.0, 714.9])
@@ -316,8 +278,7 @@ def _series_digest():
         r = RParams(A=rng.uniform(0.0, 1.0), B=rng.uniform(-1.0, -1e-3),
                     tau=complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)))
         n_top = choose_truncation(p, policy)
-        for f in (coeffs_F(p, policy), coeffs_G(p, policy),
-                  apply_operator_I(worst_case_R_coeffs(r, n_top), p)):
+        for f in (coeffs_F(p, policy), coeffs_G(p, policy), _image(p, policy, r)):
             h.update(repr((n_top, f.coefficients, f.tail_bound)).encode())
     for _ in range(1000):
         p = PoissonParams(rng.uniform(1e-6, 50.0))
@@ -331,7 +292,7 @@ def _series_digest():
 def test_builders_and_sums_are_bit_identical():
     # repr() of a float round-trips, so any change in any last bit shows here
     assert _series_digest() == (
-        "81bf0c6a6c76a5e290ca5cc70a84cf502c50e2c9663129ec570cbeb9637d6b44")
+        "520cc90d8e790c11106ad8509eb6476d1c223c1cdbcd596c00cead308055760a")
 
 
 # ---- trusted construction ----

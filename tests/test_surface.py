@@ -8,12 +8,11 @@ PUBLIC = [
     "DomainError", "GridReport", "GridSpec", "InvalidTolerance",
     "MembershipReport", "MissingRParams", "Outcome", "PoissonParams",
     "PredicateId", "RParams", "SignConvention", "SumKind", "ThresholdResult",
-    "TruncationNotReached", "TruncationPolicy", "Verdict", "apply_operator_I",
+    "TruncationNotReached", "TruncationPolicy", "Verdict",
     "choose_truncation", "classify", "coeffs_F", "coeffs_G", "crosscheck",
-    "dixit_pal_bound", "dumps_canonical", "evaluate",
-    "evaluate_with_crosscheck", "grid_check", "partial_shifted_sum",
-    "run_suite", "shifted_exp_sum", "solve_m_star", "t1_lhs", "t4_lhs",
-    "t5_lhs", "worst_case_R_coeffs",
+    "dumps_canonical", "evaluate", "evaluate_with_crosscheck", "grid_check",
+    "partial_shifted_sum", "run_suite", "shifted_exp_sum", "solve_m_star",
+    "t1_lhs", "t4_lhs", "t5_lhs",
 ]
 
 

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import random
 
@@ -8,11 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gftpoisson import (ClassParams, ConditionId, DomainError, MissingRParams,
-                        PoissonParams, PredicateId, RParams, TruncationPolicy,
-                        Verdict, apply_operator_I, choose_truncation, classify,
+                        PoissonParams, PredicateId, RParams, SignConvention,
+                        TruncationPolicy, Verdict, choose_truncation, classify,
                         coeffs_G, crosscheck, evaluate, evaluate_with_crosscheck,
-                        coeffs_F, t1_lhs, t4_lhs, t5_lhs, worst_case_R_coeffs)
-from gftpoisson.series import _exact_sum
+                        coeffs_F, t1_lhs, t4_lhs, t5_lhs)
+from gftpoisson.series import _F, _G, _exact_sum
 from gftpoisson.theorems import SPECS, _image, _margin, resolve
 
 ks = st.floats(min_value=1e-6, max_value=1.0)
@@ -169,6 +170,16 @@ def test_missing_r_params_raises():
                  ClassParams(k=0.5, lam=0.0))
 
 
+def test_a_row_needs_r_exactly_when_its_series_is_the_image():
+    # needs_r is derived from the series at construction, never passed
+    assert ({pid for pid, row in SPECS.items() if row.needs_r}
+            == {PredicateId.T5_I_in_S, PredicateId.C3_I_in_Sk,
+                PredicateId.T6_I_in_C, PredicateId.C4_I_in_Ck})
+    assert all(row.needs_r is (row.series is _image) for row in SPECS.values())
+    with pytest.raises(ValueError):
+        dataclasses.replace(SPECS[PredicateId.T1_F_in_S], needs_r=True)
+
+
 def test_t3_agrees_with_t1():
     rng = random.Random(7)
     for _ in range(1000):
@@ -276,28 +287,44 @@ IMAGE = SPECS[PredicateId.T5_I_in_S].series
 @given(m=st.floats(1e-3, 700.0), eps_exp=st.floats(-15.0, -3.0), r=r_params)
 @settings(max_examples=100, deadline=None)
 def test_image_builder_equals_the_operator_on_the_extremal_member(m, eps_exp, r):
+    # the operator written out: the weight recurrence over the int n, c_2 =
+    # m e^{-m} and c_{n+1} = c_n (m/n), each weight times complex(scale / n);
+    # the one weight pass carries n as a float and must give the same bits
     p, policy = PoissonParams(m), TruncationPolicy(eps=10.0 ** eps_exp)
     image = IMAGE(p, policy, r)
-    via_operator = apply_operator_I(worst_case_R_coeffs(r, choose_truncation(p, policy)), p)
-    assert image.convention is via_operator.convention
-    assert image.coefficients == via_operator.coefficients
+    via_operator, c = [], m * math.exp(-m)
+    for n in range(2, choose_truncation(p, policy) + 1):
+        via_operator.append(c * complex(r.scale / n))
+        c *= m / n
+    assert image.convention is SignConvention.GENERAL_TAIL
+    assert image.coefficients == tuple(via_operator)
 
 
-@given(m=st.floats(1e-3, 600.0), eps_exp=st.floats(-15.0, -3.0), r=r_params)
-@settings(max_examples=60, deadline=None)
-def test_image_tail_bound_covers_the_true_tail(m, eps_exp, r):
-    f = IMAGE(PoissonParams(m), TruncationPolicy(eps=10.0 ** eps_exp), r)
-    top = f.truncation_order
+@given(series=st.sampled_from("FGI"), m=st.floats(1e-3, 600.0),
+       eps_exp=st.floats(-324.0, -3.0), r=r_params)
+@settings(max_examples=150, deadline=None)
+# c_{N+1} underflows to 0 at eps = 5e-324, where the true tails are 3.7e-180
+# and 1.8e-30; at scale 5e-324 scale times a normal tail underflows to 0
+@example(series="I", m=1.0, eps_exp=-324.0, r=RParams(A=1.0, B=-1.0, tau=1e150))
+@example(series="I", m=1.0, eps_exp=-324.0, r=RParams(A=1.0, B=0.0, tau=1e300))
+@example(series="I", m=1.0, eps_exp=-12.0, r=RParams(A=1.0, B=0.0, tau=5e-324))
+@example(series="F", m=1.0, eps_exp=-324.0, r=None)
+@example(series="G", m=700.0, eps_exp=-324.0, r=None)
+def test_builders_tail_bound_covers_the_true_tail(series, m, eps_exp, r):
+    p, policy = PoissonParams(m), TruncationPolicy(eps=max(10.0 ** eps_exp, 5e-324))
+    f = {"F": _F, "G": _G, "I": IMAGE}[series](p, policy, r)
+    top, over_n = f.truncation_order, series != "F"
     with mpmath.workdps(50):
         mm = mpmath.mpf(m)
-        # |I_n| = scale e^{-m} m^{n-1}/n!, summed over n > N until the terms vanish
-        term = mpmath.exp(-mm + top * mpmath.log(mm) - mpmath.loggamma(top + 2))
+        # c_n = e^{-m} m^{n-1}/(n-1)!, over n for G and I and times scale for I,
+        # summed over n > N until the terms vanish
+        term = mpmath.exp(-mm + top * mpmath.log(mm) - mpmath.loggamma(top + 1 + over_n))
         tail, n = mpmath.mpf(0), top + 1
         while term > tail * mpmath.mpf(10) ** -52:
             tail += term
+            term *= mm / (n + over_n)
             n += 1
-            term *= mm / n
-        true_tail = mpmath.mpf(r.scale) * tail
+        true_tail = tail * (mpmath.mpf(r.scale) if series == "I" else 1)
     assert 0 < true_tail <= f.tail_bound
 
 

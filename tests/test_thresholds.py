@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import math
 import random
+import sys
 
 import mpmath
 import pytest
@@ -760,7 +761,7 @@ def test_a_gap_the_float_limit_hides_is_solved():
 def test_a_crossing_past_the_largest_double_is_refused(capsys):
     # d = 5e-324 puts Q/d and the crossing past every double, where the float
     # limit, 1e-323 * 1.0, called this always_holds; the root is None and the
-    # search doubles out to m = inf, where the probe guard raises
+    # search doubles out to the largest double, where the margin is still > 0
     pid, c = PredicateId.T5_I_in_S, ClassParams(k=5e-324, lam=0.0)
     r = RParams(A=1.0, B=0.0, tau=1e-323)
     assert 2 * c.k - r.scale * c.P == 0
@@ -770,4 +771,34 @@ def test_a_crossing_past_the_largest_double_is_refused(capsys):
     code = main(["threshold", "--predicate", pid.value, "--k", "5e-324",
                  "--A", "1", "--B", "0", "--tau-re", "1e-323"])
     assert code == EXIT_USAGE
-    assert "not finite and positive" in capsys.readouterr().err
+    assert "the crossing lies past the largest double" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tau", [1e-308, 3e-309, 2.5e-309])
+def test_a_t6_crossing_near_the_largest_double_is_solved(tau):
+    # 1.5 m + (1 - e^-m) = 1/scale at k = 0.5, so m* = (1/scale - 1)/1.5 here;
+    # from MAX/2 on the bisection midpoint 0.5 (lo + hi) overflowed to inf, and
+    # from MAX/1.5 on so did P m inside T6's closed form
+    c, r = ClassParams(k=0.5), RParams(A=1.0, B=-1.0, tau=tau)
+    res = solve_m_star(PredicateId.T6_I_in_C, c, r=r)
+    exact = (1 / mpmath.mpf(r.scale) - 1) / mpmath.mpf(1.5)
+    assert res.outcome is Outcome.FINITE
+    assert abs(exact - res.m_star) <= res.bracket_width < 1e-15 * res.m_star
+
+
+def test_t6_closed_form_past_the_overflow_of_P_m():
+    # P m = 1.5 m overflows here, but the left-hand side scale P m does not
+    c, r = ClassParams(k=0.5), RParams(A=1.0, B=-1.0, tau=1e-309)
+    report = evaluate(PredicateId.T6_I_in_C, PoissonParams(1.3e308), c, r)
+    assert report.lhs == pytest.approx(r.scale * 1.5 * 1.3e308, rel=1e-13)
+    assert report.verdict is Verdict.HOLDS
+
+
+def test_a_t6_crossing_past_the_largest_double_names_its_cause(capsys):
+    # m* = 3.3e308 at tau = 1e-309: the upward search stops at the largest
+    # double with the margin still > 0
+    assert main(["threshold", "--predicate", "T6_I_in_C", "--k", "0.5",
+                 "--A", "1", "--B", "-1", "--tau-re", "1e-309"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "the crossing lies past the largest double" in err
+    assert f"the margin at m = {sys.float_info.max!r} is " in err
