@@ -10,7 +10,9 @@ theorems' cross-check compares the sum of those terms with the closed form.
 It draws no verdict from the sum, since the weights grow with n, so a bound
 on sum_{n>N} |coeff_n| is no bound on the weighted tail.  ClassParams stores
 P and Q, and RParams the scale (A-B)|tau|, once, at construction; they and
-the result records set every field in one step.  For the class R^tau(A,B)
+the result records set every field in one step.  All are series._Record
+records: repr, equality and hashing read the constructor fields alone, and
+every assignment is refused.  For the class R^tau(A,B)
 the n-th coefficient of any member is bounded by (A-B)|tau|/n (Dixit and
 Pal, 1995); the operator theorems are about the member that attains it.
 """
@@ -20,10 +22,9 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass, field
 
 from .errors import DomainError
-from .series import _is_real
+from .series import _is_real, _Record
 
 # Verdicts within this absolute band around lhs = 2k are Marginal: the sharp
 # boundary cases sit exactly on the line and floats cannot adjudicate equality.
@@ -42,8 +43,7 @@ class ConditionId(enum.Enum):
     R_COND = "R_cond"
 
 
-@dataclass(frozen=True, init=False)
-class ClassParams:
+class ClassParams(_Record):
     """The pair (k, lambda) with 0 < k <= 1 and 0 <= lambda < 1.
 
     P = (1 - lambda) + k (1 + lambda) and Q = (1 - lambda)(1 - k), the slope
@@ -51,10 +51,7 @@ class ClassParams:
     part in repr, equality or hashing.
     """
 
-    k: float
-    lam: float = 0.0
-    P: float = field(init=False, repr=False, compare=False)
-    Q: float = field(init=False, repr=False, compare=False)
+    _fields = ("k", "lam")
 
     def __init__(self, k: float, lam: float = 0.0) -> None:
         # an exact float needs no type check; nan fails the comparisons
@@ -68,8 +65,7 @@ class ClassParams:
                              Q=(1 - lam) * (1 - k))
 
 
-@dataclass(frozen=True, init=False)
-class RParams:
+class RParams(_Record):
     """The triple (A, B, tau) with -1 <= B < A <= 1 and tau nonzero.
 
     scale = (A - B)|tau|, the factor multiplying every coefficient bound, is
@@ -79,19 +75,20 @@ class RParams:
     part in repr, equality or hashing.
     """
 
-    A: float
-    B: float
-    tau: complex = 1.0 + 0.0j
-    scale: float = field(init=False, repr=False, compare=False)
+    _fields = ("A", "B", "tau")
 
     def __init__(self, A: float, B: float, tau: complex = 1.0 + 0.0j) -> None:
         if not ((type(A) is float or _is_real(A)) and (type(B) is float or _is_real(B))
                 and -1 <= B < A <= 1):
             raise DomainError(f"need -1 <= B < A <= 1, got A={A!r}, B={B!r}")
+        # an exact complex or float needs no type check, as k and m need none
+        if not (type(tau) is complex or type(tau) is float or _is_real(tau)
+                or isinstance(tau, complex)):
+            raise DomainError(f"tau must be a finite complex number, got {tau!r}")
         t = complex(tau)
         if t == 0:
             raise DomainError("tau must be nonzero")
-        if isinstance(tau, bool) or not cmath.isfinite(t):
+        if not cmath.isfinite(t):
             raise DomainError(f"tau must be a finite complex number, got {tau!r}")
         A, B = float(A), float(B)
         try:
@@ -105,15 +102,9 @@ class RParams:
         self.__dict__.update(A=A, B=B, tau=t, scale=scale)
 
 
-@dataclass(frozen=True, init=False)
-class MembershipReport:
-    predicate: str
-    verdict: Verdict
-    lhs: float
-    rhs: float
-    margin: float
-    crosscheck_residual: float | None = None
-    truncation_order: int | None = None
+class MembershipReport(_Record):
+    _fields = ("predicate", "verdict", "lhs", "rhs", "margin", "crosscheck_residual",
+               "truncation_order")
 
     def __init__(self, predicate: str, verdict: Verdict, lhs: float, rhs: float,
                  margin: float, crosscheck_residual: float | None = None,

@@ -42,11 +42,10 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 
 from .criteria import ClassParams, ConditionId, RParams
 from .errors import DomainError
-from .series import CoefficientSeq, SignConvention, _is_real
+from .series import CoefficientSeq, SignConvention, _is_real, _Record
 
 DEFAULT_RADII = (0.25, 0.5, 0.75, 0.9)
 DEFAULT_POINTS = 256
@@ -61,38 +60,35 @@ DEFAULT_FLOOR = 1e-12
 MAX_POINTS = 2 ** 20
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    radii: tuple = DEFAULT_RADII
-    points_per_circle: int = DEFAULT_POINTS
-    denominator_floor: float = DEFAULT_FLOOR
+class GridSpec(_Record):
+    _fields = ("radii", "points_per_circle", "denominator_floor")
 
-    def __post_init__(self) -> None:
-        radii = tuple(self.radii)
-        if not radii or any(not (_is_real(r) and 0 < r < 1) for r in radii):
-            raise DomainError(f"radii must be real numbers in (0,1), got {self.radii!r}")
+    def __init__(self, radii: tuple = DEFAULT_RADII, points_per_circle: int = DEFAULT_POINTS,
+                 denominator_floor: float = DEFAULT_FLOOR) -> None:
+        given = tuple(radii)
+        if not given or any(not (_is_real(r) and 0 < r < 1) for r in given):
+            raise DomainError(f"radii must be real numbers in (0,1), got {radii!r}")
         # range() in grid_check needs an int, and a bool is no count
-        if not isinstance(self.points_per_circle, int) or isinstance(self.points_per_circle, bool):
-            raise DomainError(f"points_per_circle must be an int, got {self.points_per_circle!r}")
-        if self.points_per_circle < 8:
-            raise DomainError(f"need at least 8 points per circle, got {self.points_per_circle}")
-        if self.points_per_circle > MAX_POINTS:
+        if not isinstance(points_per_circle, int) or isinstance(points_per_circle, bool):
+            raise DomainError(f"points_per_circle must be an int, got {points_per_circle!r}")
+        if points_per_circle < 8:
+            raise DomainError(f"need at least 8 points per circle, got {points_per_circle}")
+        if points_per_circle > MAX_POINTS:
             raise DomainError(f"need at most {MAX_POINTS} points per circle, "
-                              f"got {self.points_per_circle}")
+                              f"got {points_per_circle}")
         # an infinite floor skips every point, and a grid that sampled nothing reads as a pass
-        if not (_is_real(self.denominator_floor) and 0 < self.denominator_floor < math.inf):
+        if not (_is_real(denominator_floor) and 0 < denominator_floor < math.inf):
             raise DomainError("denominator_floor must be a finite positive number, "
-                              f"got {self.denominator_floor!r}")
-        object.__setattr__(self, "radii", tuple(float(r) for r in radii))
+                              f"got {denominator_floor!r}")
+        self._set(tuple(float(r) for r in given), points_per_circle, denominator_floor)
 
 
-@dataclass(frozen=True)
-class GridReport:
-    condition: ConditionId
-    max_value: float
-    argmax_z: complex
-    violations: int
-    skipped: int
+class GridReport(_Record):
+    _fields = ("condition", "max_value", "argmax_z", "violations", "skipped")
+
+    def __init__(self, condition: ConditionId, max_value: float, argmax_z: complex,
+                 violations: int, skipped: int) -> None:
+        self._set(condition, max_value, argmax_z, violations, skipped)
 
     def to_json_dict(self) -> dict:
         return {"condition": self.condition.value, "max": self.max_value,

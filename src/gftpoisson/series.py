@@ -13,15 +13,17 @@ them and builds no sequence and no list but theirs.  m e^{-m} is subnormal
 from m = 715 on, so every builder refuses such an m with TruncationNotReached.
 One table gives each shifted exponential sum that the weighted coefficient
 sums collapse to: its first index, closed form, first term and term ratio.
+_Record, the base of every frozen record in the package, lives here beside
+_is_real, which each record module imports.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from collections import namedtuple
 
 from .errors import DomainError, TruncationNotReached
 
@@ -29,6 +31,45 @@ from .errors import DomainError, TruncationNotReached
 def _is_real(x) -> bool:
     # bool is an int subclass, but True is no spelling of 1
     return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+class _Record:
+    """Base of the package's frozen records.
+
+    _fields names a record's constructor arguments, in order; repr, equality
+    and hashing read those attributes alone, so a constant stored beside
+    them takes no part.  A record's __init__ validates its arguments and sets
+    its attributes past the __setattr__ that refuses every assignment, as
+    _set does.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __repr__(self) -> str:
+        args = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({args})"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def _set(self, *values) -> None:
+        # each value to its field, in the order of _fields
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class SignConvention(enum.Enum):
@@ -44,11 +85,10 @@ class SumKind(enum.Enum):
     POW_N_OVER_N_FACT = "PowNOverNFact"    # sum_{n>=2} m^n/n! = e^m - 1 - m
 
 
-@dataclass(frozen=True, init=False)
-class PoissonParams:
+class PoissonParams(_Record):
     """Poisson parameter m > 0."""
 
-    m: float
+    _fields = ("m",)
 
     def __init__(self, m: float) -> None:
         if not ((type(m) is float or _is_real(m)) and math.isfinite(m) and m > 0):
@@ -56,15 +96,15 @@ class PoissonParams:
         self.__dict__["m"] = float(m)
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
+class TruncationPolicy(_Record):
     """Target absolute tail error eps; N < 2518 however small it is (see _weight_pass)."""
 
-    eps: float = 1e-12
+    _fields = ("eps",)
 
-    def __post_init__(self) -> None:
-        if not (_is_real(self.eps) and self.eps > 0 and math.isfinite(self.eps)):
-            raise DomainError(f"eps must be finite and positive, got {self.eps!r}")
+    def __init__(self, eps: float = 1e-12) -> None:
+        if not (_is_real(eps) and eps > 0 and math.isfinite(eps)):
+            raise DomainError(f"eps must be finite and positive, got {eps!r}")
+        self._set(eps)
 
 
 def _check_tail(tail_bound) -> float:
@@ -94,8 +134,7 @@ def _exact_sum(terms: list) -> float:
     return math.fsum(terms)
 
 
-@dataclass(frozen=True)
-class CoefficientSeq:
+class CoefficientSeq(_Record):
     """Truncated normalized series z -/+ sum_{n=2}^{N} coeff_n z^n.
 
     coefficients[i] is the coefficient of z^(i+2); tail_bound bounds
@@ -103,32 +142,34 @@ class CoefficientSeq:
     coefficient of z is implicitly 1.
 
     A sequence a caller builds is validated term by term: negative-tail
-    coefficients become floats >= 0, general-tail ones complex.  A _Series
+    coefficients must be finite reals >= 0 and become floats, general-tail
+    ones finite reals or complex numbers and become complex.  A _Series
     (coeffs_F, coeffs_G and theorems' I image) is trusted: its coefficients
     have those types and signs by construction, so only its tail_bound is
     checked, which rejects a non-finite or negative bound on every path.
     """
 
-    convention: SignConvention
-    coefficients: tuple
-    tail_bound: float
+    _fields = ("convention", "coefficients", "tail_bound")
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(self.coefficients)
+    def __init__(self, convention: SignConvention, coefficients: tuple,
+                 tail_bound: float) -> None:
+        if not isinstance(convention, SignConvention):
+            raise DomainError(f"convention must be a SignConvention, got {convention!r}")
+        coeffs = tuple(coefficients)
         if len(coeffs) < 1:
             raise DomainError("coefficient list must reach at least n=2")
-        if self.convention is SignConvention.NEGATIVE_TAIL:
-            vals = []
-            for b in coeffs:
-                b = float(b)
-                if not (b >= 0 and math.isfinite(b)):
-                    raise DomainError(f"negative-tail coefficients must be >= 0, got {b!r}")
-                vals.append(b)
-            coeffs = tuple(vals)
-        else:
-            coeffs = tuple(complex(a) for a in coeffs)
-        object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "tail_bound", _check_tail(self.tail_bound))
+        negative = convention is SignConvention.NEGATIVE_TAIL
+        for a in coeffs:
+            if negative:
+                ok = _is_real(a) and a >= 0 and math.isfinite(a)
+            else:
+                ok = (_is_real(a) or isinstance(a, complex)) and cmath.isfinite(a)
+            if not ok:
+                need = "finite reals >= 0" if negative else "finite complex numbers"
+                raise DomainError(f"{convention.value}-tail coefficients must be {need}, "
+                                  f"got {a!r}")
+        self._set(convention, tuple(map(float if negative else complex, coeffs)),
+                  _check_tail(tail_bound))
 
     @property
     def truncation_order(self) -> int:
@@ -213,7 +254,7 @@ def choose_truncation(p: PoissonParams, policy: TruncationPolicy) -> int:
     return _weight_pass(p.m, policy.eps, "F")[1]
 
 
-class _Series(NamedTuple):
+class _Series(namedtuple("_Series", "convention rule")):
     """A series built from one pass of the weight recurrence.
 
     rule names its coefficient a_n, formed from the weight c_n inside the
@@ -225,8 +266,7 @@ class _Series(NamedTuple):
     scale (A - B)|tau| of r.
     """
 
-    convention: SignConvention
-    rule: str
+    __slots__ = ()
 
     def _pass(self, p: PoissonParams, policy: TruncationPolicy, r,
               *weights) -> tuple[list, int, float]:
@@ -282,11 +322,10 @@ def coeffs_G(p: PoissonParams, policy: TruncationPolicy = TruncationPolicy()) ->
 
 # ---- shifted exponential sums ----
 
-class _ShiftedSum(NamedTuple):
-    first: int          # first index n of the sum
-    closed: Callable    # m -> closed form of the whole sum
-    term: Callable      # m -> the term at n = first
-    shift: int          # term ratio t_n / t_{n-1} = m / (n - shift)
+# first: the first index n of the sum; closed: m -> the closed form of the
+# whole sum; term: m -> the term at n = first; shift: the term ratio
+# t_n / t_{n-1} is m / (n - shift)
+_ShiftedSum = namedtuple("_ShiftedSum", "first closed term shift")
 
 
 # the float expressions of the series SumKind names

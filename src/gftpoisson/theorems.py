@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from collections.abc import Callable
 
 from .criteria import ClassParams, ConditionId, MembershipReport, RParams, classify
 from .errors import MissingRParams
 # coeffs_F is not called here, but bench/test_tracer.py wraps it under this name
 from .series import (PoissonParams, TruncationPolicy,  # noqa: F401
-                     _F, _G, _image, _Series, coeffs_F)
+                     _F, _G, _image, _Record, _Series, coeffs_F)
 
 # math.exp overflows just past 709; beyond this every predicate fails anyway
 _EXP_GUARD = 700.0
@@ -120,8 +119,7 @@ def t5_lhs(p: PoissonParams, c: ClassParams, r: RParams) -> float:
 
 # ---- the six theorems ----
 
-@dataclass(frozen=True)
-class PredicateSpec:
+class PredicateSpec(_Record):
     """One theorem, and its corollary at lambda = 0.
 
     lhs(m, c, r) is the closed form compared against 2k, over the float m: the
@@ -146,18 +144,15 @@ class PredicateSpec:
     thresholds module derives them.
     """
 
-    theorem: PredicateId
-    corollary: PredicateId
-    series: _Series
-    condition: ConditionId
-    needs_r: bool = field(init=False)
-    gap: Callable[..., float | None]
-    root: Callable[..., float | None]
-    lhs: Callable[..., float]
-    sum_scale: Callable[..., float]
+    _fields = ("theorem", "corollary", "series", "condition", "gap", "root", "lhs",
+               "sum_scale")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "needs_r", self.series is _image)
+    def __init__(self, theorem: PredicateId, corollary: PredicateId, series: _Series,
+                 condition: ConditionId, gap: Callable[..., float | None],
+                 root: Callable[..., float | None], lhs: Callable[..., float],
+                 sum_scale: Callable[..., float]) -> None:
+        self._set(theorem, corollary, series, condition, gap, root, lhs, sum_scale)
+        object.__setattr__(self, "needs_r", series is _image)
 
 
 def _f_sum_scale_S(m: float, c: ClassParams, r: RParams | None) -> float:
@@ -180,6 +175,12 @@ def _lambert_root(c: ClassParams, r: RParams | None, d: None) -> float:
 
 def _t6_root(c: ClassParams, r: RParams, d: None) -> float:
     a, two_k, p = 2 * c.k / r.scale, 2 * c.k, c.P
+    if a == math.inf:
+        # 2k/scale overflows, as P m does in _t6; over b = 2k/P the crossing
+        # b/scale - b + W(b e^{b - b/scale}) may still be a double
+        b = two_k / p
+        a = b / r.scale
+        return (a - b) + _lambert_w0(b * math.exp(b - a))
     return (a - two_k) / p + _lambert_w0(two_k / p * math.exp((two_k - a) / p))
 
 

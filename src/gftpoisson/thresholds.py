@@ -108,11 +108,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 from .criteria import ClassParams, RParams
 from .errors import DomainError, InvalidTolerance
-from .series import _is_real
+from .series import _is_real, _Record
 # evaluate is not called here, but bench/test_tracer.py wraps it under this name
 from .theorems import PredicateId, _gap_margin, _margin, evaluate, resolve  # noqa: F401
 
@@ -125,13 +124,8 @@ class Outcome(enum.Enum):
     ALWAYS_HOLDS = "always_holds"
 
 
-@dataclass(frozen=True, init=False)
-class ThresholdResult:
-    predicate: str
-    outcome: Outcome
-    m_star: float | None
-    bracket_width: float | None
-    evaluations: int
+class ThresholdResult(_Record):
+    _fields = ("predicate", "outcome", "m_star", "bracket_width", "evaluations")
 
     def __init__(self, predicate: str, outcome: Outcome, m_star: float | None,
                  bracket_width: float | None, evaluations: int) -> None:

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -469,6 +471,28 @@ def test_module_entry_point_subprocess():
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "Holds"
+
+
+# the standard modules the package imports by name; every one of its modules
+# states `from __future__ import annotations`, which imports __future__
+_NAMED_STDLIB = "__future__, argparse, cmath, collections.abc, enum, math, os, random, sys"
+
+
+def _modules_after(statement: str) -> set:
+    # -S keeps site hooks out; PYTHONPATH is the source tree under test
+    code = f"import {_NAMED_STDLIB}; {statement}; print(*sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(series.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, timeout=60, env=env, check=True)
+    return set(proc.stdout.split())
+
+
+def test_the_cli_loads_no_module_but_its_own_beyond_the_stdlib_it_names():
+    # whatever a stdlib version imports for those modules is in both sets, so
+    # only what the package pulls in besides them shows; dataclasses brought
+    # inspect, ast, dis and tokenize, about a third of the package's import
+    extra = _modules_after("import gftpoisson.cli") - _modules_after("pass")
+    assert sorted(m for m in extra if m.partition(".")[0] != "gftpoisson") == []
 
 
 # the I image is built from one pass of the Poisson weight recurrence

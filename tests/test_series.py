@@ -41,6 +41,29 @@ def test_coefficient_seq_rejects_non_finite_entries(bad):
         CoefficientSeq(SignConvention.NEGATIVE_TAIL, (0.5, bad), 0.0)
 
 
+@pytest.mark.parametrize("convention", ["negative", "general", None, 0])
+def test_coefficient_seq_refuses_a_convention_that_is_not_a_sign_convention(convention):
+    # "negative" was taken for a general tail, so its grid's argmax changed sign
+    with pytest.raises(DomainError) as exc:
+        CoefficientSeq(convention, (0.5,), 0.0)
+    assert str(exc.value) == f"convention must be a SignConvention, got {convention!r}"
+
+
+@pytest.mark.parametrize("bad", ["0.5", True, None, 0.5j, 0.5 + 0j, -0.1, math.nan, math.inf])
+def test_coefficient_seq_refuses_a_negative_tail_coefficient_that_is_no_finite_real(bad):
+    with pytest.raises(DomainError) as exc:
+        CoefficientSeq(SignConvention.NEGATIVE_TAIL, (0.5, bad), 0.0)
+    assert str(exc.value) == f"negative-tail coefficients must be finite reals >= 0, got {bad!r}"
+
+
+@pytest.mark.parametrize("bad", ["0.5", True, None, math.nan, -math.inf,
+                                 complex(math.nan, 0.0), complex(0.5, math.inf)])
+def test_coefficient_seq_refuses_a_general_tail_coefficient_that_is_no_finite_number(bad):
+    with pytest.raises(DomainError) as exc:
+        CoefficientSeq(SignConvention.GENERAL_TAIL, (0.5j, bad), 0.0)
+    assert str(exc.value) == f"general-tail coefficients must be finite complex numbers, got {bad!r}"
+
+
 def test_coefficient_seq_rejects_bad_tail_bound():
     with pytest.raises(DomainError):
         CoefficientSeq(SignConvention.NEGATIVE_TAIL, (0.5,), -1e-3)

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 import random
 
@@ -176,8 +175,12 @@ def test_a_row_needs_r_exactly_when_its_series_is_the_image():
             == {PredicateId.T5_I_in_S, PredicateId.C3_I_in_Sk,
                 PredicateId.T6_I_in_C, PredicateId.C4_I_in_Ck})
     assert all(row.needs_r is (row.series is _image) for row in SPECS.values())
-    with pytest.raises(ValueError):
-        dataclasses.replace(SPECS[PredicateId.T1_F_in_S], needs_r=True)
+    row = SPECS[PredicateId.T1_F_in_S]
+    assert "needs_r" not in type(row)._fields
+    with pytest.raises(TypeError):
+        type(row)(*row._values(), needs_r=True)
+    with pytest.raises(AttributeError, match="cannot assign to field 'needs_r'"):
+        row.needs_r = True
 
 
 def test_t3_agrees_with_t1():

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import functools
 import math
 import random
@@ -577,13 +576,19 @@ def test_near_limit_newton_root_is_confirmed_in_two_probes(monkeypatch):
     _assert_bounded_contract(pid, c, r, solve_m_star(pid, c, r=r, tol=tol))
 
 
+def _with_root(row, root):
+    # the row with another closed-form crossing, every other field the same
+    return type(row)(row.theorem, row.corollary, row.series, row.condition, row.gap,
+                     root, row.lhs, row.sum_scale)
+
+
 @pytest.mark.parametrize("root", [T1_ROOT - 1e-6, T1_ROOT + 1e-6, 1000 * T1_ROOT])
 def test_a_root_far_off_the_crossing_still_starts_the_search(monkeypatch, root):
     # the end on the crossing's side moves out from the root's probes, so no
     # answer depends on the root being right; below the root no probe is less
     # than half of the one before, so a root 1000 times m* is left by halving
     pid, tol = PredicateId.T1_F_in_S, 1e-10
-    monkeypatch.setitem(SPECS, pid, dataclasses.replace(SPECS[pid], root=lambda c, r, d: root))
+    monkeypatch.setitem(SPECS, pid, _with_root(SPECS[pid], lambda c, r, d: root))
     probes = _recorded_probes(monkeypatch, pid, K1, None, tol)
     assert probes[0] == root - tol / 4
     assert len(set(probes)) == len(probes)
@@ -605,7 +610,7 @@ def test_a_crossing_without_a_root_is_searched_from_a_thousandth(monkeypatch):
     assert c.P - 2 * c.k / r.scale == 2.0 ** -31 * c.P
     rooted = solve_m_star(pid, c, r=r)
     assert rooted.evaluations == 3
-    monkeypatch.setitem(SPECS, pid, dataclasses.replace(SPECS[pid], root=lambda c, r, d: None))
+    monkeypatch.setitem(SPECS, pid, _with_root(SPECS[pid], lambda c, r, d: None))
     probes = _recorded_probes(monkeypatch, pid, c, r, 1e-10)
     assert probes[:3] == [5e-4, 1.5e-3, 2.5e-3]
     assert len(probes) == 94
@@ -778,12 +783,15 @@ def test_a_crossing_past_the_largest_double_is_refused(capsys):
 def test_a_t6_crossing_near_the_largest_double_is_solved(tau):
     # 1.5 m + (1 - e^-m) = 1/scale at k = 0.5, so m* = (1/scale - 1)/1.5 here;
     # from MAX/2 on the bisection midpoint 0.5 (lo + hi) overflowed to inf, and
-    # from MAX/1.5 on so did P m inside T6's closed form
+    # from MAX/1.5 on so did P m inside T6's closed form.  Where 2k/scale
+    # overflows (tau = 2.5e-309) the root is still formed, so the probes at
+    # root -+ step confirm it: the search from 1e-3 took 1088 evaluations
     c, r = ClassParams(k=0.5), RParams(A=1.0, B=-1.0, tau=tau)
     res = solve_m_star(PredicateId.T6_I_in_C, c, r=r)
     exact = (1 / mpmath.mpf(r.scale) - 1) / mpmath.mpf(1.5)
     assert res.outcome is Outcome.FINITE
     assert abs(exact - res.m_star) <= res.bracket_width < 1e-15 * res.m_star
+    assert res.evaluations <= 4
 
 
 def test_t6_closed_form_past_the_overflow_of_P_m():
