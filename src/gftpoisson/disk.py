@@ -65,7 +65,10 @@ class GridSpec(_Record):
 
     def __init__(self, radii: tuple = DEFAULT_RADII, points_per_circle: int = DEFAULT_POINTS,
                  denominator_floor: float = DEFAULT_FLOOR) -> None:
-        given = tuple(radii)
+        try:
+            given = tuple(radii)
+        except TypeError:
+            given = ()   # refused below, with the radii named
         if not given or any(not (_is_real(r) and 0 < r < 1) for r in given):
             raise DomainError(f"radii must be real numbers in (0,1), got {radii!r}")
         # range() in grid_check needs an int, and a bool is no count
@@ -80,7 +83,9 @@ class GridSpec(_Record):
         if not (_is_real(denominator_floor) and 0 < denominator_floor < math.inf):
             raise DomainError("denominator_floor must be a finite positive number, "
                               f"got {denominator_floor!r}")
-        self._set(tuple(float(r) for r in given), points_per_circle, denominator_floor)
+        self.__dict__.update(radii=tuple(float(r) for r in given),
+                             points_per_circle=points_per_circle,
+                             denominator_floor=denominator_floor)
 
 
 class GridReport(_Record):
@@ -88,7 +93,8 @@ class GridReport(_Record):
 
     def __init__(self, condition: ConditionId, max_value: float, argmax_z: complex,
                  violations: int, skipped: int) -> None:
-        self._set(condition, max_value, argmax_z, violations, skipped)
+        self.__dict__.update(condition=condition, max_value=max_value, argmax_z=argmax_z,
+                             violations=violations, skipped=skipped)
 
     def to_json_dict(self) -> dict:
         return {"condition": self.condition.value, "max": self.max_value,
@@ -170,6 +176,9 @@ def grid_check(f: CoefficientSeq, condition: ConditionId, params,
     grid points that share its value (see the module docstring); every grid
     point is counted once either way.
     """
+    # any other value would be gridded as the S-condition under its own label
+    if not isinstance(condition, ConditionId):
+        raise DomainError(f"condition must be a ConditionId, got {condition!r}")
     # the C-condition is the S-condition of z f', built once per grid
     table = _pair_table(f, zfprime=condition is ConditionId.C_COND)
     if condition is ConditionId.R_COND:

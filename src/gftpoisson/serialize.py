@@ -5,13 +5,14 @@ byte-identical; dict key order is insertion order; indentation is fixed at
 two spaces.  Non-finite floats use the same spellings the json module accepts
 (Infinity, -Infinity, NaN), and -0.0 prints as 0.
 
-dumps_canonical writes a flat dict (a check, crosscheck, threshold or suite
-report) in one pass: each key whose type is exactly str is quoted once per
+dumps_canonical has one writer per exact JSON type, in _WRITERS: None, bool,
+int, float, str, dict, list and tuple.  Any other value takes the writer of
+the first class in its MRO that has one, so an IntEnum prints as an int and
+an OrderedDict as a dict.  A writer prints its value unindented; a dict or
+list indents each nested container once, through _CHILDREN, and its keys
+through their heads.  Each key whose type is exactly str is quoted once per
 process and kept in a bounded table of heads, since reports repeat a few
-fixed key sets, and each value whose type is exactly float, str, int, bool or
-None is formatted from a table keyed by type.  Any other dict, key or value,
-a subclass of those types included, goes through the isinstance chain of
-_write, which prints the same bytes.
+fixed key sets; any other key is quoted through str() on each write.
 """
 
 from __future__ import annotations
@@ -23,44 +24,6 @@ _SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "-0": "0"}
 def fmt_float(x: float) -> str:
     s = "%.17g" % x
     return _SPECIAL.get(s, s)
-
-
-def _write(obj, indent: int, out: list) -> None:
-    pad = "  " * indent
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(fmt_float(obj))
-    elif isinstance(obj, str):
-        out.append('"' + _escaped(obj) + '"')
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, value) in enumerate(obj.items()):
-            if i:
-                out.append(",\n")
-            out.append(pad + '  "' + _escaped(str(key)) + '": ')
-            _write(value, indent + 1, out)
-        out.append("\n" + pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, value in enumerate(obj):
-            if i:
-                out.append(",\n")
-            out.append(pad + "  ")
-            _write(value, indent + 1, out)
-        out.append("\n" + pad + "]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 _ESCAPES = {ord('"'): '\\"', ord("\\"): "\\\\", ord("\n"): "\\n",
@@ -78,55 +41,74 @@ def _escaped(s: str) -> str:
     return s.translate(_ESCAPES)
 
 
-# formatters of the exact scalar types, keyed by type() so that subclasses (an
-# IntEnum, a float subclass) take the isinstance chain of _write instead
-_FLAT = {
+def _writer(obj, writers: dict):
+    """The writer in writers of the first class in obj's MRO that has one."""
+    for cls in type(obj).__mro__:
+        if cls in writers:
+            return writers[cls]
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _head(key) -> str:
+    head = '  "' + _escaped(str(key)) + '": '
+    # a key that is not exactly a str is never kept: a str subclass may print
+    # otherwise than its value, and 1, True and 1.0 are one dict key
+    if type(key) is str and len(_HEADS) < _HEADS_CAP:
+        _HEADS[key] = head
+    return head
+
+
+def _dict(obj: dict) -> str:
+    if not obj:
+        return "{}"
+    try:
+        body = ",\n".join([_HEADS[key if type(key) is str else None]
+                           + _CHILDREN[type(value)](value) for key, value in obj.items()])
+    except KeyError:
+        # a key not kept (None is never kept) or a value of no exact JSON type
+        body = ",\n".join([_head(key) + _writer(value, _CHILDREN)(value)
+                           for key, value in obj.items()])
+    return "{\n" + body + "\n}"
+
+
+def _list(obj) -> str:
+    if not obj:
+        return "[]"
+    return "[\n  " + ",\n  ".join([_writer(value, _CHILDREN)(value) for value in obj]) + "\n]"
+
+
+# the writer of each exact JSON type, which prints a value unindented
+_WRITERS = {
+    type(None): lambda _: "null",
+    bool: lambda b: "true" if b else "false",
+    int: str,
     float: fmt_float,
     str: lambda s: '"' + _escaped(s) + '"',
-    int: str,
-    bool: lambda b: "true" if b else "false",
-    type(None): lambda _: "null",
+    dict: _dict,
+    list: _list,
+    tuple: _list,
 }
 
-# the quoted, indented head of each top-level str key kept so far; keys are
-# schema strings, so a few dozen cover every report, and a dict with a key
-# that finds the table full is written by _write
+
+def _nested(write):
+    """write, with each line after the first indented once."""
+    return lambda obj: write(obj).replace("\n", "\n  ")
+
+
+# the writers of a value inside a dict or list: a nested container is indented
+# once, which moves only its layout lines since an escaped string holds no raw
+# newline, and a scalar is written as it is, so a flat report takes no replace
+_CHILDREN = {**_WRITERS, dict: _nested(_dict), list: _nested(_list), tuple: _nested(_list)}
+
+# the quoted, indented head of each exact-str key kept so far; keys are schema
+# strings, so a few dozen cover every report, and a key that finds the table
+# full is quoted on each write
 _HEADS: dict = {}
 _HEADS_CAP = 256
 
 
-def _flat(obj: dict) -> str:
-    # a key that is not exactly a str looks up None, which is never kept, so no
-    # equal key of another type reuses a head (a str subclass may print
-    # otherwise than its value); that KeyError, a key not kept yet and a value
-    # type without a formatter all send obj to _keep_heads
-    return "{\n" + ",\n".join([_HEADS[key if type(key) is str else None]
-                                 + _FLAT[type(value)](value)
-                                 for key, value in obj.items()]) + "\n}"
-
-
-def _keep_heads(obj: dict) -> bool:
-    """Keep the head of every key of obj; False if obj is not flat or a head does not fit."""
-    if not all(type(key) is str and type(value) in _FLAT for key, value in obj.items()):
-        return False
-    for key in obj:
-        if key not in _HEADS:
-            if len(_HEADS) >= _HEADS_CAP:
-                return False
-            _HEADS[key] = '  "' + _escaped(key) + '": '
-    return True
-
-
 def dumps_canonical(obj) -> str:
-    if type(obj) is dict and obj:
-        try:
-            return _flat(obj)
-        except KeyError:
-            if _keep_heads(obj):
-                return _flat(obj)
-    out: list = []
-    _write(obj, 0, out)
-    return "".join(out)
+    return (_WRITERS.get(type(obj)) or _writer(obj, _WRITERS))(obj)
 
 
 def _csv_cell(value) -> str:

@@ -39,8 +39,8 @@ class _Record:
     _fields names a record's constructor arguments, in order; repr, equality
     and hashing read those attributes alone, so a constant stored beside
     them takes no part.  A record's __init__ validates its arguments and sets
-    its attributes past the __setattr__ that refuses every assignment, as
-    _set does.
+    its attributes through self.__dict__, past the __setattr__ that refuses
+    every assignment.
     """
 
     __slots__ = ()
@@ -59,11 +59,6 @@ class _Record:
 
     def __hash__(self) -> int:
         return hash(self._values())
-
-    def _set(self, *values) -> None:
-        # each value to its field, in the order of _fields
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -93,7 +88,7 @@ class PoissonParams(_Record):
     def __init__(self, m: float) -> None:
         if not ((type(m) is float or _is_real(m)) and math.isfinite(m) and m > 0):
             raise DomainError(f"m must be a finite positive real, got {m!r}")
-        self.__dict__["m"] = float(m)
+        self.__dict__.update(m=float(m))
 
 
 class TruncationPolicy(_Record):
@@ -104,7 +99,7 @@ class TruncationPolicy(_Record):
     def __init__(self, eps: float = 1e-12) -> None:
         if not (_is_real(eps) and eps > 0 and math.isfinite(eps)):
             raise DomainError(f"eps must be finite and positive, got {eps!r}")
-        self._set(eps)
+        self.__dict__.update(eps=eps)
 
 
 def _check_tail(tail_bound) -> float:
@@ -155,7 +150,11 @@ class CoefficientSeq(_Record):
                  tail_bound: float) -> None:
         if not isinstance(convention, SignConvention):
             raise DomainError(f"convention must be a SignConvention, got {convention!r}")
-        coeffs = tuple(coefficients)
+        try:
+            coeffs = tuple(coefficients)
+        except TypeError:
+            raise DomainError("coefficients must be an iterable of numbers, "
+                              f"got {coefficients!r}") from None
         if len(coeffs) < 1:
             raise DomainError("coefficient list must reach at least n=2")
         negative = convention is SignConvention.NEGATIVE_TAIL
@@ -168,8 +167,9 @@ class CoefficientSeq(_Record):
                 need = "finite reals >= 0" if negative else "finite complex numbers"
                 raise DomainError(f"{convention.value}-tail coefficients must be {need}, "
                                   f"got {a!r}")
-        self._set(convention, tuple(map(float if negative else complex, coeffs)),
-                  _check_tail(tail_bound))
+        self.__dict__.update(convention=convention,
+                             coefficients=tuple(map(float if negative else complex, coeffs)),
+                             tail_bound=_check_tail(tail_bound))
 
     @property
     def truncation_order(self) -> int:
@@ -297,9 +297,8 @@ class _Series(namedtuple("_Series", "convention rule")):
             mags = [complex(a) for a in mags]
         # the types and signs CoefficientSeq's validation would give, by construction
         seq = object.__new__(CoefficientSeq)
-        object.__setattr__(seq, "convention", self.convention)
-        object.__setattr__(seq, "coefficients", tuple(mags))
-        object.__setattr__(seq, "tail_bound", tail)
+        seq.__dict__.update(convention=self.convention, coefficients=tuple(mags),
+                            tail_bound=tail)
         return seq
 
 

@@ -20,7 +20,7 @@ import math
 from collections.abc import Callable
 
 from .criteria import ClassParams, ConditionId, MembershipReport, RParams, classify
-from .errors import MissingRParams
+from .errors import DomainError, MissingRParams
 # coeffs_F is not called here, but bench/test_tracer.py wraps it under this name
 from .series import (PoissonParams, TruncationPolicy,  # noqa: F401
                      _F, _G, _image, _Record, _Series, coeffs_F)
@@ -151,8 +151,9 @@ class PredicateSpec(_Record):
                  condition: ConditionId, gap: Callable[..., float | None],
                  root: Callable[..., float | None], lhs: Callable[..., float],
                  sum_scale: Callable[..., float]) -> None:
-        self._set(theorem, corollary, series, condition, gap, root, lhs, sum_scale)
-        object.__setattr__(self, "needs_r", series is _image)
+        self.__dict__.update(theorem=theorem, corollary=corollary, series=series,
+                             condition=condition, gap=gap, root=root, lhs=lhs,
+                             sum_scale=sum_scale, needs_r=series is _image)
 
 
 def _f_sum_scale_S(m: float, c: ClassParams, r: RParams | None) -> float:
@@ -308,7 +309,10 @@ def resolve(pid: PredicateId, c: ClassParams,
 
     A corollary is its theorem at lambda = 0.
     """
-    row = SPECS[pid]
+    try:
+        row = SPECS[pid]
+    except (KeyError, TypeError):   # not a PredicateId, or not even hashable
+        raise DomainError(f"predicate must be a PredicateId, got {pid!r}") from None
     if row.needs_r and r is None:
         raise MissingRParams(f"{pid.value} requires (A, B, tau)")
     if pid is row.corollary:

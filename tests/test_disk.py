@@ -197,6 +197,14 @@ def test_grid_spec_rejects_a_radius_that_is_no_real_number(radius):
         GridSpec(radii=(0.25, radius))
 
 
+@pytest.mark.parametrize("radii", [None, 0.5, 1])
+def test_grid_spec_refuses_radii_that_are_not_iterable(radii):
+    # tuple() raised a TypeError that did not name the input
+    with pytest.raises(DomainError) as exc:
+        GridSpec(radii=radii)
+    assert str(exc.value) == f"radii must be real numbers in (0,1), got {radii!r}"
+
+
 def test_grid_check_identity_function_s_condition():
     # off-axis z/z division leaves one rounding of noise, nothing more
     report = grid_check(IDENTITY, ConditionId.S_COND,
@@ -273,6 +281,15 @@ def test_grid_check_refuses_a_record_other_than_r_params(params):
     with pytest.raises(DomainError) as exc:
         grid_check(IDENTITY, ConditionId.R_COND, params, GridSpec())
     assert str(exc.value) == "R condition requires RParams"
+
+
+@pytest.mark.parametrize("condition", ["C_cond", "S_cond", None, PredicateId.T1_F_in_S])
+def test_grid_check_refuses_a_condition_that_is_not_a_condition_id(condition):
+    # "C_cond" was gridded as the S-condition: max 0.397 where C's is 2.34
+    f = coeffs_F(PoissonParams(0.5), POLICY)
+    with pytest.raises(DomainError) as exc:
+        grid_check(f, condition, ClassParams(k=0.5, lam=0.3))
+    assert str(exc.value) == f"condition must be a ConditionId, got {condition!r}"
 
 
 def test_grid_check_counts_violations():

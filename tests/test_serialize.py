@@ -1,3 +1,4 @@
+import collections
 import enum
 import json
 import math
@@ -109,7 +110,7 @@ def test_dict_to_human_alignment_and_lists():
     assert lines[2] == "N        16"
 
 
-# ---- the flat-dict fast path against the general writer ----
+# ---- the table-driven writer against the general writer ----
 
 def _general(obj, indent=0, out=None):
     """The isinstance-chain writer, kept here as the oracle of dumps_canonical."""
@@ -208,6 +209,23 @@ def test_equal_keys_of_other_types_never_reuse_a_head():
     assert not any(type(key) is not str for key in serialize._HEADS)
 
 
+_Point = collections.namedtuple("_Point", "x y")
+
+
+@pytest.mark.parametrize("obj", [
+    collections.OrderedDict([("b", 1.5), ("a", [collections.OrderedDict(c=None)])]),
+    {"outer": collections.OrderedDict(), "list": [collections.OrderedDict(z=True)]},
+    {"argmax": _Point(0.25, -0.0), "nested": {"p": _Point(_Level.LOW, "y")}},
+    [_Point(1, [2.5]), _Point((), {})],
+    {"outer": {_Level.LOW: "int key", _Name("verdict"): _Name("Holds"), "k": 1}},
+    {"outer": [{_Name("a"): {_Level.LOW: _Real(0.5)}}]},
+], ids=["OrderedDict", "empty-OrderedDict", "namedtuple", "namedtuple-list",
+        "subclass-keys", "deep-subclass-keys"])
+def test_nested_subclasses_print_what_the_general_writer_prints(obj):
+    # each takes the writer of the first class in its MRO that has one
+    assert dumps_canonical(obj) == _general(obj)
+
+
 def test_the_kept_heads_stop_at_their_cap(monkeypatch):
     monkeypatch.setattr(serialize, "_HEADS", {})
     cap = serialize._HEADS_CAP
@@ -216,8 +234,8 @@ def test_the_kept_heads_stop_at_their_cap(monkeypatch):
         obj = {key: i + 0.5 for key in keys[i:i + 7]}
         assert dumps_canonical(obj) == _general(obj)
     assert len(serialize._HEADS) == cap
-    # a dict whose keys are all kept still takes the flat path past the cap,
-    # and one with a key that no longer fits is written by the general route
+    # a dict whose keys are all kept still reuses their heads past the cap,
+    # and a key that no longer fits is quoted on each write
     for obj in ({keys[0]: 1.5, keys[cap - 1]: None}, {keys[0]: 1.5, keys[-1]: "x"},
                 {"a new key": True}):
         assert dumps_canonical(obj) == _general(obj)

@@ -64,6 +64,14 @@ def test_coefficient_seq_refuses_a_general_tail_coefficient_that_is_no_finite_nu
     assert str(exc.value) == f"general-tail coefficients must be finite complex numbers, got {bad!r}"
 
 
+@pytest.mark.parametrize("coefficients", [None, 0.5, 2])
+def test_coefficient_seq_refuses_coefficients_that_are_not_iterable(coefficients):
+    # tuple() raised a TypeError that did not name the input
+    with pytest.raises(DomainError) as exc:
+        CoefficientSeq(SignConvention.NEGATIVE_TAIL, coefficients, 0.0)
+    assert str(exc.value) == f"coefficients must be an iterable of numbers, got {coefficients!r}"
+
+
 def test_coefficient_seq_rejects_bad_tail_bound():
     with pytest.raises(DomainError):
         CoefficientSeq(SignConvention.NEGATIVE_TAIL, (0.5,), -1e-3)

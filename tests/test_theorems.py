@@ -169,6 +169,15 @@ def test_missing_r_params_raises():
                  ClassParams(k=0.5, lam=0.0))
 
 
+@pytest.mark.parametrize("pid", ["T1_F_in_S", None, 1, []])
+@pytest.mark.parametrize("entry", [evaluate, crosscheck, evaluate_with_crosscheck])
+def test_a_predicate_that_is_not_a_predicate_id_is_refused(entry, pid):
+    # the SPECS lookup raised a bare KeyError (or TypeError for a list)
+    with pytest.raises(DomainError) as exc:
+        entry(pid, PoissonParams(1.0), ClassParams(k=0.5, lam=0.0), R_DEFAULT)
+    assert str(exc.value) == f"predicate must be a PredicateId, got {pid!r}"
+
+
 def test_a_row_needs_r_exactly_when_its_series_is_the_image():
     # needs_r is derived from the series at construction, never passed
     assert ({pid for pid, row in SPECS.items() if row.needs_r}

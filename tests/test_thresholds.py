@@ -260,6 +260,13 @@ def test_rejects_bad_tolerance(bad):
         solve_m_star(PredicateId.T1_F_in_S, K1, tol=bad)
 
 
+@pytest.mark.parametrize("pid", ["T1_F_in_S", None, []])
+def test_rejects_a_predicate_that_is_not_a_predicate_id(pid):
+    with pytest.raises(DomainError) as exc:
+        solve_m_star(pid, K1)
+    assert str(exc.value) == f"predicate must be a PredicateId, got {pid!r}"
+
+
 def test_requires_r_params_for_operator_predicates():
     with pytest.raises(MissingRParams):
         solve_m_star(PredicateId.T5_I_in_S, K1)
