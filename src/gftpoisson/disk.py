@@ -176,6 +176,10 @@ def grid_check(f: CoefficientSeq, condition: ConditionId, params,
     grid points that share its value (see the module docstring); every grid
     point is counted once either way.
     """
+    if not isinstance(f, CoefficientSeq):
+        raise DomainError(f"f must be a CoefficientSeq, got {f!r}")
+    if not isinstance(grid, GridSpec):
+        raise DomainError(f"grid must be a GridSpec, got {grid!r}")
     # any other value would be gridded as the S-condition under its own label
     if not isinstance(condition, ConditionId):
         raise DomainError(f"condition must be a ConditionId, got {condition!r}")

@@ -307,12 +307,18 @@ def resolve(pid: PredicateId, c: ClassParams,
             r: RParams | None = None) -> tuple[PredicateSpec, ClassParams]:
     """The row stating pid and the class parameters it is evaluated at.
 
-    A corollary is its theorem at lambda = 0.
+    A corollary is its theorem at lambda = 0.  Each entry that takes a
+    predicate passes its records here first, so a pid, c or r of the wrong
+    kind is refused by name with DomainError.
     """
     try:
         row = SPECS[pid]
     except (KeyError, TypeError):   # not a PredicateId, or not even hashable
         raise DomainError(f"predicate must be a PredicateId, got {pid!r}") from None
+    if not isinstance(c, ClassParams):
+        raise DomainError(f"c must be a ClassParams, got {c!r}")
+    if not (r is None or isinstance(r, RParams)):
+        raise DomainError(f"r must be an RParams or None, got {r!r}")
     if row.needs_r and r is None:
         raise MissingRParams(f"{pid.value} requires (A, B, tau)")
     if pid is row.corollary:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gftpoisson import series
+from gftpoisson import cli, series
 from gftpoisson.cli import (EXIT_FAILS, EXIT_HOLDS, EXIT_MARGINAL,
                             EXIT_NUMERIC, EXIT_USAGE, main)
 from gftpoisson.disk import MAX_POINTS
@@ -504,3 +505,120 @@ def test_t5_series_route_runs_the_weight_recurrence_once(capsys, monkeypatch, co
                    "--k", "0.5", "--A", "1", "--B", "-1")[0]
     assert code in (EXIT_HOLDS, EXIT_FAILS)
     assert calls == [2.0]
+
+
+# ---- which error each command names first ----
+
+VALID_IDS = ", ".join(["T1_F_in_S", "T2_F_in_C", "T3_G_in_C", "T4_G_in_S", "T5_I_in_S",
+                       "T6_I_in_C", "C1_F_in_Sk", "C2_F_in_Ck", "C3_I_in_Sk",
+                       "C4_I_in_Ck", "C5_G_in_Ck", "C6_G_in_Sk"])
+UNKNOWN = f"error: unknown predicate 'bogus'; valid ids: {VALID_IDS}\n"
+BAD_M = "error: m must be a finite positive real, got -1.0\n"
+BAD_K = "error: k must be in (0,1], got 2.0\n"
+BAD_EPS = "error: eps must be finite and positive, got -1.0\n"
+NEEDS_AB = "error: predicate T5_I_in_S requires --A and --B\n"
+
+
+# each invocation holds two bad inputs, and the pinned message names the one
+# its command refuses first: check and grid go predicate, m, (k, lambda), the
+# R flags, then grid's own flags; crosscheck refuses --eps before m; threshold
+# refuses --tol last; identities goes m, then --eps
+@pytest.mark.parametrize("argv, err", [
+    (("check", "--predicate", "bogus", "--m", "-1", "--k", "0.5"), UNKNOWN),
+    (("check", "--predicate", "T5_I_in_S", "--m", "-1", "--k", "0.5"), BAD_M),
+    (("check", "--predicate", "T5_I_in_S", "--m", "1", "--k", "2"), BAD_K),
+    (("check", "--predicate", "T1_F_in_S", "--m", "1", "--k", "0.5", "--lambda", "1",
+      "--A", "1"), "error: lambda must be in [0,1), got 1.0\n"),
+    (("crosscheck", "--predicate", "bogus", "--m", "1", "--k", "0.5", "--eps", "-1"),
+     UNKNOWN),
+    (("crosscheck", "--predicate", "T1_F_in_S", "--m", "-1", "--k", "0.5", "--eps", "-1"),
+     BAD_EPS),
+    (("threshold", "--predicate", "T5_I_in_S", "--k", "2", "--tol", "-1"), BAD_K),
+    (("threshold", "--predicate", "T5_I_in_S", "--k", "0.5", "--tol", "-1"), NEEDS_AB),
+    (("threshold", "--predicate", "T5_I_in_S", "--k", "0.5", "--A", "1", "--B", "2",
+      "--tol", "-1"), "error: need -1 <= B < A <= 1, got A=1.0, B=2.0\n"),
+    (("grid", "--predicate", "T5_I_in_S", "--m", "-1", "--k", "0.5"), BAD_M),
+    (("grid", "--predicate", "T5_I_in_S", "--m", "1", "--k", "0.5", "--eps", "-1"),
+     NEEDS_AB),
+    (("grid", "--predicate", "T1_F_in_S", "--m", "1", "--k", "0.5", "--eps", "-1",
+      "--radii", "x"), BAD_EPS),
+    (("grid", "--predicate", "T1_F_in_S", "--m", "1", "--k", "0.5", "--radii", "x",
+      "--points", "3"), "error: could not parse --radii 'x'\n"),
+    (("identities", "--m", "-1", "--eps", "-1"), BAD_M),
+    (("identities", "--m", "700", "--eps", "-1"), BAD_EPS),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
+def test_each_command_names_its_first_bad_input(capsys, argv, err):
+    assert run_cli(capsys, *argv) == (EXIT_USAGE, "", err)
+
+
+def test_suite_refuses_its_seed_before_it_opens_the_report_file(capsys, monkeypatch,
+                                                                tmp_path):
+    # the report file's directory does not exist, so opening it would fail
+    monkeypatch.setenv("GFT_SEED", "zebra")
+    out = tmp_path / "missing" / "report.json"
+    assert run_cli(capsys, "suite", "--out", str(out)) == (
+        EXIT_USAGE, "", "error: GFT_SEED must be an integer, got 'zebra'\n")
+    assert not out.parent.exists()
+
+
+# ---- the parser's structure ----
+
+OUTPUT_FLAGS = [
+    (("--format",), "format", None, "json", False, ("json", "csv", "human"), None),
+    (("--out",), "out", None, None, False, None, "write the report to this file")]
+
+
+def _class_flags(with_m):
+    m = [(("--m",), "m", float, None, True, None, None)] if with_m else []
+    return [(("--predicate",), "predicate", None, None, True, None, None), *m,
+            (("--k",), "k", float, None, True, None, None),
+            (("--lambda",), "lam", float, 0.0, False, None, None),
+            (("--A",), "A", float, None, False, None, None),
+            (("--B",), "B", float, None, False, None, None),
+            (("--tau-re",), "tau_re", float, 1.0, False, None, None),
+            (("--tau-im",), "tau_im", float, 0.0, False, None, None)]
+
+
+EPS_FLAG = (("--eps",), "eps", float, 1e-12, False, None, None)
+
+# name, help, then (option strings, dest, type, default, required, choices,
+# help) for each argument after -h, in the order --help lists them
+PARSER_TABLE = [
+    ("check", "evaluate one membership predicate", _class_flags(True) + OUTPUT_FLAGS),
+    ("crosscheck", "evaluate plus independent series recomputation",
+     _class_flags(True) + [EPS_FLAG] + OUTPUT_FLAGS),
+    ("threshold", "solve for the boundary parameter m*",
+     _class_flags(False) + [(("--tol",), "tol", float, 1e-10, False, None, None)]
+     + OUTPUT_FLAGS),
+    ("grid", "sample the defining inequality on disk grids",
+     _class_flags(True) + [EPS_FLAG,
+                           (("--radii",), "radii", None, None, False, None,
+                            "comma-separated radii in (0,1)"),
+                           (("--points",), "points", int, None, False, None,
+                            "points per circle")] + OUTPUT_FLAGS),
+    ("identities", "closed forms of the shifted exponential sums vs direct partial "
+                   "summation",
+     [(("--m",), "m", float, None, True, None, None), EPS_FLAG] + OUTPUT_FLAGS),
+    ("suite", "run the seeded property suite", OUTPUT_FLAGS),
+]
+
+
+def _arguments(parser):
+    return [(tuple(a.option_strings), a.dest, a.type, a.default, a.required,
+             None if a.choices is None else tuple(a.choices), a.help)
+            for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+
+
+def test_the_parser_has_the_pinned_subcommands_and_arguments():
+    parser = cli._build_parser()
+    assert (parser.prog, parser.description) == (
+        "gftpoisson", "Membership predicates for Poisson-weighted series in starlike "
+                      "and convex function classes.")
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert (sub.dest, sub.required) == ("command", True)
+    assert _arguments(parser) == [((), "command", None, None, True,
+                                   tuple(name for name, _, _ in PARSER_TABLE), None)]
+    assert [(a.dest, a.help) for a in sub._choices_actions] == [
+        (name, help_text) for name, help_text, _ in PARSER_TABLE]
+    assert [(name, _arguments(sp)) for name, sp in sub.choices.items()] == [
+        (name, arguments) for name, _, arguments in PARSER_TABLE]

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gftpoisson import (ClassParams, CoefficientSeq, ConditionId, DomainError,
-                        MembershipReport, Outcome, PoissonParams, RParams,
+from gftpoisson import (BOUNDARY_TOL, ClassParams, CoefficientSeq, ConditionId,
+                        DomainError, MembershipReport, Outcome, PoissonParams, RParams,
                         SignConvention, ThresholdResult, TruncationPolicy,
                         Verdict, choose_truncation, classify, coeffs_F,
                         coeffs_G, dumps_canonical)
@@ -307,6 +307,13 @@ def test_classify_bands():
     assert classify(0.0) is Verdict.MARGINAL
     assert classify(5e-10) is Verdict.MARGINAL
     assert classify(-5e-10) is Verdict.MARGINAL
+
+
+@pytest.mark.parametrize("sign, outside", [(1, Verdict.HOLDS), (-1, Verdict.FAILS)])
+def test_classify_band_edge_is_marginal_and_the_next_float_out_is_not(sign, outside):
+    edge = sign * BOUNDARY_TOL
+    assert classify(edge) is Verdict.MARGINAL
+    assert classify(math.nextafter(edge, sign * math.inf)) is outside
 
 
 # ---- the weighted sum ----

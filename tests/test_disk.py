@@ -301,6 +301,33 @@ def test_grid_check_counts_violations():
     assert report.max_value > c.k
 
 
+def test_a_value_that_reaches_k_is_a_violation():
+    # the S-condition value does not depend on k, so a k equal to the sampled
+    # maximum puts that value exactly on the threshold
+    f = coeffs_F(PoissonParams(0.3), POLICY)
+    report = grid_check(f, ConditionId.S_COND, ClassParams(k=1.0, lam=0.25))
+    assert report.max_value == 0.16197822279497812
+    assert report.violations == 0
+    at_max = grid_check(f, ConditionId.S_COND, ClassParams(k=report.max_value, lam=0.25))
+    assert (at_max.max_value, at_max.argmax_z) == (report.max_value, 0.9)
+    assert at_max.violations >= 1
+
+
+@pytest.mark.parametrize("f", [[0.1, 0.2], (0.1,), None, 0.5])
+def test_grid_check_refuses_a_series_that_is_not_a_coefficient_seq(f):
+    # a list raised "'list' object has no attribute 'truncation_order'"
+    with pytest.raises(DomainError) as exc:
+        grid_check(f, ConditionId.S_COND, ClassParams(k=0.5, lam=0.0))
+    assert str(exc.value) == f"f must be a CoefficientSeq, got {f!r}"
+
+
+@pytest.mark.parametrize("grid", [((0.5,), 64), None, {"radii": (0.5,)}])
+def test_grid_check_refuses_a_grid_that_is_not_a_grid_spec(grid):
+    with pytest.raises(DomainError) as exc:
+        grid_check(IDENTITY, ConditionId.S_COND, ClassParams(k=0.5, lam=0.0), grid)
+    assert str(exc.value) == f"grid must be a GridSpec, got {grid!r}"
+
+
 @pytest.mark.parametrize("points", [8.5, 10.0, True, "16"])
 def test_grid_spec_rejects_non_integer_points(points):
     # range() in grid_check needs an int; a bool is no spelling of a count

@@ -178,6 +178,27 @@ def test_a_predicate_that_is_not_a_predicate_id_is_refused(entry, pid):
     assert str(exc.value) == f"predicate must be a PredicateId, got {pid!r}"
 
 
+@pytest.mark.parametrize("c", [0.5, (0.5, 0.0), None, R_DEFAULT])
+@pytest.mark.parametrize("pid", [PredicateId.T1_F_in_S, PredicateId.T5_I_in_S])
+@pytest.mark.parametrize("entry", [evaluate, crosscheck, evaluate_with_crosscheck])
+def test_class_params_that_are_no_class_params_record_are_refused(entry, pid, c):
+    # a float raised "'float' object has no attribute 'k'"
+    with pytest.raises(DomainError) as exc:
+        entry(pid, PoissonParams(1.0), c, R_DEFAULT)
+    assert str(exc.value) == f"c must be a ClassParams, got {c!r}"
+
+
+@pytest.mark.parametrize("r", [(1.0, -1.0, 1.0), 0.5, ClassParams(k=0.5, lam=0.0)])
+@pytest.mark.parametrize("pid", [PredicateId.T1_F_in_S, PredicateId.T5_I_in_S])
+@pytest.mark.parametrize("entry", [evaluate, crosscheck, evaluate_with_crosscheck])
+def test_r_params_that_are_neither_none_nor_an_r_params_record_are_refused(entry, pid, r):
+    # a tuple raised "'tuple' object has no attribute 'scale'" for T5, and T1,
+    # which never reads r, answered as if it were None
+    with pytest.raises(DomainError) as exc:
+        entry(pid, PoissonParams(1.0), ClassParams(k=0.5, lam=0.0), r)
+    assert str(exc.value) == f"r must be an RParams or None, got {r!r}"
+
+
 def test_a_row_needs_r_exactly_when_its_series_is_the_image():
     # needs_r is derived from the series at construction, never passed
     assert ({pid for pid, row in SPECS.items() if row.needs_r}

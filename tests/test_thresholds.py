@@ -267,6 +267,21 @@ def test_rejects_a_predicate_that_is_not_a_predicate_id(pid):
     assert str(exc.value) == f"predicate must be a PredicateId, got {pid!r}"
 
 
+@pytest.mark.parametrize("c", [0.5, None, RParams(A=1.0, B=-1.0, tau=1.0)])
+def test_rejects_class_params_that_are_no_class_params_record(c):
+    # a float raised "'float' object has no attribute 'k'"
+    with pytest.raises(DomainError) as exc:
+        solve_m_star(PredicateId.T1_F_in_S, c)
+    assert str(exc.value) == f"c must be a ClassParams, got {c!r}"
+
+
+@pytest.mark.parametrize("r", [(1.0, -1.0, 1.0), K1])
+def test_rejects_r_params_that_are_neither_none_nor_an_r_params_record(r):
+    with pytest.raises(DomainError) as exc:
+        solve_m_star(PredicateId.T5_I_in_S, K1, r)
+    assert str(exc.value) == f"r must be an RParams or None, got {r!r}"
+
+
 def test_requires_r_params_for_operator_predicates():
     with pytest.raises(MissingRParams):
         solve_m_star(PredicateId.T5_I_in_S, K1)
