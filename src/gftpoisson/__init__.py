@@ -3,7 +3,7 @@ starlike and convex function classes on the unit disk.
 
 Closed-form membership predicates are paired with independent truncated
 series summation and with direct sampling of the defining inequalities, so
-every claim can be checked by two routes.
+every claim can be checked by three routes.
 """
 
 from .criteria import (BOUNDARY_TOL, ClassParams, ConditionId, MembershipReport,

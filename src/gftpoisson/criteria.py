@@ -40,7 +40,6 @@ class Verdict(enum.Enum):
 class ConditionId(enum.Enum):
     S_COND = "S_cond"
     C_COND = "C_cond"
-    R_COND = "R_cond"
 
 
 class ClassParams(_Record):

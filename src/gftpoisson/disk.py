@@ -3,38 +3,34 @@ defining inequalities.
 
 The S-condition value at z is |w-1|/|w+1| with w = z f'(z) / ((1-lam) f(z)
 + lam z f'(z)); membership in S(k,lambda) requires it to stay below k on the
-open disk.  The C-condition applies the same quotient to z f'(z), and the
-R-condition is |f'-1| / |(A-B) tau - B (f'-1)| against threshold 1.  Grid
+open disk.  The C-condition applies the same quotient to z f'(z).  Grid
 sampling reports the maximum, its location, and the count of violations.
 
 A grid builds its series' table once, straight from the coefficients: the
 pairs (b_n, n b_n) from n = N down to 2, or (n b_n, n (n b_n)) for the z f'
-of the C-condition.  It evaluates one circle at a time, with one call to a
-per-circle evaluator: _s_values for the S- and C-conditions, _r_values for the
-R-condition.  Each runs one Horner loop per point, so each formula is written
-once.  _s_values carries f and f' together (Knuth, TAOCP vol. 2, sec.
-4.6.4), in the operation order of _horner_pair; _r_values carries only f', the
-one value the R-condition reads, whose bits do not depend on f.  The suite's
-pole check needs f and f' themselves, which the evaluators do not return; it
-reads them from _horner_pair, the same loop at one point.  Each grid point is
-tested once for |z| < 1, since a radius one ulp below 1 is accepted by
-GridSpec and cmath.rect may round it out.
+of the C-condition.  It evaluates one circle at a time, with one call to
+_s_values, which runs one Horner loop per point and carries f and f'
+together (Knuth, TAOCP vol. 2, sec. 4.6.4), in the operation order of
+_horner_pair.  The suite's pole check needs f and f' themselves, which
+_s_values does not return; it reads them from _horner_pair, the same loop at
+one point.  Each grid point is tested once for |z| < 1, since a radius one
+ulp below 1 is accepted by GridSpec and cmath.rect may round it out.
 
 Each circle of P points is conjugate-symmetric: point j is
 cmath.rect(radius, j * 2pi/P) for j <= P//2 and the conjugate of point P - j
-above that.  When every pair of an S- or C-condition table has imaginary part
-0 (the float F and G, and I images of real coefficients), the value at a
-lower-half point is the value at its mirror, since IEEE +, -, *, / and abs
-commute with conjugation and conj(f(z)) = f(conj(z)) holds for a real series:
-the value is the same float at z and at conj(z).  Such a grid evaluates and
-visits only the P//2 + 1 upper-half points of each circle, each with a
-multiplicity, the number of grid points that share its value: 1 for j = 0 and,
-when P is even, for j = P/2, which are their own mirrors, and 2 for every
-other point.  A point adds its multiplicity to violations or skipped, so every
-grid point still counts once.  The argmax, the first point of the largest
-value, lies in the upper half, since a lower-half point comes after its
-mirror.  The R-condition, where (A-B) tau need not be real, and complex
-tables evaluate all P points, the lower half as conjugates.
+above that.  When every pair of the table has imaginary part 0 (the float F
+and G, and I images of real coefficients), the value at a lower-half point is
+the value at its mirror, since IEEE +, -, *, / and abs commute with
+conjugation and conj(f(z)) = f(conj(z)) holds for a real series: the value is
+the same float at z and at conj(z).  Such a grid evaluates and visits only
+the P//2 + 1 upper-half points of each circle, each with a multiplicity, the
+number of grid points that share its value: 1 for j = 0 and, when P is even,
+for j = P/2, which are their own mirrors, and 2 for every other point.  A
+point adds its multiplicity to violations or skipped, so every grid point
+still counts once.  The argmax, the first point of the largest value, lies in
+the upper half, since a lower-half point comes after its mirror.  A complex
+table, as a caller's general-tail CoefficientSeq may give, evaluates all P
+points, the lower half as conjugates.
 """
 
 from __future__ import annotations
@@ -43,9 +39,9 @@ import cmath
 import math
 from collections.abc import Iterable, Iterator
 
-from .criteria import ClassParams, ConditionId, RParams
+from .criteria import ClassParams, ConditionId
 from .errors import DomainError
-from .series import CoefficientSeq, SignConvention, _is_real, _Record
+from .series import CoefficientSeq, SignConvention, _is_real, _Record, _require
 
 DEFAULT_RADII = (0.25, 0.5, 0.75, 0.9)
 DEFAULT_POINTS = 256
@@ -149,61 +145,34 @@ def _s_values(table: tuple[bool, tuple], zs: Iterable[complex], lam: float,
         yield (0.0, False) if abs(wp1) < denominator_floor else (abs(w - 1) / abs(wp1), True)
 
 
-def _r_values(table: tuple[bool, tuple], zs: Iterable[complex], r: RParams,
-              denominator_floor: float) -> Iterator[tuple[float, bool]]:
-    """Yield (|f'-1| / |(A-B) tau - B (f'-1)|, valid) at each point of zs, with
-    f' alone from one Horner loop per point."""
-    negative, pairs = table
-    for z in zs:
-        dacc = 0j
-        for _, dcoeff in pairs:
-            dacc = dacc * z + dcoeff
-        d = (1 - dacc * z if negative else 1 + dacc * z) - 1
-        den = (r.A - r.B) * r.tau - r.B * d
-        yield (0.0, False) if abs(den) < denominator_floor else (abs(d) / abs(den), True)
-
-
 # ---- grid sampling ----
 
-def grid_check(f: CoefficientSeq, condition: ConditionId, params,
+def grid_check(f: CoefficientSeq, condition: ConditionId, params: ClassParams,
                grid: GridSpec = GridSpec()) -> GridReport:
-    """Evaluate the condition over all grid points.
+    """Evaluate the S- or C-condition over all grid points.
 
     The maximum is taken over valid points with a deterministic tie-break
     (first radius, then first angle); a point counts as a violation when its
-    value reaches the class threshold (k for S/C, 1 for R).  A real S/C table
-    visits the upper half of each circle only, each point with the count of
-    grid points that share its value (see the module docstring); every grid
-    point is counted once either way.
+    value reaches k.  A real table visits the upper half of each circle only,
+    each point with the count of grid points that share its value (see the
+    module docstring); every grid point is counted once either way.
     """
-    if not isinstance(f, CoefficientSeq):
-        raise DomainError(f"f must be a CoefficientSeq, got {f!r}")
-    if not isinstance(grid, GridSpec):
-        raise DomainError(f"grid must be a GridSpec, got {grid!r}")
+    _require(f, CoefficientSeq, "f")
+    _require(grid, GridSpec, "grid")
     # any other value would be gridded as the S-condition under its own label
-    if not isinstance(condition, ConditionId):
-        raise DomainError(f"condition must be a ConditionId, got {condition!r}")
+    _require(condition, ConditionId, "condition")
+    if not isinstance(params, ClassParams):
+        raise DomainError("S/C conditions require ClassParams")
     # the C-condition is the S-condition of z f', built once per grid
     table = _pair_table(f, zfprime=condition is ConditionId.C_COND)
-    if condition is ConditionId.R_COND:
-        if not isinstance(params, RParams):
-            raise DomainError("R condition requires RParams")
-        threshold = 1.0
-        evaluate, arg = _r_values, params
-        # (A-B) tau need not be real, so the R-condition has no mirror symmetry
-        mirrored = False
-    else:
-        if not isinstance(params, ClassParams):
-            raise DomainError("S/C conditions require ClassParams")
-        threshold = params.k
-        evaluate, arg = _s_values, params.lam
-        # a real table gives the same value at conj(z) as at z, bit for bit
-        mirrored = all(a.imag == 0 and da.imag == 0 for a, da in table[1])
+    # a real table gives the same value at conj(z) as at z, bit for bit
+    mirrored = all(a.imag == 0 and da.imag == 0 for a, da in table[1])
 
     max_value = -math.inf
     argmax = 0j
     violations = 0
     skipped = 0
+    k = params.k
     points = grid.points_per_circle
     half = points // 2
     step = 2 * math.pi / points
@@ -220,7 +189,7 @@ def grid_check(f: CoefficientSeq, condition: ConditionId, params,
         if not mirrored:
             # the conjugate of point points - j, whose |z| is already checked
             zs += [zs[points - j].conjugate() for j in range(half + 1, points)]
-        values = evaluate(table, zs, arg, grid.denominator_floor)
+        values = _s_values(table, zs, params.lam, grid.denominator_floor)
         for z, (value, valid), count in zip(zs, values, multiplicity):
             if not valid:
                 skipped += count
@@ -228,7 +197,7 @@ def grid_check(f: CoefficientSeq, condition: ConditionId, params,
             if value > max_value:
                 max_value = value
                 argmax = z
-            if value >= threshold:
+            if value >= k:
                 violations += count
     if max_value == -math.inf:
         max_value = 0.0   # every point skipped

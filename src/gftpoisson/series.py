@@ -14,7 +14,8 @@ from m = 715 on, so every builder refuses such an m with TruncationNotReached.
 One table gives each shifted exponential sum that the weighted coefficient
 sums collapse to: its first index, closed form, first term and term ratio.
 _Record, the base of every frozen record in the package, lives here beside
-_is_real, which each record module imports.
+_is_real, which each record module imports, and _require, which each public
+entry calls on the records it takes.
 """
 
 from __future__ import annotations
@@ -31,6 +32,13 @@ from .errors import DomainError, TruncationNotReached
 def _is_real(x) -> bool:
     # bool is an int subclass, but True is no spelling of 1
     return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _require(value, kind: type, name: str):
+    """value, refused by name with DomainError unless it is a kind."""
+    if not isinstance(value, kind):
+        raise DomainError(f"{name} must be a {kind.__name__}, got {value!r}")
+    return value
 
 
 class _Record:
@@ -148,8 +156,7 @@ class CoefficientSeq(_Record):
 
     def __init__(self, convention: SignConvention, coefficients: tuple,
                  tail_bound: float) -> None:
-        if not isinstance(convention, SignConvention):
-            raise DomainError(f"convention must be a SignConvention, got {convention!r}")
+        _require(convention, SignConvention, "convention")
         try:
             coeffs = tuple(coefficients)
         except TypeError:
@@ -251,7 +258,8 @@ def _weight_pass(m: float, eps: float, rule: str, scale: float = 1.0, P: float |
 
 def choose_truncation(p: PoissonParams, policy: TruncationPolicy) -> int:
     """Smallest order N with a certified weighted tail below eps."""
-    return _weight_pass(p.m, policy.eps, "F")[1]
+    _require(p, PoissonParams, "p")
+    return _weight_pass(p.m, _require(policy, TruncationPolicy, "policy").eps, "F")[1]
 
 
 class _Series(namedtuple("_Series", "convention rule")):
@@ -292,7 +300,8 @@ class _Series(namedtuple("_Series", "convention rule")):
 
     def __call__(self, p: PoissonParams, policy: TruncationPolicy,
                  r=None) -> CoefficientSeq:
-        mags, _, tail = self._pass(p, policy, r)
+        _require(p, PoissonParams, "p")
+        mags, _, tail = self._pass(p, _require(policy, TruncationPolicy, "policy"), r)
         if self.convention is SignConvention.GENERAL_TAIL:
             mags = [complex(a) for a in mags]
         # the types and signs CoefficientSeq's validation would give, by construction
@@ -351,7 +360,7 @@ def _sum_row(kind) -> _ShiftedSum:
 
 def shifted_exp_sum(p: PoissonParams, kind: SumKind) -> float:
     """Closed form of the given shifted exponential series."""
-    return _sum_row(kind).closed(p.m)
+    return _sum_row(kind).closed(_require(p, PoissonParams, "p").m)
 
 
 def partial_shifted_sum(p: PoissonParams, kind: SumKind, upto: int) -> float:
@@ -361,7 +370,10 @@ def partial_shifted_sum(p: PoissonParams, kind: SumKind, upto: int) -> float:
     large m, _exact_sum adds them largest first.  fsum rounds correctly, so
     the sum is the same in any order; an inf or overflowing one keeps its order.
     """
-    row, m = _sum_row(kind), p.m
+    row, m = _sum_row(kind), _require(p, PoissonParams, "p").m
+    # range() needs an int, and a bool is no index
+    if not isinstance(upto, int) or isinstance(upto, bool):
+        raise DomainError(f"upto must be an int, got {upto!r}")
     if upto < row.first:
         return 0.0
     t = row.term(m)

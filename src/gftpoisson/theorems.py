@@ -23,7 +23,7 @@ from .criteria import ClassParams, ConditionId, MembershipReport, RParams, class
 from .errors import DomainError, MissingRParams
 # coeffs_F is not called here, but bench/test_tracer.py wraps it under this name
 from .series import (PoissonParams, TruncationPolicy,  # noqa: F401
-                     _F, _G, _image, _Record, _Series, coeffs_F)
+                     _F, _G, _image, _Record, _require, _Series, coeffs_F)
 
 # math.exp overflows just past 709; beyond this every predicate fails anyway
 _EXP_GUARD = 700.0
@@ -309,14 +309,14 @@ def resolve(pid: PredicateId, c: ClassParams,
 
     A corollary is its theorem at lambda = 0.  Each entry that takes a
     predicate passes its records here first, so a pid, c or r of the wrong
-    kind is refused by name with DomainError.
+    kind is refused by name with DomainError; the entries refuse a p or
+    policy of the wrong kind next, by name too.
     """
     try:
         row = SPECS[pid]
     except (KeyError, TypeError):   # not a PredicateId, or not even hashable
         raise DomainError(f"predicate must be a PredicateId, got {pid!r}") from None
-    if not isinstance(c, ClassParams):
-        raise DomainError(f"c must be a ClassParams, got {c!r}")
+    _require(c, ClassParams, "c")
     if not (r is None or isinstance(r, RParams)):
         raise DomainError(f"r must be an RParams or None, got {r!r}")
     if row.needs_r and r is None:
@@ -353,7 +353,7 @@ def evaluate(pid: PredicateId, p: PoissonParams, c: ClassParams,
              r: RParams | None = None) -> MembershipReport:
     """Closed-form membership report for one predicate at one parameter point."""
     row, c = resolve(pid, c, r)
-    return _report(pid, row, p.m, c, r)
+    return _report(pid, row, _require(p, PoissonParams, "p").m, c, r)
 
 
 # ---- independent cross-check ----
@@ -362,9 +362,9 @@ def _crosscheck_detail(row: PredicateSpec, p: PoissonParams, c: ClassParams,
                        r: RParams | None,
                        policy: TruncationPolicy) -> tuple[float, int]:
     """The residual and truncation order, at class parameters resolve() returned."""
-    closed = row.sum_scale(p.m, c, r)
-    total, n_top = row.series.weighted_sum(p, policy, r, c,
-                                           row.condition is ConditionId.C_COND)
+    closed = row.sum_scale(_require(p, PoissonParams, "p").m, c, r)
+    total, n_top = row.series.weighted_sum(p, _require(policy, TruncationPolicy, "policy"),
+                                           r, c, row.condition is ConditionId.C_COND)
     return abs(closed - total), n_top
 
 
@@ -382,4 +382,5 @@ def evaluate_with_crosscheck(pid: PredicateId, p: PoissonParams, c: ClassParams,
                              ) -> MembershipReport:
     """Membership report with the cross-check residual and order filled in."""
     row, c = resolve(pid, c, r)
-    return _report(pid, row, p.m, c, r, *_crosscheck_detail(row, p, c, r, policy))
+    residual, n_top = _crosscheck_detail(row, p, c, r, policy)
+    return _report(pid, row, p.m, c, r, residual, n_top)

@@ -11,7 +11,6 @@ from gftpoisson import (ClassParams, CoefficientSeq, ConditionId, DomainError,
                         TruncationPolicy, coeffs_F, coeffs_G, grid_check)
 import gftpoisson.disk
 from gftpoisson.disk import MAX_POINTS
-from gftpoisson.series import _image
 from gftpoisson.theorems import SPECS, PredicateId
 
 POLICY = TruncationPolicy(eps=1e-12)
@@ -73,17 +72,6 @@ def test_c_condition_poisson_integral_small_m():
     report = grid_check(g, ConditionId.C_COND, c, GridSpec(radii=(0.85,)))
     assert (report.violations, report.skipped) == (0, 0)
     assert report.max_value < c.k
-
-
-def test_r_condition_B_zero_reference_circles():
-    # f' - 1 = (A-B) tau z for the extremal quadratic, so the ratio is |z|
-    r = RParams(A=0.6, B=0.0, tau=2.0)
-    a2 = (r.A - r.B) * r.tau / 2
-    f = CoefficientSeq(SignConvention.GENERAL_TAIL, (a2,), 0.0)
-    for radius in (0.25, 0.5, 0.75):
-        report = grid_check(f, ConditionId.R_COND, r, GridSpec(radii=(radius,)))
-        assert report.max_value == pytest.approx(radius, rel=1e-14)
-        assert (report.violations, report.skipped) == (0, 0)
 
 
 def _weighted(p, member):
@@ -217,18 +205,6 @@ def test_grid_check_identity_function_s_condition():
     assert d["condition"] == "S_cond"
 
 
-def test_grid_check_identity_function_r_condition():
-    # f' - 1 is exactly zero, so every grid value is 0.0 and the argmax
-    # tie-break deterministically keeps the first point
-    report = grid_check(IDENTITY, ConditionId.R_COND,
-                        RParams(A=1.0, B=-0.5, tau=1.0), GridSpec())
-    assert report.max_value == 0.0
-    assert report.violations == 0
-    d = report.to_json_dict()
-    assert d["condition"] == "R_cond"
-    assert d["argmax"] == [0.25, 0.0]
-
-
 def test_grid_check_sufficiency_small_m():
     f = coeffs_F(PoissonParams(0.3), POLICY)
     report = grid_check(f, ConditionId.S_COND, ClassParams(k=1.0, lam=0.0),
@@ -244,16 +220,6 @@ def test_grid_check_max_grows_with_radius():
     big = grid_check(f, ConditionId.S_COND, c, GridSpec(radii=(0.9,)))
     assert big.max_value > small.max_value
     assert abs(big.argmax_z) == pytest.approx(0.9, rel=1e-12)
-
-
-def test_grid_check_r_condition_worst_case():
-    # |f'-1| <= 2 sum of the Poisson masses = 2(1-e^{-m}) keeps the operator
-    # image inside the R bound at m=0.5
-    r = RParams(A=1.0, B=-1.0, tau=1.0)
-    f = _image(PoissonParams(0.5), POLICY, r)
-    report = grid_check(f, ConditionId.R_COND, r, GridSpec())
-    assert report.violations == 0
-    assert report.max_value < 1.0
 
 
 def test_grid_check_huge_floor_skips_everything():
@@ -275,15 +241,8 @@ def test_grid_check_refuses_a_record_other_than_class_params(condition, params):
     assert str(exc.value) == "S/C conditions require ClassParams"
 
 
-@pytest.mark.parametrize("params", [ClassParams(k=0.5, lam=0.0), None],
-                         ids=["ClassParams", "None"])
-def test_grid_check_refuses_a_record_other_than_r_params(params):
-    with pytest.raises(DomainError) as exc:
-        grid_check(IDENTITY, ConditionId.R_COND, params, GridSpec())
-    assert str(exc.value) == "R condition requires RParams"
-
-
-@pytest.mark.parametrize("condition", ["C_cond", "S_cond", None, PredicateId.T1_F_in_S])
+@pytest.mark.parametrize("condition", ["C_cond", "S_cond", "R_cond", None,
+                                       PredicateId.T1_F_in_S])
 def test_grid_check_refuses_a_condition_that_is_not_a_condition_id(condition):
     # "C_cond" was gridded as the S-condition: max 0.397 where C's is 2.34
     f = coeffs_F(PoissonParams(0.5), POLICY)
@@ -409,36 +368,20 @@ def _s_value(table, z, lam, floor):
     return abs(w - 1) / abs(wp1), True
 
 
-def _r_value(table, z, r, floor):
-    d = _horner_pair(table, z)[1] - 1
-    den = (r.A - r.B) * r.tau - r.B * d
-    if abs(den) < floor:
-        return 0.0, False
-    return abs(d) / abs(den), True
-
-
-def _reference_value(f, condition, params, z, floor):
-    if condition is ConditionId.R_COND:
-        return _r_value(_reference_table(f), z, params, floor)
-    return _s_value(_reference_table(f, zfprime=condition is ConditionId.C_COND),
-                    z, params.lam, floor)
-
-
 def _recomputed(f, condition, params, grid):
     """(max, argmax, violations, skipped) from the reference values at every
     one of the grid's points: the first point of the largest value wins ties."""
-    threshold = 1.0 if condition is ConditionId.R_COND else params.k
+    table = _reference_table(f, zfprime=condition is ConditionId.C_COND)
     best, argmax, violations, skipped = -math.inf, 0j, 0, 0
     for radius in grid.radii:
         for z in _circle(radius, grid.points_per_circle):
-            value, valid = _reference_value(f, condition, params, z,
-                                            grid.denominator_floor)
+            value, valid = _s_value(table, z, params.lam, grid.denominator_floor)
             if not valid:
                 skipped += 1
                 continue
             if value > best:
                 best, argmax = value, z
-            if value >= threshold:
+            if value >= params.k:
                 violations += 1
     return (best if best > -math.inf else 0.0), argmax, violations, skipped
 
@@ -480,7 +423,7 @@ r_params = st.builds(
 def test_grid_check_equals_the_reference_values(kind, condition, m, scale, k,
                                                 lam, r, radii, points, floor_exp):
     f = _series(kind, m, scale, r)
-    params = r if condition is ConditionId.R_COND else ClassParams(k=k, lam=lam)
+    params = ClassParams(k=k, lam=lam)
     grid = GridSpec(radii=tuple(radii), points_per_circle=points,
                     denominator_floor=10.0 ** floor_exp)
     report = grid_check(f, condition, params, grid)
@@ -528,11 +471,10 @@ def test_c_grid_is_the_s_grid_of_z_fprime(kind, k, lam, radii, points, floor_exp
 @pytest.mark.parametrize("points", [64, 9])
 @pytest.mark.parametrize("condition", list(ConditionId))
 def test_grid_check_with_some_points_skipped_equals_the_reference_values(condition, points):
-    # a real table, so the S/C grids visit the upper half with multiplicities;
+    # a real table, so the grids visit the upper half with multiplicities;
     # at P = 9 the point j = P//2 has a mirror, at P = 64 it has none
     f = _extremal_image(RParams(A=1.0, B=-1.0, tau=0.3 + 0.4j), PoissonParams(4.0))
-    params = (RParams(A=0.3, B=-0.5, tau=0.3 + 0.4j) if condition is ConditionId.R_COND
-              else ClassParams(k=0.02, lam=0.3))
+    params = ClassParams(k=0.02, lam=0.3)
     grid = GridSpec(radii=(0.5, 0.9), points_per_circle=points, denominator_floor=0.5)
     report = grid_check(f, condition, params, grid)
     assert 0 < report.skipped < 2 * points
@@ -543,8 +485,7 @@ def test_grid_check_with_some_points_skipped_equals_the_reference_values(conditi
 @pytest.mark.parametrize("condition", list(ConditionId))
 def test_grid_check_one_ulp_inside_the_unit_circle(condition):
     f = coeffs_F(PoissonParams(0.5), POLICY)
-    params = (RParams(A=1.0, B=-0.5, tau=1.0) if condition is ConditionId.R_COND
-              else ClassParams(k=0.7, lam=0.2))
+    params = ClassParams(k=0.7, lam=0.2)
     grid = GridSpec(radii=(math.nextafter(1.0, 0.0),), points_per_circle=64)
     report = grid_check(f, condition, params, grid)
     assert _report_tuple(report) == _recomputed(f, condition, params, grid)
@@ -556,32 +497,35 @@ def _bits(z):
     return struct.pack("<dd", z.real, z.imag)
 
 
-def _recorded_points(monkeypatch, name, f, condition, params, grid):
-    """(the points at which the per-circle evaluator disk.<name> evaluated the
-    condition, the report); the evaluator is called once per circle."""
+def _recorded_points(monkeypatch, f, condition, params, grid):
+    """(the points at which disk._s_values evaluated the condition, the
+    report); _s_values is called once per circle."""
     seen = []
     calls = []
-    evaluate = getattr(gftpoisson.disk, name)
+    evaluate = gftpoisson.disk._s_values
 
     def recording(table, zs, *args):
         calls.append(len(zs))
         seen.extend(zs)
         return evaluate(table, zs, *args)
 
-    monkeypatch.setattr(gftpoisson.disk, name, recording)
+    monkeypatch.setattr(gftpoisson.disk, "_s_values", recording)
     report = grid_check(f, condition, params, grid)
     assert len(calls) == len(grid.radii)
     return seen, report
+
+
+COMPLEX_ONE_TERM = CoefficientSeq(SignConvention.GENERAL_TAIL, (0.1j,), 0.0)
 
 
 @given(radii=st.lists(st.floats(1e-3, 0.999), min_size=1, max_size=3),
        points=st.sampled_from([8, 13, 33, 64, 256]))
 @settings(max_examples=60, deadline=None)
 def test_grid_circles_are_conjugate_symmetric(radii, points):
-    # the R-condition evaluates every point, so it sees the whole point set
+    # a complex table evaluates every point, so it sees the whole point set
     with pytest.MonkeyPatch.context() as mp:
-        seen, _ = _recorded_points(mp, "_r_values", IDENTITY, ConditionId.R_COND,
-                                   RParams(A=1.0, B=0.0, tau=1.0),
+        seen, _ = _recorded_points(mp, COMPLEX_ONE_TERM, ConditionId.S_COND,
+                                   ClassParams(k=0.5, lam=0.0),
                                    GridSpec(radii=tuple(radii), points_per_circle=points))
     assert len(seen) == len(radii) * points
     step = 2 * math.pi / points
@@ -592,6 +536,17 @@ def test_grid_circles_are_conjugate_symmetric(radii, points):
                 assert _bits(z) == _bits(cmath.rect(radius, j * step))
             else:
                 assert _bits(z) == _bits(circle[points - j].conjugate())
+
+
+@pytest.mark.parametrize("f", [IDENTITY, COMPLEX_ONE_TERM], ids=["real", "complex"])
+def test_equal_values_keep_the_first_point(monkeypatch, f):
+    # the tie-break, first radius and then first angle, with every value equal,
+    # on a mirrored grid and on one that evaluates every point
+    monkeypatch.setattr(gftpoisson.disk, "_s_values",
+                        lambda table, zs, *args: [(0.25, True)] * len(zs))
+    report = grid_check(f, ConditionId.S_COND, ClassParams(k=0.5), GridSpec())
+    assert (report.max_value, report.violations, report.skipped) == (0.25, 0, 0)
+    assert report.to_json_dict()["argmax"] == [0.25, 0.0]
 
 
 MIRROR_SERIES = dict(REAL_SERIES, I_complex_tau=_image_of(
@@ -605,17 +560,14 @@ def test_only_real_s_and_c_tables_evaluate_half_of_each_circle(monkeypatch, kind
                                                                 condition, points):
     f = MIRROR_SERIES[kind]
     grid = GridSpec(radii=(0.5, 0.9), points_per_circle=points)
-    if condition is ConditionId.R_COND:
-        name, params = "_r_values", RParams(A=1.0, B=-0.5, tau=0.3 + 0.4j)
-    else:
-        name, params = "_s_values", ClassParams(k=0.3, lam=0.4)
-    seen, report = _recorded_points(monkeypatch, name, f, condition, params, grid)
-    if kind == "I_complex_tau" or condition is ConditionId.R_COND:
+    params = ClassParams(k=0.3, lam=0.4)
+    seen, report = _recorded_points(monkeypatch, f, condition, params, grid)
+    if kind == "I_complex_tau":
         assert len(seen) == 2 * points
     else:
         upper = [z for radius in grid.radii for z in _circle(radius, points)[:points // 2 + 1]]
         assert [_bits(z) for z in seen] == [_bits(z) for z in upper]
     assert _report_tuple(report) == _recomputed(f, condition, params, grid)
     # a real series' largest value is first reached in the upper half
-    if kind != "I_complex_tau" and condition is not ConditionId.R_COND:
+    if kind != "I_complex_tau":
         assert report.argmax_z.imag >= 0

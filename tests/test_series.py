@@ -222,6 +222,40 @@ def test_unknown_sum_kind_is_a_domain_error():
         partial_shifted_sum(p, "Shift1", 5)
 
 
+@pytest.mark.parametrize("p", [0.5, None, TruncationPolicy()])
+@pytest.mark.parametrize("call", [
+    lambda p: choose_truncation(p, POLICY), lambda p: coeffs_F(p, POLICY),
+    lambda p: coeffs_G(p, POLICY), lambda p: _image(p, POLICY, RParams(A=1.0, B=-1.0)),
+    lambda p: shifted_exp_sum(p, SumKind.SHIFT1),
+    lambda p: partial_shifted_sum(p, SumKind.SHIFT1, 5)],
+    ids=["N", "F", "G", "I", "closed", "partial"])
+def test_a_p_that_is_no_poisson_params_record_is_refused(call, p):
+    # a float raised "'float' object has no attribute 'm'"
+    with pytest.raises(DomainError) as exc:
+        call(p)
+    assert str(exc.value) == f"p must be a PoissonParams, got {p!r}"
+
+
+@pytest.mark.parametrize("policy", [0.5, 1e-12, None])
+@pytest.mark.parametrize("build", [
+    choose_truncation, coeffs_F, coeffs_G,
+    lambda p, policy: _image(p, policy, RParams(A=1.0, B=-1.0))],
+    ids=["N", "F", "G", "I"])
+def test_a_policy_that_is_no_truncation_policy_record_is_refused(build, policy):
+    # a float raised "'float' object has no attribute 'eps'"
+    with pytest.raises(DomainError) as exc:
+        build(PoissonParams(1.0), policy)
+    assert str(exc.value) == f"policy must be a TruncationPolicy, got {policy!r}"
+
+
+@pytest.mark.parametrize("upto", [5.5, 5.0, 1.0, True, "5", None])
+def test_partial_shifted_sum_refuses_an_upto_that_is_no_int(upto):
+    # 5.5 raised a TypeError from range(), and True, no spelling of 1, summed nothing
+    with pytest.raises(DomainError) as exc:
+        partial_shifted_sum(PoissonParams(1.0), SumKind.SHIFT1, upto)
+    assert str(exc.value) == f"upto must be an int, got {upto!r}"
+
+
 # ---- truncation control ----
 
 def test_truncation_m1_constant_growth():
@@ -246,6 +280,32 @@ def test_truncation_tail_guarantee_shift1_m3():
     partial = math.exp(-3.0) * partial_shifted_sum(p, SumKind.SHIFT1, n_top)
     closed = math.exp(-3.0) * (math.exp(3.0) - 1)
     assert abs(partial - closed) < policy.eps
+
+
+def _log_uniform(rng, lo, hi):
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+_TAIL_RNG = random.Random(15)
+TAIL_DRAWS = [(_log_uniform(_TAIL_RNG, 1e-6, 714.0), _log_uniform(_TAIL_RNG, 1e-15, 1e-3))
+              for _ in range(60)]
+
+
+@pytest.mark.parametrize("m, eps", TAIL_DRAWS)
+def test_the_n_squared_weighted_tail_past_the_order_is_below_eps(m, eps):
+    # the stopping rule's claim, by meaning: sum_{n>N} n^2 c_n < eps, which
+    # bounds the tail of both criteria's weights.  The exact total
+    # sum_{n>=2} n^2 c_n = E[(j+1)^2] - e^{-m} = m^2 + 3m + 1 - e^{-m}, j
+    # Poisson(m), less the 50-digit partial sum; no float term is read
+    n_top = choose_truncation(PoissonParams(m), TruncationPolicy(eps=eps))
+    with mpmath.workdps(50):
+        mm = mpmath.mpf(m)
+        c, partial = mm * mpmath.exp(-mm), mpmath.mpf(0)
+        for n in range(2, n_top + 1):
+            partial += n * n * c
+            c *= mm / n
+        tail = mm * mm + 3 * mm + 1 - mpmath.exp(-mm) - partial
+    assert tail < eps
 
 
 def test_order_stays_within_the_bound_at_the_smallest_eps():

@@ -2,6 +2,7 @@
 by an edit to this list."""
 
 import gftpoisson
+from gftpoisson import ConditionId
 
 PUBLIC = [
     "BOUNDARY_TOL", "ClassParams", "CoefficientSeq", "ConditionId",
@@ -23,3 +24,8 @@ def test_all_is_the_pinned_public_surface():
 def test_every_public_name_resolves():
     for name in PUBLIC:
         getattr(gftpoisson, name)
+
+
+def test_the_grid_samples_two_conditions():
+    # R^tau(A,B) is only the domain of the operator I, never a disk inequality
+    assert [c.value for c in ConditionId] == ["S_cond", "C_cond"]

@@ -199,6 +199,26 @@ def test_r_params_that_are_neither_none_nor_an_r_params_record_are_refused(entry
     assert str(exc.value) == f"r must be an RParams or None, got {r!r}"
 
 
+@pytest.mark.parametrize("p", [0.5, None, ClassParams(k=0.5, lam=0.0)])
+@pytest.mark.parametrize("pid", [PredicateId.T1_F_in_S, PredicateId.T5_I_in_S])
+@pytest.mark.parametrize("entry", [evaluate, crosscheck, evaluate_with_crosscheck])
+def test_a_p_that_is_no_poisson_params_record_is_refused(entry, pid, p):
+    # a float raised "'float' object has no attribute 'm'"
+    with pytest.raises(DomainError) as exc:
+        entry(pid, p, ClassParams(k=0.5, lam=0.0), R_DEFAULT)
+    assert str(exc.value) == f"p must be a PoissonParams, got {p!r}"
+
+
+@pytest.mark.parametrize("policy", [0.5, 1e-12, None])
+@pytest.mark.parametrize("pid", [PredicateId.T1_F_in_S, PredicateId.T5_I_in_S])
+@pytest.mark.parametrize("entry", [crosscheck, evaluate_with_crosscheck])
+def test_a_policy_that_is_no_truncation_policy_record_is_refused(entry, pid, policy):
+    # a float raised "'float' object has no attribute 'eps'"
+    with pytest.raises(DomainError) as exc:
+        entry(pid, PoissonParams(1.0), ClassParams(k=0.5, lam=0.0), R_DEFAULT, policy)
+    assert str(exc.value) == f"policy must be a TruncationPolicy, got {policy!r}"
+
+
 def test_a_row_needs_r_exactly_when_its_series_is_the_image():
     # needs_r is derived from the series at construction, never passed
     assert ({pid for pid, row in SPECS.items() if row.needs_r}
