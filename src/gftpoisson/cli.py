@@ -72,12 +72,9 @@ def _records(args, pid: PredicateId) -> tuple:
     return (*p, c, r)
 
 
-_REPORT_HEADER = ["predicate", "verdict", "lhs", "rhs", "margin", "residual", "N"]
-
-
 def _verdict(report) -> tuple:
     d = report.to_json_dict()
-    return d, _REPORT_HEADER, [[d[k] for k in _REPORT_HEADER]], _VERDICT_EXIT[report.verdict]
+    return d, list(d), [list(d.values())], _VERDICT_EXIT[report.verdict]
 
 
 def _check(args) -> tuple:
@@ -94,8 +91,7 @@ def _crosscheck(args) -> tuple:
 def _threshold(args) -> tuple:
     pid = _parse_predicate(args.predicate)
     d = solve_m_star(pid, *_records(args, pid), tol=args.tol).to_json_dict()
-    header = ["predicate", "outcome", "m_star", "bracket", "evals"]
-    return d, header, [[d[k] for k in header]], EXIT_HOLDS
+    return d, list(d), [list(d.values())], EXIT_HOLDS
 
 
 def _grid(args) -> tuple:

@@ -1,10 +1,15 @@
-"""Coefficient-sum membership criteria, one per disk condition.
+"""Class parameters, membership reports and the verdict drawn from a margin.
 
-z -/+ sum coeff_n z^n lies in S(k,lambda) when sum w_S(n) |coeff_n| <= 2k with
-w_S(n) = n P - Q, P = (1-lambda)+k(1+lambda) and Q = (1-lambda)(1-k), and in
-C(k,lambda) when the same holds for w_C(n) = n w_S(n): necessary and
-sufficient for a negative tail, sufficient for a general one (Silverman, Proc.
-AMS 51, 1975).  These weights are written once, in series' weight pass,
+ClassParams holds (k, lambda) and RParams (A, B, tau); MembershipReport is the
+result of one predicate; ConditionId names the two disk conditions, S and C;
+classify turns a margin 2k - lhs into a Verdict.
+
+The margins come from coefficient-sum criteria (Silverman, Proc. AMS 51,
+1975): z -/+ sum coeff_n z^n lies in S(k,lambda) when sum w_S(n) |coeff_n|
+<= 2k with w_S(n) = n P - Q, P = (1-lambda)+k(1+lambda) and
+Q = (1-lambda)(1-k), and in C(k,lambda) when the same holds for
+w_C(n) = n w_S(n): necessary and sufficient for a negative tail, sufficient
+for a general one.  These weights are written once, in series' weight pass,
 which forms each term w(n) |coeff_n| as it makes the Poisson weight c_n;
 theorems' cross-check compares the sum of those terms with the closed form.
 It draws no verdict from the sum, since the weights grow with n, so a bound
@@ -120,8 +125,13 @@ class MembershipReport(_Record):
 
 
 def classify(margin: float) -> Verdict:
-    """Verdict from the margin 2k - lhs with the Marginal band BOUNDARY_TOL around zero."""
-    if abs(margin) <= BOUNDARY_TOL:
+    """Verdict from the margin 2k - lhs with the Marginal band BOUNDARY_TOL
+    around zero; a nan margin, which no comparison places, is refused."""
+    if margin > BOUNDARY_TOL:
+        return Verdict.HOLDS
+    if margin < -BOUNDARY_TOL:
+        return Verdict.FAILS
+    if margin == margin:
         return Verdict.MARGINAL
-    return Verdict.HOLDS if margin > 0 else Verdict.FAILS
+    raise DomainError(f"margin must be a number, got {margin!r}")
 

@@ -8,13 +8,14 @@ sampling reports the maximum, its location, and the count of violations.
 
 A grid builds its series' table once, straight from the coefficients: the
 pairs (b_n, n b_n) from n = N down to 2, or (n b_n, n (n b_n)) for the z f'
-of the C-condition.  It evaluates one circle at a time, with one call to
-_s_values, which runs one Horner loop per point and carries f and f'
-together (Knuth, TAOCP vol. 2, sec. 4.6.4), in the operation order of
-_horner_pair.  The suite's pole check needs f and f' themselves, which
-_s_values does not return; it reads them from _horner_pair, the same loop at
-one point.  Each grid point is tested once for |z| < 1, since a radius one
-ulp below 1 is accepted by GridSpec and cmath.rect may round it out.
+of the C-condition.  The quotient has one definition, the generator
+_quotients: at each point it runs one Horner loop that carries f and f'
+together (Knuth, TAOCP vol. 2, sec. 4.6.4) and yields the numerator
+num = z f' and the denominator den = (1-lam) f + lam num.  grid_check calls
+it once per circle and forms each value from num and den; the suite's pole
+check reads den at one real point.  Each grid point is tested once for
+|z| < 1, since a radius one ulp below 1 is accepted by GridSpec and
+cmath.rect may round it out.
 
 Each circle of P points is conjugate-symmetric: point j is
 cmath.rect(radius, j * 2pi/P) for j <= P//2 and the conjugate of point P - j
@@ -81,7 +82,7 @@ class GridSpec(_Record):
                               f"got {denominator_floor!r}")
         self.__dict__.update(radii=tuple(float(r) for r in given),
                              points_per_circle=points_per_circle,
-                             denominator_floor=denominator_floor)
+                             denominator_floor=float(denominator_floor))
 
 
 class GridReport(_Record):
@@ -110,24 +111,10 @@ def _pair_table(f: CoefficientSeq, zfprime: bool = False) -> tuple[bool, tuple]:
     return f.convention is SignConvention.NEGATIVE_TAIL, tuple(pairs)
 
 
-def _horner_pair(table: tuple[bool, tuple], z: complex) -> tuple[complex, complex]:
-    """(f(z), f'(z)) at one point, in the operation order of _s_values."""
-    negative, pairs = table
-    acc = dacc = 0j
-    for coeff, dcoeff in pairs:
-        acc = acc * z + coeff
-        dacc = dacc * z + dcoeff
-    if negative:
-        return z - acc * z * z, 1 - dacc * z
-    return z + acc * z * z, 1 + dacc * z
-
-
-# ---- condition values ----
-
-def _s_values(table: tuple[bool, tuple], zs: Iterable[complex], lam: float,
-              denominator_floor: float) -> Iterator[tuple[float, bool]]:
-    """Yield (|w-1|/|w+1|, valid) at each point of zs, none of them 0, with f
-    and f' from one Horner loop per point."""
+def _quotients(table: tuple[bool, tuple], zs: Iterable[complex],
+               lam: float) -> Iterator[tuple[complex, complex]]:
+    """Yield (num, den) = (z f'(z), (1-lam) f(z) + lam num) at each point of
+    zs, with f and f' from one Horner loop per point."""
     negative, pairs = table
     for z in zs:
         acc = dacc = 0j
@@ -136,13 +123,7 @@ def _s_values(table: tuple[bool, tuple], zs: Iterable[complex], lam: float,
             dacc = dacc * z + dcoeff
         fz = z - acc * z * z if negative else z + acc * z * z
         num = z * (1 - dacc * z if negative else 1 + dacc * z)
-        den = (1 - lam) * fz + lam * num
-        if abs(den) < denominator_floor:
-            yield 0.0, False
-            continue
-        w = num / den
-        wp1 = w + 1
-        yield (0.0, False) if abs(wp1) < denominator_floor else (abs(w - 1) / abs(wp1), True)
+        yield num, (1 - lam) * fz + lam * num
 
 
 # ---- grid sampling ----
@@ -172,7 +153,8 @@ def grid_check(f: CoefficientSeq, condition: ConditionId, params: ClassParams,
     argmax = 0j
     violations = 0
     skipped = 0
-    k = params.k
+    k, lam = params.k, params.lam
+    floor = grid.denominator_floor
     points = grid.points_per_circle
     half = points // 2
     step = 2 * math.pi / points
@@ -189,11 +171,16 @@ def grid_check(f: CoefficientSeq, condition: ConditionId, params: ClassParams,
         if not mirrored:
             # the conjugate of point points - j, whose |z| is already checked
             zs += [zs[points - j].conjugate() for j in range(half + 1, points)]
-        values = _s_values(table, zs, params.lam, grid.denominator_floor)
-        for z, (value, valid), count in zip(zs, values, multiplicity):
-            if not valid:
+        for z, (num, den), count in zip(zs, _quotients(table, zs, lam), multiplicity):
+            if abs(den) < floor:
                 skipped += count
                 continue
+            w = num / den
+            wp1 = w + 1
+            if abs(wp1) < floor:
+                skipped += count
+                continue
+            value = abs(w - 1) / abs(wp1)
             if value > max_value:
                 max_value = value
                 argmax = z

@@ -29,9 +29,16 @@ from collections import namedtuple
 from .errors import DomainError, TruncationNotReached
 
 
+# the least int that float() rounds past the largest double, to 2**1024
+_INT_OVERFLOW = 2 ** 1024 - 2 ** 970
+
+
 def _is_real(x) -> bool:
-    # bool is an int subclass, but True is no spelling of 1
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    # bool is an int subclass, but True is no spelling of 1; an int of size
+    # _INT_OVERFLOW or more has no float, and float() raises OverflowError
+    if isinstance(x, float):
+        return True
+    return isinstance(x, int) and not isinstance(x, bool) and abs(x) < _INT_OVERFLOW
 
 
 def _require(value, kind: type, name: str):

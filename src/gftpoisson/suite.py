@@ -13,7 +13,7 @@ import math
 import random
 
 from .criteria import ClassParams, ConditionId, RParams, Verdict, classify
-from .disk import GridSpec, _horner_pair, _pair_table, grid_check
+from .disk import DEFAULT_RADII, GridSpec, _pair_table, _quotients, grid_check
 from .serialize import fmt_float
 from .series import (PoissonParams, SumKind, TruncationPolicy,
                      choose_truncation, coeffs_F, coeffs_G, partial_shifted_sum,
@@ -31,7 +31,7 @@ THRESHOLD_FIXTURE = 0.5671432904097838
 THRESHOLD_FIXTURE_TOL = 1e-9
 BRACKET_REL_TOL = 1e-14
 
-EXTENDED_RADII = (0.25, 0.5, 0.75, 0.9, 0.999)
+EXTENDED_RADII = DEFAULT_RADII + (0.999,)
 WITNESS_EPS = 1e-14
 HOLD_MARGIN = 0.01
 FAIL_EXCESS = 0.10
@@ -52,14 +52,13 @@ def draw_r_params(rng: random.Random) -> RParams:
 
 def _no_interior_pole(f, lam: float) -> bool:
     # the radius-0.999 witness is only claimed where the quotient denominator
-    # (1-lam) f(r)/r + lam f'(r) stays positive on the real segment (0, 0.999].
+    # D(r) = (1-lam) f(r)/r + lam f'(r) stays positive on the real segment (0, 0.999].
     # For a negative-tail f (every b_n >= 0) it is 1 - sum b_n (1-lam+lam n) r^(n-1),
     # strictly decreasing in r, so its sign at the end decides; taking the end
     # one ulp past 0.999 can only reject a draw, never accept one wrongly.
-    # f(r) and f'(r) come from one Horner pass, in the grid evaluators' operation order
-    r = math.nextafter(0.999, 1.0)
-    fr, dfr = _horner_pair(_pair_table(f), complex(r))
-    return (1 - lam) * fr.real / r + lam * dfr.real > 0
+    # The grid's den at z = r is r D(r), with the same sign
+    (_, den), = _quotients(_pair_table(f), (complex(math.nextafter(0.999, 1.0)),), lam)
+    return den.real > 0
 
 
 def draw_t1_holding(rng: random.Random):

@@ -70,7 +70,10 @@ def test_r_params_rejects_bools_and_non_finite_tau(a, b, tau):
         assert str(exc.value) == f"tau must be a finite complex number, got {tau!r}"
 
 
-@pytest.mark.parametrize("tau", ["1", "1j", None, b"1"], ids=["str", "str-1j", "None", "bytes"])
+# an int past the largest double has no complex, and complex(tau) raised a
+# bare OverflowError that named no input
+@pytest.mark.parametrize("tau", ["1", "1j", None, b"1", 10 ** 400, -10 ** 400],
+                         ids=["str", "str-1j", "None", "bytes", "10**400", "-10**400"])
 def test_r_params_refuses_a_tau_that_is_no_number(tau):
     with pytest.raises(DomainError) as exc:
         RParams(A=1.0, B=-1.0, tau=tau)
@@ -307,6 +310,9 @@ def test_classify_bands():
     assert classify(0.0) is Verdict.MARGINAL
     assert classify(5e-10) is Verdict.MARGINAL
     assert classify(-5e-10) is Verdict.MARGINAL
+    assert classify(-0.0) is Verdict.MARGINAL
+    assert classify(math.inf) is Verdict.HOLDS
+    assert classify(-math.inf) is Verdict.FAILS
 
 
 @pytest.mark.parametrize("sign, outside", [(1, Verdict.HOLDS), (-1, Verdict.FAILS)])
@@ -314,6 +320,13 @@ def test_classify_band_edge_is_marginal_and_the_next_float_out_is_not(sign, outs
     edge = sign * BOUNDARY_TOL
     assert classify(edge) is Verdict.MARGINAL
     assert classify(math.nextafter(edge, sign * math.inf)) is outside
+
+
+def test_classify_refuses_a_nan_margin():
+    # nan fails every comparison, so it read as Fails
+    with pytest.raises(DomainError) as exc:
+        classify(math.nan)
+    assert str(exc.value) == "margin must be a number, got nan"
 
 
 # ---- the weighted sum ----

@@ -22,37 +22,46 @@ disk_points = st.complex_numbers(max_magnitude=0.95, allow_nan=False,
 
 # ---- series evaluation ----
 
-def _f_and_fprime(f, z):
-    """(f(z), f'(z)) from the one-point Horner pass the suite's pole check reads."""
-    return gftpoisson.disk._horner_pair(gftpoisson.disk._pair_table(f), complex(z))
+def _num_den(f, z, lam=0.0):
+    """(z f'(z), (1-lam) f(z) + lam z f'(z)) at one point, from the generator
+    the grid and the suite's pole check read; den is f(z) at lam = 0."""
+    (num, den), = gftpoisson.disk._quotients(gftpoisson.disk._pair_table(f),
+                                             [complex(z)], lam)
+    return num, den
 
 
 def test_eval_identity_function():
-    assert _f_and_fprime(IDENTITY, 0.5 + 0.25j) == (0.5 + 0.25j, 1.0)
+    z = 0.5 + 0.25j
+    assert _num_den(IDENTITY, z) == (z, z)
+    assert _num_den(IDENTITY, z, 0.3)[1] == pytest.approx(z, rel=1e-15)
 
 
 def test_eval_one_term_tail():
+    # f = z - 0.5 z^2, so z f' = z - z^2
     f = CoefficientSeq(SignConvention.NEGATIVE_TAIL, (0.5,), 0.0)
-    fz, dfz = _f_and_fprime(f, 0.5)
-    assert fz == pytest.approx(0.5 - 0.5 * 0.25, rel=1e-15)
-    assert dfz == pytest.approx(1 - 2 * 0.5 * 0.5, rel=1e-15)
+    num, den = _num_den(f, 0.5)
+    assert den == pytest.approx(0.5 - 0.5 * 0.25, rel=1e-15)
+    assert num == pytest.approx(0.5 * (1 - 2 * 0.5 * 0.5), rel=1e-15)
+    assert _num_den(f, 0.5, 0.4)[1] == pytest.approx(0.6 * den + 0.4 * num, rel=1e-15)
 
 
 def test_eval_matches_direct_summation():
     f = coeffs_F(PoissonParams(1.0), POLICY)
     z = 0.5
-    fz, dfz = _f_and_fprime(f, z)
+    num, den = _num_den(f, z)
     direct = z - math.fsum(
         b * z ** n for n, b in enumerate(f.coefficients, start=2))
-    assert fz == pytest.approx(direct, rel=1e-14)
+    assert den == pytest.approx(direct, rel=1e-14)
     direct_d = 1 - math.fsum(
         n * b * z ** (n - 1) for n, b in enumerate(f.coefficients, start=2))
-    assert dfz == pytest.approx(direct_d, rel=1e-14)
+    assert num == pytest.approx(z * direct_d, rel=1e-14)
+    assert _num_den(f, z, 0.3)[1] == pytest.approx(0.7 * direct + 0.3 * z * direct_d,
+                                                   rel=1e-14)
 
 
 def test_eval_general_tail_adds_terms():
     f = CoefficientSeq(SignConvention.GENERAL_TAIL, (0.5 + 0j,), 0.0)
-    assert _f_and_fprime(f, 0.5)[0] == pytest.approx(0.5 + 0.5 * 0.25, rel=1e-15)
+    assert _num_den(f, 0.5)[1] == pytest.approx(0.5 + 0.5 * 0.25, rel=1e-15)
 
 
 # ---- conditions on one circle ----
@@ -109,22 +118,23 @@ REAL_SERIES = {"F": coeffs_F(PoissonParams(0.7), POLICY),
 @settings(max_examples=30, deadline=None)
 def test_condition_conjugation_symmetry(kind, condition, radius, points):
     # real coefficients commute with conjugation at every arithmetic step, so
-    # the values at the conjugates of the upper-half points a grid visits are
-    # the same floats, and the report counts each with its mirror
-    evaluate = gftpoisson.disk._s_values
+    # num and den at the conjugates of the upper-half points a grid visits are
+    # their conjugates, and the report counts each point with its mirror
+    evaluate = gftpoisson.disk._quotients
     circles = []
 
-    def with_conjugates(table, zs, *args):
-        values = list(evaluate(table, zs, *args))
+    def with_conjugates(table, zs, lam):
+        quotients = list(evaluate(table, zs, lam))
         circles.append(len(zs))
-        assert values == list(evaluate(table, [z.conjugate() for z in zs], *args))
-        return values
+        assert list(evaluate(table, [z.conjugate() for z in zs], lam)) == [
+            (num.conjugate(), den.conjugate()) for num, den in quotients]
+        return quotients
 
     f = REAL_SERIES[kind]
     params = ClassParams(k=0.6, lam=0.4)
     grid = GridSpec(radii=(radius,), points_per_circle=points)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gftpoisson.disk, "_s_values", with_conjugates)
+        mp.setattr(gftpoisson.disk, "_quotients", with_conjugates)
         report = grid_check(f, condition, params, grid)
     assert circles == [points // 2 + 1]
     assert _report_tuple(report) == _recomputed(f, condition, params, grid)
@@ -150,10 +160,12 @@ def test_grid_spec_validation():
         GridSpec(denominator_floor=-1.0)
 
 
-@pytest.mark.parametrize("floor", [math.inf, math.nan, True, "1e-12", 0.0, -1.0, 0])
+@pytest.mark.parametrize("floor", [math.inf, math.nan, True, "1e-12", 0.0, -1.0, 0, 10 ** 400],
+                         ids=["inf", "nan", "True", "str", "0.0", "-1.0", "0", "10**400"])
 def test_grid_spec_rejects_non_finite_or_bool_floor(floor):
-    # an infinite floor skips every point and reads like a pass; True is no
-    # 1.0; a floor of nan, 0 or -1 turns the guard off
+    # an infinite floor skips every point and reads like a pass, and so did
+    # 10**400, which compared below inf; True is no 1.0; a floor of nan, 0 or
+    # -1 turns the guard off
     with pytest.raises(DomainError) as exc:
         GridSpec(denominator_floor=floor)
     assert str(exc.value) == f"denominator_floor must be a finite positive number, got {floor!r}"
@@ -164,6 +176,7 @@ def test_grids_accept_the_floors_grid_spec_accepts(floor):
     # |(1-lam) f + lam z f'| is about 0.5 on the circle of radius 0.5
     f = coeffs_F(PoissonParams(0.7), POLICY)
     grid = GridSpec(radii=(0.5,), points_per_circle=8, denominator_floor=floor)
+    assert type(grid.denominator_floor) is float and grid.denominator_floor == floor
     report = grid_check(f, ConditionId.S_COND, ClassParams(k=0.5, lam=0.3), grid)
     assert report.skipped == (0 if floor < 0.1 else 8)
 
@@ -353,12 +366,17 @@ def _horner_pair(table, z):
     return z + acc * z * z, 1 + dacc * z
 
 
+def _reference_quotient(table, z, lam):
+    """(num, den) = (z f'(z), (1-lam) f(z) + lam num)."""
+    fz, dfz = _horner_pair(table, z)
+    num = z * dfz
+    return num, (1 - lam) * fz + lam * num
+
+
 def _s_value(table, z, lam, floor):
     if z == 0:
         return 0.0, True
-    fz, dfz = _horner_pair(table, z)
-    num = z * dfz
-    den = (1 - lam) * fz + lam * num
+    num, den = _reference_quotient(table, z, lam)
     if abs(den) < floor:
         return 0.0, False
     w = num / den
@@ -431,14 +449,17 @@ def test_grid_check_equals_the_reference_values(kind, condition, m, scale, k,
 
 
 @given(kind=st.sampled_from(["F", "G", "I", "I_tau", "scaled"]), m=st.floats(1e-3, 10.0),
-       scale=st.floats(0.0, 4.0), r=r_params, z=disk_points)
+       scale=st.floats(0.0, 4.0), r=r_params, zfprime=st.booleans(),
+       lam=st.floats(0.0, 0.999), z=disk_points)
 @settings(max_examples=100, deadline=None)
-def test_one_point_horner_is_the_reference_value(kind, m, scale, r, z):
+def test_one_point_horner_is_the_reference_value(kind, m, scale, r, zfprime, lam, z):
+    # the bits of num and den at one point, which the suite's pole check reads
     f = _series(kind, m, scale, r)
-    fz, dfz = _horner_pair(_reference_table(f), complex(z))
-    got_fz, got_dfz = _f_and_fprime(f, z)
-    assert _bits(got_fz) == _bits(fz)
-    assert _bits(got_dfz) == _bits(dfz)
+    num, den = _reference_quotient(_reference_table(f, zfprime), complex(z), lam)
+    (got_num, got_den), = gftpoisson.disk._quotients(
+        gftpoisson.disk._pair_table(f, zfprime), [complex(z)], lam)
+    assert _bits(got_num) == _bits(num)
+    assert _bits(got_den) == _bits(den)
 
 
 # z f' of z - b z^2 is z - 2b z^2; I_complex_tau's table is complex, so its
@@ -498,18 +519,18 @@ def _bits(z):
 
 
 def _recorded_points(monkeypatch, f, condition, params, grid):
-    """(the points at which disk._s_values evaluated the condition, the
-    report); _s_values is called once per circle."""
+    """(the points at which disk._quotients evaluated the condition, the
+    report); _quotients is called once per circle."""
     seen = []
     calls = []
-    evaluate = gftpoisson.disk._s_values
+    evaluate = gftpoisson.disk._quotients
 
-    def recording(table, zs, *args):
+    def recording(table, zs, lam):
         calls.append(len(zs))
         seen.extend(zs)
-        return evaluate(table, zs, *args)
+        return evaluate(table, zs, lam)
 
-    monkeypatch.setattr(gftpoisson.disk, "_s_values", recording)
+    monkeypatch.setattr(gftpoisson.disk, "_quotients", recording)
     report = grid_check(f, condition, params, grid)
     assert len(calls) == len(grid.radii)
     return seen, report
@@ -541,11 +562,12 @@ def test_grid_circles_are_conjugate_symmetric(radii, points):
 @pytest.mark.parametrize("f", [IDENTITY, COMPLEX_ONE_TERM], ids=["real", "complex"])
 def test_equal_values_keep_the_first_point(monkeypatch, f):
     # the tie-break, first radius and then first angle, with every value equal,
-    # on a mirrored grid and on one that evaluates every point
-    monkeypatch.setattr(gftpoisson.disk, "_s_values",
-                        lambda table, zs, *args: [(0.25, True)] * len(zs))
-    report = grid_check(f, ConditionId.S_COND, ClassParams(k=0.5), GridSpec())
-    assert (report.max_value, report.violations, report.skipped) == (0.25, 0, 0)
+    # on a mirrored grid and on one that evaluates every point; w = 3 gives
+    # the value |3 - 1|/|3 + 1| = 0.5 exactly
+    monkeypatch.setattr(gftpoisson.disk, "_quotients",
+                        lambda table, zs, lam: [(3 + 0j, 1 + 0j)] * len(zs))
+    report = grid_check(f, ConditionId.S_COND, ClassParams(k=0.75), GridSpec())
+    assert (report.max_value, report.violations, report.skipped) == (0.5, 0, 0)
     assert report.to_json_dict()["argmax"] == [0.25, 0.0]
 
 

@@ -93,6 +93,43 @@ def test_truncation_policy_rejects_what_is_no_real_number(kwargs):
         TruncationPolicy(**kwargs)
 
 
+# the least int that float() rounds past the largest double, to 2**1024
+FLOAT_OVERFLOW = 2 ** 1024 - 2 ** 970
+
+
+@pytest.mark.parametrize("huge", [10 ** 400, FLOAT_OVERFLOW, -FLOAT_OVERFLOW],
+                         ids=["10**400", "overflow", "-overflow"])
+def test_an_int_past_the_largest_double_is_refused_by_name(huge):
+    # float() of such an int raised a bare OverflowError that named no input
+    with pytest.raises(DomainError) as exc:
+        PoissonParams(huge)
+    assert str(exc.value) == f"m must be a finite positive real, got {huge!r}"
+    with pytest.raises(DomainError) as exc:
+        TruncationPolicy(huge)
+    assert str(exc.value) == f"eps must be finite and positive, got {huge!r}"
+    with pytest.raises(DomainError) as exc:
+        CoefficientSeq(SignConvention.NEGATIVE_TAIL, (huge,), 0.0)
+    assert str(exc.value) == f"negative-tail coefficients must be finite reals >= 0, got {huge!r}"
+    with pytest.raises(DomainError) as exc:
+        CoefficientSeq(SignConvention.NEGATIVE_TAIL, (0.5,), huge)
+    assert str(exc.value) == f"tail_bound must be finite and >= 0, got {huge!r}"
+    with pytest.raises(DomainError) as exc:
+        CoefficientSeq(SignConvention.GENERAL_TAIL, (huge,), 0.0)
+    assert str(exc.value) == f"general-tail coefficients must be finite complex numbers, got {huge!r}"
+
+
+def test_the_largest_int_below_the_overflow_is_the_largest_double():
+    assert PoissonParams(FLOAT_OVERFLOW - 1).m == sys.float_info.max
+    f = CoefficientSeq(SignConvention.GENERAL_TAIL, (FLOAT_OVERFLOW - 1,), 0.0)
+    assert f.coefficients == (complex(sys.float_info.max),)
+
+
+def test_coefficient_seq_refuses_an_empty_coefficient_list():
+    with pytest.raises(DomainError) as exc:
+        CoefficientSeq(SignConvention.NEGATIVE_TAIL, (), 0.0)
+    assert str(exc.value) == "coefficient list must reach at least n=2"
+
+
 # ---- Poisson coefficients e^{-m} m^{n-1}/(n-1)!, read off coeffs_F ----
 
 # eps this small takes N past n = 20 for every m below

@@ -14,7 +14,7 @@ from gftpoisson.cli import EXIT_USAGE, main
 from gftpoisson import (ClassParams, DomainError, InvalidTolerance,
                         MissingRParams, Outcome, PoissonParams, PredicateId,
                         RParams, Verdict, evaluate, solve_m_star)
-from gftpoisson.theorems import SPECS, _lambert_w0, resolve
+from gftpoisson.theorems import _NEWTON_STEPS, SPECS, _lambert_w0, _newton, resolve
 
 K1 = ClassParams(k=1.0, lam=0.0)
 R_WIDE = RParams(A=1.0, B=-1.0, tau=1.0)
@@ -254,10 +254,13 @@ def test_corollary_threshold_matches_parent():
     assert res_c.m_star == pytest.approx(res_p.m_star, abs=1e-10)
 
 
-@pytest.mark.parametrize("bad", [0.0, -1e-10, math.inf, math.nan, True])
+# an int past the largest double raised a bare OverflowError that named no input
+@pytest.mark.parametrize("bad", [0.0, -1e-10, math.inf, math.nan, True, 10 ** 400],
+                         ids=["0", "negative", "inf", "nan", "True", "10**400"])
 def test_rejects_bad_tolerance(bad):
-    with pytest.raises(InvalidTolerance):
+    with pytest.raises(InvalidTolerance) as exc:
         solve_m_star(PredicateId.T1_F_in_S, K1, tol=bad)
+    assert str(exc.value) == f"tol must be finite and positive, got {bad!r}"
 
 
 @pytest.mark.parametrize("pid", ["T1_F_in_S", None, []])
@@ -428,6 +431,29 @@ def _assert_bounded_contract(pid, c, r, res):
     above = evaluate(pid, PoissonParams(res.m_star + res.bracket_width), c, r)
     assert below.verdict is not Verdict.FAILS, below
     assert above.verdict is not Verdict.HOLDS, above
+
+
+def test_newton_gives_up_on_a_slope_that_is_not_positive():
+    seen = []
+
+    def value_slope(m):
+        seen.append(m)
+        return 1.0, 0.0
+
+    assert _newton(1.0, value_slope) is None
+    assert seen == [1.0]
+
+
+def test_newton_gives_up_after_its_step_budget():
+    # a unit step never falls below 4e-16 m, so the climb never stops itself
+    seen = []
+
+    def value_slope(m):
+        seen.append(m)
+        return 1.0, 1.0
+
+    assert _newton(1.0, value_slope) is None
+    assert seen == [1.0 + i for i in range(_NEWTON_STEPS)]
 
 
 @given(ks, lams)
