@@ -116,6 +116,7 @@ def _quotients(table: tuple[bool, tuple], zs: Iterable[complex],
     """Yield (num, den) = (z f'(z), (1-lam) f(z) + lam num) at each point of
     zs, with f and f' from one Horner loop per point."""
     negative, pairs = table
+    one_minus_lam = 1 - lam
     for z in zs:
         acc = dacc = 0j
         for coeff, dcoeff in pairs:
@@ -123,7 +124,7 @@ def _quotients(table: tuple[bool, tuple], zs: Iterable[complex],
             dacc = dacc * z + dcoeff
         fz = z - acc * z * z if negative else z + acc * z * z
         num = z * (1 - dacc * z if negative else 1 + dacc * z)
-        yield num, (1 - lam) * fz + lam * num
+        yield num, one_minus_lam * fz + lam * num
 
 
 # ---- grid sampling ----
@@ -134,9 +135,11 @@ def grid_check(f: CoefficientSeq, condition: ConditionId, params: ClassParams,
 
     The maximum is taken over valid points with a deterministic tie-break
     (first radius, then first angle); a point counts as a violation when its
-    value reaches k.  A real table visits the upper half of each circle only,
-    each point with the count of grid points that share its value (see the
-    module docstring); every grid point is counted once either way.
+    value is not below k, so a nan value, which compares false with every
+    number, is a violation and not a pass.  A real table visits the upper
+    half of each circle only, each point with the count of grid points that
+    share its value (see the module docstring); every grid point is counted
+    once either way.
     """
     _require(f, CoefficientSeq, "f")
     _require(grid, GridSpec, "grid")
@@ -176,17 +179,18 @@ def grid_check(f: CoefficientSeq, condition: ConditionId, params: ClassParams,
                 skipped += count
                 continue
             w = num / den
-            wp1 = w + 1
-            if abs(wp1) < floor:
+            abs_wp1 = abs(w + 1)
+            if abs_wp1 < floor:
                 skipped += count
                 continue
-            value = abs(w - 1) / abs(wp1)
+            value = abs(w - 1) / abs_wp1
             if value > max_value:
                 max_value = value
                 argmax = z
-            if value >= k:
+            # an overflowing Horner loop gives nan, which must not pass
+            if not value < k:
                 violations += count
     if max_value == -math.inf:
-        max_value = 0.0   # every point skipped
+        max_value = 0.0   # every point skipped or nan
     return GridReport(condition=condition, max_value=max_value, argmax_z=argmax,
                       violations=violations, skipped=skipped)

@@ -13,7 +13,7 @@ import math
 import random
 
 from .criteria import ClassParams, ConditionId, RParams, Verdict, classify
-from .disk import DEFAULT_RADII, GridSpec, _pair_table, _quotients, grid_check
+from .disk import GridSpec, _pair_table, _quotients, grid_check
 from .serialize import fmt_float
 from .series import (PoissonParams, SumKind, TruncationPolicy,
                      choose_truncation, coeffs_F, coeffs_G, partial_shifted_sum,
@@ -31,10 +31,11 @@ THRESHOLD_FIXTURE = 0.5671432904097838
 THRESHOLD_FIXTURE_TOL = 1e-9
 BRACKET_REL_TOL = 1e-14
 
-EXTENDED_RADII = DEFAULT_RADII + (0.999,)
 WITNESS_EPS = 1e-14
 HOLD_MARGIN = 0.01
 FAIL_EXCESS = 0.10
+# the circle of the radial witness z = 0.999, at the default point count
+_WITNESS_GRID = GridSpec(radii=(0.999,))
 
 
 # ---- parameter draws ----
@@ -200,6 +201,16 @@ def check_bracket_identity(rng: random.Random, draws: int = 1000):
 
 def check_disk_sampling(rng: random.Random, holding_draws: int = 20,
                         failing_draws: int = 10):
+    """Grid holding draws for no violation and failing draws for a witness.
+
+    A holding draw's F or G series must stay below k on every circle of the
+    default grid, so it is gridded on all four radii.  A failing draw is
+    claimed to exceed k at the radial point z = 0.999 (draw_t1_failing_radial
+    admits only draws where that witness is guaranteed), so it is gridded on
+    the circle of radius 0.999 alone, whose first point is that z.  A witness
+    found on that one circle is also a witness on any grid that contains it,
+    so dropping the inner circles can only make the check stricter.
+    """
     policy = TruncationPolicy(eps=1e-12)
     bad = []
     for _ in range(holding_draws):
@@ -211,10 +222,9 @@ def check_disk_sampling(rng: random.Random, holding_draws: int = 20,
         rep = grid_check(coeffs_G(p, policy), ConditionId.S_COND, c)
         if rep.violations:
             bad.append(f"G violation at m={fmt_float(p.m)}")
-    witness_grid = GridSpec(radii=EXTENDED_RADII)
     for _ in range(failing_draws):
         p, c, f = draw_t1_failing_radial(rng)
-        rep = grid_check(f, ConditionId.S_COND, c, witness_grid)
+        rep = grid_check(f, ConditionId.S_COND, c, _WITNESS_GRID)
         if not rep.max_value > c.k:
             bad.append(f"missing witness at m={fmt_float(p.m)} k={fmt_float(c.k)}"
                        f" lam={fmt_float(c.lam)}")

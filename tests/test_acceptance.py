@@ -14,9 +14,13 @@ from gftpoisson import (ClassParams, ConditionId, GridSpec, PoissonParams,
                         choose_truncation, coeffs_F, coeffs_G, crosscheck,
                         dumps_canonical, evaluate, grid_check, run_suite,
                         shifted_exp_sum, solve_m_star, t4_lhs, t5_lhs)
-from gftpoisson.suite import (EXTENDED_RADII, WITNESS_EPS, draw_class_params,
-                              draw_r_params, draw_t1_failing_radial,
-                              draw_t1_holding, draw_t4_holding)
+from gftpoisson.disk import DEFAULT_RADII
+from gftpoisson.suite import (WITNESS_EPS, draw_class_params, draw_r_params,
+                              draw_t1_failing_radial, draw_t1_holding,
+                              draw_t4_holding)
+
+# criterion 7 grids each failing draw on the default circles and the witness's
+EXTENDED_RADII = DEFAULT_RADII + (0.999,)
 
 
 def _report(num: int, label: str, ok: bool, detail: str) -> None:

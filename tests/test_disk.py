@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 import struct
 
 import pytest
@@ -10,6 +11,7 @@ from gftpoisson import (ClassParams, CoefficientSeq, ConditionId, DomainError,
                         GridSpec, PoissonParams, RParams, SignConvention,
                         TruncationPolicy, coeffs_F, coeffs_G, grid_check)
 import gftpoisson.disk
+import gftpoisson.suite
 from gftpoisson.disk import MAX_POINTS
 from gftpoisson.theorems import SPECS, PredicateId
 
@@ -285,6 +287,17 @@ def test_a_value_that_reaches_k_is_a_violation():
     assert at_max.violations >= 1
 
 
+def test_a_nan_value_is_a_violation():
+    # the Horner loop overflows to nan at every point; each value compared
+    # false with k and with the floors, so the grid read as a clean pass
+    f = CoefficientSeq(SignConvention.GENERAL_TAIL, (1e308,) * 6, 0.0)
+    grid = GridSpec(radii=(0.9,), points_per_circle=8)
+    report = grid_check(f, ConditionId.S_COND, ClassParams(0.5, 0.5), grid)
+    assert (report.violations, report.skipped) == (8, 0)
+    # the maximum is over the values that compare, and there are none
+    assert (report.max_value, report.argmax_z) == (0.0, 0j)
+
+
 @pytest.mark.parametrize("f", [[0.1, 0.2], (0.1,), None, 0.5])
 def test_grid_check_refuses_a_series_that_is_not_a_coefficient_seq(f):
     # a list raised "'list' object has no attribute 'truncation_order'"
@@ -399,7 +412,7 @@ def _recomputed(f, condition, params, grid):
                 continue
             if value > best:
                 best, argmax = value, z
-            if value >= params.k:
+            if not value < params.k:
                 violations += 1
     return (best if best > -math.inf else 0.0), argmax, violations, skipped
 
@@ -593,3 +606,39 @@ def test_only_real_s_and_c_tables_evaluate_half_of_each_circle(monkeypatch, kind
     # a real series' largest value is first reached in the upper half
     if kind != "I_complex_tau":
         assert report.argmax_z.imag >= 0
+
+
+# ---- the suite's disk grids ----
+
+@pytest.mark.parametrize("holding, failing", [(2, 0), (0, 3), (2, 3)])
+def test_suite_grids_failing_draws_on_one_circle(monkeypatch, holding, failing):
+    # each holding draw grids F and G on the four default circles, each failing
+    # draw the witness circle alone: 8h + f circles of 256 points, of which a
+    # real table evaluates the 129 of the upper half. The suite's pole check
+    # reads its own binding of _quotients and is not counted here
+    calls = []
+    evaluate = gftpoisson.disk._quotients
+
+    def recording(table, zs, lam):
+        calls.append(len(zs))
+        return evaluate(table, zs, lam)
+
+    monkeypatch.setattr(gftpoisson.disk, "_quotients", recording)
+    name, ok, _ = gftpoisson.suite.check_disk_sampling(
+        random.Random(0), holding_draws=holding, failing_draws=failing)
+    assert (name, ok) == ("disk_sampling", True)
+    assert calls == [129] * (8 * holding + failing)
+
+
+def test_failing_draws_exceed_k_at_the_radial_witness():
+    # the point z = 0.999 itself is above k on every draw, and so is the
+    # witness circle's maximum; its argmax may lie elsewhere on the circle
+    assert gftpoisson.suite._WITNESS_GRID.radii == (0.999,)
+    rng = random.Random(20)
+    for _ in range(200):
+        _, c, f = gftpoisson.suite.draw_t1_failing_radial(rng)
+        num, den = _num_den(f, 0.999, c.lam)
+        w = num / den
+        assert abs(w - 1) / abs(w + 1) > c.k
+        report = grid_check(f, ConditionId.S_COND, c, gftpoisson.suite._WITNESS_GRID)
+        assert report.max_value > c.k
