@@ -7,8 +7,11 @@ open disk.  The C-condition applies the same quotient to z f'(z).  Grid
 sampling reports the maximum, its location, and the count of violations.
 
 A grid builds its series' table once, straight from the coefficients: the
-pairs (b_n, n b_n) from n = N down to 2, or (n b_n, n (n b_n)) for the z f'
-of the C-condition.  The quotient has one definition, the generator
+pairs (a_n, n a_n) from n = N down to 2 of f = z + sum a_n z^n, so a_n = -b_n
+for a negative tail, or (n a_n, n (n a_n)) for the z f' of the C-condition.
+Negating a float is exact, so the signed pairs give the values the unsigned
+ones gave through z - acc z^2, bit for bit up to the sign of a zero, which
+no abs or floor test reads.  The quotient has one definition, the generator
 _quotients: at each point it runs one Horner loop that carries f and f'
 together (Knuth, TAOCP vol. 2, sec. 4.6.4) and yields the numerator
 num = z f' and the denominator den = (1-lam) f + lam num.  grid_check calls
@@ -101,30 +104,32 @@ class GridReport(_Record):
 
 # ---- series evaluation ----
 
-def _pair_table(f: CoefficientSeq, zfprime: bool = False) -> tuple[bool, tuple]:
-    """(negative tail?, pairs (a_n, n * a_n) for n = N down to 2), where a_n is
-    coeff_n, or n * coeff_n for the series z f' of the C-condition."""
+def _pair_table(f: CoefficientSeq, zfprime: bool = False) -> tuple:
+    """The pairs (a_n, n * a_n) for n = N down to 2, with f = z + sum a_n z^n:
+    a_n is coeff_n, or -coeff_n for a negative tail, and n times that for the
+    series z f' of the C-condition."""
+    negative = f.convention is SignConvention.NEGATIVE_TAIL
     pairs = []
     for n, coeff in zip(range(f.truncation_order, 1, -1), reversed(f.coefficients)):
         a = n * coeff if zfprime else coeff
+        if negative:
+            a = -a
         pairs.append((a, n * a))
-    return f.convention is SignConvention.NEGATIVE_TAIL, tuple(pairs)
+    return tuple(pairs)
 
 
-def _quotients(table: tuple[bool, tuple], zs: Iterable[complex],
+def _quotients(pairs: tuple, zs: Iterable[complex],
                lam: float) -> Iterator[tuple[complex, complex]]:
     """Yield (num, den) = (z f'(z), (1-lam) f(z) + lam num) at each point of
     zs, with f and f' from one Horner loop per point."""
-    negative, pairs = table
     one_minus_lam = 1 - lam
     for z in zs:
         acc = dacc = 0j
         for coeff, dcoeff in pairs:
             acc = acc * z + coeff
             dacc = dacc * z + dcoeff
-        fz = z - acc * z * z if negative else z + acc * z * z
-        num = z * (1 - dacc * z if negative else 1 + dacc * z)
-        yield num, one_minus_lam * fz + lam * num
+        num = z * (1 + dacc * z)
+        yield num, one_minus_lam * (z + acc * z * z) + lam * num
 
 
 # ---- grid sampling ----
@@ -136,7 +141,8 @@ def grid_check(f: CoefficientSeq, condition: ConditionId, params: ClassParams,
     The maximum is taken over valid points with a deterministic tie-break
     (first radius, then first angle); a point counts as a violation when its
     value is not below k, so a nan value, which compares false with every
-    number, is a violation and not a pass.  A real table visits the upper
+    number, is a violation and not a pass, and the first nan is the maximum
+    and its point the argmax.  A real table visits the upper
     half of each circle only, each point with the count of grid points that
     share its value (see the module docstring); every grid point is counted
     once either way.
@@ -150,7 +156,7 @@ def grid_check(f: CoefficientSeq, condition: ConditionId, params: ClassParams,
     # the C-condition is the S-condition of z f', built once per grid
     table = _pair_table(f, zfprime=condition is ConditionId.C_COND)
     # a real table gives the same value at conj(z) as at z, bit for bit
-    mirrored = all(a.imag == 0 and da.imag == 0 for a, da in table[1])
+    mirrored = all(a.imag == 0 and da.imag == 0 for a, da in table)
 
     max_value = -math.inf
     argmax = 0j
@@ -187,10 +193,14 @@ def grid_check(f: CoefficientSeq, condition: ConditionId, params: ClassParams,
             if value > max_value:
                 max_value = value
                 argmax = z
-            # an overflowing Horner loop gives nan, which must not pass
+            # an overflowing Horner loop gives nan, which must not pass: the
+            # first nan is the maximum, and no later value compares above it
             if not value < k:
                 violations += count
+                if value != value and max_value == max_value:
+                    max_value = value
+                    argmax = z
     if max_value == -math.inf:
-        max_value = 0.0   # every point skipped or nan
+        max_value = 0.0   # every point skipped
     return GridReport(condition=condition, max_value=max_value, argmax_z=argmax,
                       violations=violations, skipped=skipped)

@@ -7,9 +7,10 @@ coefficients (A-B)|tau|/n.  One loop, _weight_pass, runs the weight
 recurrence, holds the stopping rule that chooses the order N with a provable
 tail bound, and forms each series' coefficient from its weight as it goes.
 Each such series is a _Series: its coefficient rule and tail bound give the
-CoefficientSeq its builder returns, and the same pass, given P and Q, forms
-Silverman's weighted terms w(n) |coeff_n| instead: theorems' cross-check sums
-them and builds no sequence and no list but theirs.  m e^{-m} is subnormal
+CoefficientSeq its builder returns, through the one constructor that also
+validates a caller's, and the same pass, given P and Q, forms Silverman's
+weighted terms w(n) |coeff_n| instead: theorems' cross-check sums them and
+builds no sequence, no tail bound and no list but theirs.  m e^{-m} is subnormal
 from m = 715 on, so every builder refuses such an m with TruncationNotReached.
 One table gives each shifted exponential sum that the weighted coefficient
 sums collapse to: its first index, closed form, first term and term ratio.
@@ -151,12 +152,11 @@ class CoefficientSeq(_Record):
     sum_{n>N} |coeff_n| of the underlying infinite series.  The leading
     coefficient of z is implicitly 1.
 
-    A sequence a caller builds is validated term by term: negative-tail
+    Every sequence, a caller's or a _Series' (coeffs_F, coeffs_G and
+    theorems' I image), is validated term by term: negative-tail
     coefficients must be finite reals >= 0 and become floats, general-tail
-    ones finite reals or complex numbers and become complex.  A _Series
-    (coeffs_F, coeffs_G and theorems' I image) is trusted: its coefficients
-    have those types and signs by construction, so only its tail_bound is
-    checked, which rejects a non-finite or negative bound on every path.
+    ones finite reals or complex numbers and become complex; a non-finite or
+    negative tail_bound is refused.
     """
 
     _fields = ("convention", "coefficients", "tail_bound")
@@ -275,18 +275,28 @@ class _Series(namedtuple("_Series", "convention rule")):
     rule names its coefficient a_n, formed from the weight c_n inside the
     pass (see _weight_pass); the pass's next weight, c_{N+1}, bounds
     sum_{n>N} |a_n|.  Called with (p, policy, r) it builds the
-    CoefficientSeq, its coefficients complex for a general tail; weighted_sum
-    sums Silverman's terms w(n) a_n from the same pass instead, with the same
-    tail bound checked, and builds no sequence.  An "I" series reads the
-    scale (A - B)|tau| of r.
+    CoefficientSeq through its constructor, which validates each coefficient
+    and the tail bound; weighted_sum sums Silverman's terms w(n) a_n from the
+    same pass instead, and builds no sequence and no tail bound.  An "I"
+    series reads the scale (A - B)|tau| of r.
     """
 
     __slots__ = ()
 
-    def _pass(self, p: PoissonParams, policy: TruncationPolicy, r,
-              *weights) -> tuple[list, int, float]:
+    def weighted_sum(self, p: PoissonParams, policy: TruncationPolicy, r, c,
+                     c_weights: bool) -> tuple[float, int]:
+        """(sum_{n=2}^{N} w(n) |a_n|, N), w = w_C for c_weights and w_S
+        otherwise, with P and Q read from the class parameters c."""
         scale = r.scale if self.rule == "I" else 1.0
-        terms, n_top, omitted = _weight_pass(p.m, policy.eps, self.rule, scale, *weights)
+        terms, n_top, _ = _weight_pass(p.m, policy.eps, self.rule, scale, c.P, c.Q, c_weights)
+        return _exact_sum(terms), n_top
+
+    def __call__(self, p: PoissonParams, policy: TruncationPolicy,
+                 r=None) -> CoefficientSeq:
+        _require(p, PoissonParams, "p")
+        eps = _require(policy, TruncationPolicy, "policy").eps
+        scale = r.scale if self.rule == "I" else 1.0
+        mags, n_top, omitted = _weight_pass(p.m, eps, self.rule, scale)
         # F's term ratio past the floor is below 1/2; G's b_n = c_n / n has F's
         # tail over N + 1, and |I_n| is scale times G's (scale 1.0 is exact)
         tail, over = 2.0 * omitted, (1 if self.rule == "F" else n_top + 1)
@@ -296,26 +306,7 @@ class _Series(namedtuple("_Series", "convention rule")):
             # 2^-1075: add twice the first, and round the steps up (see _weight_pass)
             tail = math.nextafter((tail + 2.0 ** -1073) / over, math.inf)
             bound = math.nextafter(scale * tail, math.inf)
-        return terms, n_top, _check_tail(bound)
-
-    def weighted_sum(self, p: PoissonParams, policy: TruncationPolicy, r, c,
-                     c_weights: bool) -> tuple[float, int]:
-        """(sum_{n=2}^{N} w(n) |a_n|, N), w = w_C for c_weights and w_S
-        otherwise, with P and Q read from the class parameters c."""
-        terms, n_top, _ = self._pass(p, policy, r, c.P, c.Q, c_weights)
-        return _exact_sum(terms), n_top
-
-    def __call__(self, p: PoissonParams, policy: TruncationPolicy,
-                 r=None) -> CoefficientSeq:
-        _require(p, PoissonParams, "p")
-        mags, _, tail = self._pass(p, _require(policy, TruncationPolicy, "policy"), r)
-        if self.convention is SignConvention.GENERAL_TAIL:
-            mags = [complex(a) for a in mags]
-        # the types and signs CoefficientSeq's validation would give, by construction
-        seq = object.__new__(CoefficientSeq)
-        seq.__dict__.update(convention=self.convention, coefficients=tuple(mags),
-                            tail_bound=tail)
-        return seq
+        return CoefficientSeq(self.convention, mags, bound)
 
 
 _F = _Series(SignConvention.NEGATIVE_TAIL, "F")

@@ -5,8 +5,8 @@ cross-check recomputes it as the weighted sum of |coeff_n| of the theorem's
 own series under its own condition's weights (Silverman's criterion: necessary
 and sufficient for F and G, sufficient for the general-tail image I) and
 reports the absolute difference.  Its terms w(n) |coeff_n| are formed inside
-one weight pass, with the row series' own coefficient rule and its tail bound
-checked, and it builds no CoefficientSeq: the same floats, and so the same
+one weight pass, by the row series' own coefficient rule, and it builds no
+CoefficientSeq and no tail bound: the same floats, and so the same
 residual bit for bit, as summing the |coeff_n| of the series the row builds.
 To keep it stable for large m, both routes are compared on the scale of the
 weighted sum itself (the closed form is mapped onto that scale by exact
@@ -128,7 +128,7 @@ class PredicateSpec(_Record):
     function the theorem is about (F, G or the image I of the extremal
     R^tau(A,B) member): series(p, policy, r) builds it, and
     series.weighted_sum(p, policy, r, c, c_weights) sums its weighted terms
-    w(n) |coeff_n|, formed in the same weight pass, with its tail bound checked.
+    w(n) |coeff_n|, formed in the same weight pass, with no tail bound.
     condition names its disk inequality, S or C.  sum_scale(m, c, r) is lhs on
     the scale of the weighted coefficient sum, mapped there by exact algebra
     rather than through a factor of e^m; the cross-check recomputes it as that

@@ -288,6 +288,16 @@ def test_grid_clean_run_exit_zero(capsys):
     assert 0 < d["max"] < 1
 
 
+@pytest.mark.parametrize("predicate", [("T1_F_in_S",), ("T3_G_in_C",),
+                                       ("T5_I_in_S", "--A", "1.0", "--B", "-1.0")],
+                         ids=["F", "G", "I"])
+def test_grid_builds_its_series_through_the_constructor(capsys, seq_inits, predicate):
+    code, _, _ = run_cli(capsys, "grid", "--predicate", *predicate, "--m", "0.3",
+                         "--k", "1.0", "--points", "8")
+    assert code == EXIT_HOLDS
+    assert len(seq_inits) == 1
+
+
 def test_grid_violations_exit_one(capsys):
     code, out, _ = run_cli(capsys, "grid", "--predicate", "T1_F_in_S",
                            "--m", "2.0", "--k", "0.05")

@@ -294,8 +294,9 @@ def test_a_nan_value_is_a_violation():
     grid = GridSpec(radii=(0.9,), points_per_circle=8)
     report = grid_check(f, ConditionId.S_COND, ClassParams(0.5, 0.5), grid)
     assert (report.violations, report.skipped) == (8, 0)
-    # the maximum is over the values that compare, and there are none
-    assert (report.max_value, report.argmax_z) == (0.0, 0j)
+    # the first nan is the maximum, at the first point of the circle
+    assert math.isnan(report.max_value)
+    assert report.argmax_z == 0.9 + 0j
 
 
 @pytest.mark.parametrize("f", [[0.1, 0.2], (0.1,), None, 0.5])

@@ -423,15 +423,24 @@ def test_builders_and_sums_are_bit_identical():
         "520cc90d8e790c11106ad8509eb6476d1c223c1cdbcd596c00cead308055760a")
 
 
-# ---- trusted construction ----
+# ---- one construction path ----
+
+@pytest.mark.parametrize("build", [
+    coeffs_F, coeffs_G, lambda p, policy: _image(p, policy, RParams(A=1.0, B=-1.0))],
+    ids=["F", "G", "I"])
+def test_each_builder_builds_through_the_constructor(seq_inits, build):
+    f = build(PoissonParams(1.5), POLICY)
+    assert seq_inits == [f.convention]
+
 
 @given(m=st.floats(1e-6, 714.0), eps=st.floats(1e-14, 1e-2),
        b=st.floats(-1.0, 0.9), gap=st.floats(0.05, 1.0), tau=st.complex_numbers(
            min_magnitude=0.05, max_magnitude=2.0, allow_nan=False, allow_infinity=False))
 @settings(max_examples=100, deadline=None)
 def test_builders_build_what_validation_would(m, eps, b, gap, tau):
-    # coeffs_F, coeffs_G and the I image skip the per-coefficient checks; the
-    # full __post_init__ must find nothing to change in what they build
+    # coeffs_F, coeffs_G and the I image build through the constructor; a
+    # second pass through it must find nothing to change in what they stored,
+    # and each coefficient has its convention's type
     p, policy = PoissonParams(m), TruncationPolicy(eps=eps)
     r = RParams(A=min(1.0, b + gap), B=b, tau=tau)
     for seq, kind in ((coeffs_F(p, policy), float), (coeffs_G(p, policy), float),

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gftpoisson import (ClassParams, ConditionId, DomainError, MissingRParams,
-                        PoissonParams, PredicateId, RParams, SignConvention,
-                        TruncationPolicy, Verdict, choose_truncation, classify,
-                        coeffs_G, crosscheck, evaluate, evaluate_with_crosscheck,
-                        coeffs_F, t1_lhs, t4_lhs, t5_lhs)
+from gftpoisson import (ClassParams, CoefficientSeq, ConditionId, DomainError,
+                        MissingRParams, PoissonParams, PredicateId, RParams,
+                        SignConvention, TruncationPolicy, Verdict, choose_truncation,
+                        classify, coeffs_G, crosscheck, evaluate,
+                        evaluate_with_crosscheck, coeffs_F, series, t1_lhs, t4_lhs,
+                        t5_lhs)
 from gftpoisson.series import _F, _G, _exact_sum
 from gftpoisson.theorems import SPECS, _image, _margin, resolve
 
@@ -457,6 +458,23 @@ def test_crosscheck_order_is_choose_truncation(pid, m, eps):
     p, policy = PoissonParams(m), TruncationPolicy(eps=eps)
     report = evaluate_with_crosscheck(pid, p, ClassParams(k=0.5, lam=0.3), R_DEFAULT, policy)
     assert report.truncation_order == choose_truncation(p, policy)
+
+
+@pytest.mark.parametrize("pid", list(PredicateId))
+def test_the_crosscheck_builds_no_sequence_and_no_tail_bound(monkeypatch, pid):
+    # the cross-check draws no verdict from a tail bound, so it neither builds
+    # a CoefficientSeq nor checks one
+    args = (pid, PoissonParams(2.5), ClassParams(k=0.5, lam=0.3), R_DEFAULT,
+            TruncationPolicy(eps=1e-13))
+    residual, report = crosscheck(*args), evaluate_with_crosscheck(*args)
+
+    def refuse(*_):
+        raise AssertionError("the cross-check built a sequence or a tail bound")
+
+    monkeypatch.setattr(series, "_check_tail", refuse)
+    monkeypatch.setattr(CoefficientSeq, "__init__", refuse)
+    assert crosscheck(*args).hex() == residual.hex()
+    assert evaluate_with_crosscheck(*args) == report
 
 
 def _natural_terms(row, seq, c):
