@@ -29,7 +29,7 @@ import enum
 import math
 
 from .errors import DomainError
-from .series import _is_real, _Record
+from .series import _is_real, _Record, _shown
 
 # Verdicts within this absolute band around lhs = 2k are Marginal: the sharp
 # boundary cases sit exactly on the line and floats cannot adjudicate equality.
@@ -60,9 +60,9 @@ class ClassParams(_Record):
     def __init__(self, k: float, lam: float = 0.0) -> None:
         # an exact float needs no type check; nan fails the comparisons
         if not ((type(k) is float or _is_real(k)) and 0 < k <= 1):
-            raise DomainError(f"k must be in (0,1], got {k!r}")
+            raise DomainError(f"k must be in (0,1], got {_shown(k)}")
         if not ((type(lam) is float or _is_real(lam)) and 0 <= lam < 1):
-            raise DomainError(f"lambda must be in [0,1), got {lam!r}")
+            raise DomainError(f"lambda must be in [0,1), got {_shown(lam)}")
         k, lam = float(k), float(lam)
         # frozen: fields are set once, past the __setattr__ that refuses them
         self.__dict__.update(k=k, lam=lam, P=(1 - lam) + k * (1 + lam),
@@ -84,16 +84,16 @@ class RParams(_Record):
     def __init__(self, A: float, B: float, tau: complex = 1.0 + 0.0j) -> None:
         if not ((type(A) is float or _is_real(A)) and (type(B) is float or _is_real(B))
                 and -1 <= B < A <= 1):
-            raise DomainError(f"need -1 <= B < A <= 1, got A={A!r}, B={B!r}")
+            raise DomainError(f"need -1 <= B < A <= 1, got A={_shown(A)}, B={_shown(B)}")
         # an exact complex or float needs no type check, as k and m need none
         if not (type(tau) is complex or type(tau) is float or _is_real(tau)
                 or isinstance(tau, complex)):
-            raise DomainError(f"tau must be a finite complex number, got {tau!r}")
+            raise DomainError(f"tau must be a finite complex number, got {_shown(tau)}")
         t = complex(tau)
         if t == 0:
             raise DomainError("tau must be nonzero")
         if not cmath.isfinite(t):
-            raise DomainError(f"tau must be a finite complex number, got {tau!r}")
+            raise DomainError(f"tau must be a finite complex number, got {_shown(tau)}")
         A, B = float(A), float(B)
         try:
             scale = (A - B) * abs(t)
@@ -102,7 +102,7 @@ class RParams(_Record):
         if scale == math.inf or scale == 0:
             need = "nonzero" if scale == 0 else "finite"
             raise DomainError(f"the scale (A-B)|tau| must be {need}, "
-                              f"got A={A!r}, B={B!r}, tau={tau!r}")
+                              f"got A={A!r}, B={B!r}, tau={_shown(tau)}")
         self.__dict__.update(A=A, B=B, tau=t, scale=scale)
 
 
@@ -133,5 +133,5 @@ def classify(margin: float) -> Verdict:
         return Verdict.FAILS
     if margin == margin:
         return Verdict.MARGINAL
-    raise DomainError(f"margin must be a number, got {margin!r}")
+    raise DomainError(f"margin must be a number, got {_shown(margin)}")
 

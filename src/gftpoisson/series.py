@@ -10,13 +10,18 @@ Each such series is a _Series: its coefficient rule and tail bound give the
 CoefficientSeq its builder returns, through the one constructor that also
 validates a caller's, and the same pass, given P and Q, forms Silverman's
 weighted terms w(n) |coeff_n| instead: theorems' cross-check sums them and
-builds no sequence, no tail bound and no list but theirs.  m e^{-m} is subnormal
-from m = 715 on, so every builder refuses such an m with TruncationNotReached.
-One table gives each shifted exponential sum that the weighted coefficient
-sums collapse to: its first index, closed form, first term and term ratio.
-_Record, the base of every frozen record in the package, lives here beside
-_is_real, which each record module imports, and _require, which each public
-entry calls on the records it takes.
+builds no sequence, no tail bound and no list but theirs.  m e^{-m} is
+subnormal from m = 715 on, so every builder refuses such an m with
+TruncationNotReached.  F and G also hold their closed forms on the disk,
+F = z - z e^{-m}(e^{mz} - 1) and G = z - e^{-m}(e^{mz} - 1 - mz)/m, with the
+z f' and z (z f')' that the disk conditions read; a ClosedSeries binds one
+of them to an m, and grid_check evaluates it whole, where a CoefficientSeq
+is truncated.  One table gives each shifted exponential sum that the
+weighted coefficient sums collapse to: its first index, closed form, first
+term and term ratio.  _Record, the base of every frozen record in the
+package, lives here beside _is_real, which each record module imports,
+_require, which each public entry calls on the records it takes, and
+_shown, which every refusal formats its input with.
 """
 
 from __future__ import annotations
@@ -42,10 +47,28 @@ def _is_real(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and abs(x) < _INT_OVERFLOW
 
 
+def _shown(value) -> str:
+    """repr(value), as every refusal prints a rejected input.  repr raises
+    ValueError for an int past Python's int-to-str limit (4300 digits by
+    default), so such an int is shown by its bit length, alone or in a tuple
+    or list."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"<int of {value.bit_length()} bits>"
+        if isinstance(value, list):
+            return f"[{', '.join(map(_shown, value))}]"
+        if isinstance(value, tuple):
+            items = ", ".join(map(_shown, value))
+            return f"({items},)" if len(value) == 1 else f"({items})"
+        raise
+
+
 def _require(value, kind: type, name: str):
     """value, refused by name with DomainError unless it is a kind."""
     if not isinstance(value, kind):
-        raise DomainError(f"{name} must be a {kind.__name__}, got {value!r}")
+        raise DomainError(f"{name} must be a {kind.__name__}, got {_shown(value)}")
     return value
 
 
@@ -103,7 +126,7 @@ class PoissonParams(_Record):
 
     def __init__(self, m: float) -> None:
         if not ((type(m) is float or _is_real(m)) and math.isfinite(m) and m > 0):
-            raise DomainError(f"m must be a finite positive real, got {m!r}")
+            raise DomainError(f"m must be a finite positive real, got {_shown(m)}")
         self.__dict__.update(m=float(m))
 
 
@@ -114,13 +137,13 @@ class TruncationPolicy(_Record):
 
     def __init__(self, eps: float = 1e-12) -> None:
         if not (_is_real(eps) and eps > 0 and math.isfinite(eps)):
-            raise DomainError(f"eps must be finite and positive, got {eps!r}")
+            raise DomainError(f"eps must be finite and positive, got {_shown(eps)}")
         self.__dict__.update(eps=eps)
 
 
 def _check_tail(tail_bound) -> float:
     if not (_is_real(tail_bound) and tail_bound >= 0 and math.isfinite(tail_bound)):
-        raise DomainError(f"tail_bound must be finite and >= 0, got {tail_bound!r}")
+        raise DomainError(f"tail_bound must be finite and >= 0, got {_shown(tail_bound)}")
     return float(tail_bound)
 
 
@@ -168,7 +191,7 @@ class CoefficientSeq(_Record):
             coeffs = tuple(coefficients)
         except TypeError:
             raise DomainError("coefficients must be an iterable of numbers, "
-                              f"got {coefficients!r}") from None
+                              f"got {_shown(coefficients)}") from None
         if len(coeffs) < 1:
             raise DomainError("coefficient list must reach at least n=2")
         negative = convention is SignConvention.NEGATIVE_TAIL
@@ -180,7 +203,7 @@ class CoefficientSeq(_Record):
             if not ok:
                 need = "finite reals >= 0" if negative else "finite complex numbers"
                 raise DomainError(f"{convention.value}-tail coefficients must be {need}, "
-                                  f"got {a!r}")
+                                  f"got {_shown(a)}")
         self.__dict__.update(convention=convention,
                              coefficients=tuple(map(float if negative else complex, coeffs)),
                              tail_bound=_check_tail(tail_bound))
@@ -269,7 +292,7 @@ def choose_truncation(p: PoissonParams, policy: TruncationPolicy) -> int:
     return _weight_pass(p.m, _require(policy, TruncationPolicy, "policy").eps, "F")[1]
 
 
-class _Series(namedtuple("_Series", "convention rule")):
+class _Series(namedtuple("_Series", "convention rule closed")):
     """A series built from one pass of the weight recurrence.
 
     rule names its coefficient a_n, formed from the weight c_n inside the
@@ -279,6 +302,14 @@ class _Series(namedtuple("_Series", "convention rule")):
     and the tail bound; weighted_sum sums Silverman's terms w(n) a_n from the
     same pass instead, and builds no sequence and no tail bound.  An "I"
     series reads the scale (A - B)|tau| of r.
+
+    closed is the series' closed form on the disk, the chain (f, θf, θ²f)
+    with θ = z d/dz, so the S-condition reads (f, z f') and the C-condition
+    (z f', z (z f')').  Each entry is a function of (z, mz, E, em, m) with
+    mz = m z, E = e^{m(z-1)}, computed as e^{mz - m}, and em = e^{-m}: E's
+    exponent has real part m(Re z - 1) < 0 on the disk, so no entry
+    overflows, and e^{-m} enters only as the constant em.  The I image has
+    none, so its chain is empty.
     """
 
     __slots__ = ()
@@ -309,11 +340,34 @@ class _Series(namedtuple("_Series", "convention rule")):
         return CoefficientSeq(self.convention, mags, bound)
 
 
-_F = _Series(SignConvention.NEGATIVE_TAIL, "F")
-_G = _Series(SignConvention.NEGATIVE_TAIL, "G")
+# F = z - z e^{-m}(e^{mz} - 1) = z - z(E - em); θ maps each z - z(P E - em)
+# to z - z(Q E - em) with Q = (1 + mz) P + mz P', P' the derivative of P in mz
+_F = _Series(SignConvention.NEGATIVE_TAIL, "F", (
+    lambda z, mz, E, em, m: z - z * (E - em),
+    lambda z, mz, E, em, m: z - z * ((1 + mz) * E - em),
+    lambda z, mz, E, em, m: z - z * ((1 + mz * (3 + mz)) * E - em)))
+# G = z - e^{-m}(e^{mz} - 1 - mz)/m, and θG = F
+_G = _Series(SignConvention.NEGATIVE_TAIL, "G", (
+    lambda z, mz, E, em, m: z - (E - em * (1 + mz)) / m, *_F.closed[:2]))
 # theorems' I image of the Dixit-Pal extremal R^tau(A,B) member, a_n = scale/n
 # with scale = (A-B)|tau|: each Poisson weight c_n times that a_n
-_image = _Series(SignConvention.GENERAL_TAIL, "I")
+_image = _Series(SignConvention.GENERAL_TAIL, "I", ())
+
+
+class ClosedSeries(_Record):
+    """A series with a closed form, _F or _G, at the Poisson parameter p.
+
+    grid_check takes it where it takes a CoefficientSeq, and evaluates the
+    whole series from its closed form, one cmath.exp per point, instead of
+    a truncated one by Horner's rule.
+    """
+
+    _fields = ("series", "p")
+
+    def __init__(self, series: _Series, p: PoissonParams) -> None:
+        if not (isinstance(series, _Series) and series.closed):
+            raise DomainError(f"series must be _F or _G, got {_shown(series)}")
+        self.__dict__.update(series=series, p=_require(p, PoissonParams, "p"))
 
 
 def coeffs_F(p: PoissonParams, policy: TruncationPolicy = TruncationPolicy()) -> CoefficientSeq:
@@ -352,7 +406,7 @@ _SHIFT3_M_MAX = 696.6900317052614
 
 def _sum_row(kind) -> _ShiftedSum:
     if not isinstance(kind, SumKind):
-        raise DomainError(f"unknown sum kind {kind!r}")
+        raise DomainError(f"unknown sum kind {_shown(kind)}")
     return _SUMS[kind]
 
 
@@ -371,7 +425,7 @@ def partial_shifted_sum(p: PoissonParams, kind: SumKind, upto: int) -> float:
     row, m = _sum_row(kind), _require(p, PoissonParams, "p").m
     # range() needs an int, and a bool is no index
     if not isinstance(upto, int) or isinstance(upto, bool):
-        raise DomainError(f"upto must be an int, got {upto!r}")
+        raise DomainError(f"upto must be an int, got {_shown(upto)}")
     if upto < row.first:
         return 0.0
     t = row.term(m)

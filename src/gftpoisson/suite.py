@@ -4,6 +4,9 @@ Every check draws its own parameters from one shared RNG, so a fixed seed
 makes the whole run (and its serialized summary) reproducible byte for byte.
 The inclusion and equivalence checks classify theorems._margin, the float
 evaluate() reports as its margin, without building a report per verdict.
+The disk check grids F and G whole, from their closed forms
+(series.ClosedSeries), and the failing draws' pole check reads F's closed
+form too, so the suite builds no truncated series for the disk.
 """
 
 from __future__ import annotations
@@ -13,12 +16,13 @@ import math
 import random
 
 from .criteria import ClassParams, ConditionId, RParams, Verdict, classify
-from .disk import GridSpec, _pair_table, _quotients, grid_check
+from .disk import GridSpec, _closed_values, _quotients, grid_check
 from .serialize import fmt_float
-from .series import (PoissonParams, SumKind, TruncationPolicy,
-                     choose_truncation, coeffs_F, coeffs_G, partial_shifted_sum,
+# coeffs_F and evaluate are not called here, but bench/test_tracer.py wraps
+# them under these names
+from .series import (_F, _G, ClosedSeries, PoissonParams, SumKind,  # noqa: F401
+                     TruncationPolicy, choose_truncation, coeffs_F, partial_shifted_sum,
                      shifted_exp_sum)
-# evaluate is not called here, but bench/test_tracer.py wraps it under this name
 from .theorems import (SPECS, PredicateId, _margin, crosscheck,  # noqa: F401
                        evaluate, resolve, t1_lhs, t4_lhs, t5_lhs)
 from .thresholds import solve_m_star
@@ -31,7 +35,6 @@ THRESHOLD_FIXTURE = 0.5671432904097838
 THRESHOLD_FIXTURE_TOL = 1e-9
 BRACKET_REL_TOL = 1e-14
 
-WITNESS_EPS = 1e-14
 HOLD_MARGIN = 0.01
 FAIL_EXCESS = 0.10
 # the circle of the radial witness z = 0.999, at the default point count
@@ -51,14 +54,16 @@ def draw_r_params(rng: random.Random) -> RParams:
     return RParams(A=a, B=b, tau=tau)
 
 
-def _no_interior_pole(f, lam: float) -> bool:
+def _no_interior_pole(p: PoissonParams, lam: float) -> bool:
     # the radius-0.999 witness is only claimed where the quotient denominator
-    # D(r) = (1-lam) f(r)/r + lam f'(r) stays positive on the real segment (0, 0.999].
-    # For a negative-tail f (every b_n >= 0) it is 1 - sum b_n (1-lam+lam n) r^(n-1),
-    # strictly decreasing in r, so its sign at the end decides; taking the end
-    # one ulp past 0.999 can only reject a draw, never accept one wrongly.
-    # The grid's den at z = r is r D(r), with the same sign
-    (_, den), = _quotients(_pair_table(f), (complex(math.nextafter(0.999, 1.0)),), lam)
+    # D(r) = (1-lam) F(r)/r + lam F'(r) stays positive on the real segment (0, 0.999].
+    # F's tail is negative (every b_n >= 0), so D(r) = 1 - sum b_n (1-lam+lam n) r^(n-1)
+    # = 1 - e^{-m}[(1-lam)(e^{mr} - 1) + lam((1+mr)e^{mr} - 1)] is strictly
+    # decreasing in r, and its sign at the end decides; taking the end one ulp
+    # past 0.999 can only reject a draw, never accept one wrongly.  The grid's
+    # den at z = r, from F's closed form, is r D(r), with the same sign
+    r = complex(math.nextafter(0.999, 1.0))
+    (_, den), = _quotients(_closed_values(ClosedSeries(_F, p), False, (r,)), lam)
     return den.real > 0
 
 
@@ -83,19 +88,17 @@ def draw_t4_holding(rng: random.Random):
 
 
 def draw_t1_failing_radial(rng: random.Random):
-    """(p, c, f) failing the F-series criterion by >= FAIL_EXCESS of 2k, restricted to
+    """(p, c) failing the F-series criterion by >= FAIL_EXCESS of 2k, restricted to
     draws whose condition denominator has no zero on the real segment, where
     the radial witness at 0.999 is guaranteed."""
-    policy = TruncationPolicy(eps=WITNESS_EPS)
     while True:
         m = rng.uniform(1e-3, 10.0)
         c = ClassParams(k=rng.uniform(0.01, 1.0), lam=rng.uniform(0.0, 0.999))
         p = PoissonParams(m)
         if t1_lhs(p, c) < (1 + FAIL_EXCESS) * 2 * c.k:
             continue
-        f = coeffs_F(p, policy)
-        if _no_interior_pole(f, c.lam):
-            return p, c, f
+        if _no_interior_pole(p, c.lam):
+            return p, c
 
 
 # ---- checks ----
@@ -203,6 +206,7 @@ def check_disk_sampling(rng: random.Random, holding_draws: int = 20,
                         failing_draws: int = 10):
     """Grid holding draws for no violation and failing draws for a witness.
 
+    Each series is gridded whole, from its closed form (series.ClosedSeries).
     A holding draw's F or G series must stay below k on every circle of the
     default grid, so it is gridded on all four radii.  A failing draw is
     claimed to exceed k at the radial point z = 0.999 (draw_t1_failing_radial
@@ -211,20 +215,19 @@ def check_disk_sampling(rng: random.Random, holding_draws: int = 20,
     found on that one circle is also a witness on any grid that contains it,
     so dropping the inner circles can only make the check stricter.
     """
-    policy = TruncationPolicy(eps=1e-12)
     bad = []
     for _ in range(holding_draws):
         p, c = draw_t1_holding(rng)
-        rep = grid_check(coeffs_F(p, policy), ConditionId.S_COND, c)
+        rep = grid_check(ClosedSeries(_F, p), ConditionId.S_COND, c)
         if rep.violations:
             bad.append(f"S violation at m={fmt_float(p.m)}")
         p, c = draw_t4_holding(rng)
-        rep = grid_check(coeffs_G(p, policy), ConditionId.S_COND, c)
+        rep = grid_check(ClosedSeries(_G, p), ConditionId.S_COND, c)
         if rep.violations:
             bad.append(f"G violation at m={fmt_float(p.m)}")
     for _ in range(failing_draws):
-        p, c, f = draw_t1_failing_radial(rng)
-        rep = grid_check(f, ConditionId.S_COND, c, _WITNESS_GRID)
+        p, c = draw_t1_failing_radial(rng)
+        rep = grid_check(ClosedSeries(_F, p), ConditionId.S_COND, c, _WITNESS_GRID)
         if not rep.max_value > c.k:
             bad.append(f"missing witness at m={fmt_float(p.m)} k={fmt_float(c.k)}"
                        f" lam={fmt_float(c.lam)}")

@@ -23,7 +23,7 @@ from .criteria import ClassParams, ConditionId, MembershipReport, RParams, class
 from .errors import DomainError, MissingRParams
 # coeffs_F is not called here, but bench/test_tracer.py wraps it under this name
 from .series import (PoissonParams, TruncationPolicy,  # noqa: F401
-                     _F, _G, _image, _Record, _require, _Series, coeffs_F)
+                     _F, _G, _image, _Record, _require, _Series, _shown, coeffs_F)
 
 # math.exp overflows just past 709; beyond this every predicate fails anyway
 _EXP_GUARD = 700.0
@@ -315,10 +315,10 @@ def resolve(pid: PredicateId, c: ClassParams,
     try:
         row = SPECS[pid]
     except (KeyError, TypeError):   # not a PredicateId, or not even hashable
-        raise DomainError(f"predicate must be a PredicateId, got {pid!r}") from None
+        raise DomainError(f"predicate must be a PredicateId, got {_shown(pid)}") from None
     _require(c, ClassParams, "c")
     if not (r is None or isinstance(r, RParams)):
-        raise DomainError(f"r must be an RParams or None, got {r!r}")
+        raise DomainError(f"r must be an RParams or None, got {_shown(r)}")
     if row.needs_r and r is None:
         raise MissingRParams(f"{pid.value} requires (A, B, tau)")
     if pid is row.corollary:

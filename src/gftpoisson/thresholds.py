@@ -111,7 +111,7 @@ import math
 
 from .criteria import ClassParams, RParams
 from .errors import DomainError, InvalidTolerance
-from .series import _is_real, _Record
+from .series import _is_real, _Record, _shown
 # evaluate is not called here, but bench/test_tracer.py wraps it under this name
 from .theorems import PredicateId, _gap_margin, _margin, evaluate, resolve  # noqa: F401
 
@@ -193,7 +193,7 @@ def solve_m_star(pid: PredicateId, c: ClassParams, r: RParams | None = None,
                  tol: float = 1e-10) -> ThresholdResult:
     """Locate the membership boundary in m for fixed class parameters."""
     if not (_is_real(tol) and math.isfinite(tol) and tol > 0):
-        raise InvalidTolerance(f"tol must be finite and positive, got {tol!r}")
+        raise InvalidTolerance(f"tol must be finite and positive, got {_shown(tol)}")
     row, c = resolve(pid, c, r)
     d = row.gap(c, r)
     if d is not None and not d > 0:

@@ -15,11 +15,13 @@ from gftpoisson import (ClassParams, ConditionId, GridSpec, PoissonParams,
                         dumps_canonical, evaluate, grid_check, run_suite,
                         shifted_exp_sum, solve_m_star, t4_lhs, t5_lhs)
 from gftpoisson.disk import DEFAULT_RADII
-from gftpoisson.suite import (WITNESS_EPS, draw_class_params, draw_r_params,
+from gftpoisson.suite import (draw_class_params, draw_r_params,
                               draw_t1_failing_radial, draw_t1_holding,
                               draw_t4_holding)
 
-# criterion 7 grids each failing draw on the default circles and the witness's
+# criterion 7 grids each failing draw's truncated F, built to this tail, on
+# the default circles and the witness's; the suite grids its closed form
+WITNESS_EPS = 1e-14
 EXTENDED_RADII = DEFAULT_RADII + (0.999,)
 
 
@@ -166,7 +168,8 @@ def test_criterion_7_sufficiency_sampling():
     witness_grid = GridSpec(radii=EXTENDED_RADII)
     assert witness_grid.radii[-1] == 0.999
     for _ in range(10):
-        p, c, f = draw_t1_failing_radial(rng)
+        p, c = draw_t1_failing_radial(rng)
+        f = coeffs_F(p, TruncationPolicy(eps=WITNESS_EPS))
         assert f.tail_bound <= WITNESS_EPS
         rep = grid_check(f, ConditionId.S_COND, c, witness_grid)
         if not rep.max_value > c.k:

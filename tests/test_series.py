@@ -13,7 +13,8 @@ from gftpoisson import (CoefficientSeq, DomainError, PoissonParams,
                         SignConvention, SumKind, TruncationNotReached,
                         TruncationPolicy, choose_truncation, coeffs_F,
                         coeffs_G, partial_shifted_sum, shifted_exp_sum)
-from gftpoisson.criteria import RParams
+from gftpoisson.criteria import ClassParams, RParams
+from gftpoisson.disk import GridSpec
 from gftpoisson.series import _SUMS, _exact_sum
 from gftpoisson.theorems import _image
 
@@ -116,6 +117,34 @@ def test_an_int_past_the_largest_double_is_refused_by_name(huge):
     with pytest.raises(DomainError) as exc:
         CoefficientSeq(SignConvention.GENERAL_TAIL, (huge,), 0.0)
     assert str(exc.value) == f"general-tail coefficients must be finite complex numbers, got {huge!r}"
+
+
+# 10**5000 has 5001 digits, past Python's default limit of 4300 on int-to-str
+# conversion, where its repr raises ValueError; 16610 is its bit length
+BEYOND_REPR = 10 ** 5000
+try:
+    SHOWN = repr(BEYOND_REPR)   # only where the limit is lifted
+except ValueError:
+    SHOWN = "<int of 16610 bits>"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: PoissonParams(BEYOND_REPR), f"m must be a finite positive real, got {SHOWN}"),
+    (lambda: ClassParams(BEYOND_REPR), f"k must be in (0,1], got {SHOWN}"),
+    (lambda: RParams(BEYOND_REPR, 0), f"need -1 <= B < A <= 1, got A={SHOWN}, B=0"),
+    (lambda: TruncationPolicy(BEYOND_REPR), f"eps must be finite and positive, got {SHOWN}"),
+    (lambda: GridSpec(radii=(BEYOND_REPR,)),
+     f"radii must be real numbers in (0,1), got ({SHOWN},)"),
+    (lambda: GridSpec(radii=[0.5, BEYOND_REPR]),
+     f"radii must be real numbers in (0,1), got [0.5, {SHOWN}]"),
+    (lambda: coeffs_F(BEYOND_REPR), f"p must be a PoissonParams, got {SHOWN}"),
+], ids=["PoissonParams", "ClassParams", "RParams", "TruncationPolicy", "GridSpec",
+        "GridSpec-list", "coeffs_F"])
+def test_an_int_too_long_for_repr_is_refused_by_its_bit_length(build, message):
+    # the refusal's own message raised ValueError, naming no input
+    with pytest.raises(DomainError) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 def test_the_largest_int_below_the_overflow_is_the_largest_double():
