@@ -185,8 +185,7 @@ def grid_check(f: CoefficientSeq | ClosedSeries, condition: ConditionId, params:
     _require(grid, GridSpec, "grid")
     # any other value would be gridded as the S-condition under its own label
     _require(condition, ConditionId, "condition")
-    if not isinstance(params, ClassParams):
-        raise DomainError("S/C conditions require ClassParams")
+    _require(params, ClassParams, "params")
     # the C-condition is the S-condition of z f'
     zfprime = condition is ConditionId.C_COND
     if closed:

@@ -51,10 +51,10 @@ def _shown(value) -> str:
     """repr(value), as every refusal prints a rejected input.  repr raises
     ValueError for an int past Python's int-to-str limit (4300 digits by
     default), so such an int is shown by its bit length, alone or in a tuple
-    or list."""
+    or list; any other value whose repr raises is shown by its type alone."""
     try:
         return repr(value)
-    except ValueError:
+    except Exception:
         if isinstance(value, int):
             return f"<int of {value.bit_length()} bits>"
         if isinstance(value, list):
@@ -62,7 +62,7 @@ def _shown(value) -> str:
         if isinstance(value, tuple):
             items = ", ".join(map(_shown, value))
             return f"({items},)" if len(value) == 1 else f"({items})"
-        raise
+        return f"<unprintable {type(value).__name__}>"
 
 
 def _require(value, kind: type, name: str):

@@ -257,7 +257,7 @@ def test_grid_check_refuses_a_record_other_than_class_params(condition, params):
     # a DomainError, so the CLI exits 3, not an AttributeError traceback
     with pytest.raises(DomainError) as exc:
         grid_check(IDENTITY, condition, params, GridSpec())
-    assert str(exc.value) == "S/C conditions require ClassParams"
+    assert str(exc.value) == f"params must be a ClassParams, got {params!r}"
 
 
 @pytest.mark.parametrize("condition", ["C_cond", "S_cond", "R_cond", None,

@@ -147,6 +147,38 @@ def test_an_int_too_long_for_repr_is_refused_by_its_bit_length(build, message):
     assert str(exc.value) == message
 
 
+class _Unprintable:
+    def __repr__(self):
+        raise RuntimeError("no repr")
+
+
+def _shown_or(value, text: str) -> str:
+    try:
+        return repr(value)   # only where the limit is lifted
+    except ValueError:
+        return text
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: GridSpec(radii={BEYOND_REPR: 1}), "radii must be real numbers in (0,1), got "
+     + _shown_or({BEYOND_REPR: 1}, "<unprintable dict>")),
+    (lambda: PoissonParams({1: BEYOND_REPR}), "m must be a finite positive real, got "
+     + _shown_or({1: BEYOND_REPR}, "<unprintable dict>")),
+    (lambda: ClassParams({BEYOND_REPR}), "k must be in (0,1], got "
+     + _shown_or({BEYOND_REPR}, "<unprintable set>")),
+    (lambda: PoissonParams(_Unprintable()),
+     "m must be a finite positive real, got <unprintable _Unprintable>"),
+    (lambda: coeffs_F(_Unprintable()), "p must be a PoissonParams, got <unprintable _Unprintable>"),
+], ids=["GridSpec-dict", "PoissonParams-dict", "ClassParams-set", "PoissonParams-repr",
+        "coeffs_F-repr"])
+def test_a_value_whose_repr_raises_is_refused_by_its_type(build, message):
+    # the refusal's own message raised ValueError, or the repr's own error,
+    # in place of DomainError
+    with pytest.raises(DomainError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 def test_the_largest_int_below_the_overflow_is_the_largest_double():
     assert PoissonParams(FLOAT_OVERFLOW - 1).m == sys.float_info.max
     f = CoefficientSeq(SignConvention.GENERAL_TAIL, (FLOAT_OVERFLOW - 1,), 0.0)
