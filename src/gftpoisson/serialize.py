@@ -12,7 +12,10 @@ an OrderedDict as a dict.  A writer prints its value unindented; a dict or
 list indents each nested container once, through _CHILDREN, and its keys
 through their heads.  Each key whose type is exactly str is quoted once per
 process and kept in a bounded table of heads, since reports repeat a few
-fixed key sets; any other key is quoted through str() on each write.
+fixed key sets; any other key is quoted through str() on each write.  A dict
+is written in one pass over its items: each key's head from that table, or
+else quoted now, and each value's writer by its exact type, or else by its
+MRO.
 """
 
 from __future__ import annotations
@@ -61,13 +64,9 @@ def _head(key) -> str:
 def _dict(obj: dict) -> str:
     if not obj:
         return "{}"
-    try:
-        body = ",\n".join([_HEADS[key if type(key) is str else None]
-                           + _CHILDREN[type(value)](value) for key, value in obj.items()])
-    except KeyError:
-        # a key not kept (None is never kept) or a value of no exact JSON type
-        body = ",\n".join([_head(key) + _writer(value, _CHILDREN)(value)
-                           for key, value in obj.items()])
+    body = ",\n".join([(type(key) is str and _HEADS.get(key) or _head(key))
+                       + (_CHILDREN.get(type(value)) or _writer(value, _CHILDREN))(value)
+                       for key, value in obj.items()])
     return "{\n" + body + "\n}"
 
 

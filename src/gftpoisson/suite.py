@@ -6,7 +6,9 @@ The inclusion and equivalence checks classify theorems._margin, the float
 evaluate() reports as its margin, without building a report per verdict.
 The disk check grids F and G whole, from their closed forms
 (series.ClosedSeries), and the failing draws' pole check reads F's closed
-form too, so the suite builds no truncated series for the disk.
+form too, so the suite builds no truncated series for the disk.  The F and G
+holding draws are one rejection sampler over their closed forms, t1_lhs and
+t4_lhs, and the disk check grids both in one loop, F then G per draw.
 """
 
 from __future__ import annotations
@@ -67,24 +69,25 @@ def _no_interior_pole(p: PoissonParams, lam: float) -> bool:
     return den.real > 0
 
 
-def draw_t1_holding(rng: random.Random):
-    """(p, c) with the F-series S-membership holding by at least HOLD_MARGIN of 2k."""
+def _draw_holding(rng: random.Random, top: float, lhs):
+    """(p, c) with m log-uniform up to 10**top and lhs(p, c) at most 2k less
+    HOLD_MARGIN of 2k, drawn until one holds."""
     while True:
-        m = 10 ** rng.uniform(-3, 0)
+        m = 10 ** rng.uniform(-3, top)
         c = ClassParams(k=rng.uniform(0.05, 1.0), lam=rng.uniform(0.0, 0.95))
         p = PoissonParams(m)
-        if t1_lhs(p, c) <= (1 - HOLD_MARGIN) * 2 * c.k:
+        if lhs(p, c) <= (1 - HOLD_MARGIN) * 2 * c.k:
             return p, c
+
+
+def draw_t1_holding(rng: random.Random):
+    """(p, c) with the F-series S-membership holding by at least HOLD_MARGIN of 2k."""
+    return _draw_holding(rng, 0, t1_lhs)
 
 
 def draw_t4_holding(rng: random.Random):
     """(p, c) with the integral-companion S-membership holding by HOLD_MARGIN of 2k."""
-    while True:
-        m = 10 ** rng.uniform(-3, 0.5)
-        c = ClassParams(k=rng.uniform(0.05, 1.0), lam=rng.uniform(0.0, 0.95))
-        p = PoissonParams(m)
-        if t4_lhs(p, c) <= (1 - HOLD_MARGIN) * 2 * c.k:
-            return p, c
+    return _draw_holding(rng, 0.5, t4_lhs)
 
 
 def draw_t1_failing_radial(rng: random.Random):
@@ -217,14 +220,10 @@ def check_disk_sampling(rng: random.Random, holding_draws: int = 20,
     """
     bad = []
     for _ in range(holding_draws):
-        p, c = draw_t1_holding(rng)
-        rep = grid_check(ClosedSeries(_F, p), ConditionId.S_COND, c)
-        if rep.violations:
-            bad.append(f"S violation at m={fmt_float(p.m)}")
-        p, c = draw_t4_holding(rng)
-        rep = grid_check(ClosedSeries(_G, p), ConditionId.S_COND, c)
-        if rep.violations:
-            bad.append(f"G violation at m={fmt_float(p.m)}")
+        for draw, series, label in ((draw_t1_holding, _F, "S"), (draw_t4_holding, _G, "G")):
+            p, c = draw(rng)
+            if grid_check(ClosedSeries(series, p), ConditionId.S_COND, c).violations:
+                bad.append(f"{label} violation at m={fmt_float(p.m)}")
     for _ in range(failing_draws):
         p, c = draw_t1_failing_radial(rng)
         rep = grid_check(ClosedSeries(_F, p), ConditionId.S_COND, c, _WITNESS_GRID)

@@ -88,7 +88,7 @@ def _t2(m: float, c: ClassParams, r: RParams | None) -> float:
 
 
 def _t4(m: float, c: ClassParams, r: RParams | None) -> float:
-    return c.P * (-math.expm1(-m)) + (1 - c.lam) * (c.k - 1) * _g_tail_ratio(m)
+    return c.P * (-math.expm1(-m)) - c.Q * _g_tail_ratio(m)
 
 
 def _t5(m: float, c: ClassParams, r: RParams) -> float:
@@ -97,7 +97,7 @@ def _t5(m: float, c: ClassParams, r: RParams) -> float:
 
 
 def _t6(m: float, c: ClassParams, r: RParams) -> float:
-    lhs = c.P * m + 2 * c.k * (-math.expm1(-m))
+    lhs = _f_sum_scale_S(m, c, r)
     if lhs == math.inf:
         # P m overflows, from m = MAX/P on, where 2k(1 - e^-m) is below its
         # ulp; a scale below 1 can bring the product back under the largest double
@@ -264,9 +264,8 @@ def _bounded_root(c: ClassParams, b: float, d: float) -> float | None:
     near = 2 * d <= p
 
     def value_slope(m: float) -> tuple[float, float]:
-        e, qg = math.exp(-m), q * _g_tail_ratio(m)
-        value = _gap_margin(m, c, d) if near else b - (p * -math.expm1(-m) - qg)
-        return value, qg / m + two_k * e
+        value = _gap_margin(m, c, d) if near else b - _t4(m, c, None)
+        return value, q * _g_tail_ratio(m) / m + two_k * math.exp(-m)
 
     return _newton(start, value_slope)
 
