@@ -5,12 +5,14 @@ threshold, grid, identities and suite.  A row gives the subcommand's help,
 its flags in the order --help lists them (each row ends with --format and
 --out), a runner, and a human formatter.  _build_parser adds one subparser
 per row.  main runs the chosen row's runner, which returns (JSON dict, CSV
-header, CSV rows, exit code), and writes the report once, to stdout or --out:
-canonical JSON by default, csv, or the row's human text.  Exit codes are 0
-for success or Holds, 1 for Fails, 2 for Marginal, 3 for usage errors, 4 for
-numeric failures.  A runner builds its records in the order its command
-refuses bad input: the predicate, m, (k, lambda), the R flags, then the
-command's own flags, except that crosscheck refuses --eps before m.
+rows, exit code), each CSV row a flat dict and the first row's keys the CSV
+header, and writes the report once, to stdout or --out: canonical JSON by
+default, csv, or the row's human text.  Exit codes are 0 for success or
+Holds, 1 for Fails, 2 for Marginal, 3 for usage errors (an --out path that
+cannot be written among them), 4 for numeric failures.  A runner builds
+its records in the order its command refuses bad input: the predicate, m,
+(k, lambda), the R flags, then the command's own flags, except that
+crosscheck refuses --eps before m.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ def _records(args, pid: PredicateId) -> tuple:
 
 def _verdict(report) -> tuple:
     d = report.to_json_dict()
-    return d, list(d), [list(d.values())], _VERDICT_EXIT[report.verdict]
+    return d, [d], _VERDICT_EXIT[report.verdict]
 
 
 def _check(args) -> tuple:
@@ -91,7 +93,7 @@ def _crosscheck(args) -> tuple:
 def _threshold(args) -> tuple:
     pid = _parse_predicate(args.predicate)
     d = solve_m_star(pid, *_records(args, pid), tol=args.tol).to_json_dict()
-    return d, list(d), [list(d.values())], EXIT_HOLDS
+    return d, [d], EXIT_HOLDS
 
 
 def _grid(args) -> tuple:
@@ -109,10 +111,9 @@ def _grid(args) -> tuple:
         spec_kwargs["points_per_circle"] = args.points
     report = grid_check(f, spec.condition, c, GridSpec(**spec_kwargs))
     d = report.to_json_dict()
-    header = ["condition", "max", "argmax_re", "argmax_im", "violations", "skipped"]
-    row = [d["condition"], d["max"], d["argmax"][0], d["argmax"][1],
-           d["violations"], d["skipped"]]
-    return d, header, [row], EXIT_HOLDS if report.violations == 0 else EXIT_FAILS
+    row = {"condition": d["condition"], "max": d["max"], "argmax_re": d["argmax"][0],
+           "argmax_im": d["argmax"][1], "violations": d["violations"], "skipped": d["skipped"]}
+    return d, [row], EXIT_HOLDS if report.violations == 0 else EXIT_FAILS
 
 
 def _identities(args) -> tuple:
@@ -124,9 +125,7 @@ def _identities(args) -> tuple:
     entries = [{"kind": kind.value, "closed": closed, "partial": partial,
                 "abs_err": err, "pass": err <= allowed}
                for kind, closed, partial, err, allowed in _identity_rows(p, n_top)]
-    return ({"m": p.m, "N": n_top, "identities": entries},
-            ["kind", "closed", "partial", "abs_err", "pass"],
-            [list(e.values()) for e in entries],
+    return ({"m": p.m, "N": n_top, "identities": entries}, entries,
             EXIT_HOLDS if all(e["pass"] for e in entries) else EXIT_FAILS)
 
 
@@ -145,9 +144,7 @@ def _suite(args) -> tuple:
     except ValueError:
         raise UsageError(f"GFT_SEED must be an integer, got {raw!r}")
     summary = run_suite(seed)
-    rows = [[chk["name"], chk["status"], chk["detail"]] for chk in summary["checks"]]
-    return (summary, ["name", "status", "detail"], rows,
-            EXIT_HOLDS if summary["failed"] == 0 else EXIT_FAILS)
+    return summary, summary["checks"], EXIT_HOLDS if summary["failed"] == 0 else EXIT_FAILS
 
 
 def _suite_human(d: dict) -> str:
@@ -207,16 +204,19 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         _, _, run, human = _COMMANDS[args.command]
-        json_dict, csv_header, csv_rows, code = run(args)
+        json_dict, csv_rows, code = run(args)
         if args.format == "json":
             text = dumps_canonical(json_dict) + "\n"
         elif args.format == "csv":
-            text = rows_to_csv(csv_header, csv_rows)
+            text = rows_to_csv(csv_rows)
         else:
             text = human(json_dict)
         if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
+            try:
+                with open(args.out, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise UsageError(f"cannot write --out {args.out}: {exc.strerror}")
         else:
             sys.stdout.write(text)
         return code

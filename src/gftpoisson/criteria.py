@@ -55,8 +55,6 @@ class ClassParams(_Record):
     part in repr, equality or hashing.
     """
 
-    _fields = ("k", "lam")
-
     def __init__(self, k: float, lam: float = 0.0) -> None:
         # an exact float needs no type check; nan fails the comparisons
         if not ((type(k) is float or _is_real(k)) and 0 < k <= 1):
@@ -64,7 +62,6 @@ class ClassParams(_Record):
         if not ((type(lam) is float or _is_real(lam)) and 0 <= lam < 1):
             raise DomainError(f"lambda must be in [0,1), got {_shown(lam)}")
         k, lam = float(k), float(lam)
-        # frozen: fields are set once, past the __setattr__ that refuses them
         self.__dict__.update(k=k, lam=lam, P=(1 - lam) + k * (1 + lam),
                              Q=(1 - lam) * (1 - k))
 
@@ -78,8 +75,6 @@ class RParams(_Record):
     underflow it to 0, which T5's gap 2k/scale cannot divide by.  It takes no
     part in repr, equality or hashing.
     """
-
-    _fields = ("A", "B", "tau")
 
     def __init__(self, A: float, B: float, tau: complex = 1.0 + 0.0j) -> None:
         if not ((type(A) is float or _is_real(A)) and (type(B) is float or _is_real(B))
@@ -107,13 +102,9 @@ class RParams(_Record):
 
 
 class MembershipReport(_Record):
-    _fields = ("predicate", "verdict", "lhs", "rhs", "margin", "crosscheck_residual",
-               "truncation_order")
-
     def __init__(self, predicate: str, verdict: Verdict, lhs: float, rhs: float,
                  margin: float, crosscheck_residual: float | None = None,
                  truncation_order: int | None = None) -> None:
-        # frozen: fields are set once, past the __setattr__ that refuses them
         self.__dict__.update(predicate=predicate, verdict=verdict, lhs=lhs, rhs=rhs,
                              margin=margin, crosscheck_residual=crosscheck_residual,
                              truncation_order=truncation_order)

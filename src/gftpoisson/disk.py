@@ -71,8 +71,6 @@ MAX_POINTS = 2 ** 20
 
 
 class GridSpec(_Record):
-    _fields = ("radii", "points_per_circle", "denominator_floor")
-
     def __init__(self, radii: tuple = DEFAULT_RADII, points_per_circle: int = DEFAULT_POINTS,
                  denominator_floor: float = DEFAULT_FLOOR) -> None:
         try:
@@ -99,8 +97,6 @@ class GridSpec(_Record):
 
 
 class GridReport(_Record):
-    _fields = ("condition", "max_value", "argmax_z", "violations", "skipped")
-
     def __init__(self, condition: ConditionId, max_value: float, argmax_z: complex,
                  violations: int, skipped: int) -> None:
         self.__dict__.update(condition=condition, max_value=max_value, argmax_z=argmax_z,

@@ -120,9 +120,11 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def rows_to_csv(header: list, rows: list) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_csv_cell(cell) for cell in row) for row in rows)
+def rows_to_csv(rows: list) -> str:
+    """CSV of flat dicts that share one key order: the first row's keys are
+    the header, and each row's values, in that order, a line."""
+    lines = [",".join(rows[0])]
+    lines.extend(",".join(_csv_cell(cell) for cell in row.values()) for row in rows)
     return "\n".join(lines) + "\n"
 
 

@@ -149,6 +149,15 @@ def _verdict(pid: PredicateId, m: float, c: ClassParams,
 
 
 def check_equivalences(rng: random.Random, draws: int = 1000):
+    """Compare verdicts that the paper states are equal, over random draws.
+
+    The check can fail only if theorems._ROWS or theorems.resolve is
+    miswired: T3 and T1 share one closed form, theorems._t1, and each
+    corollary resolves to its theorem's row at lambda = 0, so each pair is a
+    computation compared with itself.  It stays because bench/ calls it by
+    name; ROADMAP item 10 gives it an independent route, G's C-condition
+    against F's S-condition on one grid (z G' = F).
+    """
     mismatches = 0
     for _ in range(draws):
         m = 10 ** rng.uniform(-3, 1)
@@ -193,6 +202,13 @@ def check_threshold_fixture(rng: random.Random):
 
 
 def check_bracket_identity(rng: random.Random, draws: int = 1000):
+    """Compare t5_lhs with scale times t4_lhs, over random draws.
+
+    t5_lhs(p, c, r) is r.scale * t4_lhs(p, c), the very expression it is
+    compared with, so the worst relative difference reads 0 by construction.
+    The check stays because bench/ calls it by name; ROADMAP item 10 gives it
+    an independent route, the I image's S-sum against scale times G's.
+    """
     worst = 0.0
     for _ in range(draws):
         p = PoissonParams(rng.uniform(1e-6, 10.0))

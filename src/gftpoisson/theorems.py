@@ -144,9 +144,6 @@ class PredicateSpec(_Record):
     thresholds module derives them.
     """
 
-    _fields = ("theorem", "corollary", "series", "condition", "gap", "root", "lhs",
-               "sum_scale")
-
     def __init__(self, theorem: PredicateId, corollary: PredicateId, series: _Series,
                  condition: ConditionId, gap: Callable[..., float | None],
                  root: Callable[..., float | None], lhs: Callable[..., float],

@@ -125,11 +125,8 @@ class Outcome(enum.Enum):
 
 
 class ThresholdResult(_Record):
-    _fields = ("predicate", "outcome", "m_star", "bracket_width", "evaluations")
-
     def __init__(self, predicate: str, outcome: Outcome, m_star: float | None,
                  bracket_width: float | None, evaluations: int) -> None:
-        # frozen: fields are set once, past the __setattr__ that refuses them
         self.__dict__.update(predicate=predicate, outcome=outcome, m_star=m_star,
                              bracket_width=bracket_width, evaluations=evaluations)
 

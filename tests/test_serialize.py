@@ -97,8 +97,8 @@ def test_dumps_indentation_shape():
 
 
 def test_rows_to_csv():
-    text = rows_to_csv(["name", "value", "ok"],
-                       [["x", 0.5, True], ["y", None, False]])
+    text = rows_to_csv([{"name": "x", "value": 0.5, "ok": True},
+                        {"name": "y", "value": None, "ok": False}])
     assert text == "name,value,ok\nx,0.5,true\ny,,false\n"
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import math
 import random
 import struct
@@ -13,9 +14,10 @@ from gftpoisson import (CoefficientSeq, DomainError, PoissonParams,
                         SignConvention, SumKind, TruncationNotReached,
                         TruncationPolicy, choose_truncation, coeffs_F,
                         coeffs_G, partial_shifted_sum, shifted_exp_sum)
+from gftpoisson import criteria, disk, series, theorems, thresholds
 from gftpoisson.criteria import ClassParams, RParams
 from gftpoisson.disk import GridSpec
-from gftpoisson.series import _SUMS, _exact_sum
+from gftpoisson.series import _SUMS, _exact_sum, _Record
 from gftpoisson.theorems import _image
 
 POLICY = TruncationPolicy(eps=1e-12)
@@ -596,3 +598,29 @@ def test_falling_shifted_terms_reach_fsum_in_natural_order(fsum_calls):
     natural = _natural_shifted_terms(p, SumKind.SHIFT1, upto)
     assert fsum_calls == [natural]
     assert natural != sorted(natural, reverse=True)
+
+
+# ---- the record base ----
+
+_RECORDS = (series.PoissonParams, series.TruncationPolicy, series.CoefficientSeq,
+            series.ClosedSeries, criteria.ClassParams, criteria.RParams,
+            criteria.MembershipReport, disk.GridSpec, disk.GridReport,
+            theorems.PredicateSpec, thresholds.ThresholdResult)
+
+
+def test_the_pinned_records_are_every_record_of_the_package():
+    assert {cls for cls in _Record.__subclasses__()
+            if cls.__module__.startswith("gftpoisson.")} == set(_RECORDS)
+
+
+@pytest.mark.parametrize("cls", _RECORDS, ids=lambda cls: cls.__name__)
+def test_a_records_fields_are_its_constructor_parameters(cls):
+    assert cls._fields == tuple(inspect.signature(cls).parameters)
+    # a constant stored beside the fields takes no part in repr, == or hash
+    assert not {"P", "Q", "scale", "needs_r"} & set(cls._fields)
+
+
+def test_a_record_without_its_own_constructor_is_refused_when_defined():
+    with pytest.raises(AttributeError):
+        class _NoInit(_Record):
+            pass
