@@ -117,12 +117,16 @@ class MembershipReport(_Record):
 
 def classify(margin: float) -> Verdict:
     """Verdict from the margin 2k - lhs with the Marginal band BOUNDARY_TOL
-    around zero; a nan margin, which no comparison places, is refused."""
-    if margin > BOUNDARY_TOL:
-        return Verdict.HOLDS
-    if margin < -BOUNDARY_TOL:
-        return Verdict.FAILS
-    if margin == margin:
-        return Verdict.MARGINAL
+    around zero; a nan margin, which no comparison places, and a margin that
+    is no real number (a bool, a str, a complex, an int past the largest
+    double) are refused."""
+    # an exact float needs no type check
+    if type(margin) is float or _is_real(margin):
+        if margin > BOUNDARY_TOL:
+            return Verdict.HOLDS
+        if margin < -BOUNDARY_TOL:
+            return Verdict.FAILS
+        if margin == margin:
+            return Verdict.MARGINAL
     raise DomainError(f"margin must be a number, got {_shown(margin)}")
 

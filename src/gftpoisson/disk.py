@@ -226,16 +226,13 @@ def grid_check(f: CoefficientSeq | ClosedSeries, condition: ConditionId, params:
                 skipped += count
                 continue
             value = abs(w - 1) / abs_wp1
-            if value > max_value:
+            # an overflowing Horner loop gives nan, which must not pass: the
+            # first nan is the maximum, and no later value replaces it
+            if max_value == max_value and not value <= max_value:
                 max_value = value
                 argmax = z
-            # an overflowing Horner loop gives nan, which must not pass: the
-            # first nan is the maximum, and no later value compares above it
             if not value < k:
                 violations += count
-                if value != value and max_value == max_value:
-                    max_value = value
-                    argmax = z
     if max_value == -math.inf:
         max_value = 0.0   # every point skipped
     return GridReport(condition=condition, max_value=max_value, argmax_z=argmax,

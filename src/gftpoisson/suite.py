@@ -2,6 +2,10 @@
 
 Every check draws its own parameters from one shared RNG, so a fixed seed
 makes the whole run (and its serialized summary) reproducible byte for byte.
+The sampled checks draw from one generator, _draws, which yields each draw's
+first parameter (p or m), its ClassParams and its RParams, in that order;
+identities, crosschecks and bracket_identity fold their per-draw measures
+with _worst, so a nan measure is the worst value and fails its check.
 The inclusion and equivalence checks classify theorems._margin, the float
 evaluate() reports as its margin, without building a report per verdict.
 The disk check grids F and G whole, from their closed forms
@@ -19,12 +23,13 @@ import random
 
 from .criteria import ClassParams, ConditionId, RParams, Verdict, classify
 from .disk import GridSpec, _closed_values, _quotients, grid_check
+from .errors import DomainError
 from .serialize import fmt_float
 # coeffs_F and evaluate are not called here, but bench/test_tracer.py wraps
 # them under these names
 from .series import (_F, _G, ClosedSeries, PoissonParams, SumKind,  # noqa: F401
-                     TruncationPolicy, choose_truncation, coeffs_F, partial_shifted_sum,
-                     shifted_exp_sum)
+                     TruncationPolicy, _shown, choose_truncation, coeffs_F,
+                     partial_shifted_sum, shifted_exp_sum)
 from .theorems import (SPECS, PredicateId, _margin, crosscheck,  # noqa: F401
                        evaluate, resolve, t1_lhs, t4_lhs, t5_lhs)
 from .thresholds import solve_m_star
@@ -54,6 +59,20 @@ def draw_r_params(rng: random.Random) -> RParams:
     a = rng.uniform(b + 0.05, 1.0)
     tau = cmath.rect(rng.uniform(0.05, 2.0), rng.uniform(0.0, 2 * math.pi))
     return RParams(A=a, B=b, tau=tau)
+
+
+def _uniform_p(rng: random.Random) -> PoissonParams:
+    return PoissonParams(rng.uniform(1e-6, 10.0))
+
+
+def _log_m(rng: random.Random) -> float:
+    return 10 ** rng.uniform(-3, 1)
+
+
+def _draws(rng: random.Random, draws: int, first):
+    """(first(rng), c, r) for each of draws draws, drawn in that order."""
+    for _ in range(draws):
+        yield first(rng), draw_class_params(rng), draw_r_params(rng)
 
 
 def _no_interior_pole(p: PoissonParams, lam: float) -> bool:
@@ -106,6 +125,16 @@ def draw_t1_failing_radial(rng: random.Random):
 
 # ---- checks ----
 
+def _worst(values) -> float:
+    """The largest of values and 0.0.  The first nan, which compares false
+    with every number, is the largest: a nan measure fails its check."""
+    worst = 0.0
+    for value in values:
+        if worst == worst and not value <= worst:
+            worst = value
+    return worst
+
+
 def _identity_rows(p: PoissonParams, n_top: int):
     """(kind, closed, partial, |difference|, allowed) per sum; passes if difference <= allowed."""
     for kind in SumKind:
@@ -117,11 +146,8 @@ def _identity_rows(p: PoissonParams, n_top: int):
 
 def check_identities(rng: random.Random, draws: int = 200):
     policy = TruncationPolicy(eps=1e-12)
-    worst = 0.0
-    for _ in range(draws):
-        p = PoissonParams(rng.uniform(1e-6, 10.0))
-        rows = _identity_rows(p, choose_truncation(p, policy))
-        worst = max(worst, *(err / allowed for *_, err, allowed in rows))
+    worst = _worst(err / allowed for p in (_uniform_p(rng) for _ in range(draws))
+                   for *_, err, allowed in _identity_rows(p, choose_truncation(p, policy)))
     return "identities", worst <= 1.0, f"worst err/allowed {fmt_float(worst)}"
 
 
@@ -131,13 +157,8 @@ _CROSSCHECK_PIDS = (PredicateId.T1_F_in_S, PredicateId.T2_F_in_C,
 
 
 def check_crosschecks(rng: random.Random, draws: int = 200):
-    worst = 0.0
-    for _ in range(draws):
-        p = PoissonParams(rng.uniform(1e-6, 10.0))
-        c = draw_class_params(rng)
-        r = draw_r_params(rng)
-        for pid in _CROSSCHECK_PIDS:
-            worst = max(worst, crosscheck(pid, p, c, r))
+    worst = _worst(crosscheck(pid, p, c, r) for p, c, r in _draws(rng, draws, _uniform_p)
+                   for pid in _CROSSCHECK_PIDS)
     return "crosschecks", worst < RESIDUAL_TOL, f"worst residual {fmt_float(worst)}"
 
 
@@ -159,10 +180,7 @@ def check_equivalences(rng: random.Random, draws: int = 1000):
     against F's S-condition on one grid (z G' = F).
     """
     mismatches = 0
-    for _ in range(draws):
-        m = 10 ** rng.uniform(-3, 1)
-        c = draw_class_params(rng)
-        r = draw_r_params(rng)
+    for m, c, r in _draws(rng, draws, _log_m):
         if _verdict(PredicateId.T3_G_in_C, m, c) is not \
                 _verdict(PredicateId.T1_F_in_S, m, c):
             mismatches += 1
@@ -181,10 +199,7 @@ def check_inclusions(rng: random.Random, draws: int = 10_000):
     t1, t2, t5, t6 = (SPECS[pid] for pid in (
         PredicateId.T1_F_in_S, PredicateId.T2_F_in_C,
         PredicateId.T5_I_in_S, PredicateId.T6_I_in_C))
-    for _ in range(draws):
-        m = 10 ** rng.uniform(-3, 1)
-        c = draw_class_params(rng)
-        r = draw_r_params(rng)
+    for m, c, r in _draws(rng, draws, _log_m):
         if classify(_margin(t2, m, c, None)) is Verdict.HOLDS:
             if classify(_margin(t1, m, c, None)) not in ok_verdicts:
                 violations += 1
@@ -201,6 +216,10 @@ def check_threshold_fixture(rng: random.Random):
             f"m_star {fmt_float(res.m_star)} err {fmt_float(err)}")
 
 
+def _rel_diff(a: float, b: float) -> float:
+    return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+
 def check_bracket_identity(rng: random.Random, draws: int = 1000):
     """Compare t5_lhs with scale times t4_lhs, over random draws.
 
@@ -209,15 +228,8 @@ def check_bracket_identity(rng: random.Random, draws: int = 1000):
     The check stays because bench/ calls it by name; ROADMAP item 10 gives it
     an independent route, the I image's S-sum against scale times G's.
     """
-    worst = 0.0
-    for _ in range(draws):
-        p = PoissonParams(rng.uniform(1e-6, 10.0))
-        c = draw_class_params(rng)
-        r = draw_r_params(rng)
-        lhs = t5_lhs(p, c, r)
-        ref = r.scale * t4_lhs(p, c)
-        denom = max(abs(lhs), abs(ref), 1e-300)
-        worst = max(worst, abs(lhs - ref) / denom)
+    worst = _worst(_rel_diff(t5_lhs(p, c, r), r.scale * t4_lhs(p, c))
+                   for p, c, r in _draws(rng, draws, _uniform_p))
     return "bracket_identity", worst <= BRACKET_REL_TOL, f"worst rel diff {fmt_float(worst)}"
 
 
@@ -255,6 +267,9 @@ _CHECKS = (check_identities, check_crosschecks, check_equivalences,
 
 
 def run_suite(seed: int = 0) -> dict:
+    # random.Random seeds None from the OS, and the summary must repeat
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise DomainError(f"seed must be an int, got {_shown(seed)}")
     rng = random.Random(seed)
     checks = []
     failed = 0

@@ -106,15 +106,17 @@ def _t6(m: float, c: ClassParams, r: RParams) -> float:
 
 
 def t1_lhs(p: PoissonParams, c: ClassParams) -> float:
-    return _t1(p.m, c, None)
+    return _t1(_require(p, PoissonParams, "p").m, _require(c, ClassParams, "c"), None)
 
 
 def t4_lhs(p: PoissonParams, c: ClassParams) -> float:
-    return _t4(p.m, c, None)
+    return _t4(_require(p, PoissonParams, "p").m, _require(c, ClassParams, "c"), None)
 
 
 def t5_lhs(p: PoissonParams, c: ClassParams, r: RParams) -> float:
-    return r.scale * t4_lhs(p, c)
+    # t4_lhs refuses a p or c of the wrong kind before r is read
+    lhs = t4_lhs(p, c)
+    return _require(r, RParams, "r").scale * lhs
 
 
 # ---- the six theorems ----

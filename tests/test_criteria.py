@@ -329,6 +329,21 @@ def test_classify_refuses_a_nan_margin():
     assert str(exc.value) == "margin must be a number, got nan"
 
 
+@pytest.mark.parametrize("margin", [True, False, "1", None, 1j, 10 ** 400],
+                         ids=["True", "False", "str", "None", "complex", "huge-int"])
+def test_classify_refuses_a_margin_that_is_no_real_number(margin):
+    # a str raised TypeError, and True read as Holds
+    with pytest.raises(DomainError) as exc:
+        classify(margin)
+    assert str(exc.value) == f"margin must be a number, got {margin!r}"
+
+
+def test_classify_reads_an_int_margin_as_its_value():
+    assert classify(1) is Verdict.HOLDS
+    assert classify(0) is Verdict.MARGINAL
+    assert classify(-1) is Verdict.FAILS
+
+
 # ---- the weighted sum ----
 
 def _seq(coeffs):

@@ -33,3 +33,13 @@ def test_count_sorts_each_line_into_one_kind():
     counts = src_lines.count(SAMPLE)
     assert counts == {"code": 5, "docstring": 6, "comment": 1, "blank": 4}
     assert sum(counts.values()) == len(SAMPLE.splitlines())
+
+
+def test_a_tree_without_modules_is_an_error(tmp_path, capsys):
+    # a wrong directory printed a total of 0 and exited 0
+    assert src_lines.main(["src_lines.py", str(tmp_path)]) == 2
+    assert src_lines.main(["src_lines.py", str(tmp_path / "missing")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: no Python modules under {tmp_path}\n"
+                   f"error: no Python modules under {tmp_path / 'missing'}\n")

@@ -1,13 +1,16 @@
 """The suite's failure branches: each check reports fail, with its detail, when
-one of the routes it reads is made to disagree."""
+one of the routes it reads is made to disagree or gives nan; and run_suite's
+refusal of a seed that is no int."""
 
 import functools
+import math
+import types
 
 import pytest
 
 import gftpoisson.suite as suite
-from gftpoisson import GridReport, Verdict, run_suite
-from gftpoisson.series import _F
+from gftpoisson import DomainError, GridReport, Verdict, run_suite
+from gftpoisson.series import _F, SumKind
 from gftpoisson.theorems import SPECS, PredicateId
 
 
@@ -96,3 +99,76 @@ def test_disk_sampling_fails_on_a_missing_witness(monkeypatch):
                        for r, m, c in seen if r == "witness")
     assert row == {"name": "disk_sampling", "status": "fail", "detail": detail}
     assert detail.count("missing witness") == 2
+
+
+# ---- the sampled checks: a nan measure, and a finite disagreement ----
+
+@pytest.mark.parametrize("name, check, patched, value, detail", [
+    ("crosschecks", suite.check_crosschecks, "crosscheck",
+     lambda pid, p, c, r: math.nan, "worst residual NaN"),
+    ("bracket_identity", suite.check_bracket_identity, "t5_lhs",
+     lambda p, c, r: math.nan, "worst rel diff NaN"),
+    ("identities", suite.check_identities, "partial_shifted_sum",
+     lambda p, kind, upto: math.nan, "worst err/allowed NaN"),
+], ids=["crosschecks", "bracket_identity", "identities"])
+def test_a_nan_measure_fails_its_check(monkeypatch, name, check, patched, value, detail):
+    # max(0.0, nan) is 0.0: a fold by max reads a nan measure as a pass
+    monkeypatch.setattr(suite, patched, value)
+    row = _run_alone(monkeypatch, check, draws=3)
+    assert row == {"name": name, "status": "fail", "detail": detail}
+
+
+def test_identities_fail_where_a_partial_sum_is_off(monkeypatch):
+    seen = []
+    real = suite.partial_shifted_sum
+
+    def partial_shifted_sum(p, kind, upto):
+        partial = real(p, kind, upto) + 1e-6
+        seen.append((suite.shifted_exp_sum(p, kind), partial))
+        return partial
+
+    monkeypatch.setattr(suite, "partial_shifted_sum", partial_shifted_sum)
+    row = _run_alone(monkeypatch, suite.check_identities, draws=2)
+    assert len(seen) == 2 * len(SumKind)
+    worst = max(abs(closed - partial)
+                / max(suite.IDENTITY_ABS_TOL, suite.IDENTITY_REL_TOL * abs(closed))
+                for closed, partial in seen)
+    assert worst > 1
+    assert row == {"name": "identities", "status": "fail",
+                   "detail": f"worst err/allowed {_g(worst)}"}
+
+
+def test_crosschecks_fail_on_a_residual_past_the_tolerance(monkeypatch):
+    monkeypatch.setattr(suite, "crosscheck", lambda pid, p, c, r: 2e-9)
+    row = _run_alone(monkeypatch, suite.check_crosschecks, draws=2)
+    assert row == {"name": "crosschecks", "status": "fail",
+                   "detail": "worst residual 2.0000000000000001e-09"}
+
+
+def test_threshold_fixture_fails_on_an_m_star_off_the_fixture(monkeypatch):
+    m_star = suite.THRESHOLD_FIXTURE + 1e-8
+    monkeypatch.setattr(suite, "solve_m_star",
+                        lambda pid, c, tol: types.SimpleNamespace(m_star=m_star))
+    row = _run_alone(monkeypatch, suite.check_threshold_fixture)
+    err = m_star - suite.THRESHOLD_FIXTURE
+    assert err > suite.THRESHOLD_FIXTURE_TOL
+    assert row == {"name": "threshold_fixture", "status": "fail",
+                   "detail": f"m_star {_g(m_star)} err {_g(err)}"}
+
+
+def test_bracket_identity_fails_where_t5_and_scaled_t4_disagree(monkeypatch):
+    # |0 - ref| / max(0, |ref|) is 1 for every nonzero ref
+    monkeypatch.setattr(suite, "t5_lhs", lambda p, c, r: 0.0)
+    row = _run_alone(monkeypatch, suite.check_bracket_identity, draws=3)
+    assert row == {"name": "bracket_identity", "status": "fail", "detail": "worst rel diff 1"}
+
+
+# ---- the seed ----
+
+@pytest.mark.parametrize("seed", [None, [], 1.0, "0", True],
+                         ids=["None", "list", "float", "str", "True"])
+def test_a_seed_that_is_not_an_int_is_refused(seed):
+    # a list raised random's TypeError, and None seeded from the OS
+    with pytest.raises(DomainError) as exc:
+        run_suite(seed)
+    assert str(exc.value) == f"seed must be an int, got {seed!r}"

@@ -557,3 +557,23 @@ def test_c_rows_crosscheck_their_own_series_under_c_weights(pid, m, k, lam, r, e
     p, c = PoissonParams(m), ClassParams(k=k, lam=lam)
     policy = TruncationPolicy(eps=10.0 ** eps_exp)
     assert crosscheck(pid, p, c, r, policy) == _own_c_residual(pid, p, c, r, policy)
+
+
+_C = ClassParams(k=0.5, lam=0.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: t1_lhs(0.5, _C), "p must be a PoissonParams, got 0.5"),
+    (lambda: t1_lhs(PoissonParams(1.0), None), "c must be a ClassParams, got None"),
+    (lambda: t4_lhs(None, _C), "p must be a PoissonParams, got None"),
+    (lambda: t4_lhs(PoissonParams(1.0), None), "c must be a ClassParams, got None"),
+    (lambda: t5_lhs(1.0, _C, R_DEFAULT), "p must be a PoissonParams, got 1.0"),
+    (lambda: t5_lhs(PoissonParams(1.0), (0.5, 0.0), R_DEFAULT),
+     "c must be a ClassParams, got (0.5, 0.0)"),
+    (lambda: t5_lhs(PoissonParams(1.0), _C, None), "r must be a RParams, got None"),
+], ids=["t1-p", "t1-c", "t4-p", "t4-c", "t5-p", "t5-c", "t5-r"])
+def test_the_public_closed_forms_refuse_a_record_of_the_wrong_kind(call, message):
+    # each raised AttributeError, as "'float' object has no attribute 'm'"
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -8,6 +8,7 @@ prints lines = code + docstring + comment + blank, where
 - comment is a full-line comment outside docstrings;
 - blank is a blank line outside docstrings;
 - code is every other line.
+A DIRECTORY that holds no Python module is an error: it exits 2.
 """
 
 from __future__ import annotations
@@ -51,9 +52,14 @@ def count(text: str) -> dict:
 
 def main(argv: list) -> int:
     root = Path(argv[1] if len(argv) > 1 else "src/gftpoisson")
+    paths = sorted(root.rglob("*.py"))
+    if not paths:
+        # a total of 0 from a wrong directory would read as a measurement
+        print(f"error: no Python modules under {root}", file=sys.stderr)
+        return 2
     total = dict.fromkeys(KINDS, 0)
     print(f"{'module':<20}{'lines':>7}" + "".join(f"{k:>11}" for k in KINDS))
-    for path in sorted(root.rglob("*.py")):
+    for path in paths:
         counts = count(path.read_text(encoding="utf-8"))
         for kind in KINDS:
             total[kind] += counts[kind]
