@@ -11,8 +11,7 @@ default, csv, or the row's human text.  Exit codes are 0 for success or
 Holds, 1 for Fails, 2 for Marginal, 3 for usage errors (an --out path that
 cannot be written among them), 4 for numeric failures.  A runner builds
 its records in the order its command refuses bad input: the predicate, m,
-(k, lambda), the R flags, then the command's own flags, except that
-crosscheck refuses --eps before m.
+(k, lambda), the R flags, then the command's own flags.
 """
 
 from __future__ import annotations
@@ -53,16 +52,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_predicate(text: str) -> PredicateId:
+def _records(args) -> tuple:
+    """(pid, p, c, r), or (pid, c, r) for a command without --m, built in the
+    order every predicate command refuses bad input."""
     try:
-        return PredicateId(text)
+        pid = PredicateId(args.predicate)
     except ValueError:
-        valid = ", ".join(pid.value for pid in PredicateId)
-        raise UsageError(f"unknown predicate {text!r}; valid ids: {valid}")
-
-
-def _records(args, pid: PredicateId) -> tuple:
-    """(p, c, r), or (c, r) for a command without --m, built in that order."""
+        valid = ", ".join(q.value for q in PredicateId)
+        raise UsageError(f"unknown predicate {args.predicate!r}; valid ids: {valid}")
     p = (PoissonParams(args.m),) if "m" in args else ()
     c = ClassParams(args.k, args.lam)
     has_a, has_b = args.A is not None, args.B is not None
@@ -71,7 +68,7 @@ def _records(args, pid: PredicateId) -> tuple:
     if has_a != has_b:
         raise UsageError("--A and --B must be given together")
     r = RParams(A=args.A, B=args.B, tau=complex(args.tau_re, args.tau_im)) if has_a else None
-    return (*p, c, r)
+    return (pid, *p, c, r)
 
 
 def _verdict(report) -> tuple:
@@ -80,25 +77,20 @@ def _verdict(report) -> tuple:
 
 
 def _check(args) -> tuple:
-    pid = _parse_predicate(args.predicate)
-    return _verdict(evaluate(pid, *_records(args, pid)))
+    return _verdict(evaluate(*_records(args)))
 
 
 def _crosscheck(args) -> tuple:
-    pid = _parse_predicate(args.predicate)
-    policy = TruncationPolicy(eps=args.eps)
-    return _verdict(evaluate_with_crosscheck(pid, *_records(args, pid), policy))
+    return _verdict(evaluate_with_crosscheck(*_records(args), TruncationPolicy(eps=args.eps)))
 
 
 def _threshold(args) -> tuple:
-    pid = _parse_predicate(args.predicate)
-    d = solve_m_star(pid, *_records(args, pid), tol=args.tol).to_json_dict()
+    d = solve_m_star(*_records(args), tol=args.tol).to_json_dict()
     return d, [d], EXIT_HOLDS
 
 
 def _grid(args) -> tuple:
-    pid = _parse_predicate(args.predicate)
-    p, c, r = _records(args, pid)
+    pid, p, c, r = _records(args)
     spec, c = resolve(pid, c, r)
     f = spec.series(p, TruncationPolicy(eps=args.eps), r)
     spec_kwargs = {}

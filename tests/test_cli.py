@@ -552,9 +552,9 @@ NEEDS_AB = "error: predicate T5_I_in_S requires --A and --B\n"
 
 
 # each invocation holds two bad inputs, and the pinned message names the one
-# its command refuses first: check and grid go predicate, m, (k, lambda), the
-# R flags, then grid's own flags; crosscheck refuses --eps before m; threshold
-# refuses --tol last; identities goes m, then --eps
+# its command refuses first: check, crosscheck, threshold and grid go
+# predicate, m, (k, lambda), the R flags, then their own flags (--eps, --tol,
+# --radii, --points); identities goes m, then --eps
 @pytest.mark.parametrize("argv, err", [
     (("check", "--predicate", "bogus", "--m", "-1", "--k", "0.5"), UNKNOWN),
     (("check", "--predicate", "T5_I_in_S", "--m", "-1", "--k", "0.5"), BAD_M),
@@ -564,6 +564,10 @@ NEEDS_AB = "error: predicate T5_I_in_S requires --A and --B\n"
     (("crosscheck", "--predicate", "bogus", "--m", "1", "--k", "0.5", "--eps", "-1"),
      UNKNOWN),
     (("crosscheck", "--predicate", "T1_F_in_S", "--m", "-1", "--k", "0.5", "--eps", "-1"),
+     BAD_M),
+    (("crosscheck", "--predicate", "T5_I_in_S", "--m", "1", "--k", "0.5", "--eps", "-1"),
+     NEEDS_AB),
+    (("crosscheck", "--predicate", "T1_F_in_S", "--m", "1", "--k", "0.5", "--eps", "-1"),
      BAD_EPS),
     (("threshold", "--predicate", "T5_I_in_S", "--k", "2", "--tol", "-1"), BAD_K),
     (("threshold", "--predicate", "T5_I_in_S", "--k", "0.5", "--tol", "-1"), NEEDS_AB),
