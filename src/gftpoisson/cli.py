@@ -67,6 +67,8 @@ def _records(args) -> tuple:
         raise UsageError(f"predicate {pid.value} requires --A and --B")
     if has_a != has_b:
         raise UsageError("--A and --B must be given together")
+    if not has_a and (args.tau_re, args.tau_im) != (1.0, 0.0):
+        raise UsageError("--tau-re and --tau-im need --A and --B")
     r = RParams(A=args.A, B=args.B, tau=complex(args.tau_re, args.tau_im)) if has_a else None
     return (pid, *p, c, r)
 

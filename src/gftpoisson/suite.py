@@ -233,6 +233,11 @@ def check_bracket_identity(rng: random.Random, draws: int = 1000):
     return "bracket_identity", worst <= BRACKET_REL_TOL, f"worst rel diff {fmt_float(worst)}"
 
 
+def _draw_at(p: PoissonParams, c: ClassParams) -> str:
+    """The draw (m, k, lambda) a failing grid was made at, to rerun it by."""
+    return f"m={fmt_float(p.m)} k={fmt_float(c.k)} lam={fmt_float(c.lam)}"
+
+
 def check_disk_sampling(rng: random.Random, holding_draws: int = 20,
                         failing_draws: int = 10):
     """Grid holding draws for no violation and failing draws for a witness.
@@ -251,13 +256,12 @@ def check_disk_sampling(rng: random.Random, holding_draws: int = 20,
         for draw, series, label in ((draw_t1_holding, _F, "S"), (draw_t4_holding, _G, "G")):
             p, c = draw(rng)
             if grid_check(ClosedSeries(series, p), ConditionId.S_COND, c).violations:
-                bad.append(f"{label} violation at m={fmt_float(p.m)}")
+                bad.append(f"{label} violation at {_draw_at(p, c)}")
     for _ in range(failing_draws):
         p, c = draw_t1_failing_radial(rng)
         rep = grid_check(ClosedSeries(_F, p), ConditionId.S_COND, c, _WITNESS_GRID)
         if not rep.max_value > c.k:
-            bad.append(f"missing witness at m={fmt_float(p.m)} k={fmt_float(c.k)}"
-                       f" lam={fmt_float(c.lam)}")
+            bad.append(f"missing witness at {_draw_at(p, c)}")
     return "disk_sampling", not bad, "; ".join(bad) if bad else "all grids consistent"
 
 

@@ -137,14 +137,58 @@ def test_A_without_B_exit_three(capsys):
     assert "together" in err
 
 
-@pytest.mark.parametrize("flag, value", [("--tau-re", "nan"), ("--tau-im", "inf")])
-def test_non_finite_tau_exit_three(capsys, flag, value):
-    code, out, err = run_cli(capsys, "check", "--predicate", "T5_I_in_S",
-                             "--m", "0.3", "--k", "0.5", "--A", "1", "--B", "0",
-                             flag, value)
+# one row of each predicate command that takes no R member, so RParams, which
+# checks tau, is never built; no command once read their tau, so a nan or inf
+# tau still printed a report
+NO_R_ROWS = [
+    ("check", "--predicate", "T1_F_in_S", "--m", "1", "--k", "0.5"),
+    ("crosscheck", "--predicate", "T1_F_in_S", "--m", "1", "--k", "0.5"),
+    ("threshold", "--predicate", "T2_F_in_C", "--k", "0.5"),
+    ("grid", "--predicate", "T4_G_in_S", "--m", "1", "--k", "0.5", "--points", "8")]
+TAU_ROWS = [(("check", "--predicate", "T5_I_in_S", "--m", "0.3", "--k", "0.5",
+              "--A", "1", "--B", "0"), "tau must be a finite complex number")] + [
+    (argv, "--tau-re and --tau-im need --A and --B") for argv in NO_R_ROWS]
+
+
+@pytest.mark.parametrize("argv, named", TAU_ROWS,
+                         ids=["check-T5", "check", "crosscheck", "threshold", "grid"])
+@pytest.mark.parametrize("flag", ["--tau-re", "--tau-im"])
+@pytest.mark.parametrize("value", ["nan", "inf", "1e999"])
+def test_non_finite_tau_exit_three(capsys, argv, named, flag, value):
+    code, out, err = run_cli(capsys, *argv, flag, value)
     assert code == EXIT_USAGE
     assert out == ""
-    assert "tau must be a finite complex number" in err
+    assert named in err
+
+
+def _numeric_flags(command):
+    """The flags of command that take a number, --radii's comma-separated list
+    among them, in the order --help lists them."""
+    _, flags, _, _ = cli._COMMANDS[command]
+    return [flag for flag, options in flags
+            if options.get("type") in (float, int) or flag == "--radii"]
+
+
+# the rows above without an R member, the same four commands on T5 with one,
+# and identities; a flag given twice takes its last value
+NON_FINITE_ROWS = NO_R_ROWS + [
+    (*argv[:2], "T5_I_in_S", *argv[3:], "--A", "1", "--B", "-1") for argv in NO_R_ROWS] + [
+    ("identities", "--m", "1")]
+
+
+@pytest.mark.parametrize("argv", NON_FINITE_ROWS, ids=" ".join)
+def test_each_non_finite_row_runs_as_given(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code != EXIT_USAGE and out != "" and err == ""
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (argv, flag) for argv in NON_FINITE_ROWS for flag in _numeric_flags(argv[0])],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+def test_every_numeric_flag_refuses_a_non_finite_value(capsys, argv, flag, value):
+    code, out, _ = run_cli(capsys, *argv, flag, value)
+    assert (code, out) == (EXIT_USAGE, "")
 
 
 # the scale (A-B)|tau| is inf, or |tau| itself is past the largest double

@@ -391,21 +391,38 @@ TAIL_DRAWS = [(_log_uniform(_TAIL_RNG, 1e-6, 714.0), _log_uniform(_TAIL_RNG, 1e-
               for _ in range(60)]
 
 
+_TAIL_R = RParams(A=1.0, B=-0.5, tau=0.3 + 0.4j)   # scale 0.75
+
+# each built series: its builder, its a_n from the Poisson weight
+# c_n = e^{-m} m^{n-1}/(n-1)!, as n^2 a_n = scale n^power c_n, and its scale
+TAIL_SERIES = [
+    (coeffs_F, lambda n, c: c, 2, 1.0),
+    (coeffs_G, lambda n, c: c / n, 1, 1.0),
+    (lambda p, policy: _image(p, policy, _TAIL_R), lambda n, c: _TAIL_R.scale * c / n,
+     1, _TAIL_R.scale)]
+
+
+@pytest.mark.parametrize("build, coefficient, power, scale", TAIL_SERIES,
+                         ids=["F", "G", "I"])
 @pytest.mark.parametrize("m, eps", TAIL_DRAWS)
-def test_the_n_squared_weighted_tail_past_the_order_is_below_eps(m, eps):
-    # the stopping rule's claim, by meaning: sum_{n>N} n^2 c_n < eps, which
-    # bounds the tail of both criteria's weights.  The exact total
-    # sum_{n>=2} n^2 c_n = E[(j+1)^2] - e^{-m} = m^2 + 3m + 1 - e^{-m}, j
-    # Poisson(m), less the 50-digit partial sum; no float term is read
-    n_top = choose_truncation(PoissonParams(m), TruncationPolicy(eps=eps))
+def test_the_n_squared_weighted_tail_past_the_order_is_below_eps(build, coefficient, power,
+                                                                 scale, m, eps):
+    # the stopping rule's claim, by meaning: past each built series' own order
+    # N, sum_{n>N} n^2 |a_n| < scale eps, which bounds the tail of both
+    # criteria's weights.  The exact total sum_{n>=2} n^2 a_n is
+    # scale (E[(j+1)^power] - e^{-m}), j Poisson(m): scale (m^2 + 3m + 1 -
+    # e^{-m}) for F, scale (m + 1 - e^{-m}) for G and I.  It is taken less the
+    # 50-digit partial sum of n^2 a_n to N; no float term is read
+    n_top = build(PoissonParams(m), TruncationPolicy(eps=eps)).truncation_order
     with mpmath.workdps(50):
         mm = mpmath.mpf(m)
         c, partial = mm * mpmath.exp(-mm), mpmath.mpf(0)
         for n in range(2, n_top + 1):
-            partial += n * n * c
+            partial += n * n * coefficient(n, c)
             c *= mm / n
-        tail = mm * mm + 3 * mm + 1 - mpmath.exp(-mm) - partial
-    assert tail < eps
+        moment = mm * mm + 3 * mm + 1 if power == 2 else mm + 1
+        tail = scale * (moment - mpmath.exp(-mm)) - partial
+        assert tail < mpmath.mpf(scale) * eps
 
 
 def test_order_stays_within_the_bound_at_the_smallest_eps():

@@ -86,7 +86,8 @@ def test_disk_sampling_fails_on_a_holding_violation(monkeypatch, route, label):
     seen = _grids(monkeypatch, route)
     row = _run_alone(monkeypatch, suite.check_disk_sampling, holding_draws=2, failing_draws=1)
     assert [r for r, *_ in seen] == ["S", "G", "S", "G", "witness"]
-    detail = "; ".join(f"{label} at m={_g(m)}" for r, m, _ in seen if r == route)
+    detail = "; ".join(f"{label} at m={_g(m)} k={_g(c.k)} lam={_g(c.lam)}"
+                       for r, m, c in seen if r == route)
     assert row == {"name": "disk_sampling", "status": "fail", "detail": detail}
     assert detail.count(label) == 2
 
